@@ -16,6 +16,7 @@ measure, drawn independently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ from .model import (
 )
 
 _MAX_SWEEPS = 1_000_000
+_FLOAT_MAX = sys.float_info.max
 
 
 def _resolve_beta(model, beta, allow_one):
@@ -53,7 +55,8 @@ def multinomial_pmf_table(law, trials):
     """Exact multinomial pmf over count vectors for `trials` draws from `law`.
 
     Returns a dict mapping count tuples to probabilities; outcomes needing
-    a zero-probability category are omitted.
+    a zero-probability category are omitted.  A term whose multinomial
+    coefficient exceeds the float range is computed in log space.
     """
     law = np.clip(np.asarray(law, dtype=float), 0.0, None)
     k = law.size
@@ -70,8 +73,13 @@ def multinomial_pmf_table(law, trials):
                 break
             coef //= math.factorial(c)
             prob *= q**c
-        if feasible:
+        if not feasible:
+            continue
+        if coef <= _FLOAT_MAX:
             out[counts] = coef * prob
+        else:
+            log_prob = sum(c * math.log(q) for c, q in zip(counts, law) if c)
+            out[counts] = math.exp(math.log(coef) + log_prob)
     return out
 
 
@@ -352,6 +360,10 @@ class PolicyKernel:
     def rows_for(self, mu):
         """Action rows at the grid point nearest mu."""
         return self.table[self.grid.project(mu)]
+
+    def rows_for_many(self, mus):
+        """`rows_for` of every row of an (R, X) array, as an (R, X, U) array."""
+        return self.table[self.grid.project_many(mus)]
 
 
 def _kernel_stage_data(model, states, rows_fn):

@@ -16,6 +16,7 @@ from itertools import product
 import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
+_PROJECT_BLOCK = 1 << 20  # distance entries per block of SimplexGrid.project_many
 
 
 class EnumerationCapError(Exception):
@@ -161,6 +162,20 @@ class SimplexGrid:
         mu = np.asarray(mu, dtype=float)
         dists = np.abs(self.points - mu).sum(axis=1)
         return int(dists.argmin())
+
+    def project_many(self, mus):
+        """`project` of every row of an (R, cardinality) array, same tie rule.
+
+        Rows are processed in blocks so the distance array stays near
+        _PROJECT_BLOCK entries whatever R is.
+        """
+        mus = np.asarray(mus, dtype=float)
+        out = np.empty(len(mus), dtype=np.int64)
+        block = max(1, _PROJECT_BLOCK // self.points.size)
+        for start in range(0, len(mus), block):
+            chunk = mus[start : start + block, None, :]
+            out[start : start + block] = np.abs(self.points - chunk).sum(axis=2).argmin(axis=1)
+        return out
 
 
 def simplex_grid(mesh, cardinality, cap=DEFAULT_ENUMERATION_CAP):

@@ -124,7 +124,9 @@ def flow_trajectory(model, mu0, pi, steps):
 
     `pi` is a PolicyKernel or a per-stage sequence; the kernel lookup at
     the grid point nearest mu is the only quantized element, the flow
-    itself is not projected.
+    itself is not projected.  Each step's measure is clipped at zero and
+    renormalized: rows carrying mass affine in sum(mu) would otherwise
+    amplify a roundoff mass excess geometrically over long horizons.
     """
     kernels = list(pi) if isinstance(pi, (list, tuple)) else [pi] * steps
     if len(kernels) != steps:
@@ -135,5 +137,6 @@ def flow_trajectory(model, mu0, pi, steps):
     for t in range(steps):
         rows = kernels[t].rows_for(out[t])
         theta = out[t][:, None] * rows
-        out[t + 1] = mean_field_flow(model, out[t], theta)
+        nxt = np.clip(mean_field_flow(model, out[t], theta), 0.0, None)
+        out[t + 1] = nxt / nxt.sum()
     return out

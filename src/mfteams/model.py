@@ -196,6 +196,18 @@ class EnvironmentModel:
         """Transition tensor T[x,u,x'] at empirical measure mu."""
         return self.kernel_base + np.tensordot(self.kernel_coupling, mu, axes=([3], [0]))
 
+    def kernel_tensors_at(self, mus):
+        """Transition tensors T[r,x,u,x'] at each row mus[r] of an (R,X) array."""
+        return self.kernel_base + np.einsum("xuyz,rz->rxuy", self.kernel_coupling, mus)
+
+    def cost_matrices_at(self, mus):
+        """Stage costs c[r,x,u] at each row mus[r] of an (R,X) array."""
+        return (
+            self.cost_const
+            + np.einsum("xuz,rz->rxu", self.cost_linear, mus)
+            + np.einsum("xuzw,rz,rw->rxu", self.cost_quad, mus, mus)
+        )
+
     def kernel_at(self, x, u, mu):
         """Next-state distribution T(.|x,u,mu)."""
         mu = np.asarray(mu, dtype=float)

@@ -4,14 +4,16 @@ Covers Monte Carlo simulation under lifted or shared-kernel policies,
 propagation-of-chaos gap estimation against the deterministic limit flow,
 an exact small-population check that (own state, own action, empirical
 measure) is a controlled Markov summary under shared kernels, and the
-exact optimality-gap table for limit-derived policies.
+exact optimality-gap table for limit-derived policies.  Rollouts run on
+the count chain: per step, (state, action) cell counts per state, then
+next-state counts per cell, for all replications at once and at a cost
+independent of the population size.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -24,7 +26,6 @@ from .lifted import (
     _resolve_beta,
     build_measure_mdp,
     evaluate_symmetric_policy_exact,
-    realize_exchangeable_action,
     value_iteration_discounted,
     value_iteration_finite,
 )
@@ -47,6 +48,7 @@ WORKERS_ENV = "MFTEAMS_WORKERS"
 
 
 def _worker_count(workers=None):
+    """Worker count recorded in manifests; no result depends on it."""
     if workers is not None:
         return max(1, int(workers))
     raw = os.environ.get(WORKERS_ENV, "1")
@@ -56,22 +58,8 @@ def _worker_count(workers=None):
         return 1
 
 
-def _map_indexed(fn, count, workers):
-    """Evaluate fn(0..count-1) into a list; results are slot-indexed so the
-    outcome is identical at any worker count."""
-    results = [None] * count
-    if workers <= 1:
-        for r in range(count):
-            results[r] = fn(r)
-        return results
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for r, value in zip(range(count), pool.map(fn, range(count))):
-            results[r] = value
-    return results
-
-
-def _replication_rng(seed, *key):
-    # Per-replication stream derived by hashing the base seed with the index.
+def _stream(seed, *key):
+    # One stream per run, derived by hashing the base seed with the key.
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), *key]))
 
 
@@ -112,25 +100,30 @@ class SimReport:
     chaos_series: object
 
     def to_dict(self):
-        return {
-            "population": self.population,
-            "replications": self.replications,
-            "steps": self.steps,
-            "discount": self.discount,
-            "truncation_bound": self.truncation_bound,
-            "mean_cost": self.mean_cost,
-            "std_error": self.std_error,
-            "mean_measures": self.mean_measures.tolist(),
-            "chaos_series": None if self.chaos_series is None else self.chaos_series.tolist(),
-        }
+        chaos = None if self.chaos_series is None else self.chaos_series.tolist()
+        return dict(vars(self), mean_measures=self.mean_measures.tolist(), chaos_series=chaos)
 
 
-def _sample_rows(rows, rng):
-    """One categorical draw per row of a stochastic matrix."""
-    cum = rows.cumsum(axis=1)
-    r = rng.random(rows.shape[0])
-    idx = (cum < r[:, None]).sum(axis=1)
-    return np.minimum(idx, rows.shape[1] - 1)
+def _multinomial(rng, n, p):
+    """Multinomial counts of n[...] trials over the rows p[..., :] (p
+    broadcast against n), drawn as conditional binomials with
+    probabilities p_j / sum_{k >= j} p_k.
+
+    The tails are a reverse cumulative sum, so the last positive category
+    gets conditional probability exactly 1 and a category of probability
+    zero is never drawn, whatever n is.
+    """
+    p = np.clip(p, 0.0, None)
+    tail = np.cumsum(p[..., ::-1], axis=-1)[..., ::-1]
+    with np.errstate(invalid="ignore"):
+        cond = np.clip(np.nan_to_num(p / tail), 0.0, 1.0)
+    left = np.array(n, dtype=np.int64)
+    out = np.empty(left.shape + cond.shape[-1:], dtype=np.int64)
+    for j in range(cond.shape[-1] - 1):
+        out[..., j] = rng.binomial(left, cond[..., j])
+        left -= out[..., j]
+    out[..., -1] = left
+    return out
 
 
 def _stage_kernels(policy, steps):
@@ -145,50 +138,72 @@ def _stage_kernels(policy, steps):
     return None
 
 
-def _rollout(model, policy, steps, beta, population, rng):
-    """Simulate one population path; returns (discounted mean cost, the
-    empirical-measure trajectory)."""
-    num_states = model.num_states
+def _per_measure(counts, fn):
+    """fn(count tuple) for every row of counts, called once per distinct row."""
+    distinct, inverse = np.unique(counts, axis=0, return_inverse=True)
+    values = np.stack([np.asarray(fn(tuple(row))) for row in distinct.tolist()])
+    return values[inverse.reshape(-1)]
+
+
+def _cell_sampler(policy, steps):
+    """draw(t, counts, rng) -> (R, X, U) cell counts for (R, X) state counts."""
     kernels = _stage_kernels(policy, steps)
-    x = _sample_rows(np.broadcast_to(model.initial_dist, (population, num_states)), rng)
-    traj = np.empty((steps + 1, num_states))
-    cost = 0.0
+    if kernels is not None:
+
+        def draw(t, counts, rng):
+            rows = kernels[t].rows_for_many(counts / counts[0].sum())
+            return _multinomial(rng, counts, rows)
+
+    elif isinstance(policy, SymmetricSolution):
+
+        def draw(t, counts, rng):
+            stage = 0 if policy.stationary else t
+            rows = _per_measure(counts, lambda c: policy.kernel_rows_at(c, stage))
+            return _multinomial(rng, counts, rows)
+
+    elif isinstance(policy, LiftedPolicy):
+        # The chosen joint action's counts are the cell counts: no draw.
+        mdp, chosen = policy.mdp, policy.policy
+        if not chosen.stationary and len(chosen.tables) < steps:
+            raise ValueError("lifted policy has fewer stages than the rollout")
+        cells = [np.array([mdp.actions[i][a].counts for i, a in enumerate(table)])
+                 for table in chosen.tables]
+
+        def draw(t, counts, rng):
+            stage = cells[0 if chosen.stationary else t]
+            return _per_measure(counts, lambda c: stage[mdp.index[c]])
+
+    else:
+        raise TypeError(f"unsupported policy {policy!r}")
+    return draw
+
+
+def _rollout(model, draw_cells, counts, steps, beta, rng):
+    """Advance populations with state counts `counts` (R, X) together.
+
+    Returns (discounted population-average cost per replication, the
+    (R, steps + 1, X) state-count trajectories).
+    """
+    population = int(counts[0].sum())
+    traj = [counts]
+    cost = np.zeros(len(counts))
     disc = 1.0
     for t in range(steps):
-        counts = np.bincount(x, minlength=num_states)
-        mu = counts / population
-        traj[t] = mu
-        if kernels is not None:
-            rows = kernels[t].rows_for(mu)[x]
-            u = _sample_rows(rows, rng)
-        elif isinstance(policy, SymmetricSolution):
-            stage = 0 if policy.stationary else t
-            rows = policy.kernel_rows_at(tuple(int(c) for c in counts), stage)[x]
-            u = _sample_rows(rows, rng)
-        elif isinstance(policy, LiftedPolicy):
-            ordinal = policy.mdp.index[tuple(int(c) for c in counts)]
-            a = policy.policy.action_at(ordinal, t)
-            theta = policy.mdp.actions[ordinal][a]
-            u = realize_exchangeable_action(x, theta, rng)
-        else:
-            raise TypeError(f"unsupported policy {policy!r}")
-        cmat = model.cost_matrix_at(mu)
-        cost += disc * float(cmat[x, u].mean())
+        mus = counts / population
+        cells = draw_cells(t, counts, rng)
+        cost += disc * (cells * model.cost_matrices_at(mus)).sum(axis=(1, 2)) / population
         disc *= beta
-        tens = model.kernel_tensor_at(mu)
-        x = _sample_rows(tens[x, u], rng)
-    traj[steps] = np.bincount(x, minlength=num_states) / population
-    return cost, traj
+        counts = _multinomial(rng, cells, model.kernel_tensors_at(mus)).sum(axis=(1, 2))
+        traj.append(counts)
+    return cost, np.stack(traj, axis=1)
 
 
-def _effective_steps(model, horizon):
-    """(steps, beta, truncation bound) for a rollout horizon."""
-    if isinstance(horizon, FiniteHorizon):
-        return horizon.steps, _resolve_beta(model, horizon.beta, allow_one=True), 0.0
-    if isinstance(horizon, DiscountedHorizon):
-        b = _resolve_beta(model, horizon.beta, allow_one=False)
-        return None, b, None
-    raise TypeError(f"unsupported horizon {horizon!r}")
+def _std_error(samples):
+    """Standard error of the mean over axis 0; None for a single sample."""
+    if len(samples) < 2:
+        return None
+    se = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
+    return float(se) if se.ndim == 0 else se
 
 
 def simulate_n_agents(model, config, workers=None):
@@ -196,34 +211,29 @@ def simulate_n_agents(model, config, workers=None):
 
     Discounted horizons are truncated at the first length whose geometric
     tail bound beta^T * c_max / (1 - beta) drops below the configured
-    truncation error.  Replications use independent derived RNG streams
-    and slot-indexed aggregation, so results do not depend on the worker
-    count.
+    truncation error.  All replications advance together on the count
+    chain, drawn from one RNG stream keyed by the seed; `workers` is
+    accepted for compatibility and ignored.
     """
-    steps, beta, trunc = _effective_steps(model, config.horizon)
-    if steps is None:
-        c_max = model.max_stage_cost()
-        tail = c_max / (1.0 - beta)
+    horizon = config.horizon
+    if isinstance(horizon, FiniteHorizon):
+        steps, trunc = horizon.steps, 0.0
+        beta = _resolve_beta(model, horizon.beta, allow_one=True)
+    elif isinstance(horizon, DiscountedHorizon):
+        beta = _resolve_beta(model, horizon.beta, allow_one=False)
+        tail = model.max_stage_cost() / (1.0 - beta)
         steps = 1
         while tail * beta**steps > config.truncation_error and steps < 100_000:
             steps += 1
         trunc = tail * beta**steps
-    if isinstance(config.policy, LiftedPolicy) and not config.policy.policy.stationary:
-        if len(config.policy.policy.tables) < steps:
-            raise ValueError("lifted policy has fewer stages than the rollout")
-
-    def one(r):
-        rng = _replication_rng(config.seed, r)
-        return _rollout(model, config.policy, steps, beta, config.population, rng)
-
-    results = _map_indexed(one, config.replications, _worker_count(workers))
-    costs = np.array([c for c, _ in results])
-    trajs = np.stack([t for _, t in results])
-    mean_cost = float(costs.mean())
-    if config.replications > 1:
-        se = float(costs.std(ddof=1) / math.sqrt(config.replications))
     else:
-        se = None
+        raise TypeError(f"unsupported horizon {horizon!r}")
+    draw_cells = _cell_sampler(config.policy, steps)
+    rng = _stream(config.seed)
+    start = np.full(config.replications, config.population)
+    costs, traj = _rollout(model, draw_cells, _multinomial(rng, start, model.initial_dist),
+                           steps, beta, rng)
+    trajs = traj / config.population
     chaos = None
     kernels = _stage_kernels(config.policy, steps)
     if kernels is not None:
@@ -236,8 +246,8 @@ def simulate_n_agents(model, config, workers=None):
         steps=steps,
         discount=beta,
         truncation_bound=trunc,
-        mean_cost=mean_cost,
-        std_error=se,
+        mean_cost=float(costs.mean()),
+        std_error=_std_error(costs),
         mean_measures=trajs.mean(axis=0),
         chaos_series=chaos,
     )
@@ -259,37 +269,26 @@ def chaos_gap(model, populations, pi, steps, replications, seed, workers=None):
     """Estimate E[max_t ||mu^N_t - mu_t||_1] against the limit flow, per
     population size.  Initial states are i.i.d. from the model's initial
     distribution; the reference flow starts at that distribution exactly.
+    Each population's replications advance together on the count chain,
+    drawn from one RNG stream keyed by (seed, population); `workers` is
+    accepted for compatibility and ignored.
     """
     kernels = _stage_kernels(pi, steps)
     if kernels is None:
         raise TypeError("chaos_gap needs shared kernels")
+    draw_cells = _cell_sampler(kernels, steps)
     flow = flow_trajectory(model, model.initial_dist, kernels, steps)
     rows = []
     for population in populations:
-
-        def one(r, population=population):
-            rng = _replication_rng(seed, population, r)
-            _, traj = _rollout(model, kernels, steps, 1.0, population, rng)
-            gaps = np.abs(traj - flow).sum(axis=1)
-            return gaps
-
-        all_gaps = np.stack(_map_indexed(one, replications, _worker_count(workers)))
+        rng = _stream(seed, population)
+        counts = _multinomial(rng, np.full(replications, population), model.initial_dist)
+        _, traj = _rollout(model, draw_cells, counts, steps, 1.0, rng)
+        all_gaps = np.abs(traj / population - flow).sum(axis=2)
         max_gaps = all_gaps.max(axis=1)
-        if replications > 1:
-            se = float(max_gaps.std(ddof=1) / math.sqrt(replications))
-            per_se = all_gaps.std(axis=0, ddof=1) / math.sqrt(replications)
-        else:
-            se = None
-            per_se = None
-        rows.append(
-            ChaosGapRow(
-                population=population,
-                mean_max_gap=float(max_gaps.mean()),
-                std_error=se,
-                per_step_mean=all_gaps.mean(axis=0),
-                per_step_se=per_se,
-            )
-        )
+        rows.append(ChaosGapRow(
+            population, float(max_gaps.mean()), _std_error(max_gaps),
+            per_step_mean=all_gaps.mean(axis=0), per_step_se=_std_error(all_gaps),
+        ))
     return rows
 
 

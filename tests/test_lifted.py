@@ -54,6 +54,15 @@ def test_multinomial_pmf_fair_coin():
     assert table == {(2, 0): 0.25, (1, 1): 0.5, (0, 2): 0.25}
 
 
+def test_multinomial_pmf_many_trials_does_not_overflow():
+    # coefficients beyond the float range switch to log space
+    for law in ([0.5, 0.5], [0.3, 0.7]):
+        table = multinomial_pmf_table(law, 1100)
+        assert len(table) == 1101
+        assert math.fsum(table.values()) == pytest.approx(1.0, abs=1e-12)
+        assert all(math.isfinite(p) and p >= 0.0 for p in table.values())
+
+
 def test_multinomial_pmf_matches_brute_force():
     rng = np.random.default_rng(29)
     for _ in range(20):

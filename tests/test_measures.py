@@ -149,6 +149,21 @@ def test_projection_tie_goes_to_smallest_ordinal():
     assert grid.project([0.75, 0.25]) == 0
 
 
+def test_project_many_matches_project_row_by_row():
+    rng = np.random.default_rng(13)
+    for mesh, card in ((2, 2), (5, 3), (8, 4)):
+        grid = simplex_grid(mesh, card)
+        # random measures, grid points, and midpoints between grid points (ties)
+        pairs = rng.integers(len(grid), size=(40, 2))
+        mus = np.concatenate([
+            rng.dirichlet(np.ones(card), size=60),
+            grid.points,
+            0.5 * (grid.points[pairs[:, 0]] + grid.points[pairs[:, 1]]),
+        ])
+        expected = [grid.project(mu) for mu in mus]
+        assert grid.project_many(mus).tolist() == expected
+
+
 def test_grid_cap():
     with pytest.raises(EnumerationCapError):
         simplex_grid(1000, 5, cap=1000)

@@ -75,6 +75,17 @@ def test_control_free_flow_matches_matrix_powers():
         np.testing.assert_allclose(traj[t], expected, atol=1e-13)
 
 
+def test_long_discounted_flow_keeps_unit_mass(weakly_coupled):
+    # weakly_coupled rows carry mass 0.8 + 0.2 * sum(mu), which amplifies a
+    # roundoff excess by about 1.2 per step unless the flow is renormalized
+    mkv = build_mkv_mdp(weakly_coupled, 32, 16)
+    kernel = extract_mf_policy(solve_mkv_discounted(mkv, beta=0.95))
+    traj = flow_trajectory(weakly_coupled, weakly_coupled.initial_dist, kernel, 318)
+    assert np.isfinite(traj).all()
+    assert traj.min() >= 0.0
+    assert np.abs(traj.sum(axis=1) - 1.0).max() <= 1e-12
+
+
 def test_coupled_flow_hand_case():
     # 0.2*mu(1) of mass diverted from state 0 to state 1, single action
     coupling = np.zeros((2, 1, 2, 2))

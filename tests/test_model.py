@@ -213,6 +213,18 @@ def test_kernel_affine_in_measure():
         np.testing.assert_allclose(mixed, split, atol=1e-12)
 
 
+def test_batched_evaluation_matches_single_measure():
+    rng = np.random.default_rng(17)
+    for trial in range(6):
+        model = make_random_model(rng, num_states=2 + trial % 2, num_actions=3, coupled=True)
+        mus = rng.dirichlet(np.ones(model.num_states), size=7)
+        tensors = model.kernel_tensors_at(mus)
+        costs = model.cost_matrices_at(mus)
+        for r, mu in enumerate(mus):
+            np.testing.assert_allclose(tensors[r], model.kernel_tensor_at(mu), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(costs[r], model.cost_matrix_at(mu), rtol=0, atol=1e-14)
+
+
 def test_vertex_validity_certifies_grid(counterexample, decoupled, weakly_coupled):
     # Affinity in mu: valid rows at the vertices imply valid rows everywhere.
     for model in (counterexample, decoupled, weakly_coupled):

@@ -1,19 +1,25 @@
-from math import comb
+from collections import Counter
+from math import comb, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfteams import (
     DiscountedHorizon,
     FiniteHorizon,
     LiftedPolicy,
+    MeasurePolicy,
     PolicyKernel,
     SimConfig,
     build_measure_mdp,
     chaos_gap,
     enumerate_empirical,
     epsilon_gap,
+    eta_kernel,
     evaluate_symmetric_policy_exact,
+    multinomial_count_distribution,
     multinomial_pmf_table,
     simulate_n_agents,
     solve_symmetric_restricted,
@@ -21,7 +27,9 @@ from mfteams import (
     verify_markov_mf,
 )
 from mfteams.measures import policy_grid, simplex_grid
-from mfteams.sim import _worker_count
+from mfteams.sim import _cell_sampler, _multinomial, _rollout, _worker_count
+
+from conftest import make_random_model
 
 
 def uniform_kernel(num_states=2, num_actions=2):
@@ -35,6 +43,106 @@ def point_mass_kernel(action=0, num_states=2, num_actions=2):
     rows = np.zeros((num_states, num_actions))
     rows[:, action] = 1.0
     return PolicyKernel.constant(rows, simplex_grid(1, num_states))
+
+
+# ---- count-level sampler ----
+
+
+def test_multinomial_never_draws_a_zero_probability_category():
+    rng = np.random.default_rng(3)
+    n = np.full(200, 10**16)
+    for row in ([0.7, 0.2, 0.1, 0.0], [1 / 3] * 3 + [0.0], [0.5, 0.0, 0.5, 0.0]):
+        draws = _multinomial(rng, n, np.array(row))
+        zero = np.array(row) == 0.0
+        assert (draws[:, zero] == 0).all()
+        assert (draws.sum(axis=1) == 10**16).all()
+
+
+def test_multinomial_broadcasts_rows_against_trials():
+    rng = np.random.default_rng(4)
+    n = np.array([[5, 0], [7, 2]])
+    p = np.array([[0.2, 0.8], [1.0, 0.0]])
+    draws = _multinomial(rng, n, p)
+    assert draws.shape == (2, 2, 2)
+    np.testing.assert_array_equal(draws.sum(axis=2), n)
+    np.testing.assert_array_equal(draws[:, 1], [[0, 0], [2, 0]])
+
+
+def _check_frequencies(next_counts, exact):
+    """Empirical next-count frequencies against the exact law: an outcome of
+    probability zero never occurs, and every other outcome's count is within
+    5 binomial SEs plus one count (continuity slack, so that a single
+    sighting of a rare outcome is not a failure)."""
+    seen = Counter(map(tuple, next_counts.tolist()))
+    reps = len(next_counts)
+    for outcome in set(seen) | set(exact):
+        p = exact.get(outcome, 0.0)
+        slack = 5.0 * sqrt(max(reps * p * (1.0 - p), 0.0)) + (1.0 if p > 0.0 else 0.0)
+        assert abs(seen[outcome] - reps * p) <= slack, (outcome, seen[outcome], p)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.sampled_from([2, 3]),
+    num_actions=st.sampled_from([2, 3]),
+    population=st.integers(1, 4),
+    coupled=st.booleans(),
+)
+def test_one_step_count_law_matches_exact(seed, num_states, num_actions, population, coupled):
+    rng = np.random.default_rng(seed)
+    model = make_random_model(rng, num_states, num_actions, coupled=coupled)
+    init = _multinomial(rng, np.full(2000, population), model.initial_dist)
+    _check_frequencies(init, multinomial_pmf_table(model.initial_dist, population))
+
+    grid = simplex_grid(2, num_states)
+    shared = PolicyKernel(grid, rng.dirichlet(np.ones(num_actions), size=(len(grid), num_states)))
+    mdp = build_measure_mdp(model, population)
+    table = np.array([rng.integers(len(acts)) for acts in mdp.actions])
+    lifted = LiftedPolicy(mdp, MeasurePolicy((table,), stationary=True))
+
+    def shared_law(counts):
+        # each occupied state x moves by the law rows[x] @ T[x]
+        mu = np.asarray(counts) / population
+        rows, tens = shared.rows_for(mu), model.kernel_tensor_at(mu)
+        return multinomial_count_distribution(
+            [(rows[x] @ tens[x], c) for x, c in enumerate(counts) if c > 0]
+        )
+
+    def lifted_law(counts):
+        # the cell counts are the chosen theta
+        i = mdp.index[counts]
+        return eta_kernel(model, mdp.states[i], mdp.actions[i][table[i]])
+
+    # two start states interleaved, so replications that mix show up
+    starts = [mdp.states[i].counts for i in rng.integers(len(mdp.states), size=2)]
+    start = np.array(starts * 1000)
+    for policy, law in ((shared, shared_law), (lifted, lifted_law)):
+        _, traj = _rollout(model, _cell_sampler(policy, 1), start, 1, 1.0, rng)
+        for k, counts in enumerate(starts):
+            _check_frequencies(traj[k::2, 1], law(counts))
+
+
+def test_lifted_cell_counts_equal_theta(weakly_coupled):
+    mdp = build_measure_mdp(weakly_coupled, 3)
+    _, policy = value_iteration_finite(mdp, 2)
+    draw = _cell_sampler(LiftedPolicy(mdp, policy), 2)
+    order = [1, 0, 3, 2, 1, 0]  # repeated and out of enumeration order
+    counts = np.array([mdp.states[i].counts for i in order])
+    for t in range(2):
+        cells = draw(t, counts, None)
+        for row, i in zip(cells, order):
+            theta = mdp.actions[i][policy.action_at(i, t)]
+            assert row.tolist() == [list(r) for r in theta.counts]
+
+
+def test_rollout_runs_at_a_billion_agents(counterexample):
+    # nothing in a rollout is per agent, so a billion agents is as cheap as two
+    config = SimConfig(population=10**9, horizon=FiniteHorizon(3),
+                       policy=uniform_kernel(), replications=50, seed=5)
+    report = simulate_n_agents(counterexample, config)
+    assert report.chaos_series[-1] < 1e-3
+    np.testing.assert_allclose(report.mean_measures.sum(axis=1), 1.0, atol=1e-12)
 
 
 # ---- simulate ----
@@ -154,6 +262,17 @@ def test_chaos_gap_decreases_with_population(counterexample):
             comb(n, k) * 0.5**n * abs(k / n - 0.5) for k in range(n + 1)
         )
         assert abs(row.per_step_mean[1] - exact) <= 3.0 * row.per_step_se[1]
+
+
+def test_chaos_gap_rate_holds_far_past_enumerable_populations(counterexample):
+    # E|Bin(N, 1/2)/N - 1/2| decays like N^-1/2; at N = 10^6 a rollout step
+    # costs what it costs at N = 100
+    populations = [10**2, 10**4, 10**6]
+    rows = chaos_gap(counterexample, populations, uniform_kernel(),
+                     steps=3, replications=400, seed=31)
+    gaps = [r.mean_max_gap for r in rows]
+    slope = np.polyfit(np.log(populations), np.log(gaps), 1)[0]
+    assert -0.55 <= slope <= -0.45
 
 
 def test_chaos_gap_zero_for_deterministic_dynamics(counterexample):
