@@ -4,6 +4,7 @@ and their deterministic McKean-Vlasov limit."""
 __version__ = "0.1.0"
 
 from .lifted import (
+    ConvergenceError,
     MeasureMDP,
     MeasurePolicy,
     PolicyKernel,

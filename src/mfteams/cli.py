@@ -2,12 +2,12 @@
 
 Subcommands: solve-n, solve-mf, simulate, gap-table, counterexample, flow.
 Every run that writes files also writes a manifest.json recording the
-resolved arguments, the model hash, the seed, and the worker count; the
-numeric outputs are byte-reproducible from the manifest at any worker
-count.  Floats are written with 17 significant digits.
+resolved arguments, the model hash and the seed; the numeric outputs are
+byte-reproducible from the manifest.  Floats are written with 17
+significant digits.
 
-Exit codes: 0 success, 1 I/O or parse failure, 2 validation or cap
-failure, 3 self-test failure.
+Exit codes: 0 success, 1 I/O or parse failure, 2 validation, cap or
+non-convergence failure, 3 self-test failure.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .lifted import (
+    ConvergenceError,
     MeasurePolicy,
     PolicyKernel,
     build_measure_mdp,
@@ -54,7 +55,6 @@ from .models import BUNDLED, bundled_path
 from .sim import (
     LiftedPolicy,
     SimConfig,
-    _worker_count,
     epsilon_gap,
     simulate_n_agents,
 )
@@ -99,7 +99,6 @@ def _write_manifest(out, command, argv, model_path, params, seed=None):
         "params": params,
         "seed": seed,
         "version": __version__,
-        "workers": _worker_count(),
         "written_at": datetime.now(timezone.utc).isoformat(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -490,7 +489,7 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (ModelError, EnumerationCapError, ValueError) as err:
+    except (ModelError, EnumerationCapError, ValueError, ConvergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +54,110 @@ def _resolve_beta(model, beta, allow_one):
     return b
 
 
+class ConvergenceError(RuntimeError):
+    """Discounted value iteration reached its sweep limit before the update
+    fell to the stopping threshold."""
+
+
+class _SparseMDP(NamedTuple):
+    """A finite MDP in one flat layout.
+
+    (state, action) pairs are numbered state-major: state i owns the pairs
+    act_off[i] up to act_off[i + 1], and a pair's offset from act_off[i] is
+    its action ordinal.  Pair a's transition row is idx and prob over
+    row_off[a] up to row_off[a + 1]; no row is empty.
+    """
+
+    cost: np.ndarray
+    act_off: np.ndarray
+    row_off: np.ndarray
+    idx: np.ndarray
+    prob: np.ndarray
+
+
+def _pack(states, num_actions, pairs):
+    """_SparseMDP over `states` from the (stage cost, next-measure law) of
+    every pair, listed state-major with num_actions[i] pairs for state i; a
+    law is a dict over count tuples."""
+    index = {s.counts: i for i, s in enumerate(states)}
+    costs, nnz = [], []
+    idx, prob = array("q"), array("d")
+    for cost, law in pairs:
+        costs.append(cost)
+        nnz.append(len(law))
+        idx.extend(index[c] for c in law)
+        prob.extend(law.values())
+    return _SparseMDP(
+        np.array(costs, dtype=float),
+        np.cumsum([0, *num_actions[:-1]]),
+        np.cumsum([0, *nnz[:-1]]),
+        np.frombuffer(idx, dtype=np.int64),
+        np.frombuffer(prob, dtype=float),
+    )
+
+
+def _backup(mdp, values, beta):
+    """One Bellman backup: (Q-value of every pair, minimum per state).
+
+    values=None backs up the stage cost alone, as at a last stage.
+    """
+    q = mdp.cost
+    if values is not None:
+        q = q + beta * np.add.reduceat(mdp.prob * values[mdp.idx], mdp.row_off)
+    return q, np.minimum.reduceat(q, mdp.act_off)
+
+
+def _greedy(mdp, q, best):
+    """Action ordinal attaining `best` per state; ties go to the smallest."""
+    # every state has a pair attaining its minimum; take the first
+    ties = np.flatnonzero(q == np.repeat(best, np.diff(mdp.act_off, append=q.size)))
+    return ties[np.searchsorted(ties, mdp.act_off)] - mdp.act_off
+
+
+def _solve_finite(stages, beta):
+    """Backward recursion over one _SparseMDP per stage, all on the same
+    states; the last stage minimizes its stage cost alone.
+
+    Returns (values, actions), one array per stage.
+    """
+    values, actions = [None] * (len(stages) + 1), [None] * len(stages)
+    for t in reversed(range(len(stages))):
+        q, values[t] = _backup(stages[t], values[t + 1], beta)
+        actions[t] = _greedy(stages[t], q, values[t])
+    return values[:-1], actions
+
+
+def _solve_discounted(mdp, beta, epsilon):
+    """Successive approximation from zero until the sup-norm update is at
+    most epsilon*(1-beta)/(2*beta), so the returned values are within
+    epsilon/2 of the fixed point and the greedy actions are epsilon-optimal.
+
+    Returns (values, actions).
+    """
+    threshold = epsilon * (1.0 - beta) / (2.0 * beta)
+    values = np.zeros(mdp.act_off.size)
+    for _ in range(_MAX_SWEEPS):
+        q, new = _backup(mdp, values, beta)
+        gap = float(np.abs(new - values).max())
+        values = new
+        if gap <= threshold:
+            return values, _greedy(mdp, q, values)
+    raise ConvergenceError(
+        f"value iteration did not converge in {_MAX_SWEEPS} sweeps "
+        f"(beta={beta}, epsilon={epsilon})"
+    )
+
+
+def _evaluate_discounted(mdp, beta):
+    """Exact discounted values of a _SparseMDP with one action per state,
+    from the linear system (I - beta P) v = cost."""
+    n = mdp.act_off.size
+    rows = np.repeat(np.arange(n), np.diff(mdp.row_off, append=mdp.idx.size))
+    P = np.zeros((n, n))
+    P[rows, mdp.idx] = mdp.prob
+    return np.linalg.solve(np.eye(n) - beta * P, mdp.cost)
+
+
 def multinomial_pmf_table(law, trials):
     """Exact multinomial pmf over count vectors for `trials` draws from `law`.
 
@@ -60,21 +167,17 @@ def multinomial_pmf_table(law, trials):
     """
     law = np.clip(np.asarray(law, dtype=float), 0.0, None)
     k = law.size
+    factorial = [math.factorial(i) for i in range(trials + 1)]
     out = {}
     for counts in compositions(trials, k):
-        coef = math.factorial(trials)
-        prob = 1.0
-        feasible = True
-        for c, q in zip(counts, law):
-            if c == 0:
-                continue
-            if q == 0.0:
-                feasible = False
-                break
-            coef //= math.factorial(c)
-            prob *= q**c
-        if not feasible:
+        if any(c and q == 0.0 for c, q in zip(counts, law)):
             continue
+        coef = factorial[trials]
+        prob = 1.0
+        for c, q in zip(counts, law):
+            if c:
+                coef //= factorial[c]
+                prob *= q**c
         if coef <= _FLOAT_MAX:
             out[counts] = coef * prob
         else:
@@ -146,33 +249,33 @@ class MeasurePolicy:
 
 
 class MeasureMDP:
-    """The lifted MDP: enumerated measures, per-measure joint actions,
-    stage costs, and exact transition rows."""
+    """The lifted MDP: enumerated measures, per-measure joint actions, and
+    the stage cost and exact transition row of every (measure, joint
+    action) pair, stored flat in `sparse`."""
 
     def __init__(self, model, population, cap=DEFAULT_ENUMERATION_CAP):
         self.model = model
         self.population = population
         self.states = enumerate_empirical(population, model.num_states, cap=cap)
         self.index = {s.counts: i for i, s in enumerate(self.states)}
-        self.actions = []
-        self.stage_costs = []
-        self.transitions = []
-        for state in self.states:
-            mu = state.as_distribution()
-            acts = enumerate_joint_actions(state, model.num_actions, cap=cap)
-            costs = np.empty(len(acts))
-            rows = []
-            for a, theta in enumerate(acts):
-                costs[a] = model.running_cost_tilde(theta.as_distribution(), mu)
-                dist = eta_kernel(model, state, theta, cap=cap)
-                idx = np.fromiter(
-                    (self.index[c] for c in dist), dtype=np.int64, count=len(dist)
-                )
-                probs = np.fromiter(dist.values(), dtype=float, count=len(dist))
-                rows.append((idx, probs))
-            self.actions.append(acts)
-            self.stage_costs.append(costs)
-            self.transitions.append(rows)
+        self.actions = [
+            enumerate_joint_actions(s, model.num_actions, cap=cap) for s in self.states
+        ]
+        pairs = (
+            (model.running_cost_tilde(theta.as_distribution(), state.as_distribution()),
+             eta_kernel(model, state, theta, cap=cap))
+            for state, acts in zip(self.states, self.actions)
+            for theta in acts
+        )
+        self.sparse = _pack(self.states, [len(acts) for acts in self.actions], pairs)
+
+    @cached_property
+    def transitions(self):
+        """Per measure, the (successor ordinals, probabilities) row of each
+        joint action, as views into `sparse`."""
+        m = self.sparse
+        rows = list(zip(np.split(m.idx, m.row_off[1:]), np.split(m.prob, m.row_off[1:])))
+        return [rows[a : a + len(acts)] for a, acts in zip(m.act_off, self.actions)]
 
     def __len__(self):
         return len(self.states)
@@ -182,29 +285,14 @@ def build_measure_mdp(model, population, cap=DEFAULT_ENUMERATION_CAP):
     return MeasureMDP(model, population, cap=cap)
 
 
-def _sweep(stage_costs, transitions, values, beta):
+def bellman_backup(mdp, values, beta=None):
     """One Bellman backup; returns (new values, argmin action per state).
 
     Ties go to the smallest action ordinal.
     """
-    n = len(stage_costs)
-    out = np.empty(n)
-    act = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        q = stage_costs[i].copy()
-        if beta != 0.0:
-            rows = transitions[i]
-            for a in range(q.size):
-                idx, probs = rows[a]
-                q[a] += beta * float(probs @ values[idx])
-        act[i] = int(q.argmin())
-        out[i] = q[act[i]]
-    return out, act
-
-
-def bellman_backup(mdp, values, beta=None):
     b = _resolve_beta(mdp.model, beta, allow_one=True)
-    return _sweep(mdp.stage_costs, mdp.transitions, np.asarray(values, dtype=float), b)
+    q, best = _backup(mdp.sparse, np.asarray(values, dtype=float), b)
+    return best, _greedy(mdp.sparse, q, best)
 
 
 def value_iteration_finite(mdp, steps, beta=None):
@@ -214,31 +302,17 @@ def value_iteration_finite(mdp, steps, beta=None):
     stage minimizes the stage cost alone.
     """
     b = _resolve_beta(mdp.model, beta, allow_one=True)
-    values = [None] * steps
-    actions = [None] * steps
-    nxt = np.zeros(len(mdp.states))
-    for t in range(steps - 1, -1, -1):
-        nxt, act = _sweep(mdp.stage_costs, mdp.transitions, nxt, b if t < steps - 1 else 0.0)
-        values[t] = ValueTable(nxt, t)
-        actions[t] = act
-    return values, MeasurePolicy(tuple(actions), stationary=False)
+    values, actions = _solve_finite([mdp.sparse] * steps, b)
+    tables = [ValueTable(v, t) for t, v in enumerate(values)]
+    return tables, MeasurePolicy(tuple(actions), stationary=False)
 
 
 def value_iteration_discounted(mdp, beta=None, epsilon=1e-8):
-    """Successive approximation from zero until the sup-norm update is at
-    most epsilon*(1-beta)/(2*beta), so the returned table is within
-    epsilon/2 of the fixed point and the greedy policy is epsilon-optimal.
-    """
+    """Value iteration to an epsilon-optimal stationary policy; the
+    returned table is within epsilon/2 of the fixed point."""
     b = _resolve_beta(mdp.model, beta, allow_one=False)
-    threshold = epsilon * (1.0 - b) / (2.0 * b)
-    values = np.zeros(len(mdp.states))
-    for _ in range(_MAX_SWEEPS):
-        new, act = _sweep(mdp.stage_costs, mdp.transitions, values, b)
-        gap = float(np.abs(new - values).max())
-        values = new
-        if gap <= threshold:
-            return ValueTable(values, "stationary"), MeasurePolicy((act,), stationary=True)
-    raise RuntimeError("value iteration failed to converge")
+    values, act = _solve_discounted(mdp.sparse, b, epsilon)
+    return ValueTable(values, "stationary"), MeasurePolicy((act,), stationary=True)
 
 
 # ---- action realization ----
@@ -366,32 +440,28 @@ class PolicyKernel:
         return self.table[self.grid.project_many(mus)]
 
 
-def _kernel_stage_data(model, states, rows_fn):
-    """Per-measure stage cost and transition row under per-state action
-    rows supplied by rows_fn(state)."""
-    n = len(states)
+def _kernel_stage_data(model, states, kernels_fn):
+    """_SparseMDP over `states` whose actions at a state are the shared
+    kernels kernels_fn(state), each an (X, U) array of action rows.
+
+    All agents draw actions independently from the kernel, so the expected
+    stage cost mixes the kernel into the running cost and the transition
+    mixes it into each occupied state's law.
+    """
     pop = states[0].population
-    costs = np.empty(n)
-    trans = []
-    index = {s.counts: i for i, s in enumerate(states)}
-    for i, state in enumerate(states):
-        mu = state.as_distribution()
-        rows = rows_fn(state)
-        tens = model.kernel_tensor_at(mu)
-        cmat = model.cost_matrix_at(mu)
-        cost = 0.0
-        cells = []
-        for x, c in enumerate(state.counts):
-            if c == 0:
-                continue
-            cost += (c / pop) * float(rows[x] @ cmat[x])
-            cells.append((rows[x] @ tens[x], c))
-        costs[i] = cost
-        dist = multinomial_count_distribution(cells)
-        idx = np.fromiter((index[k] for k in dist), dtype=np.int64, count=len(dist))
-        probs = np.fromiter(dist.values(), dtype=float, count=len(dist))
-        trans.append((idx, probs))
-    return costs, trans
+    kernels = [kernels_fn(state) for state in states]
+
+    def pairs():
+        for state, state_kernels in zip(states, kernels):
+            mu = state.as_distribution()
+            tens = model.kernel_tensor_at(mu)
+            cmat = model.cost_matrix_at(mu)
+            occupied = [(x, c) for x, c in enumerate(state.counts) if c > 0]
+            for k in state_kernels:
+                cost = sum((c / pop) * float(k[x] @ cmat[x]) for x, c in occupied)
+                yield cost, multinomial_count_distribution([(k[x] @ tens[x], c) for x, c in occupied])
+
+    return _pack(states, [len(k) for k in kernels], pairs())
 
 
 @dataclass(frozen=True)
@@ -422,47 +492,21 @@ def solve_symmetric_restricted(model, population, horizon, policies,
                                cap=DEFAULT_ENUMERATION_CAP):
     """Optimize over shared per-state kernels chosen per current measure.
 
-    All agents draw actions independently from the chosen kernel, so the
-    expected stage cost mixes the kernel into the running cost and the
-    transition mixes it into each occupied state's law.
+    The kernels of `policies` are the actions of every measure.
     """
+    if not isinstance(horizon, (FiniteHorizon, DiscountedHorizon)):
+        raise TypeError(f"unsupported horizon {horizon!r}")
     states = enumerate_empirical(population, model.num_states, cap=cap)
-    kernels = policies.kernels
-    n = len(states)
-    costs = np.empty((n, len(kernels)))
-    trans = [[] for _ in range(n)]
-    for p in range(len(kernels)):
-        c_p, t_p = _kernel_stage_data(model, states, lambda s, p=p: kernels[p])
-        costs[:, p] = c_p
-        for i in range(n):
-            trans[i].append(t_p[i])
-    cost_rows = [costs[i] for i in range(n)]
+    mdp = _kernel_stage_data(model, states, lambda s: policies.kernels)
     if isinstance(horizon, FiniteHorizon):
         b = _resolve_beta(model, horizon.beta, allow_one=True)
-        values = [None] * horizon.steps
-        choices = [None] * horizon.steps
-        nxt = np.zeros(n)
-        for t in range(horizon.steps - 1, -1, -1):
-            nxt, act = _sweep(cost_rows, trans, nxt, b if t < horizon.steps - 1 else 0.0)
-            values[t] = nxt
-            choices[t] = act
+        values, choices = _solve_finite([mdp] * horizon.steps, b)
         return SymmetricSolution(
             population, tuple(states), policies, tuple(values), tuple(choices), False
         )
-    if isinstance(horizon, DiscountedHorizon):
-        b = _resolve_beta(model, horizon.beta, allow_one=False)
-        threshold = horizon.epsilon * (1.0 - b) / (2.0 * b)
-        values = np.zeros(n)
-        for _ in range(_MAX_SWEEPS):
-            new, act = _sweep(cost_rows, trans, values, b)
-            gap = float(np.abs(new - values).max())
-            values = new
-            if gap <= threshold:
-                return SymmetricSolution(
-                    population, tuple(states), policies, (values,), (act,), True
-                )
-        raise RuntimeError("restricted value iteration failed to converge")
-    raise TypeError(f"unsupported horizon {horizon!r}")
+    b = _resolve_beta(model, horizon.beta, allow_one=False)
+    values, choices = _solve_discounted(mdp, b, horizon.epsilon)
+    return SymmetricSolution(population, tuple(states), policies, (values,), (choices,), True)
 
 
 def evaluate_symmetric_policy_exact(model, population, pi, horizon,
@@ -475,47 +519,27 @@ def evaluate_symmetric_policy_exact(model, population, pi, horizon,
     enumeration; no Monte Carlo is involved (the discounted case solves
     the policy's linear system directly).
     """
-    states = enumerate_empirical(population, model.num_states, cap=cap)
-    cache = {}
-
-    def data_for(kernel):
-        key = id(kernel)
-        if key not in cache:
-            cache[key] = _kernel_stage_data(
-                model, states, lambda s: kernel.rows_for(s.as_distribution())
-            )
-        return cache[key]
-
     if isinstance(horizon, FiniteHorizon):
         b = _resolve_beta(model, horizon.beta, allow_one=True)
-        kernels = (
-            list(pi) if isinstance(pi, (list, tuple)) else [pi] * horizon.steps
-        )
+        kernels = list(pi) if isinstance(pi, (list, tuple)) else [pi] * horizon.steps
         if len(kernels) != horizon.steps:
-            raise ValueError(
-                f"got {len(kernels)} kernels for {horizon.steps} stages"
-            )
-        values = np.zeros(len(states))
-        for t in range(horizon.steps - 1, -1, -1):
-            costs, trans = data_for(kernels[t])
-            new = costs.copy()
-            if t < horizon.steps - 1:
-                for i in range(len(states)):
-                    idx, probs = trans[i]
-                    new[i] += b * float(probs @ values[idx])
-            values = new
-        return values
-    if isinstance(horizon, DiscountedHorizon):
-        if isinstance(pi, (list, tuple)):
-            if len(pi) != 1:
-                raise ValueError("discounted evaluation takes a single kernel")
-            pi = pi[0]
+            raise ValueError(f"got {len(kernels)} kernels for {horizon.steps} stages")
+    elif isinstance(horizon, DiscountedHorizon):
         b = _resolve_beta(model, horizon.beta, allow_one=False)
-        costs, trans = data_for(pi)
-        n = len(states)
-        P = np.zeros((n, n))
-        for i in range(n):
-            idx, probs = trans[i]
-            P[i, idx] = probs
-        return np.linalg.solve(np.eye(n) - b * P, costs)
-    raise TypeError(f"unsupported horizon {horizon!r}")
+        kernels = list(pi) if isinstance(pi, (list, tuple)) else [pi]
+        if len(kernels) != 1:
+            raise ValueError("discounted evaluation takes a single kernel")
+    else:
+        raise TypeError(f"unsupported horizon {horizon!r}")
+    states = enumerate_empirical(population, model.num_states, cap=cap)
+    data = {}  # one _SparseMDP per distinct kernel object
+    for k in kernels:
+        if id(k) not in data:
+            data[id(k)] = _kernel_stage_data(
+                model, states, lambda s, k=k: [k.rows_for(s.as_distribution())]
+            )
+    stages = [data[id(k)] for k in kernels]
+    if isinstance(horizon, DiscountedHorizon):
+        return _evaluate_discounted(stages[0], b)
+    values, _ = _solve_finite(stages, b)
+    return values[0]

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lifted import PolicyKernel, _resolve_beta
+from .lifted import PolicyKernel, _SparseMDP, _resolve_beta, _solve_discounted, _solve_finite
 from .measures import DEFAULT_ENUMERATION_CAP, policy_grid, simplex_grid
 from .model import MARGINAL_TOL, MarginalMismatchError
-
-_MAX_SWEEPS = 1_000_000
 
 
 def mean_field_flow(model, mu, theta):
@@ -43,6 +41,16 @@ class MkvMDP:
     policy_set: object
     stage_cost: np.ndarray
     successor: np.ndarray
+
+    @property
+    def sparse(self):
+        """The same MDP as a _SparseMDP: kernels are the actions of every
+        grid point, and each row is one successor of probability 1."""
+        G, P = self.stage_cost.shape
+        return _SparseMDP(
+            self.stage_cost.ravel(), np.arange(G) * P, np.arange(G * P),
+            self.successor.ravel(), np.ones(G * P),
+        )
 
 
 def build_mkv_mdp(model, mesh, policy_mesh, cap=DEFAULT_ENUMERATION_CAP):
@@ -76,33 +84,14 @@ class MkvSolution:
 
 def solve_mkv_finite(mkv, steps, beta=None):
     b = _resolve_beta(mkv.model, beta, allow_one=True)
-    values = [None] * steps
-    choices = [None] * steps
-    nxt = np.zeros(len(mkv.state_grid))
-    for t in range(steps - 1, -1, -1):
-        q = mkv.stage_cost.copy()
-        if t < steps - 1:
-            q += b * nxt[mkv.successor]
-        act = q.argmin(axis=1)
-        nxt = q[np.arange(q.shape[0]), act]
-        values[t] = nxt
-        choices[t] = act
+    values, choices = _solve_finite([mkv.sparse] * steps, b)
     return MkvSolution(mkv, tuple(values), tuple(choices), False)
 
 
 def solve_mkv_discounted(mkv, beta=None, epsilon=1e-8):
     b = _resolve_beta(mkv.model, beta, allow_one=False)
-    threshold = epsilon * (1.0 - b) / (2.0 * b)
-    values = np.zeros(len(mkv.state_grid))
-    for _ in range(_MAX_SWEEPS):
-        q = mkv.stage_cost + b * values[mkv.successor]
-        act = q.argmin(axis=1)
-        new = q[np.arange(q.shape[0]), act]
-        gap = float(np.abs(new - values).max())
-        values = new
-        if gap <= threshold:
-            return MkvSolution(mkv, (values,), (act,), True)
-    raise RuntimeError("mean-field value iteration failed to converge")
+    values, choices = _solve_discounted(mkv.sparse, b, epsilon)
+    return MkvSolution(mkv, (values,), (choices,), True)
 
 
 def extract_mf_policy(solution, stage=0):

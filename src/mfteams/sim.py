@@ -13,7 +13,6 @@ independent of the population size.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from itertools import product
 
@@ -43,20 +42,6 @@ from .mkv import (
     solve_mkv_finite,
 )
 from .model import DiscountedHorizon, FiniteHorizon
-
-WORKERS_ENV = "MFTEAMS_WORKERS"
-
-
-def _worker_count(workers=None):
-    """Worker count recorded in manifests; no result depends on it."""
-    if workers is not None:
-        return max(1, int(workers))
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 def _stream(seed, *key):
     # One stream per run, derived by hashing the base seed with the key.
@@ -206,14 +191,13 @@ def _std_error(samples):
     return float(se) if se.ndim == 0 else se
 
 
-def simulate_n_agents(model, config, workers=None):
+def simulate_n_agents(model, config):
     """Monte Carlo estimate of the population-average cost.
 
     Discounted horizons are truncated at the first length whose geometric
     tail bound beta^T * c_max / (1 - beta) drops below the configured
     truncation error.  All replications advance together on the count
-    chain, drawn from one RNG stream keyed by the seed; `workers` is
-    accepted for compatibility and ignored.
+    chain, drawn from one RNG stream keyed by the seed.
     """
     horizon = config.horizon
     if isinstance(horizon, FiniteHorizon):
@@ -265,13 +249,12 @@ class ChaosGapRow:
     per_step_se: object
 
 
-def chaos_gap(model, populations, pi, steps, replications, seed, workers=None):
+def chaos_gap(model, populations, pi, steps, replications, seed):
     """Estimate E[max_t ||mu^N_t - mu_t||_1] against the limit flow, per
     population size.  Initial states are i.i.d. from the model's initial
     distribution; the reference flow starts at that distribution exactly.
     Each population's replications advance together on the count chain,
-    drawn from one RNG stream keyed by (seed, population); `workers` is
-    accepted for compatibility and ignored.
+    drawn from one RNG stream keyed by (seed, population).
     """
     kernels = _stage_kernels(pi, steps)
     if kernels is None:

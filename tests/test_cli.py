@@ -212,6 +212,16 @@ def test_simulate_worker_count_does_not_change_bytes(capsys, tmp_path, monkeypat
     assert reports[0] == reports[1]
 
 
+def test_non_convergence_exits_2_without_traceback(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("mfteams.lifted._MAX_SWEEPS", 5)
+    code, _, err = run(
+        capsys, "solve-mf", "decoupled", "--discount", "0.999", "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "5 sweeps" in err and "beta=0.999" in err and "epsilon=1e-08" in err
+
+
 # ---- gap-table ----
 
 

@@ -3,6 +3,8 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfteams import (
     DiscountedHorizon,
@@ -21,7 +23,7 @@ from mfteams import (
     value_iteration_discounted,
     value_iteration_finite,
 )
-from mfteams.lifted import eta_kernel
+from mfteams.lifted import _backup, _greedy, _SparseMDP, eta_kernel
 from mfteams.measures import (
     EmpiricalJointMeasure,
     EmpiricalStateMeasure,
@@ -223,6 +225,56 @@ def test_discounted_constant_cost_closed_form():
     mdp = build_measure_mdp(model, 2)
     table, _ = value_iteration_discounted(mdp, epsilon=1e-10)
     np.testing.assert_allclose(table.values, 1.0, atol=1e-9)
+
+
+def reference_q(costs, sizes, rows, values, beta):
+    """Q-values per state, one transition row at a time."""
+    out, a = [], 0
+    for size in sizes:
+        q = [costs[b] + beta * float(rows[b][1] @ values[rows[b][0]]) for b in range(a, a + size)]
+        out.append(np.array(q))
+        a += size
+    return out
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_states=st.integers(1, 6), discounted=st.booleans())
+def test_flat_backup_matches_per_row_reference(seed, num_states, discounted):
+    rng = np.random.default_rng(seed)
+    beta = float(rng.uniform(0.01, 1.0)) if discounted else 0.0
+    costs, rows, sizes, first = [], [], [], []
+    for _ in range(num_states):
+        sizes.append(int(rng.integers(1, 5)))
+        for a in range(sizes[-1]):
+            if a and rng.random() < 0.3:
+                # an exact copy of an earlier action of this state
+                src = len(costs) - int(rng.integers(1, a + 1))
+                costs.append(costs[src])
+                rows.append(rows[src])
+                first.append(first[src])
+                continue
+            nnz = int(rng.integers(1, 6))
+            first.append(len(costs))
+            costs.append(float(rng.normal()))
+            rows.append((rng.integers(num_states, size=nnz), rng.dirichlet(np.ones(nnz))))
+    values = rng.normal(size=num_states)
+    mdp = _SparseMDP(
+        np.array(costs),
+        np.cumsum([0, *sizes[:-1]]),
+        np.cumsum([0, *(idx.size for idx, _ in rows[:-1])]),
+        np.concatenate([idx for idx, _ in rows]),
+        np.concatenate([probs for _, probs in rows]),
+    )
+    q, best = _backup(mdp, values, beta)
+    act = _greedy(mdp, q, best)
+    ref = reference_q(costs, sizes, rows, values, beta)
+    np.testing.assert_allclose(q, np.concatenate(ref), rtol=0.0, atol=1e-12)
+    for i, ref_q in enumerate(ref):
+        assert abs(best[i] - ref_q.min()) <= 1e-12
+        assert 0 <= act[i] < sizes[i]
+        assert ref_q[act[i]] <= ref_q.min() + 1e-12
+        pair = mdp.act_off[i] + act[i]
+        assert first[pair] == pair, "a later duplicate action won the tie"
 
 
 def test_discounted_rejects_beta_one(counterexample):

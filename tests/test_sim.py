@@ -27,7 +27,7 @@ from mfteams import (
     verify_markov_mf,
 )
 from mfteams.measures import policy_grid, simplex_grid
-from mfteams.sim import _cell_sampler, _multinomial, _rollout, _worker_count
+from mfteams.sim import _cell_sampler, _multinomial, _rollout
 
 from conftest import make_random_model
 
@@ -205,20 +205,6 @@ def test_discounted_truncation_and_exact_value(decoupled):
     exact = sum(p * values[index[c]] for c, p in start.items())
     assert exact == pytest.approx(1.4, abs=1e-12)
     assert abs(report.mean_cost - exact) <= 3.0 * report.std_error + report.truncation_bound
-
-
-def test_worker_count_and_equivalence(counterexample, monkeypatch):
-    config = SimConfig(population=4, horizon=FiniteHorizon(3),
-                       policy=uniform_kernel(), replications=200, seed=23)
-    serial = simulate_n_agents(counterexample, config, workers=1)
-    threaded = simulate_n_agents(counterexample, config, workers=4)
-    assert serial.mean_cost == threaded.mean_cost
-    assert serial.std_error == threaded.std_error
-    np.testing.assert_array_equal(serial.mean_measures, threaded.mean_measures)
-    monkeypatch.setenv("MFTEAMS_WORKERS", "3")
-    assert _worker_count() == 3
-    monkeypatch.setenv("MFTEAMS_WORKERS", "not-a-number")
-    assert _worker_count() == 1
 
 
 def test_stage_kernel_list_rollout(counterexample):
