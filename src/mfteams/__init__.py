@@ -35,7 +35,6 @@ from .measures import (
     enumerate_joint_actions,
     num_compositions,
     policy_grid,
-    project_to_grid,
     round_to_counts,
     simplex_grid,
 )

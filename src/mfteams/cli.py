@@ -77,15 +77,21 @@ def _resolve_model_path(spec):
 def _horizon_from_args(args):
     if getattr(args, "horizon", None) is not None:
         return FiniteHorizon(args.horizon)
-    return DiscountedHorizon(beta=args.discount, epsilon=args.eps)
+    accuracy = {"epsilon": args.eps} if "eps" in args else {}
+    return DiscountedHorizon(beta=args.discount, **accuracy)
 
 
 def _add_horizon_flags(parser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--horizon", type=int, help="finite horizon length")
     group.add_argument("--discount", type=float, help="discount factor for an infinite horizon")
+
+
+def _add_solver_flags(parser):
     parser.add_argument("--eps", type=float, default=1e-8,
                         help="accuracy for discounted solves (default 1e-8)")
+    parser.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                        help="enumeration size cap")
 
 
 def _write_manifest(out, command, argv, model_path, params, seed=None):
@@ -305,8 +311,7 @@ def _cmd_simulate(args, argv):
         out, "simulate", argv, _resolve_model_path(args.model),
         {"agents": args.agents, "replications": args.replications,
          "horizon": getattr(args, "horizon", None),
-         "discount": getattr(args, "discount", None), "eps": args.eps,
-         "trunc_error": args.trunc_error,
+         "discount": getattr(args, "discount", None), "trunc_error": args.trunc_error,
          "policy_file": args.policy_file, "lifted_dir": args.lifted_dir,
          "uniform_kernel": args.uniform_kernel},
         seed=args.seed,
@@ -425,8 +430,7 @@ def _build_parser():
     p.add_argument("model", help="model JSON path or bundled name")
     p.add_argument("-N", "--agents", type=int, required=True)
     _add_horizon_flags(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                   help="enumeration size cap")
+    _add_solver_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve_n)
 
@@ -435,7 +439,7 @@ def _build_parser():
     _add_horizon_flags(p)
     p.add_argument("--mesh", type=int, default=8)
     p.add_argument("--policy-mesh", type=int, default=8)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    _add_solver_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve_mf)
 
@@ -460,7 +464,7 @@ def _build_parser():
     _add_horizon_flags(p)
     p.add_argument("--mesh", type=int, default=8)
     p.add_argument("--policy-mesh", type=int, default=8)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    _add_solver_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gap_table)
 
@@ -489,7 +493,8 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (ModelError, EnumerationCapError, ValueError, ConvergenceError) as err:
+    except (ModelError, EnumerationCapError, ValueError, ConvergenceError,
+            OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

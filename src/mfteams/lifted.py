@@ -132,20 +132,33 @@ def _solve_discounted(mdp, beta, epsilon):
     most epsilon*(1-beta)/(2*beta), so the returned values are within
     epsilon/2 of the fixed point and the greedy actions are epsilon-optimal.
 
-    Returns (values, actions).
+    Returns (values, actions); raises ConvergenceError when _MAX_SWEEPS
+    sweeps do not suffice, before the first if _hopeless shows they cannot.
     """
     threshold = epsilon * (1.0 - beta) / (2.0 * beta)
     values = np.zeros(mdp.act_off.size)
-    for _ in range(_MAX_SWEEPS):
+    for _ in range(0 if _hopeless(mdp, beta, threshold) else _MAX_SWEEPS):
         q, new = _backup(mdp, values, beta)
         gap = float(np.abs(new - values).max())
         values = new
         if gap <= threshold:
             return values, _greedy(mdp, q, values)
     raise ConvergenceError(
-        f"value iteration did not converge in {_MAX_SWEEPS} sweeps "
+        f"value iteration needs more than {_MAX_SWEEPS} sweeps "
         f"(beta={beta}, epsilon={epsilon})"
     )
+
+
+def _hopeless(mdp, beta, threshold):
+    """Whether value iteration from zero provably cannot reach `threshold`
+    in _MAX_SWEEPS sweeps: with every pair cost >= m > 0, the update after
+    sweep j is at least beta**(j - 1) * m, less at most eps * (longest row
+    + 2) * max cost * n**2 of rounding, n = min(sweeps, 1 / (1 - beta))."""
+    m, n = float(mdp.cost.min()), min(_MAX_SWEEPS, 1.0 / (1.0 - beta))
+    row = int(np.diff(mdp.row_off, append=mdp.idx.size).max())
+    slack = np.finfo(float).eps * (row + 2) * float(mdp.cost.max()) * n * n
+    # the factor 2 also covers row masses off 1 by the 1e-12 tolerance
+    return m > 0.0 and m * beta ** (_MAX_SWEEPS - 1) > 2.0 * (threshold + slack)
 
 
 def _evaluate_discounted(mdp, beta):
@@ -218,13 +231,12 @@ def eta_kernel(model, mu, theta, cap=DEFAULT_ENUMERATION_CAP):
             f"joint action marginal {theta.state_marginal().counts} != {mu.counts}"
         )
     tens = model.kernel_tensor_at(mu.as_distribution())
-    cells = [
-        (tens[x, u], c)
-        for x, row in enumerate(theta.counts)
-        for u, c in enumerate(row)
-        if c > 0
-    ]
-    return multinomial_count_distribution(cells, cap=cap)
+    return multinomial_count_distribution(_cells(tens, theta), cap=cap)
+
+
+def _cells(tens, theta):
+    """(T[x, u], count) of every occupied cell (x, u) of the joint action theta."""
+    return [(tens[x, u], c) for x, row in enumerate(theta.counts) for u, c in enumerate(row) if c]
 
 
 @dataclass(frozen=True)
@@ -261,10 +273,13 @@ class MeasureMDP:
         self.actions = [
             enumerate_joint_actions(s, model.num_actions, cap=cap) for s in self.states
         ]
+        # Joint actions are enumerated per measure, so marginals hold.
+        mus = np.array([s.as_distribution() for s in self.states])
         pairs = (
-            (model.running_cost_tilde(theta.as_distribution(), state.as_distribution()),
-             eta_kernel(model, state, theta, cap=cap))
-            for state, acts in zip(self.states, self.actions)
+            (float((cmat * theta.as_distribution()).sum()),
+             multinomial_count_distribution(_cells(tens, theta), cap=cap))
+            for tens, cmat, acts in zip(
+                model.kernel_tensor_at(mus), model.cost_matrix_at(mus), self.actions)
             for theta in acts
         )
         self.sparse = _pack(self.states, [len(acts) for acts in self.actions], pairs)
@@ -450,12 +465,11 @@ def _kernel_stage_data(model, states, kernels_fn):
     """
     pop = states[0].population
     kernels = [kernels_fn(state) for state in states]
+    mus = np.array([state.as_distribution() for state in states])
 
     def pairs():
-        for state, state_kernels in zip(states, kernels):
-            mu = state.as_distribution()
-            tens = model.kernel_tensor_at(mu)
-            cmat = model.cost_matrix_at(mu)
+        for state, tens, cmat, state_kernels in zip(
+                states, model.kernel_tensor_at(mus), model.cost_matrix_at(mus), kernels):
             occupied = [(x, c) for x, c in enumerate(state.counts) if c > 0]
             for k in state_kernels:
                 cost = sum((c / pop) * float(k[x] @ cmat[x]) for x, c in occupied)

@@ -97,6 +97,8 @@ class EmpiricalJointMeasure:
 
 def enumerate_empirical(population, cardinality, cap=DEFAULT_ENUMERATION_CAP):
     """All empirical measures of `population` agents over `cardinality` states."""
+    if population < 1:
+        raise ValueError("population must be >= 1")
     size = num_compositions(population, cardinality)
     _check_cap("empirical measure enumeration", size, cap)
     return [
@@ -158,13 +160,12 @@ class SimplexGrid:
         return self._index[tuple(counts)]
 
     def project(self, mu):
-        """Ordinal of the L1-nearest grid point; ties go to the smallest ordinal."""
-        mu = np.asarray(mu, dtype=float)
-        dists = np.abs(self.points - mu).sum(axis=1)
-        return int(dists.argmin())
+        """`project_many` of the single measure mu."""
+        return int(self.project_many(np.reshape(mu, (1, -1)))[0])
 
     def project_many(self, mus):
-        """`project` of every row of an (R, cardinality) array, same tie rule.
+        """Ordinal of the L1-nearest grid point to every row of an
+        (R, cardinality) array; ties go to the smallest ordinal.
 
         Rows are processed in blocks so the distance array stays near
         _PROJECT_BLOCK entries whatever R is.
@@ -180,10 +181,6 @@ class SimplexGrid:
 
 def simplex_grid(mesh, cardinality, cap=DEFAULT_ENUMERATION_CAP):
     return SimplexGrid(mesh, cardinality, cap=cap)
-
-
-def project_to_grid(mu, grid):
-    return grid.project(mu)
 
 
 class GriddedPolicySet:

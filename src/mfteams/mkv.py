@@ -20,15 +20,15 @@ from .model import MARGINAL_TOL, MarginalMismatchError
 
 
 def mean_field_flow(model, mu, theta):
-    """Next measure under the limit dynamics; theta must have state
-    marginal mu within the marginal tolerance."""
+    """Next measure under the limit dynamics, or one per joint measure of
+    a stack theta[..., x, u]; each must have state marginal mu within the
+    marginal tolerance."""
     mu = np.asarray(mu, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    gap = np.abs(theta.sum(axis=1) - mu).max()
+    gap = np.abs(theta.sum(axis=-1) - mu).max()
     if gap > MARGINAL_TOL:
         raise MarginalMismatchError(f"state marginal of theta deviates from mu by {gap}")
-    tens = model.kernel_tensor_at(mu)
-    return np.einsum("xu,xuy->y", theta, tens)
+    return np.einsum("...xu,xuy->...y", theta, model.kernel_tensor_at(mu))
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,10 @@ def build_mkv_mdp(model, mesh, policy_mesh, cap=DEFAULT_ENUMERATION_CAP):
     G, P = len(state_grid), len(policies)
     cost = np.empty((G, P))
     succ = np.empty((G, P), dtype=np.int64)
-    for g in range(G):
-        mu = state_grid.point(g)
-        cmat = model.cost_matrix_at(mu)
-        for p in range(P):
-            theta = mu[:, None] * policies.kernels[p]
-            cost[g, p] = float((cmat * theta).sum())
-            succ[g, p] = state_grid.project(mean_field_flow(model, mu, theta))
+    for g, mu in enumerate(state_grid.points):
+        theta = mu[:, None] * policies.kernels  # one joint measure per kernel
+        cost[g] = (model.cost_matrix_at(mu) * theta).sum(axis=(1, 2))
+        succ[g] = state_grid.project_many(mean_field_flow(model, mu, theta))
     cost.setflags(write=False)
     succ.setflags(write=False)
     return MkvMDP(model, state_grid, policies, cost, succ)

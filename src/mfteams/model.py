@@ -179,56 +179,41 @@ class EnvironmentModel:
     def _validate_cost(self):
         # Partial check: quadratics can dip below zero between grid points.
         grid = simplex_grid(COST_CHECK_MESH, self.num_states)
-        for ordinal in range(len(grid)):
-            mu = grid.point(ordinal)
-            costs = self.cost_matrix_at(mu)
-            if costs.min() < -SIMPLEX_TOL:
-                x, u = np.unravel_index(int(costs.argmin()), costs.shape)
-                raise ModelValidationError(
-                    "cost",
-                    f"stage cost {costs[x, u]} < 0 at (x={int(x)}, u={int(u)}), "
-                    f"mu={grid.counts[ordinal]}/{COST_CHECK_MESH}",
-                )
+        costs = self.cost_matrix_at(grid.points)
+        g = int((costs.min(axis=(1, 2)) < -SIMPLEX_TOL).argmax())  # first offending point
+        if costs[g].min() < -SIMPLEX_TOL:
+            x, u = np.unravel_index(int(costs[g].argmin()), costs[g].shape)
+            raise ModelValidationError(
+                "cost",
+                f"stage cost {costs[g, x, u]} < 0 at (x={int(x)}, u={int(u)}), "
+                f"mu={grid.counts[g]}/{COST_CHECK_MESH}",
+            )
 
     # ---- evaluation ----
 
     def kernel_tensor_at(self, mu):
-        """Transition tensor T[x,u,x'] at empirical measure mu."""
-        return self.kernel_base + np.tensordot(self.kernel_coupling, mu, axes=([3], [0]))
+        """Transition tensor T[..., x, u, x'] at a measure mu, or at each
+        measure of a stack mu[..., :]."""
+        return self.kernel_base + np.einsum("xuyz,...z->...xuy", self.kernel_coupling, mu)
 
-    def kernel_tensors_at(self, mus):
-        """Transition tensors T[r,x,u,x'] at each row mus[r] of an (R,X) array."""
-        return self.kernel_base + np.einsum("xuyz,rz->rxuy", self.kernel_coupling, mus)
-
-    def cost_matrices_at(self, mus):
-        """Stage costs c[r,x,u] at each row mus[r] of an (R,X) array."""
+    def cost_matrix_at(self, mu):
+        """Stage costs c[..., x, u] at a measure mu, or at each measure of a
+        stack mu[..., :]."""
         return (
             self.cost_const
-            + np.einsum("xuz,rz->rxu", self.cost_linear, mus)
-            + np.einsum("xuzw,rz,rw->rxu", self.cost_quad, mus, mus)
+            + np.einsum("xuz,...z->...xu", self.cost_linear, mu)
+            + np.einsum("xuzw,...z,...w->...xu", self.cost_quad, mu, mu)
         )
+
+    kernel_tensors_at = kernel_tensor_at
+    cost_matrices_at = cost_matrix_at
 
     def kernel_at(self, x, u, mu):
         """Next-state distribution T(.|x,u,mu)."""
-        mu = np.asarray(mu, dtype=float)
-        return self.kernel_base[x, u] + self.kernel_coupling[x, u] @ mu
-
-    def cost_matrix_at(self, mu):
-        """Stage costs c(x,u,mu) for all (x,u) as an (X,U) array."""
-        mu = np.asarray(mu, dtype=float)
-        return (
-            self.cost_const
-            + self.cost_linear @ mu
-            + np.einsum("xuzw,z,w->xu", self.cost_quad, mu, mu)
-        )
+        return self.kernel_tensor_at(mu)[x, u]
 
     def cost_at(self, x, u, mu):
-        mu = np.asarray(mu, dtype=float)
-        return float(
-            self.cost_const[x, u]
-            + self.cost_linear[x, u] @ mu
-            + mu @ self.cost_quad[x, u] @ mu
-        )
+        return float(self.cost_matrix_at(mu)[x, u])
 
     def running_cost_tilde(self, theta, mu):
         """Population-average stage cost of a joint state-action measure theta.
@@ -252,8 +237,7 @@ class EnvironmentModel:
 
     def max_stage_cost(self, mesh=COST_CHECK_MESH):
         """Largest stage cost over a mesh-1/mesh simplex grid (tail-bound input)."""
-        grid = simplex_grid(mesh, self.num_states)
-        return max(float(self.cost_matrix_at(grid.point(i)).max()) for i in range(len(grid)))
+        return float(self.cost_matrix_at(simplex_grid(mesh, self.num_states).points).max())
 
     # ---- serialization ----
 

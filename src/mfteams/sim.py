@@ -68,6 +68,8 @@ class SimConfig:
     def __post_init__(self):
         if self.population < 1:
             raise ValueError("population must be >= 1")
+        if self.population > np.iinfo(np.int64).max:
+            raise ValueError(f"population {self.population} exceeds the int64 range")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
 
@@ -176,9 +178,9 @@ def _rollout(model, draw_cells, counts, steps, beta, rng):
     for t in range(steps):
         mus = counts / population
         cells = draw_cells(t, counts, rng)
-        cost += disc * (cells * model.cost_matrices_at(mus)).sum(axis=(1, 2)) / population
+        cost += disc * (cells * model.cost_matrix_at(mus)).sum(axis=(1, 2)) / population
         disc *= beta
-        counts = _multinomial(rng, cells, model.kernel_tensors_at(mus)).sum(axis=(1, 2))
+        counts = _multinomial(rng, cells, model.kernel_tensor_at(mus)).sum(axis=(1, 2))
         traj.append(counts)
     return cost, np.stack(traj, axis=1)
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -197,6 +198,26 @@ def test_simulate_replication_guard(capsys, tmp_path):
     assert code == 2
 
 
+def test_simulate_population_beyond_int64_exits_2(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "simulate", "weakly_coupled", "-N", str(10**20), "--horizon", "2",
+        "--uniform-kernel", "--replications", "2", "--seed", "1",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "int64" in err
+
+
+def test_simulate_has_no_eps_option(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "weakly_coupled", "-N", "4", "--discount", "0.9",
+              "--uniform-kernel", "--replications", "2", "--seed", "1",
+              "--eps", "1e-3", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --eps" in capsys.readouterr().err
+
+
 def test_simulate_worker_count_does_not_change_bytes(capsys, tmp_path, monkeypatch):
     reports = []
     for workers, name in (("1", "w1"), ("4", "w4")):
@@ -220,6 +241,28 @@ def test_non_convergence_exits_2_without_traceback(capsys, tmp_path, monkeypatch
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "5 sweeps" in err and "beta=0.999" in err and "epsilon=1e-08" in err
+
+
+def test_overflow_exits_2_without_traceback(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "solve-n", "counterexample", "-N", "2", "--horizon", str(10**20),
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-n", "weakly_coupled", "-N", "0", "--horizon", "2"],
+    ["gap-table", "weakly_coupled", "--agents", "0,2", "--horizon", "2",
+     "--mesh", "4", "--policy-mesh", "2"],
+])
+def test_empty_population_exits_2(capsys, tmp_path, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no divide-by-zero warning on the way
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err == "error: population must be >= 1\n"
 
 
 # ---- gap-table ----

@@ -7,22 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfteams import (
+    ConvergenceError,
     DiscountedHorizon,
     FiniteHorizon,
     MarginalMismatchError,
     PolicyKernel,
     bellman_backup,
     build_measure_mdp,
+    build_mkv_mdp,
     evaluate_symmetric_policy_exact,
     exact_action_distribution,
     model_from_config,
     multinomial_count_distribution,
     multinomial_pmf_table,
     realize_exchangeable_action,
+    solve_mkv_discounted,
     solve_symmetric_restricted,
     value_iteration_discounted,
     value_iteration_finite,
 )
+from mfteams import lifted
 from mfteams.lifted import _backup, _greedy, _SparseMDP, eta_kernel
 from mfteams.measures import (
     EmpiricalJointMeasure,
@@ -281,6 +285,44 @@ def test_discounted_rejects_beta_one(counterexample):
     mdp = build_measure_mdp(counterexample, 2)
     with pytest.raises(ValueError):
         value_iteration_discounted(mdp)  # model discount is 1.0
+
+
+def count_backups(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return _backup(*args)
+
+    monkeypatch.setattr(lifted, "_backup", counting)
+    return calls
+
+
+def test_hopeless_discounted_solve_fails_before_the_first_sweep(monkeypatch):
+    # Costs are at least 0.1, so every update exceeds 0.099 for 10^6 sweeps.
+    mkv = build_mkv_mdp(make_random_model(np.random.default_rng(71), 3, 3, coupled=True), 2, 1)
+    calls = count_backups(monkeypatch)
+    with pytest.raises(ConvergenceError, match="needs more than 1000000 sweeps"):
+        solve_mkv_discounted(mkv, beta=0.99999999)
+    assert calls == []
+
+
+def test_refusal_never_preempts_a_converging_solve(monkeypatch):
+    rng = np.random.default_rng(73)
+    for beta in (0.5, 0.9, 0.99):
+        mdp = build_measure_mdp(make_random_model(rng, 2, 2, coupled=True), 3)
+        calls = count_backups(monkeypatch)
+        table, _ = value_iteration_discounted(mdp, beta=beta)
+        sweeps = len(calls)
+        monkeypatch.setattr(lifted, "_MAX_SWEEPS", sweeps)
+        again, _ = value_iteration_discounted(mdp, beta=beta)
+        np.testing.assert_array_equal(again.values, table.values)
+        del calls[:]
+        monkeypatch.setattr(lifted, "_MAX_SWEEPS", sweeps // 2)
+        with pytest.raises(ConvergenceError):
+            value_iteration_discounted(mdp, beta=beta)
+        assert calls == []  # refused before the first sweep
+        monkeypatch.undo()
 
 
 # ---- action realization ----

@@ -33,6 +33,11 @@ def test_compositions_order_and_count():
     assert all(sum(c) == 4 for c in combos)
 
 
+def test_enumerate_empirical_needs_an_agent():
+    with pytest.raises(ValueError, match="population must be >= 1"):
+        enumerate_empirical(0, 2)
+
+
 def test_enumerate_empirical_matches_count():
     measures = enumerate_empirical(6, 3)
     assert len(measures) == num_compositions(6, 3)

@@ -189,3 +189,58 @@ def test_counterexample_uniform_flow_reaches_fixed_point(counterexample):
     uniform = PolicyKernel.constant(np.full((2, 2), 0.5), simplex_grid(2, 2))
     traj = flow_trajectory(counterexample, counterexample.initial_dist, uniform, 2)
     np.testing.assert_allclose(traj, [[0.0, 1.0], [0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+
+
+def dyadic_model(rng, num_states, num_actions, denom=8):
+    """A coupled model whose kernel entries are multiples of 1/denom.
+
+    T(mu) = sum_z mu_z V_z for random stochastic vertex rows V_z, so flows
+    from grid measures under gridded kernels are computed exactly and many
+    land halfway between grid points: exact projection ties.
+    """
+    X, U = num_states, num_actions
+    vertices = rng.multinomial(denom, np.ones(X) / X, size=(X, X, U)) / denom  # [z, x, u, x']
+    random = make_random_model(rng, X, U)
+    return EnvironmentModel(
+        num_states=X,
+        num_actions=U,
+        kernel_base=vertices[0],
+        kernel_coupling=np.moveaxis(vertices - vertices[0], 0, -1),
+        cost_const=random.cost_const,
+        cost_linear=random.cost_linear,
+        cost_quad=random.cost_quad,
+        discount=0.9,
+        initial_dist=random.initial_dist,
+    )
+
+
+def per_pair_mkv_tables(model, grid, policies):
+    """Stage costs and successors one (grid point, kernel) pair at a time,
+    with the L1 argmin written out; also counts the projection ties."""
+    cost = np.empty((len(grid), len(policies)))
+    succ = np.empty(cost.shape, dtype=np.int64)
+    ties = 0
+    for g in range(len(grid)):
+        mu = grid.point(g)
+        cmat = model.cost_matrix_at(mu)
+        for p in range(len(policies)):
+            theta = mu[:, None] * policies.kernel(p)
+            cost[g, p] = float((cmat * theta).sum())
+            dists = np.abs(grid.points - mean_field_flow(model, mu, theta)).sum(axis=1)
+            succ[g, p] = int(dists.argmin())
+            ties += int(np.count_nonzero(dists == dists.min()) > 1)
+    return cost, succ, ties
+
+
+def test_batched_build_matches_per_pair_loop():
+    rng = np.random.default_rng(67)
+    ties = 0
+    for X, U in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for model in (make_random_model(rng, X, U, coupled=True), dyadic_model(rng, X, U)):
+            for mesh, policy_mesh in ((4, 2), (3, 3)):
+                mkv = build_mkv_mdp(model, mesh, policy_mesh)
+                cost, succ, n = per_pair_mkv_tables(model, mkv.state_grid, mkv.policy_set)
+                np.testing.assert_array_equal(mkv.successor, succ)
+                np.testing.assert_allclose(mkv.stage_cost, cost, rtol=0, atol=1e-15)
+                ties += n
+    assert ties > 100

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mfteams import (
     save_model,
 )
 from mfteams.measures import simplex_grid
+from mfteams.model import COST_CHECK_MESH
 
 from conftest import make_random_model
 
@@ -292,3 +294,43 @@ def test_load_model_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(json.JSONDecodeError):
         load_model(path)
+
+
+def per_point_costs(cfg, mu):
+    """c(x,u,mu) at one measure, straight from a config's cost arrays."""
+    return (
+        np.asarray(cfg["cost_const"])
+        + np.asarray(cfg["cost_linear"]) @ mu
+        + np.einsum("xuzw,z,w->xu", np.asarray(cfg["cost_quad"]), mu, mu)
+    )
+
+
+def test_cost_checks_match_per_grid_point_loop():
+    # The reported (x, u, mu) is the argmin at the first grid point, in
+    # ordinal order, whose costs dip below zero.
+    rng = np.random.default_rng(43)
+    rejected = 0
+    for trial in range(40):
+        X, U = 2 + trial % 2, 2 + (trial // 2) % 2
+        cfg = make_random_model(rng, X, U, coupled=True).to_config()
+        cfg["cost_const"] = rng.uniform(-0.3, 1.0, (X, U)).tolist()
+        grid = simplex_grid(COST_CHECK_MESH, X)
+        costs = [per_point_costs(cfg, grid.point(g)) for g in range(len(grid))]
+        bad = [g for g, c in enumerate(costs) if c.min() < -1e-12]
+        if not bad:
+            model = model_from_config(cfg)
+            for mesh in (COST_CHECK_MESH, 5):
+                expected = max(float(per_point_costs(cfg, mu).max())
+                               for mu in simplex_grid(mesh, X).points)
+                assert model.max_stage_cost(mesh) == pytest.approx(expected, rel=0, abs=1e-15)
+            continue
+        rejected += 1
+        g = bad[0]
+        x, u = np.unravel_index(int(costs[g].argmin()), costs[g].shape)
+        with pytest.raises(ModelValidationError) as err:
+            model_from_config(cfg)
+        message = str(err.value)
+        assert f"at (x={x}, u={u}), mu={grid.counts[g]}/{COST_CHECK_MESH}" in message
+        value = float(re.search(r"stage cost (\S+) < 0", message).group(1))
+        assert value == pytest.approx(costs[g][x, u], rel=0, abs=1e-15)
+    assert 0 < rejected < 40  # both branches ran
