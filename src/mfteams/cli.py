@@ -26,9 +26,9 @@ from .lifted import (
     ConvergenceError,
     MeasurePolicy,
     PolicyKernel,
+    _solve,
     build_measure_mdp,
     solve_symmetric_restricted,
-    value_iteration_discounted,
     value_iteration_finite,
 )
 from .measures import (
@@ -39,12 +39,7 @@ from .measures import (
     round_to_counts,
     simplex_grid,
 )
-from .mkv import (
-    build_mkv_mdp,
-    flow_trajectory,
-    solve_mkv_discounted,
-    solve_mkv_finite,
-)
+from .mkv import build_mkv_mdp, flow_trajectory
 from .model import (
     DiscountedHorizon,
     FiniteHorizon,
@@ -123,15 +118,7 @@ def _write_csv(path, header, rows):
 def _cmd_solve_n(args, argv):
     model = load_model(_resolve_model_path(args.model))
     mdp = build_measure_mdp(model, args.agents, cap=args.cap)
-    horizon = _horizon_from_args(args)
-    if isinstance(horizon, FiniteHorizon):
-        tables, policy = value_iteration_finite(mdp, horizon.steps)
-        stages = [(t, tables[t].values, policy.tables[t]) for t in range(horizon.steps)]
-    else:
-        table, policy = value_iteration_discounted(
-            mdp, beta=horizon.beta, epsilon=horizon.epsilon
-        )
-        stages = [("stationary", table.values, policy.tables[0])]
+    values, actions, stationary = _solve(mdp.sparse, _horizon_from_args(args), model, args.cap)
     X, U = model.num_states, model.num_actions
     out = Path(args.out)
     _write_manifest(
@@ -145,11 +132,12 @@ def _cmd_solve_n(args, argv):
     prows = []
     pheader = (["stage", "ordinal", "action_ordinal"]
                + [f"theta_{x}_{u}" for x in range(X) for u in range(U)])
-    for stage, values, actions in stages:
+    labels = ["stationary"] if stationary else range(len(values))
+    for stage, stage_values, stage_actions in zip(labels, values, actions):
         for i, state in enumerate(mdp.states):
-            a = int(actions[i])
+            a = int(stage_actions[i])
             rows.append([str(stage), str(i)] + [str(c) for c in state.counts]
-                        + [_fmt(values[i]), str(a)])
+                        + [_fmt(stage_values[i]), str(a)])
             theta = mdp.actions[i][a]
             prows.append([str(stage), str(i), str(a)]
                          + [str(c) for row in theta.counts for c in row])
@@ -158,7 +146,7 @@ def _cmd_solve_n(args, argv):
     counts0 = round_to_counts(model.initial_dist, args.agents)
     i0 = mdp.index[counts0]
     print(f"mu0_counts {counts0}")
-    print(f"value {_fmt(stages[0][1][i0])}")
+    print(f"value {_fmt(values[0][i0])}")
     return 0
 
 
@@ -168,13 +156,7 @@ def _cmd_solve_n(args, argv):
 def _cmd_solve_mf(args, argv):
     model = load_model(_resolve_model_path(args.model))
     mkv = build_mkv_mdp(model, args.mesh, args.policy_mesh, cap=args.cap)
-    horizon = _horizon_from_args(args)
-    if isinstance(horizon, FiniteHorizon):
-        sol = solve_mkv_finite(mkv, horizon.steps)
-        stages = list(range(horizon.steps))
-    else:
-        sol = solve_mkv_discounted(mkv, beta=horizon.beta, epsilon=horizon.epsilon)
-        stages = ["stationary"]
+    values, choices, stationary = _solve(mkv.sparse, _horizon_from_args(args), model, args.cap)
     X, U = model.num_states, model.num_actions
     grid = mkv.state_grid
     out = Path(args.out)
@@ -189,14 +171,13 @@ def _cmd_solve_mf(args, argv):
     pheader = (["stage", "ordinal"] + [f"mu_{x}" for x in range(X)] + ["state"]
                + [f"pi_{u}" for u in range(U)])
     vrows, prows = [], []
-    for k, stage in enumerate(stages):
-        values = sol.values[k]
-        choices = sol.choices[k]
+    labels = ["stationary"] if stationary else range(len(values))
+    for stage, stage_values, stage_choices in zip(labels, values, choices):
         for g in range(len(grid)):
             mu = grid.point(g)
             vrows.append([str(stage), str(g)] + [_fmt(v) for v in mu]
-                         + [_fmt(values[g]), str(int(choices[g]))])
-            kernel = mkv.policy_set.kernel(int(choices[g]))
+                         + [_fmt(stage_values[g]), str(int(stage_choices[g]))])
+            kernel = mkv.policy_set.kernel(int(stage_choices[g]))
             for x in range(X):
                 prows.append([str(stage), str(g)] + [_fmt(v) for v in mu] + [str(x)]
                              + [_fmt(p) for p in kernel[x]])
@@ -204,12 +185,13 @@ def _cmd_solve_mf(args, argv):
     _write_csv(out / "policy.csv", pheader, prows)
     g0 = grid.project(model.initial_dist)
     print(f"mu0_ordinal {g0}")
-    print(f"value {_fmt(sol.values[0][g0])}")
+    print(f"value {_fmt(values[0][g0])}")
     return 0
 
 
 def _read_mf_policy(path, num_states, num_actions):
-    """Rebuild per-stage PolicyKernels from a solve-mf policy.csv."""
+    """Rebuild the PolicyKernel of a stationary solve-mf policy.csv, or the
+    list of one kernel per stage of a staged one."""
     lines = Path(path).read_text().strip().splitlines()
     header = lines[0].split(",")
     mu_cols = [i for i, h in enumerate(header) if h.startswith("mu_")]
@@ -249,7 +231,7 @@ def _read_mf_policy(path, num_states, num_actions):
     if "stationary" in kernels:
         if len(kernels) != 1:
             raise ValueError("mixed stationary and staged policy rows")
-        return [kernels["stationary"]]
+        return kernels["stationary"]
     return [kernels[str(t)] for t in range(len(kernels))]
 
 
@@ -293,8 +275,7 @@ def _cmd_simulate(args, argv):
         rows = np.full((model.num_states, model.num_actions), 1.0 / model.num_actions)
         policy = PolicyKernel.constant(rows, simplex_grid(2, model.num_states))
     elif args.policy_file:
-        kernels = _read_mf_policy(args.policy_file, model.num_states, model.num_actions)
-        policy = kernels if len(kernels) > 1 else kernels[0]
+        policy = _read_mf_policy(args.policy_file, model.num_states, model.num_actions)
     else:
         policy = _lifted_policy_from_dir(model, args.lifted_dir, args.agents)
     config = SimConfig(
@@ -400,8 +381,7 @@ def _cmd_counterexample(args, argv):
 
 def _cmd_flow(args, argv):
     model = load_model(_resolve_model_path(args.model))
-    kernels = _read_mf_policy(args.policy_file, model.num_states, model.num_actions)
-    pi = kernels if len(kernels) > 1 else kernels[0]
+    pi = _read_mf_policy(args.policy_file, model.num_states, model.num_actions)
     traj = flow_trajectory(model, model.initial_dist, pi, args.steps)
     out = Path(args.out)
     _write_manifest(

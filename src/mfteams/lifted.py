@@ -28,6 +28,7 @@ from .measures import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     SimplexGrid,
+    _check_cap,
     compositions,
     enumerate_empirical,
     enumerate_joint_actions,
@@ -52,6 +53,21 @@ def _resolve_beta(model, beta, allow_one):
         if not (0.0 < b < 1.0):
             raise ValueError(f"discounted solves need a discount in (0, 1), got {b}")
     return b
+
+
+def _horizon(model, horizon, states=0, cap=None):
+    """(beta, steps) of `horizon`, steps None for a discounted one.
+
+    A finite horizon whose value table over `states` states would hold more
+    than `cap` entries is refused before anything is built per stage.
+    """
+    if isinstance(horizon, DiscountedHorizon):
+        return _resolve_beta(model, horizon.beta, allow_one=False), None
+    if not isinstance(horizon, FiniteHorizon):
+        raise TypeError(f"unsupported horizon {horizon!r}")
+    steps = horizon.steps
+    _check_cap(f"value table over a {steps}-stage horizon", steps * states, cap)
+    return _resolve_beta(model, horizon.beta, allow_one=True), steps
 
 
 class ConvergenceError(RuntimeError):
@@ -147,6 +163,21 @@ def _solve_discounted(mdp, beta, epsilon):
         f"value iteration needs more than {_MAX_SWEEPS} sweeps "
         f"(beta={beta}, epsilon={epsilon})"
     )
+
+
+def _solve(mdp, horizon, model, cap=DEFAULT_ENUMERATION_CAP):
+    """Solve the _SparseMDP `mdp` of `model` under `horizon`: backward
+    recursion over its steps, or value iteration when discounted.
+
+    Returns (values, actions, stationary), one table per stage or a single
+    stationary table, in the field order of the solution records.
+    """
+    beta, steps = _horizon(model, horizon, mdp.act_off.size, cap)
+    if steps is None:
+        values, actions = _solve_discounted(mdp, beta, horizon.epsilon)
+        return (values,), (actions,), True
+    values, actions = _solve_finite([mdp] * steps, beta)
+    return tuple(values), tuple(actions), False
 
 
 def _hopeless(mdp, beta, threshold):
@@ -263,7 +294,7 @@ class MeasurePolicy:
 class MeasureMDP:
     """The lifted MDP: enumerated measures, per-measure joint actions, and
     the stage cost and exact transition row of every (measure, joint
-    action) pair, stored flat in `sparse`."""
+    action) pair, stored flat in `sparse` when first asked for."""
 
     def __init__(self, model, population, cap=DEFAULT_ENUMERATION_CAP):
         self.model = model
@@ -273,16 +304,20 @@ class MeasureMDP:
         self.actions = [
             enumerate_joint_actions(s, model.num_actions, cap=cap) for s in self.states
         ]
-        # Joint actions are enumerated per measure, so marginals hold.
+
+    @cached_property
+    def sparse(self):
+        """The flat MDP, built when a solver first asks for it.  Joint
+        actions are enumerated per measure, so marginals hold."""
         mus = np.array([s.as_distribution() for s in self.states])
         pairs = (
             (float((cmat * theta.as_distribution()).sum()),
-             multinomial_count_distribution(_cells(tens, theta), cap=cap))
+             multinomial_count_distribution(_cells(tens, theta)))
             for tens, cmat, acts in zip(
-                model.kernel_tensor_at(mus), model.cost_matrix_at(mus), self.actions)
+                self.model.kernel_tensor_at(mus), self.model.cost_matrix_at(mus), self.actions)
             for theta in acts
         )
-        self.sparse = _pack(self.states, [len(acts) for acts in self.actions], pairs)
+        return _pack(self.states, [len(acts) for acts in self.actions], pairs)
 
     @cached_property
     def transitions(self):
@@ -316,18 +351,15 @@ def value_iteration_finite(mdp, steps, beta=None):
     Returns (list of ValueTable indexed by stage, MeasurePolicy).  The last
     stage minimizes the stage cost alone.
     """
-    b = _resolve_beta(mdp.model, beta, allow_one=True)
-    values, actions = _solve_finite([mdp.sparse] * steps, b)
-    tables = [ValueTable(v, t) for t, v in enumerate(values)]
-    return tables, MeasurePolicy(tuple(actions), stationary=False)
+    values, actions, _ = _solve(mdp.sparse, FiniteHorizon(steps, beta), mdp.model)
+    return [ValueTable(v, t) for t, v in enumerate(values)], MeasurePolicy(actions, False)
 
 
 def value_iteration_discounted(mdp, beta=None, epsilon=1e-8):
     """Value iteration to an epsilon-optimal stationary policy; the
     returned table is within epsilon/2 of the fixed point."""
-    b = _resolve_beta(mdp.model, beta, allow_one=False)
-    values, act = _solve_discounted(mdp.sparse, b, epsilon)
-    return ValueTable(values, "stationary"), MeasurePolicy((act,), stationary=True)
+    values, actions, _ = _solve(mdp.sparse, DiscountedHorizon(beta, epsilon), mdp.model)
+    return ValueTable(values[0], "stationary"), MeasurePolicy(actions, True)
 
 
 # ---- action realization ----
@@ -455,6 +487,25 @@ class PolicyKernel:
         return self.table[self.grid.project_many(mus)]
 
 
+def _per_stage(pi, steps):
+    """The kernel of each of `steps` stages; steps=None, for a discounted
+    horizon, gives the one kernel in a list.
+
+    A bare PolicyKernel serves every stage.  A sequence must give exactly
+    one kernel per stage, and exactly one kernel for a discounted horizon.
+    """
+    n = 1 if steps is None else steps
+    if isinstance(pi, PolicyKernel):
+        return [pi] * n
+    kernels = list(pi) if isinstance(pi, (list, tuple)) else [pi]
+    if not all(isinstance(k, PolicyKernel) for k in kernels):
+        raise TypeError(f"expected shared kernels, got {pi!r}")
+    if len(kernels) != n:
+        stages = "a discounted horizon" if steps is None else f"{steps} stages"
+        raise ValueError(f"got {len(kernels)} kernels for {stages}")
+    return kernels
+
+
 def _kernel_stage_data(model, states, kernels_fn):
     """_SparseMDP over `states` whose actions at a state are the shared
     kernels kernels_fn(state), each an (X, U) array of action rows.
@@ -508,44 +559,24 @@ def solve_symmetric_restricted(model, population, horizon, policies,
 
     The kernels of `policies` are the actions of every measure.
     """
-    if not isinstance(horizon, (FiniteHorizon, DiscountedHorizon)):
-        raise TypeError(f"unsupported horizon {horizon!r}")
     states = enumerate_empirical(population, model.num_states, cap=cap)
     mdp = _kernel_stage_data(model, states, lambda s: policies.kernels)
-    if isinstance(horizon, FiniteHorizon):
-        b = _resolve_beta(model, horizon.beta, allow_one=True)
-        values, choices = _solve_finite([mdp] * horizon.steps, b)
-        return SymmetricSolution(
-            population, tuple(states), policies, tuple(values), tuple(choices), False
-        )
-    b = _resolve_beta(model, horizon.beta, allow_one=False)
-    values, choices = _solve_discounted(mdp, b, horizon.epsilon)
-    return SymmetricSolution(population, tuple(states), policies, (values,), (choices,), True)
+    return SymmetricSolution(population, tuple(states), policies, *_solve(mdp, horizon, model, cap))
 
 
 def evaluate_symmetric_policy_exact(model, population, pi, horizon,
                                     cap=DEFAULT_ENUMERATION_CAP):
     """Exact expected cost of fixed shared kernels on the measure chain.
 
-    `pi` is a PolicyKernel or, for finite horizons, a sequence with one
-    kernel per stage.  Kernels are looked up at the grid point nearest the
+    `pi` is a PolicyKernel or a sequence of them, mapped to stages by
+    _per_stage.  Kernels are looked up at the grid point nearest the
     current measure.  Returns values over the empirical-measure
     enumeration; no Monte Carlo is involved (the discounted case solves
     the policy's linear system directly).
     """
-    if isinstance(horizon, FiniteHorizon):
-        b = _resolve_beta(model, horizon.beta, allow_one=True)
-        kernels = list(pi) if isinstance(pi, (list, tuple)) else [pi] * horizon.steps
-        if len(kernels) != horizon.steps:
-            raise ValueError(f"got {len(kernels)} kernels for {horizon.steps} stages")
-    elif isinstance(horizon, DiscountedHorizon):
-        b = _resolve_beta(model, horizon.beta, allow_one=False)
-        kernels = list(pi) if isinstance(pi, (list, tuple)) else [pi]
-        if len(kernels) != 1:
-            raise ValueError("discounted evaluation takes a single kernel")
-    else:
-        raise TypeError(f"unsupported horizon {horizon!r}")
     states = enumerate_empirical(population, model.num_states, cap=cap)
+    beta, steps = _horizon(model, horizon, len(states), cap)
+    kernels = _per_stage(pi, steps)
     data = {}  # one _SparseMDP per distinct kernel object
     for k in kernels:
         if id(k) not in data:
@@ -553,7 +584,7 @@ def evaluate_symmetric_policy_exact(model, population, pi, horizon,
                 model, states, lambda s, k=k: [k.rows_for(s.as_distribution())]
             )
     stages = [data[id(k)] for k in kernels]
-    if isinstance(horizon, DiscountedHorizon):
-        return _evaluate_discounted(stages[0], b)
-    values, _ = _solve_finite(stages, b)
+    if steps is None:
+        return _evaluate_discounted(stages[0], beta)
+    values, _ = _solve_finite(stages, beta)
     return values[0]

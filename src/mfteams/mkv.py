@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lifted import PolicyKernel, _SparseMDP, _resolve_beta, _solve_discounted, _solve_finite
+from .lifted import PolicyKernel, _SparseMDP, _per_stage, _solve
 from .measures import DEFAULT_ENUMERATION_CAP, policy_grid, simplex_grid
-from .model import MARGINAL_TOL, MarginalMismatchError
+from .model import MARGINAL_TOL, DiscountedHorizon, FiniteHorizon, MarginalMismatchError
 
 
 def mean_field_flow(model, mu, theta):
@@ -80,15 +80,11 @@ class MkvSolution:
 
 
 def solve_mkv_finite(mkv, steps, beta=None):
-    b = _resolve_beta(mkv.model, beta, allow_one=True)
-    values, choices = _solve_finite([mkv.sparse] * steps, b)
-    return MkvSolution(mkv, tuple(values), tuple(choices), False)
+    return MkvSolution(mkv, *_solve(mkv.sparse, FiniteHorizon(steps, beta), mkv.model))
 
 
 def solve_mkv_discounted(mkv, beta=None, epsilon=1e-8):
-    b = _resolve_beta(mkv.model, beta, allow_one=False)
-    values, choices = _solve_discounted(mkv.sparse, b, epsilon)
-    return MkvSolution(mkv, (values,), (choices,), True)
+    return MkvSolution(mkv, *_solve(mkv.sparse, DiscountedHorizon(beta, epsilon), mkv.model))
 
 
 def extract_mf_policy(solution, stage=0):
@@ -100,23 +96,19 @@ def extract_mf_policy(solution, stage=0):
 
 def extract_stage_policies(solution):
     """One PolicyKernel per stage; a stationary solution yields one."""
-    if solution.stationary:
-        return [extract_mf_policy(solution)]
     return [extract_mf_policy(solution, stage=t) for t in range(len(solution.choices))]
 
 
 def flow_trajectory(model, mu0, pi, steps):
     """Exact limit flow mu_0..mu_steps under shared kernels.
 
-    `pi` is a PolicyKernel or a per-stage sequence; the kernel lookup at
+    `pi` is a PolicyKernel or one kernel per step; the kernel lookup at
     the grid point nearest mu is the only quantized element, the flow
     itself is not projected.  Each step's measure is clipped at zero and
     renormalized: rows carrying mass affine in sum(mu) would otherwise
     amplify a roundoff mass excess geometrically over long horizons.
     """
-    kernels = list(pi) if isinstance(pi, (list, tuple)) else [pi] * steps
-    if len(kernels) != steps:
-        raise ValueError(f"got {len(kernels)} kernels for {steps} steps")
+    kernels = _per_stage(pi, steps)
     mu = np.asarray(mu0, dtype=float)
     out = np.empty((steps + 1, mu.size))
     out[0] = mu

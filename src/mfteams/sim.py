@@ -22,11 +22,11 @@ from .lifted import (
     MeasurePolicy,
     PolicyKernel,
     SymmetricSolution,
-    _resolve_beta,
+    _horizon,
+    _per_stage,
+    _solve,
     build_measure_mdp,
     evaluate_symmetric_policy_exact,
-    value_iteration_discounted,
-    value_iteration_finite,
 )
 from .measures import (
     DEFAULT_ENUMERATION_CAP,
@@ -34,14 +34,11 @@ from .measures import (
     round_to_counts,
 )
 from .mkv import (
+    MkvSolution,
     build_mkv_mdp,
-    extract_mf_policy,
     extract_stage_policies,
     flow_trajectory,
-    solve_mkv_discounted,
-    solve_mkv_finite,
 )
-from .model import DiscountedHorizon, FiniteHorizon
 
 def _stream(seed, *key):
     # One stream per run, derived by hashing the base seed with the key.
@@ -113,18 +110,6 @@ def _multinomial(rng, n, p):
     return out
 
 
-def _stage_kernels(policy, steps):
-    if isinstance(policy, PolicyKernel):
-        return [policy] * steps
-    if isinstance(policy, (list, tuple)) and all(isinstance(k, PolicyKernel) for k in policy):
-        if len(policy) == 1:
-            return list(policy) * steps
-        if len(policy) != steps:
-            raise ValueError(f"got {len(policy)} kernels for {steps} stages")
-        return list(policy)
-    return None
-
-
 def _per_measure(counts, fn):
     """fn(count tuple) for every row of counts, called once per distinct row."""
     distinct, inverse = np.unique(counts, axis=0, return_inverse=True)
@@ -134,14 +119,7 @@ def _per_measure(counts, fn):
 
 def _cell_sampler(policy, steps):
     """draw(t, counts, rng) -> (R, X, U) cell counts for (R, X) state counts."""
-    kernels = _stage_kernels(policy, steps)
-    if kernels is not None:
-
-        def draw(t, counts, rng):
-            rows = kernels[t].rows_for_many(counts / counts[0].sum())
-            return _multinomial(rng, counts, rows)
-
-    elif isinstance(policy, SymmetricSolution):
+    if isinstance(policy, SymmetricSolution):
 
         def draw(t, counts, rng):
             stage = 0 if policy.stationary else t
@@ -161,7 +139,12 @@ def _cell_sampler(policy, steps):
             return _per_measure(counts, lambda c: stage[mdp.index[c]])
 
     else:
-        raise TypeError(f"unsupported policy {policy!r}")
+        kernels = _per_stage(policy, steps)
+
+        def draw(t, counts, rng):
+            rows = kernels[t].rows_for_many(counts / counts[0].sum())
+            return _multinomial(rng, counts, rows)
+
     return draw
 
 
@@ -198,32 +181,31 @@ def simulate_n_agents(model, config):
 
     Discounted horizons are truncated at the first length whose geometric
     tail bound beta^T * c_max / (1 - beta) drops below the configured
-    truncation error.  All replications advance together on the count
-    chain, drawn from one RNG stream keyed by the seed.
+    truncation error, and their one kernel serves every step.  All
+    replications advance together on the count chain, drawn from one RNG
+    stream keyed by the seed.
     """
-    horizon = config.horizon
-    if isinstance(horizon, FiniteHorizon):
-        steps, trunc = horizon.steps, 0.0
-        beta = _resolve_beta(model, horizon.beta, allow_one=True)
-    elif isinstance(horizon, DiscountedHorizon):
-        beta = _resolve_beta(model, horizon.beta, allow_one=False)
+    policy = config.policy
+    shared = not isinstance(policy, (SymmetricSolution, LiftedPolicy))
+    beta, steps = _horizon(model, config.horizon)
+    trunc = 0.0
+    if steps is None:
+        if shared:
+            policy, = _per_stage(policy, None)
         tail = model.max_stage_cost() / (1.0 - beta)
         steps = 1
         while tail * beta**steps > config.truncation_error and steps < 100_000:
             steps += 1
         trunc = tail * beta**steps
-    else:
-        raise TypeError(f"unsupported horizon {horizon!r}")
-    draw_cells = _cell_sampler(config.policy, steps)
+    draw_cells = _cell_sampler(policy, steps)
     rng = _stream(config.seed)
     start = np.full(config.replications, config.population)
     costs, traj = _rollout(model, draw_cells, _multinomial(rng, start, model.initial_dist),
                            steps, beta, rng)
     trajs = traj / config.population
     chaos = None
-    kernels = _stage_kernels(config.policy, steps)
-    if kernels is not None:
-        flow = flow_trajectory(model, model.initial_dist, kernels, steps)
+    if shared:
+        flow = flow_trajectory(model, model.initial_dist, policy, steps)
         per_t = np.abs(trajs - flow).sum(axis=2).mean(axis=0)
         chaos = np.maximum.accumulate(per_t)
     return SimReport(
@@ -258,9 +240,7 @@ def chaos_gap(model, populations, pi, steps, replications, seed):
     Each population's replications advance together on the count chain,
     drawn from one RNG stream keyed by (seed, population).
     """
-    kernels = _stage_kernels(pi, steps)
-    if kernels is None:
-        raise TypeError("chaos_gap needs shared kernels")
+    kernels = _per_stage(pi, steps)
     draw_cells = _cell_sampler(kernels, steps)
     flow = flow_trajectory(model, model.initial_dist, kernels, steps)
     rows = []
@@ -429,31 +409,17 @@ def epsilon_gap(model, populations, horizon, mesh, policy_mesh,
     reported as skipped.
     """
     mkv = build_mkv_mdp(model, mesh, policy_mesh, cap=cap)
-    if isinstance(horizon, FiniteHorizon):
-        sol = solve_mkv_finite(mkv, horizon.steps, beta=horizon.beta)
-        kernels = extract_stage_policies(sol)
-    elif isinstance(horizon, DiscountedHorizon):
-        sol = solve_mkv_discounted(mkv, beta=horizon.beta, epsilon=horizon.epsilon)
-        kernels = extract_mf_policy(sol)
-    else:
-        raise TypeError(f"unsupported horizon {horizon!r}")
+    kernels = extract_stage_policies(MkvSolution(mkv, *_solve(mkv.sparse, horizon, model, cap)))
     rows = []
     for population in populations:
         try:
             mdp = build_measure_mdp(model, population, cap=cap)
+            values, _, _ = _solve(mdp.sparse, horizon, model, cap)
         except EnumerationCapError as err:
             rows.append(GapRow(population, None, None, None, f"skipped: {err}"))
             continue
-        counts0 = round_to_counts(model.initial_dist, population)
-        i0 = mdp.index[counts0]
-        if isinstance(horizon, FiniteHorizon):
-            values, _ = value_iteration_finite(mdp, horizon.steps, beta=horizon.beta)
-            j_opt = float(values[0].values[i0])
-        else:
-            table, _ = value_iteration_discounted(
-                mdp, beta=horizon.beta, epsilon=horizon.epsilon
-            )
-            j_opt = float(table.values[i0])
+        i0 = mdp.index[round_to_counts(model.initial_dist, population)]
+        j_opt = float(values[0][i0])
         j_pi = float(
             evaluate_symmetric_policy_exact(model, population, kernels, horizon, cap=cap)[i0]
         )

@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 
 import pytest
@@ -250,6 +251,37 @@ def test_overflow_exits_2_without_traceback(capsys, tmp_path):
     )
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("horizon", [10**9, 10**20])
+@pytest.mark.parametrize("command", [
+    ["solve-n", "counterexample", "-N", "2"],
+    ["solve-mf", "counterexample"],
+])
+def test_horizon_beyond_the_cap_exits_2_at_once(capsys, tmp_path, command, horizon):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *command, "--horizon", str(horizon), "--out", str(tmp_path / "o"))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"value table over a {horizon}-stage horizon" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["solve-n", "counterexample", "-N", "2"],
+    ["solve-mf", "counterexample", "--mesh", "2", "--policy-mesh", "2"],
+    ["gap-table", "counterexample", "--agents", "2", "--mesh", "2", "--policy-mesh", "2"],
+])
+def test_cap_bounds_finite_value_tables(capsys, tmp_path, command):
+    # three measures or grid points: 33 stages fit a cap of 100, 34 do not
+    code, _, _ = run(capsys, *command, "--horizon", "33", "--cap", "100",
+                     "--out", str(tmp_path / "a"))
+    assert code == 0
+    code, _, err = run(capsys, *command, "--horizon", "34", "--cap", "100",
+                       "--out", str(tmp_path / "b"))
+    assert code == 2
+    assert err == ("error: value table over a 34-stage horizon needs 102 entries, "
+                   "above the cap of 100\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mfteams import (
     ConvergenceError,
     DiscountedHorizon,
+    EnumerationCapError,
     FiniteHorizon,
     MarginalMismatchError,
     PolicyKernel,
@@ -22,6 +23,7 @@ from mfteams import (
     multinomial_pmf_table,
     realize_exchangeable_action,
     solve_mkv_discounted,
+    solve_mkv_finite,
     solve_symmetric_restricted,
     value_iteration_discounted,
     value_iteration_finite,
@@ -285,6 +287,23 @@ def test_discounted_rejects_beta_one(counterexample):
     mdp = build_measure_mdp(counterexample, 2)
     with pytest.raises(ValueError):
         value_iteration_discounted(mdp)  # model discount is 1.0
+
+
+def test_finite_solves_need_a_stage_and_fit_the_cap(counterexample, monkeypatch):
+    mdp = build_measure_mdp(counterexample, 2)
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        value_iteration_finite(mdp, 0)
+    # refused before a single backup
+    calls = count_backups(monkeypatch)
+    mkv = build_mkv_mdp(counterexample, 2, 2)
+    with pytest.raises(EnumerationCapError, match=f"{10**20}-stage horizon"):
+        solve_mkv_finite(mkv, 10**20)
+    for horizon in (FiniteHorizon(10**20), FiniteHorizon(4)):
+        with pytest.raises(EnumerationCapError, match="value table"):
+            evaluate_symmetric_policy_exact(
+                counterexample, 2, PolicyKernel.constant(np.full((2, 2), 0.5), simplex_grid(2, 2)),
+                horizon, cap=10)
+    assert calls == []
 
 
 def count_backups(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from math import comb, sqrt
 
@@ -26,6 +27,7 @@ from mfteams import (
     value_iteration_finite,
     verify_markov_mf,
 )
+from mfteams import lifted
 from mfteams.measures import policy_grid, simplex_grid
 from mfteams.sim import _cell_sampler, _multinomial, _rollout
 
@@ -221,6 +223,42 @@ def test_stage_kernel_list_rollout(counterexample):
             SimConfig(population=2, horizon=FiniteHorizon(3),
                       policy=[split, split], replications=10, seed=1),
         )
+
+
+def test_stage_rule_is_the_same_for_every_rollout(counterexample, decoupled):
+    # a finite horizon takes one kernel per stage: [k] does not stretch
+    k = uniform_kernel()
+    with pytest.raises(ValueError, match="1 kernels for 3 stages"):
+        simulate_n_agents(counterexample, SimConfig(population=2, horizon=FiniteHorizon(3),
+                                                    policy=[k], replications=10, seed=1))
+    with pytest.raises(ValueError, match="1 kernels for 3 stages"):
+        chaos_gap(counterexample, [2], [k], steps=3, replications=10, seed=1)
+    # a discounted horizon takes exactly one kernel, bare or in a sequence
+    reports = [
+        json.dumps(simulate_n_agents(decoupled, SimConfig(
+            population=4, horizon=DiscountedHorizon(), policy=pi, replications=30, seed=8,
+            truncation_error=1e-3)).to_dict())
+        for pi in (k, [k])
+    ]
+    assert reports[0] == reports[1]
+    with pytest.raises(ValueError, match="2 kernels for a discounted horizon"):
+        simulate_n_agents(decoupled, SimConfig(population=4, horizon=DiscountedHorizon(),
+                                               policy=[k, k], replications=3, seed=8))
+
+
+def test_lifted_rollout_builds_no_transition_rows(weakly_coupled, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a transition row was built")
+
+    monkeypatch.setattr(lifted, "multinomial_count_distribution", forbidden)
+    mdp = build_measure_mdp(weakly_coupled, 6)
+    first = np.zeros(len(mdp), dtype=np.int64)  # joint action 0 at every measure
+    for policy in (MeasurePolicy((first,), stationary=True),
+                   MeasurePolicy((first,) * 3, stationary=False)):
+        report = simulate_n_agents(weakly_coupled, SimConfig(
+            population=6, horizon=FiniteHorizon(3), policy=LiftedPolicy(mdp, policy),
+            replications=20, seed=2))
+        assert report.steps == 3
 
 
 def test_report_round_trips_to_dict(counterexample):
