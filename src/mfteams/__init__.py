@@ -35,6 +35,7 @@ from .measures import (
     enumerate_joint_actions,
     num_compositions,
     policy_grid,
+    rank_compositions,
     round_to_counts,
     simplex_grid,
 )

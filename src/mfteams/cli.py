@@ -36,6 +36,7 @@ from .measures import (
     EnumerationCapError,
     num_compositions,
     policy_grid,
+    rank_compositions,
     round_to_counts,
     simplex_grid,
 )
@@ -144,7 +145,7 @@ def _cmd_solve_n(args, argv):
     _write_csv(out / "values.csv", header, rows)
     _write_csv(out / "policy.csv", pheader, prows)
     counts0 = round_to_counts(model.initial_dist, args.agents)
-    i0 = mdp.index[counts0]
+    i0 = rank_compositions(counts0)
     print(f"mu0_counts {counts0}")
     print(f"value {_fmt(values[0][i0])}")
     return 0

@@ -8,6 +8,16 @@ convolution of one multinomial per occupied (state, action) cell.  That
 law depends on the joint action only through its counts, never through
 which agent sits where, which is what makes the lift well defined.
 
+The rows are built as arrays, not dictionaries.  The agents of one state
+contribute one factor per action split of that state: the law of their
+next counts, a dense vector over the compositions of their number,
+indexed by rank (`rank_compositions`).  A joint action's row is the
+convolution of its states' factors, computed for all joint actions of a
+measure at once with a (rank a, rank b) -> rank(a + b) table and one
+weighted np.bincount per state.  `multinomial_pmf_table`,
+`multinomial_count_distribution` and `eta_kernel` compute the same laws
+as dictionaries and stay as the reference the tests compare against.
+
 Also provides the symmetric-kernel-restricted problem on the same state
 space: agents share one per-state action kernel chosen per current
 measure, drawn independently.
@@ -17,7 +27,6 @@ from __future__ import annotations
 
 import math
 import sys
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -27,11 +36,14 @@ import numpy as np
 from .measures import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
+    Ordinals,
     SimplexGrid,
     _check_cap,
     compositions,
     enumerate_empirical,
     enumerate_joint_actions,
+    num_compositions,
+    rank_compositions,
 )
 from .model import (
     DiscountedHorizon,
@@ -91,25 +103,112 @@ class _SparseMDP(NamedTuple):
     prob: np.ndarray
 
 
-def _pack(states, num_actions, pairs):
-    """_SparseMDP over `states` from the (stage cost, next-measure law) of
-    every pair, listed state-major with num_actions[i] pairs for state i; a
-    law is a dict over count tuples."""
-    index = {s.counts: i for i, s in enumerate(states)}
-    costs, nnz = [], []
-    idx, prob = array("q"), array("d")
-    for cost, law in pairs:
+def _pack(blocks, bound):
+    """_SparseMDP from the (pair costs, dense rows) block of every state, in
+    state order; a block's rows are its pairs' next-state laws over the
+    state ordinals, and an entry is in the support when it is > 0.
+
+    The nonzeros go straight into flat arrays of `bound` entries, an upper
+    bound on their number; pages past the last nonzero are never written.
+    """
+    idx, prob = np.empty(bound, dtype=np.int64), np.empty(bound)
+    costs, row_nnz, end = [], [], 0
+    for cost, rows in blocks:
+        pair, succ = np.nonzero(rows > 0.0)
+        idx[end : end + pair.size] = succ
+        prob[end : end + pair.size] = rows[pair, succ]
+        end += pair.size
         costs.append(cost)
-        nnz.append(len(law))
-        idx.extend(index[c] for c in law)
-        prob.extend(law.values())
+        row_nnz.append(np.bincount(pair, minlength=len(rows)))
+    num_actions = [len(c) for c in costs]
+    nnz = np.concatenate(row_nnz)
     return _SparseMDP(
-        np.array(costs, dtype=float),
+        np.concatenate(costs),
         np.cumsum([0, *num_actions[:-1]]),
-        np.cumsum([0, *nnz[:-1]]),
-        np.frombuffer(idx, dtype=np.int64),
-        np.frombuffer(prob, dtype=float),
+        np.cumsum(nnz) - nnz,
+        idx[:end],
+        prob[:end],
     )
+
+
+def _multinomial_coefficients(n, parts):
+    """Exact multinomial coefficient of every composition of n into
+    `parts`, in the order of `compositions`: C(n, first) times those of
+    the rest, which sums to j = n - first."""
+    if parts == 1:
+        return [1]
+    heads = [1]  # C(n, j) for j = 0, ..., n
+    for j in range(n):
+        heads.append(heads[-1] * (n - j) // (j + 1))
+    if parts == 2:
+        return heads
+    out = []
+    for j, head in enumerate(heads):
+        out += [head * rest for rest in _multinomial_coefficients(j, parts - 1)]
+    return out
+
+
+class _Convolver:
+    """Dense laws of count vectors over `parts` coordinates.
+
+    A law of count vectors with total n is an array over compositions(n,
+    parts), indexed by rank.  The rank table of (a, b) holds the rank of
+    the sum of every pair of compositions of a and of b, so the law of a
+    sum of independent count vectors is one weighted np.bincount over it.
+    """
+
+    def __init__(self, parts):
+        self.parts = parts
+        self._comps, self._coefs, self._tables = {}, {}, {}
+
+    def comps(self, n):
+        if n not in self._comps:
+            self._comps[n] = np.array(list(compositions(n, self.parts)), dtype=np.int64)
+        return self._comps[n]
+
+    def multinomial(self, laws, n):
+        """Multinomial(n, law) over compositions(n, parts) for every row of
+        the (L, parts) array `laws`, as an (L, K) array, each entry computed
+        as multinomial_pmf_table computes it: the exact coefficient times
+        the product of powers, or in log space when the coefficient exceeds
+        the float range."""
+        c = self.comps(n)
+        if n not in self._coefs:
+            exact = _multinomial_coefficients(n, self.parts)
+            big = np.array([v > _FLOAT_MAX for v in exact])
+            self._coefs[n] = (np.array([0.0 if b else float(v) for v, b in zip(exact, big)]),
+                              np.array([math.log(v) for v in exact]) if big.any() else None,
+                              big)
+        coef, log_coef, big = self._coefs[n]
+        laws = np.clip(np.asarray(laws, dtype=float), 0.0, None)[:, None, :]
+        powers = laws**c  # 0.0**k is 0 for k > 0: a zero-probability category gets 0
+        prob = powers[..., 0]
+        for j in range(1, self.parts):
+            prob = prob * powers[..., j]
+        out = coef * prob
+        if big.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = np.where(c > 0, c * np.log(laws), 0.0)  # 0 * log 0 counts as 0
+            log_prob = terms[..., 0]
+            for j in range(1, self.parts):
+                log_prob = log_prob + terms[..., j]
+            out[:, big] = np.exp(log_coef[big] + log_prob[:, big])
+        return out
+
+    def convolve(self, f, a, g, b):
+        """Law of the sum of independent count vectors of totals a and b
+        with laws f[..., :] and g[..., :], for the leading axes of f and g
+        broadcast against each other; a law over compositions(a + b)."""
+        if (a, b) not in self._tables:
+            sums = self.comps(a)[:, None, :] + self.comps(b)[None, :, :]
+            self._tables[a, b] = rank_compositions(sums)
+        w = f[..., :, None] * g[..., None, :]
+        lead = w.shape[:-2]
+        size = num_compositions(a + b, self.parts)
+        offset = size * np.arange(math.prod(lead)).reshape(lead + (1, 1))
+        out = np.bincount((self._tables[a, b] + offset).ravel(), w.ravel(),
+                          minlength=offset.size * size)
+        return out.reshape(lead + (size,))
 
 
 def _backup(mdp, values, beta):
@@ -262,12 +361,8 @@ def eta_kernel(model, mu, theta, cap=DEFAULT_ENUMERATION_CAP):
             f"joint action marginal {theta.state_marginal().counts} != {mu.counts}"
         )
     tens = model.kernel_tensor_at(mu.as_distribution())
-    return multinomial_count_distribution(_cells(tens, theta), cap=cap)
-
-
-def _cells(tens, theta):
-    """(T[x, u], count) of every occupied cell (x, u) of the joint action theta."""
-    return [(tens[x, u], c) for x, row in enumerate(theta.counts) for u, c in enumerate(row) if c]
+    cells = [(tens[x, u], c) for x, row in enumerate(theta.counts) for u, c in enumerate(row) if c]
+    return multinomial_count_distribution(cells, cap=cap)
 
 
 @dataclass(frozen=True)
@@ -294,30 +389,39 @@ class MeasurePolicy:
 class MeasureMDP:
     """The lifted MDP: enumerated measures, per-measure joint actions, and
     the stage cost and exact transition row of every (measure, joint
-    action) pair, stored flat in `sparse` when first asked for."""
+    action) pair, stored flat in `sparse` when first asked for.
+
+    Every joint action is a composition of the population over the X*U
+    cells, so the rows hold at most num_compositions(N, X*U) times the
+    number of measures entries; that count is held to the cap before any
+    joint action is enumerated.
+    """
 
     def __init__(self, model, population, cap=DEFAULT_ENUMERATION_CAP):
         self.model = model
         self.population = population
         self.states = enumerate_empirical(population, model.num_states, cap=cap)
-        self.index = {s.counts: i for i, s in enumerate(self.states)}
-        self.actions = [
-            enumerate_joint_actions(s, model.num_actions, cap=cap) for s in self.states
-        ]
+        X, U = model.num_states, model.num_actions
+        self.max_entries = num_compositions(population, X * U) * len(self.states)
+        _check_cap("lifted transition rows", self.max_entries, cap)
+        self.index = Ordinals(population, X)
+        self.actions = [enumerate_joint_actions(s, U, cap=cap) for s in self.states]
 
     @cached_property
     def sparse(self):
         """The flat MDP, built when a solver first asks for it.  Joint
         actions are enumerated per measure, so marginals hold."""
+        X, U = self.model.num_states, self.model.num_actions
+        conv = _Convolver(X)
+        splits = [np.array(list(compositions(n, U)), dtype=np.int64)
+                  for n in range(self.population + 1)]
         mus = np.array([s.as_distribution() for s in self.states])
-        pairs = (
-            (float((cmat * theta.as_distribution()).sum()),
-             multinomial_count_distribution(_cells(tens, theta)))
-            for tens, cmat, acts in zip(
-                self.model.kernel_tensor_at(mus), self.model.cost_matrix_at(mus), self.actions)
-            for theta in acts
+        blocks = (
+            _lifted_rows(conv, splits, s.counts, tens, cmat)
+            for s, tens, cmat in zip(
+                self.states, self.model.kernel_tensor_at(mus), self.model.cost_matrix_at(mus))
         )
-        return _pack(self.states, [len(acts) for acts in self.actions], pairs)
+        return _pack(blocks, self.max_entries)
 
     @cached_property
     def transitions(self):
@@ -333,6 +437,45 @@ class MeasureMDP:
 
 def build_measure_mdp(model, population, cap=DEFAULT_ENUMERATION_CAP):
     return MeasureMDP(model, population, cap=cap)
+
+
+def _lifted_rows(conv, splits, counts, tens, cmat):
+    """(stage costs, dense next-measure rows) of every joint action at the
+    measure `counts`, in the order of enumerate_joint_actions; splits[n]
+    lists the action splits of n agents.
+
+    The agents of a state move independently of the others, so each
+    state's split has one factor, the law of those agents' next counts,
+    and a joint action's row is the convolution of its states' factors.
+    """
+    per_state = [splits[n] for n in counts]
+    pick = np.indices([len(s) for s in per_state]).reshape(len(counts), -1)
+    theta = np.stack([s[p] for s, p in zip(per_state, pick)], axis=1)  # (A, X, U)
+    cost = (cmat * (theta / sum(counts))).reshape(len(theta), -1).sum(axis=1)
+    rows, total = np.ones((1, 1)), 0
+    for x, n in enumerate(counts):
+        if n:
+            factors = _split_factors(conv, tens[x], splits[n], n)
+            rows = conv.convolve(rows[:, None], total, factors[None], n)
+            rows = rows.reshape(-1, rows.shape[-1])
+            total += n
+    return cost, rows
+
+
+def _split_factors(conv, laws, splits, n):
+    """Law of the next counts of n agents in one state, over
+    compositions(n, X), for each row of `splits`: the convolution over
+    actions u of Multinomial(split[u], laws[u])."""
+    pmfs = [conv.multinomial(laws, m) for m in range(n + 1)]  # pmfs[m][u]
+    out = np.empty((len(splits), len(pmfs[n][0])))
+    for i, split in enumerate(splits.tolist()):
+        f, total = pmfs[0][0], 0
+        for u, m in enumerate(split):
+            if m:
+                f = conv.convolve(f, total, pmfs[m][u], m)
+                total += m
+        out[i] = f
+    return out
 
 
 def bellman_backup(mdp, values, beta=None):
@@ -494,16 +637,25 @@ def _per_stage(pi, steps):
     A bare PolicyKernel serves every stage.  A sequence must give exactly
     one kernel per stage, and exactly one kernel for a discounted horizon.
     """
-    n = 1 if steps is None else steps
     if isinstance(pi, PolicyKernel):
-        return [pi] * n
+        return [pi] * (1 if steps is None else steps)
     kernels = list(pi) if isinstance(pi, (list, tuple)) else [pi]
     if not all(isinstance(k, PolicyKernel) for k in kernels):
         raise TypeError(f"expected shared kernels, got {pi!r}")
-    if len(kernels) != n:
+    return _stage_tables(kernels, False, steps, "kernels")
+
+
+def _stage_tables(tables, stationary, steps, what="policy tables"):
+    """The table of each of `steps` stages (one for steps=None): a
+    stationary policy's one table serves every stage, and otherwise there
+    must be exactly one table per stage."""
+    n = 1 if steps is None else steps
+    if stationary:
+        return [tables[0]] * n
+    if len(tables) != n:
         stages = "a discounted horizon" if steps is None else f"{steps} stages"
-        raise ValueError(f"got {len(kernels)} kernels for {stages}")
-    return kernels
+        raise ValueError(f"got {len(tables)} {what} for {stages}")
+    return list(tables)
 
 
 def _kernel_stage_data(model, states, kernels_fn):
@@ -511,22 +663,28 @@ def _kernel_stage_data(model, states, kernels_fn):
     kernels kernels_fn(state), each an (X, U) array of action rows.
 
     All agents draw actions independently from the kernel, so the expected
-    stage cost mixes the kernel into the running cost and the transition
-    mixes it into each occupied state's law.
+    stage cost mixes the kernel into the running cost, and each occupied
+    state's factor is one multinomial of the mixed law k[x] @ T[x]; a
+    kernel's row is the convolution of those factors.
     """
     pop = states[0].population
-    kernels = [kernels_fn(state) for state in states]
+    kernels = [np.asarray(kernels_fn(state), dtype=float) for state in states]
     mus = np.array([state.as_distribution() for state in states])
 
-    def pairs():
-        for state, tens, cmat, state_kernels in zip(
+    def blocks():
+        for state, tens, cmat, ks in zip(
                 states, model.kernel_tensor_at(mus), model.cost_matrix_at(mus), kernels):
-            occupied = [(x, c) for x, c in enumerate(state.counts) if c > 0]
-            for k in state_kernels:
-                cost = sum((c / pop) * float(k[x] @ cmat[x]) for x, c in occupied)
-                yield cost, multinomial_count_distribution([(k[x] @ tens[x], c) for x, c in occupied])
+            # the rank tables of one measure's totals serve no other measure
+            conv = _Convolver(model.num_states)
+            cost, rows, total = 0, np.ones((len(ks), 1)), 0
+            for x, n in enumerate(state.counts):
+                if n:
+                    cost = cost + (n / pop) * (ks[:, x] @ cmat[x])
+                    rows = conv.convolve(rows, total, conv.multinomial(ks[:, x] @ tens[x], n), n)
+                    total += n
+            yield cost, rows
 
-    return _pack(states, [len(k) for k in kernels], pairs())
+    return _pack(blocks(), sum(map(len, kernels)) * len(states))
 
 
 @dataclass(frozen=True)
@@ -541,12 +699,7 @@ class SymmetricSolution:
     stationary: bool
 
     def ordinal_of(self, counts):
-        return self._index[tuple(counts)]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {s.counts: i for i, s in enumerate(self.states)}
-        )
+        return Ordinals(self.population, len(self.states[0].counts))[counts]
 
     def kernel_rows_at(self, counts, stage=0):
         table = self.choices[0] if self.stationary else self.choices[stage]

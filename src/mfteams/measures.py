@@ -2,9 +2,10 @@
 gridded policy kernels.
 
 Count vectors are enumerated in decreasing lexicographic order, so the
-first entry of any enumeration puts all mass on coordinate 0.  Every
-enumeration exposes a stable ordinal index; ties in nearest-point
-projection are broken toward the smallest ordinal.
+first entry of any enumeration puts all mass on coordinate 0.  A count
+vector's ordinal in that order is computed from the vector itself
+(`rank_compositions`), never looked up; ties in nearest-point projection
+are broken toward the smallest ordinal.
 """
 
 from __future__ import annotations
@@ -46,6 +47,45 @@ def compositions(total, parts):
     for first in range(total, -1, -1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def rank_compositions(counts):
+    """Ordinal of count vectors in the order of `compositions`, each among
+    the compositions of its own total, by the combinatorial number system
+    (Knuth, TAOCP 4A, 7.2.1.3).
+
+    `counts` holds one vector along its last axis; returns an int64 array
+    of the leading shape.  With t_i the sum of the entries after entry i
+    and k_i their number, the vectors before c are those that first exceed
+    it at some entry i, which number C(t_i + k_i - 1, k_i).
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    parts = counts.shape[-1]
+    tails = np.cumsum(counts[..., :0:-1], axis=-1)[..., ::-1]
+    rank = np.zeros(counts.shape[:-1], dtype=np.int64)
+    for i in range(parts - 1):
+        k = parts - 1 - i
+        term = np.ones_like(rank)
+        for j in range(1, k + 1):
+            term = term * (tails[..., i] + j - 1) // j  # C(t_i + j - 1, j), exactly
+        rank += term
+    return rank
+
+
+class Ordinals:
+    """Ordinals over the compositions of `total` into `parts` coordinates,
+    computed by rank_compositions: ordinals[counts] is the ordinal of one
+    count vector, and a KeyError when it is not such a composition."""
+
+    def __init__(self, total, parts):
+        self.total = total
+        self.parts = parts
+
+    def __getitem__(self, counts):
+        c = np.asarray(counts)
+        if c.shape != (self.parts,) or (c < 0).any() or c.sum() != self.total:
+            raise KeyError(counts)
+        return int(rank_compositions(c))
 
 
 def _check_cap(what, size, cap):
@@ -148,7 +188,6 @@ class SimplexGrid:
         self.cardinality = cardinality
         self.counts = list(compositions(mesh, cardinality))
         self.points = np.asarray(self.counts, dtype=float) / mesh
-        self._index = {c: i for i, c in enumerate(self.counts)}
 
     def __len__(self):
         return len(self.counts)
@@ -157,7 +196,7 @@ class SimplexGrid:
         return self.points[ordinal]
 
     def ordinal_of(self, counts):
-        return self._index[tuple(counts)]
+        return Ordinals(self.mesh, self.cardinality)[counts]
 
     def project(self, mu):
         """`project_many` of the single measure mu."""

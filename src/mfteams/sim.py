@@ -25,12 +25,14 @@ from .lifted import (
     _horizon,
     _per_stage,
     _solve,
+    _stage_tables,
     build_measure_mdp,
     evaluate_symmetric_policy_exact,
 )
 from .measures import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
+    rank_compositions,
     round_to_counts,
 )
 from .mkv import (
@@ -110,33 +112,29 @@ def _multinomial(rng, n, p):
     return out
 
 
-def _per_measure(counts, fn):
-    """fn(count tuple) for every row of counts, called once per distinct row."""
-    distinct, inverse = np.unique(counts, axis=0, return_inverse=True)
-    values = np.stack([np.asarray(fn(tuple(row))) for row in distinct.tolist()])
-    return values[inverse.reshape(-1)]
-
-
 def _cell_sampler(policy, steps):
-    """draw(t, counts, rng) -> (R, X, U) cell counts for (R, X) state counts."""
+    """draw(t, counts, rng) -> (R, X, U) cell counts for (R, X) state counts.
+
+    A solved policy is looked up by the rank of each row of counts; a
+    finite one must hold exactly one table per stage, as _per_stage asks
+    of kernel sequences.
+    """
     if isinstance(policy, SymmetricSolution):
+        tables = _stage_tables(policy.choices, policy.stationary, steps)
+        kernels = policy.policy_set.kernels
 
         def draw(t, counts, rng):
-            stage = 0 if policy.stationary else t
-            rows = _per_measure(counts, lambda c: policy.kernel_rows_at(c, stage))
-            return _multinomial(rng, counts, rows)
+            return _multinomial(rng, counts, kernels[tables[t][rank_compositions(counts)]])
 
     elif isinstance(policy, LiftedPolicy):
         # The chosen joint action's counts are the cell counts: no draw.
         mdp, chosen = policy.mdp, policy.policy
-        if not chosen.stationary and len(chosen.tables) < steps:
-            raise ValueError("lifted policy has fewer stages than the rollout")
-        cells = [np.array([mdp.actions[i][a].counts for i, a in enumerate(table)])
-                 for table in chosen.tables]
+        cells = _stage_tables(
+            [np.array([mdp.actions[i][a].counts for i, a in enumerate(table)])
+             for table in chosen.tables], chosen.stationary, steps)
 
         def draw(t, counts, rng):
-            stage = cells[0 if chosen.stationary else t]
-            return _per_measure(counts, lambda c: stage[mdp.index[c]])
+            return cells[t][rank_compositions(counts)]
 
     else:
         kernels = _per_stage(policy, steps)
@@ -418,7 +416,7 @@ def epsilon_gap(model, populations, horizon, mesh, policy_mesh,
         except EnumerationCapError as err:
             rows.append(GapRow(population, None, None, None, f"skipped: {err}"))
             continue
-        i0 = mdp.index[round_to_counts(model.initial_dist, population)]
+        i0 = rank_compositions(round_to_counts(model.initial_dist, population))
         j_opt = float(values[0][i0])
         j_pi = float(
             evaluate_symmetric_policy_exact(model, population, kernels, horizon, cap=cap)[i0]

@@ -2,9 +2,13 @@ import json
 import time
 import warnings
 
+import numpy as np
 import pytest
 
+from mfteams import save_model
 from mfteams.cli import main
+
+from conftest import make_random_model
 
 
 def run(capsys, *argv):
@@ -188,6 +192,36 @@ def test_simulate_lifted_round_trip(capsys, tmp_path):
     )
     assert code == 2
     assert "N=3" in err
+
+
+def test_simulate_refuses_a_lifted_policy_with_other_stages(capsys, tmp_path):
+    solve_out = tmp_path / "solve"
+    run(capsys, "solve-n", "counterexample", "-N", "2", "--horizon", "4",
+        "--out", str(solve_out))
+    code, _, err = run(
+        capsys, "simulate", "counterexample", "-N", "2", "--horizon", "2",
+        "--lifted-dir", str(solve_out), "--replications", "10", "--seed", "1",
+        "--out", str(tmp_path / "sim"),
+    )
+    assert code == 2
+    assert err == "error: got 4 policy tables for 2 stages\n"
+
+
+def test_cap_bounds_lifted_transition_entries(capsys, tmp_path):
+    # X = U = 3 at N = 12: 125,970 joint actions times 91 measures
+    path = tmp_path / "x3.json"
+    save_model(make_random_model(np.random.default_rng(3), 3, 3, coupled=True), path)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "solve-n", str(path), "-N", "12", "--horizon", "2",
+                       "--out", str(tmp_path / "o"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err == ("error: lifted transition rows needs 11463270 entries, "
+                   "above the cap of 5000000\n")
+    code, out, _ = run(capsys, "gap-table", str(path), "--agents", "2,12", "--horizon", "2",
+                       "--mesh", "4", "--policy-mesh", "2", "--out", str(tmp_path / "g"))
+    assert code == 0
+    assert "N=12 skipped: lifted transition rows needs 11463270 entries" in out
 
 
 def test_simulate_replication_guard(capsys, tmp_path):

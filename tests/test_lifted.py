@@ -3,7 +3,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfteams import (
@@ -29,14 +29,16 @@ from mfteams import (
     value_iteration_finite,
 )
 from mfteams import lifted
-from mfteams.lifted import _backup, _greedy, _SparseMDP, eta_kernel
+from mfteams.lifted import _backup, _greedy, _kernel_stage_data, _SparseMDP, eta_kernel
 from mfteams.measures import (
     EmpiricalJointMeasure,
     EmpiricalStateMeasure,
     canonical_assignment,
+    enumerate_empirical,
     policy_grid,
     simplex_grid,
 )
+from mfteams.model import EnvironmentModel
 
 from conftest import make_random_model
 
@@ -152,6 +154,90 @@ def test_eta_rows_are_distributions(counterexample, decoupled, weakly_coupled):
                 assert probs.min() >= -1e-12
                 assert probs.sum() == pytest.approx(1.0, abs=1e-12)
                 assert idx.min() >= 0 and idx.max() < len(mdp.states)
+
+
+def _rows_with_zeros(rng, shape):
+    """Random stochastic rows over the last axis with some entries exactly 0."""
+    mask = rng.random(shape) < 0.7
+    mask.reshape(-1, shape[-1])[0, -1] = False  # at least one zero
+    mask[..., 0] |= ~mask.any(axis=-1)
+    rows = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1]) * mask
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+def _model_with_zeros(rng, X, U):
+    """A coupled model T(mu) = sum_z mu_z V_z whose vertex kernels V_z share
+    their zeros, so T(mu) has the same exact zeros everywhere."""
+    support = _rows_with_zeros(rng, (X, U, X)) > 0.0
+    vertices = rng.dirichlet(np.ones(X), size=(X, X, U)) * support  # [z, x, u, x']
+    vertices /= vertices.sum(axis=-1, keepdims=True)
+    return EnvironmentModel(
+        num_states=X, num_actions=U, kernel_base=vertices[0],
+        kernel_coupling=np.moveaxis(vertices - vertices[0], 0, -1),
+        cost_const=rng.uniform(0.5, 2.0, (X, U)),
+        cost_linear=rng.uniform(-0.3, 0.3, (X, U, X)),
+        cost_quad=rng.uniform(-0.1, 0.1, (X, U, X, X)),
+        discount=0.9, initial_dist=rng.dirichlet(np.ones(X)),
+    )
+
+
+def _check_pairs(mdp, counts, refs):
+    """Every pair of the _SparseMDP `mdp` against its (cost, dict law)
+    reference: the support is the reference's nonzero outcomes."""
+    ends = np.append(mdp.row_off, mdp.idx.size)
+    assert mdp.cost.size == len(refs)
+    for pair, (cost, law) in enumerate(refs):
+        span = slice(ends[pair], ends[pair + 1])
+        row = {counts[j]: p for j, p in zip(mdp.idx[span].tolist(), mdp.prob[span].tolist())}
+        assert set(row) == {c for c, p in law.items() if p != 0.0}
+        assert max(abs(p - law[c]) for c, p in row.items()) <= 1e-14
+        assert abs(math.fsum(row.values()) - 1.0) <= 1e-12
+        assert abs(mdp.cost[pair] - cost) <= 1e-15
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_states=st.sampled_from([2, 3]),
+       num_actions=st.sampled_from([2, 3]), population=st.integers(1, 6))
+@example(seed=5, num_states=3, num_actions=3, population=6)
+@example(seed=6, num_states=3, num_actions=2, population=6)
+def test_array_rows_match_the_dict_convolution(seed, num_states, num_actions, population):
+    rng = np.random.default_rng(seed)
+    model = _model_with_zeros(rng, num_states, num_actions)
+    states = enumerate_empirical(population, num_states)
+    counts = [s.counts for s in states]
+
+    mdp = build_measure_mdp(model, population)
+    refs = []
+    for state, acts in zip(mdp.states, mdp.actions):
+        cmat = model.cost_matrix_at(state.as_distribution())
+        refs += [(float((cmat * theta.as_distribution()).sum()), eta_kernel(model, state, theta))
+                 for theta in acts]
+    _check_pairs(mdp.sparse, counts, refs)
+
+    kernels = {c: _rows_with_zeros(rng, (3, num_states, num_actions)) for c in counts}
+    refs = []
+    for state in states:
+        mu = state.as_distribution()
+        tens, cmat = model.kernel_tensor_at(mu), model.cost_matrix_at(mu)
+        occupied = [(x, c) for x, c in enumerate(state.counts) if c]
+        refs += [(sum((c / population) * float(k[x] @ cmat[x]) for x, c in occupied),
+                  multinomial_count_distribution([(k[x] @ tens[x], c) for x, c in occupied]))
+                 for k in kernels[state.counts]]
+    _check_pairs(_kernel_stage_data(model, states, lambda s: kernels[s.counts]), counts, refs)
+
+
+def test_factor_beyond_the_float_range_keeps_zero_categories():
+    # C(1030, 515) passes the float range, so the central outcomes with no
+    # draw in the zero-probability category are computed in log space
+    conv = lifted._Convolver(3)
+    pmf = conv.multinomial(np.array([[0.5, 0.5, 0.0]]), 1030)[0]
+    comps = conv.comps(1030)
+    free = comps[:, 2] == 0
+    assert not pmf[~free].any()
+    binomial = multinomial_pmf_table([0.5, 0.5], 1030)
+    expected = [binomial[c0, c1] for c0, c1, _ in comps[free].tolist()]
+    np.testing.assert_allclose(pmf[free], expected, rtol=1e-12, atol=0.0)
+    assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eta_rejects_marginal_mismatch(counterexample):

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfteams.measures import (
     EmpiricalJointMeasure,
     EmpiricalStateMeasure,
     EnumerationCapError,
+    Ordinals,
     canonical_assignment,
     compositions,
     enumerate_empirical,
     enumerate_joint_actions,
     num_compositions,
     policy_grid,
+    rank_compositions,
     round_to_counts,
     simplex_grid,
 )
@@ -21,6 +25,23 @@ from mfteams.measures import (
 
 def test_compositions_two_agents_two_states():
     assert list(compositions(2, 2)) == [(2, 0), (1, 1), (0, 2)]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(total=st.integers(0, 12), parts=st.integers(1, 5))
+def test_rank_inverts_compositions(total, parts):
+    combos = np.array(list(compositions(total, parts)))
+    assert rank_compositions(combos).tolist() == list(range(num_compositions(total, parts)))
+    # a stack of stacks keeps its leading shape
+    assert rank_compositions(combos[::-1][None]).tolist() == [list(range(len(combos)))[::-1]]
+
+
+def test_ordinals_refuse_vectors_off_the_enumeration():
+    ordinals = Ordinals(3, 2)
+    assert [ordinals[c] for c in compositions(3, 2)] == [0, 1, 2, 3]
+    for bad in [(1, 1), (4, -1), (3, 0, 0), (3,)]:
+        with pytest.raises(KeyError):
+            ordinals[bad]
 
 
 def test_compositions_order_and_count():

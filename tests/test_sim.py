@@ -246,6 +246,23 @@ def test_stage_rule_is_the_same_for_every_rollout(counterexample, decoupled):
                                                policy=[k, k], replications=3, seed=8))
 
 
+def test_staged_restricted_solution_needs_one_table_per_stage(counterexample):
+    sol = solve_symmetric_restricted(counterexample, 2, FiniteHorizon(2), policy_grid(2, 2, 2))
+    with pytest.raises(ValueError, match="2 policy tables for 3 stages"):
+        simulate_n_agents(counterexample, SimConfig(population=2, horizon=FiniteHorizon(3),
+                                                    policy=sol, replications=5, seed=1))
+
+
+def test_lifted_rollout_leaves_the_rows_unbuilt(weakly_coupled):
+    mdp = build_measure_mdp(weakly_coupled, 6)
+    first = np.zeros(len(mdp), dtype=np.int64)
+    simulate_n_agents(weakly_coupled, SimConfig(
+        population=6, horizon=FiniteHorizon(3),
+        policy=LiftedPolicy(mdp, MeasurePolicy((first,), stationary=True)),
+        replications=20, seed=2))
+    assert "sparse" not in vars(mdp)
+
+
 def test_lifted_rollout_builds_no_transition_rows(weakly_coupled, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a transition row was built")
