@@ -6,10 +6,9 @@ __version__ = "0.1.0"
 from .lifted import (
     ConvergenceError,
     MeasureMDP,
-    MeasurePolicy,
     PolicyKernel,
-    SymmetricSolution,
-    ValueTable,
+    RestrictedMDP,
+    Solution,
     bellman_backup,
     build_measure_mdp,
     eta_kernel,
@@ -17,10 +16,10 @@ from .lifted import (
     exact_action_distribution,
     multinomial_count_distribution,
     multinomial_pmf_table,
+    policy_kernels,
     realize_exchangeable_action,
+    solve,
     solve_symmetric_restricted,
-    value_iteration_discounted,
-    value_iteration_finite,
 )
 from .measures import (
     DEFAULT_ENUMERATION_CAP,
@@ -39,17 +38,7 @@ from .measures import (
     round_to_counts,
     simplex_grid,
 )
-from .mkv import (
-    MkvMDP,
-    MkvSolution,
-    build_mkv_mdp,
-    extract_mf_policy,
-    extract_stage_policies,
-    flow_trajectory,
-    mean_field_flow,
-    solve_mkv_discounted,
-    solve_mkv_finite,
-)
+from .mkv import MkvMDP, build_mkv_mdp, flow_trajectory, mean_field_flow
 from .model import (
     DiscountedHorizon,
     EnvironmentModel,
@@ -65,7 +54,6 @@ from .model import (
 from .sim import (
     ChaosGapRow,
     GapRow,
-    LiftedPolicy,
     MarkovCheckReport,
     SimConfig,
     SimReport,

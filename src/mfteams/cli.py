@@ -24,12 +24,11 @@ import numpy as np
 from . import __version__
 from .lifted import (
     ConvergenceError,
-    MeasurePolicy,
     PolicyKernel,
-    _solve,
+    Solution,
     build_measure_mdp,
+    solve,
     solve_symmetric_restricted,
-    value_iteration_finite,
 )
 from .measures import (
     DEFAULT_ENUMERATION_CAP,
@@ -48,12 +47,7 @@ from .model import (
     load_model,
 )
 from .models import BUNDLED, bundled_path
-from .sim import (
-    LiftedPolicy,
-    SimConfig,
-    epsilon_gap,
-    simulate_n_agents,
-)
+from .sim import SimConfig, epsilon_gap, simulate_n_agents
 
 
 def _fmt(x):
@@ -90,20 +84,34 @@ def _add_solver_flags(parser):
                         help="enumeration size cap")
 
 
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def _write_manifest(out, command, argv, model_path, params, seed=None):
     out.mkdir(parents=True, exist_ok=True)
-    blob = Path(model_path).read_bytes() if model_path is not None else b""
     manifest = {
         "command": command,
         "argv": list(argv),
-        "model_path": None if model_path is None else str(model_path),
-        "model_sha256": hashlib.sha256(blob).hexdigest() if blob else None,
+        "model_path": str(model_path),
+        "model_sha256": _sha256(model_path),
         "params": params,
         "seed": seed,
         "version": __version__,
         "written_at": datetime.now(timezone.utc).isoformat(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def _solved_manifest(directory, command, model_path):
+    """The manifest of the `command` run that wrote `directory`, refused
+    unless that run solved the model file at `model_path`."""
+    manifest = json.loads((Path(directory) / "manifest.json").read_text())
+    if manifest.get("command") != command:
+        raise ValueError(f"{directory} does not hold a {command} run")
+    if manifest.get("model_sha256") != _sha256(model_path):
+        raise ValueError(f"{directory} was solved for another model than {model_path}")
+    return manifest
 
 
 def _write_csv(path, header, rows):
@@ -119,7 +127,7 @@ def _write_csv(path, header, rows):
 def _cmd_solve_n(args, argv):
     model = load_model(_resolve_model_path(args.model))
     mdp = build_measure_mdp(model, args.agents, cap=args.cap)
-    values, actions, stationary = _solve(mdp.sparse, _horizon_from_args(args), model, args.cap)
+    sol = solve(mdp, _horizon_from_args(args), args.cap)
     X, U = model.num_states, model.num_actions
     out = Path(args.out)
     _write_manifest(
@@ -133,8 +141,8 @@ def _cmd_solve_n(args, argv):
     prows = []
     pheader = (["stage", "ordinal", "action_ordinal"]
                + [f"theta_{x}_{u}" for x in range(X) for u in range(U)])
-    labels = ["stationary"] if stationary else range(len(values))
-    for stage, stage_values, stage_actions in zip(labels, values, actions):
+    labels = ["stationary"] if sol.stationary else range(len(sol.values))
+    for stage, stage_values, stage_actions in zip(labels, sol.values, sol.choices):
         for i, state in enumerate(mdp.states):
             a = int(stage_actions[i])
             rows.append([str(stage), str(i)] + [str(c) for c in state.counts]
@@ -147,7 +155,7 @@ def _cmd_solve_n(args, argv):
     counts0 = round_to_counts(model.initial_dist, args.agents)
     i0 = rank_compositions(counts0)
     print(f"mu0_counts {counts0}")
-    print(f"value {_fmt(values[0][i0])}")
+    print(f"value {_fmt(sol.values[0][i0])}")
     return 0
 
 
@@ -157,7 +165,7 @@ def _cmd_solve_n(args, argv):
 def _cmd_solve_mf(args, argv):
     model = load_model(_resolve_model_path(args.model))
     mkv = build_mkv_mdp(model, args.mesh, args.policy_mesh, cap=args.cap)
-    values, choices, stationary = _solve(mkv.sparse, _horizon_from_args(args), model, args.cap)
+    sol = solve(mkv, _horizon_from_args(args), args.cap)
     X, U = model.num_states, model.num_actions
     grid = mkv.state_grid
     out = Path(args.out)
@@ -172,8 +180,8 @@ def _cmd_solve_mf(args, argv):
     pheader = (["stage", "ordinal"] + [f"mu_{x}" for x in range(X)] + ["state"]
                + [f"pi_{u}" for u in range(U)])
     vrows, prows = [], []
-    labels = ["stationary"] if stationary else range(len(values))
-    for stage, stage_values, stage_choices in zip(labels, values, choices):
+    labels = ["stationary"] if sol.stationary else range(len(sol.values))
+    for stage, stage_values, stage_choices in zip(labels, sol.values, sol.choices):
         for g in range(len(grid)):
             mu = grid.point(g)
             vrows.append([str(stage), str(g)] + [_fmt(v) for v in mu]
@@ -186,15 +194,35 @@ def _cmd_solve_mf(args, argv):
     _write_csv(out / "policy.csv", pheader, prows)
     g0 = grid.project(model.initial_dist)
     print(f"mu0_ordinal {g0}")
-    print(f"value {_fmt(values[0][g0])}")
+    print(f"value {_fmt(sol.values[0][g0])}")
     return 0
 
 
-def _read_mf_policy(path, num_states, num_actions):
-    """Rebuild the PolicyKernel of a stationary solve-mf policy.csv, or the
-    list of one kernel per stage of a staged one."""
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
+def _stage_rows(path):
+    """(header, the rows of each stage, stationary) of a stage-labelled
+    CSV file written by solve-n or solve-mf."""
+    header, *lines = Path(path).read_text().strip().splitlines()
+    stages = {}
+    for line in lines:
+        parts = line.split(",")
+        stages.setdefault(parts[0], []).append(parts)
+    if "stationary" in stages:
+        if len(stages) != 1:
+            raise ValueError("mixed stationary and staged policy rows")
+        return header.split(","), [stages["stationary"]], True
+    if set(stages) != set(map(str, range(len(stages)))):
+        raise ValueError(f"{path} does not number its stages from 0")
+    return header.split(","), [stages[str(t)] for t in range(len(stages))], False
+
+
+def _read_mf_policy(path, model, model_path):
+    """Rebuild the kernels of a solve-mf policy.csv as policy_kernels gives
+    them: one PolicyKernel when stationary, one per stage otherwise.  The
+    manifest next to the file must record a solve of the model file at
+    `model_path`."""
+    _solved_manifest(Path(path).parent, "solve-mf", model_path)
+    header, stages, stationary = _stage_rows(path)
+    num_states, num_actions = model.num_states, model.num_actions
     mu_cols = [i for i, h in enumerate(header) if h.startswith("mu_")]
     if not mu_cols or header[0] != "stage":
         raise ValueError(f"{path} is not a solve-mf policy file")
@@ -205,21 +233,15 @@ def _read_mf_policy(path, num_states, num_actions):
     pi_cols = [i for i, h in enumerate(header) if h.startswith("pi_")]
     if len(pi_cols) != num_actions:
         raise ValueError(f"policy file has {len(pi_cols)} actions, model has {num_actions}")
-    stage_rows = {}
-    ordinals = set()
-    for line in lines[1:]:
-        parts = line.split(",")
-        stage_rows.setdefault(parts[0], []).append(parts)
-        ordinals.add(int(parts[1]))
-    size = max(ordinals) + 1
+    size = max(int(parts[1]) for rows in stages for parts in rows) + 1
     mesh = 1
     while num_compositions(mesh, cardinality) < size:
         mesh += 1
     if num_compositions(mesh, cardinality) != size:
         raise ValueError(f"{size} grid points do not form a full simplex grid")
     grid = simplex_grid(mesh, cardinality)
-    kernels = {}
-    for stage, rows in stage_rows.items():
+    kernels = []
+    for rows in stages:
         table = np.zeros((size, num_states, num_actions))
         for parts in rows:
             g = int(parts[1])
@@ -228,47 +250,31 @@ def _read_mf_policy(path, num_states, num_actions):
                 raise ValueError(f"grid point {g} in {path} is off-grid")
             x = int(parts[state_col])
             table[g, x] = [float(parts[i]) for i in pi_cols]
-        kernels[stage] = PolicyKernel(grid, table)
-    if "stationary" in kernels:
-        if len(kernels) != 1:
-            raise ValueError("mixed stationary and staged policy rows")
-        return kernels["stationary"]
-    return [kernels[str(t)] for t in range(len(kernels))]
+        kernels.append(PolicyKernel(grid, table))
+    return kernels[0] if stationary else kernels
 
 
 # ---- simulate ----
 
 
-def _lifted_policy_from_dir(model, directory, agents):
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    if manifest.get("command") != "solve-n":
-        raise ValueError(f"{directory} does not hold a solve-n run")
-    if manifest["params"]["agents"] != agents:
-        raise ValueError(
-            f"policy was solved for N={manifest['params']['agents']}, requested N={agents}"
-        )
-    mdp = build_measure_mdp(model, agents, cap=manifest["params"].get("cap") or DEFAULT_ENUMERATION_CAP)
-    lines = (directory / "policy.csv").read_text().strip().splitlines()
-    stage_actions = {}
-    for line in lines[1:]:
-        parts = line.split(",")
-        stage_actions.setdefault(parts[0], {})[int(parts[1])] = int(parts[2])
-    if "stationary" in stage_actions:
-        tables = [stage_actions["stationary"]]
-        stationary = True
-    else:
-        tables = [stage_actions[str(t)] for t in range(len(stage_actions))]
-        stationary = False
-    arrays = tuple(
-        np.array([table[i] for i in range(len(mdp.states))], dtype=np.int64)
-        for table in tables
-    )
-    return LiftedPolicy(mdp, MeasurePolicy(arrays, stationary))
+def _lifted_policy_from_dir(model, model_path, directory, agents):
+    """The Solution that a solve-n run of the model file at `model_path`
+    wrote to `directory`, read from its values.csv."""
+    params = _solved_manifest(directory, "solve-n", model_path)["params"]
+    if params["agents"] != agents:
+        raise ValueError(f"policy was solved for N={params['agents']}, requested N={agents}")
+    mdp = build_measure_mdp(model, agents, cap=params.get("cap") or DEFAULT_ENUMERATION_CAP)
+    _, stages, stationary = _stage_rows(Path(directory) / "values.csv")
+    if any([int(parts[1]) for parts in rows] != list(range(len(mdp))) for rows in stages):
+        raise ValueError(f"{directory} does not list the {len(mdp)} measures of N={agents}")
+    values = tuple(np.array([float(parts[-2]) for parts in rows]) for rows in stages)
+    choices = tuple(np.array([int(parts[-1]) for parts in rows]) for rows in stages)
+    return Solution(mdp, values, choices, stationary)
 
 
 def _cmd_simulate(args, argv):
-    model = load_model(_resolve_model_path(args.model))
+    model_path = _resolve_model_path(args.model)
+    model = load_model(model_path)
     if args.replications < 1:
         raise ValueError("--replications must be >= 1")
     horizon = _horizon_from_args(args)
@@ -276,9 +282,9 @@ def _cmd_simulate(args, argv):
         rows = np.full((model.num_states, model.num_actions), 1.0 / model.num_actions)
         policy = PolicyKernel.constant(rows, simplex_grid(2, model.num_states))
     elif args.policy_file:
-        policy = _read_mf_policy(args.policy_file, model.num_states, model.num_actions)
+        policy = _read_mf_policy(args.policy_file, model, model_path)
     else:
-        policy = _lifted_policy_from_dir(model, args.lifted_dir, args.agents)
+        policy = _lifted_policy_from_dir(model, model_path, args.lifted_dir, args.agents)
     config = SimConfig(
         population=args.agents,
         horizon=horizon,
@@ -290,7 +296,7 @@ def _cmd_simulate(args, argv):
     report = simulate_n_agents(model, config)
     out = Path(args.out)
     _write_manifest(
-        out, "simulate", argv, _resolve_model_path(args.model),
+        out, "simulate", argv, model_path,
         {"agents": args.agents, "replications": args.replications,
          "horizon": getattr(args, "horizon", None),
          "discount": getattr(args, "discount", None), "trunc_error": args.trunc_error,
@@ -343,15 +349,14 @@ def _cmd_gap_table(args, argv):
 
 def _counterexample_values(mesh_u):
     model = load_model(bundled_path("counterexample"))
-    mdp = build_measure_mdp(model, 2)
-    tables, _ = value_iteration_finite(mdp, 2)
-    asym = float(tables[0].values[mdp.index[(0, 2)]])
+    start = rank_compositions((0, 2))
+    asym = float(solve(build_measure_mdp(model, 2), FiniteHorizon(2)).values[0][start])
     sym = {}
     for m in sorted({2, mesh_u}):
         sol = solve_symmetric_restricted(
             model, 2, FiniteHorizon(2), policy_grid(m, 2, 2)
         )
-        sym[m] = float(sol.values[0][sol.ordinal_of((0, 2))])
+        sym[m] = float(sol.values[0][start])
     return asym, sym
 
 
@@ -381,12 +386,13 @@ def _cmd_counterexample(args, argv):
 
 
 def _cmd_flow(args, argv):
-    model = load_model(_resolve_model_path(args.model))
-    pi = _read_mf_policy(args.policy_file, model.num_states, model.num_actions)
+    model_path = _resolve_model_path(args.model)
+    model = load_model(model_path)
+    pi = _read_mf_policy(args.policy_file, model, model_path)
     traj = flow_trajectory(model, model.initial_dist, pi, args.steps)
     out = Path(args.out)
     _write_manifest(
-        out, "flow", argv, _resolve_model_path(args.model),
+        out, "flow", argv, model_path,
         {"steps": args.steps, "policy_file": args.policy_file},
     )
     header = ["t"] + [f"mu_{x}" for x in range(model.num_states)]

@@ -20,7 +20,8 @@ as dictionaries and stay as the reference the tests compare against.
 
 Also provides the symmetric-kernel-restricted problem on the same state
 space: agents share one per-state action kernel chosen per current
-measure, drawn independently.
+measure, drawn independently.  `solve` solves the lifted, restricted and
+limit problems alike and returns one `Solution` record.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .measures import (
     enumerate_joint_actions,
     num_compositions,
     rank_compositions,
+    simplex_grid,
 )
 from .model import (
     DiscountedHorizon,
@@ -264,19 +266,38 @@ def _solve_discounted(mdp, beta, epsilon):
     )
 
 
-def _solve(mdp, horizon, model, cap=DEFAULT_ENUMERATION_CAP):
-    """Solve the _SparseMDP `mdp` of `model` under `horizon`: backward
-    recursion over its steps, or value iteration when discounted.
+@dataclass(frozen=True)
+class Solution:
+    """A solved Markov policy over the measures of `problem`: the values
+    and the chosen action ordinal of every state, one table per stage, or
+    one table for every stage when stationary.
 
-    Returns (values, actions, stationary), one table per stage or a single
-    stationary table, in the field order of the solution records.
+    The actions are the joint actions of a MeasureMDP, and the kernels of
+    the policy set of a RestrictedMDP or an MkvMDP.
     """
-    beta, steps = _horizon(model, horizon, mdp.act_off.size, cap)
+
+    problem: object
+    values: tuple
+    choices: tuple
+    stationary: bool
+
+    @property
+    def states(self):
+        return self.problem.states
+
+
+def solve(problem, horizon, cap=DEFAULT_ENUMERATION_CAP):
+    """Solve `problem` under `horizon`: backward recursion over its steps,
+    or value iteration when discounted.  `problem` is a MeasureMDP, a
+    RestrictedMDP or an MkvMDP: it has a `model` and a flat `sparse` MDP.
+    """
+    mdp = problem.sparse
+    beta, steps = _horizon(problem.model, horizon, mdp.act_off.size, cap)
     if steps is None:
         values, actions = _solve_discounted(mdp, beta, horizon.epsilon)
-        return (values,), (actions,), True
+        return Solution(problem, (values,), (actions,), True)
     values, actions = _solve_finite([mdp] * steps, beta)
-    return tuple(values), tuple(actions), False
+    return Solution(problem, tuple(values), tuple(actions), False)
 
 
 def _hopeless(mdp, beta, threshold):
@@ -363,27 +384,6 @@ def eta_kernel(model, mu, theta, cap=DEFAULT_ENUMERATION_CAP):
     tens = model.kernel_tensor_at(mu.as_distribution())
     cells = [(tens[x, u], c) for x, row in enumerate(theta.counts) for u, c in enumerate(row) if c]
     return multinomial_count_distribution(cells, cap=cap)
-
-
-@dataclass(frozen=True)
-class ValueTable:
-    """Values over the empirical-measure enumeration; stage is an int or
-    "stationary"."""
-
-    values: np.ndarray
-    stage: object
-
-
-@dataclass(frozen=True)
-class MeasurePolicy:
-    """Chosen action ordinal per measure ordinal, one table per stage."""
-
-    tables: tuple
-    stationary: bool
-
-    def action_at(self, ordinal, stage=0):
-        table = self.tables[0] if self.stationary else self.tables[stage]
-        return int(table[ordinal])
 
 
 class MeasureMDP:
@@ -486,23 +486,6 @@ def bellman_backup(mdp, values, beta=None):
     b = _resolve_beta(mdp.model, beta, allow_one=True)
     q, best = _backup(mdp.sparse, np.asarray(values, dtype=float), b)
     return best, _greedy(mdp.sparse, q, best)
-
-
-def value_iteration_finite(mdp, steps, beta=None):
-    """Backward recursion over `steps` stages.
-
-    Returns (list of ValueTable indexed by stage, MeasurePolicy).  The last
-    stage minimizes the stage cost alone.
-    """
-    values, actions, _ = _solve(mdp.sparse, FiniteHorizon(steps, beta), mdp.model)
-    return [ValueTable(v, t) for t, v in enumerate(values)], MeasurePolicy(actions, False)
-
-
-def value_iteration_discounted(mdp, beta=None, epsilon=1e-8):
-    """Value iteration to an epsilon-optimal stationary policy; the
-    returned table is within epsilon/2 of the fixed point."""
-    values, actions, _ = _solve(mdp.sparse, DiscountedHorizon(beta, epsilon), mdp.model)
-    return ValueTable(values[0], "stationary"), MeasurePolicy(actions, True)
 
 
 # ---- action realization ----
@@ -630,19 +613,35 @@ class PolicyKernel:
         return self.table[self.grid.project_many(mus)]
 
 
+def policy_kernels(sol):
+    """The kernels a RestrictedMDP or MkvMDP solution chooses, in the
+    convention of _per_stage: one PolicyKernel when stationary, one kernel
+    per stage otherwise."""
+    problem = sol.problem
+    if isinstance(problem, MeasureMDP):
+        raise TypeError("a lifted solution chooses joint actions, not shared kernels")
+    kernels = [PolicyKernel(problem.state_grid, problem.policy_set.kernels[c])
+               for c in sol.choices]
+    return kernels[0] if sol.stationary else kernels
+
+
 def _per_stage(pi, steps):
     """The kernel of each of `steps` stages; steps=None, for a discounted
     horizon, gives the one kernel in a list.
 
     A bare PolicyKernel serves every stage.  A sequence must give exactly
     one kernel per stage, and exactly one kernel for a discounted horizon.
+    A kernel-choosing Solution gives its policy_kernels.
     """
+    what = "kernels"
+    if isinstance(pi, Solution):
+        pi, what = policy_kernels(pi), "policy tables"
     if isinstance(pi, PolicyKernel):
         return [pi] * (1 if steps is None else steps)
     kernels = list(pi) if isinstance(pi, (list, tuple)) else [pi]
     if not all(isinstance(k, PolicyKernel) for k in kernels):
         raise TypeError(f"expected shared kernels, got {pi!r}")
-    return _stage_tables(kernels, False, steps, "kernels")
+    return _stage_tables(kernels, False, steps, what)
 
 
 def _stage_tables(tables, stationary, steps, what="policy tables"):
@@ -658,17 +657,20 @@ def _stage_tables(tables, stationary, steps, what="policy tables"):
     return list(tables)
 
 
-def _kernel_stage_data(model, states, kernels_fn):
+def _kernel_stage_data(model, states, kernels_fn, cap=DEFAULT_ENUMERATION_CAP):
     """_SparseMDP over `states` whose actions at a state are the shared
     kernels kernels_fn(state), each an (X, U) array of action rows.
 
     All agents draw actions independently from the kernel, so the expected
     stage cost mixes the kernel into the running cost, and each occupied
     state's factor is one multinomial of the mixed law k[x] @ T[x]; a
-    kernel's row is the convolution of those factors.
+    kernel's row is the convolution of those factors.  The rows hold at
+    most pairs times measures entries, which is held to the cap.
     """
     pop = states[0].population
     kernels = [np.asarray(kernels_fn(state), dtype=float) for state in states]
+    bound = sum(map(len, kernels)) * len(states)
+    _check_cap("shared-kernel transition rows", bound, cap)
     mus = np.array([state.as_distribution() for state in states])
 
     def blocks():
@@ -684,26 +686,21 @@ def _kernel_stage_data(model, states, kernels_fn):
                     total += n
             yield cost, rows
 
-    return _pack(blocks(), sum(map(len, kernels)) * len(states))
+    return _pack(blocks(), bound)
 
 
 @dataclass(frozen=True)
-class SymmetricSolution:
-    """Restricted-problem solve: per measure, the best kernel in the grid."""
+class RestrictedMDP:
+    """The symmetric-restricted problem: the shared kernels of `policy_set`
+    are the actions of every N-agent measure of `states`.  `state_grid` is
+    simplex_grid(N, X), whose points are exactly those measures in the same
+    order, so a chosen kernel is looked up at its own measure."""
 
-    population: int
+    model: object
     states: tuple
+    state_grid: SimplexGrid
     policy_set: object
-    values: tuple
-    choices: tuple
-    stationary: bool
-
-    def ordinal_of(self, counts):
-        return Ordinals(self.population, len(self.states[0].counts))[counts]
-
-    def kernel_rows_at(self, counts, stage=0):
-        table = self.choices[0] if self.stationary else self.choices[stage]
-        return self.policy_set.kernel(int(table[self.ordinal_of(counts)]))
+    sparse: _SparseMDP
 
 
 def solve_symmetric_restricted(model, population, horizon, policies,
@@ -713,16 +710,18 @@ def solve_symmetric_restricted(model, population, horizon, policies,
     The kernels of `policies` are the actions of every measure.
     """
     states = enumerate_empirical(population, model.num_states, cap=cap)
-    mdp = _kernel_stage_data(model, states, lambda s: policies.kernels)
-    return SymmetricSolution(population, tuple(states), policies, *_solve(mdp, horizon, model, cap))
+    problem = RestrictedMDP(
+        model, tuple(states), simplex_grid(population, model.num_states, cap=cap), policies,
+        _kernel_stage_data(model, states, lambda s: policies.kernels, cap))
+    return solve(problem, horizon, cap)
 
 
 def evaluate_symmetric_policy_exact(model, population, pi, horizon,
                                     cap=DEFAULT_ENUMERATION_CAP):
     """Exact expected cost of fixed shared kernels on the measure chain.
 
-    `pi` is a PolicyKernel or a sequence of them, mapped to stages by
-    _per_stage.  Kernels are looked up at the grid point nearest the
+    `pi` is a PolicyKernel, a sequence of them or a kernel-choosing
+    Solution, mapped to stages by _per_stage.  Kernels are looked up at the grid point nearest the
     current measure.  Returns values over the empirical-measure
     enumeration; no Monte Carlo is involved (the discounted case solves
     the policy's linear system directly).
@@ -734,7 +733,7 @@ def evaluate_symmetric_policy_exact(model, population, pi, horizon,
     for k in kernels:
         if id(k) not in data:
             data[id(k)] = _kernel_stage_data(
-                model, states, lambda s, k=k: [k.rows_for(s.as_distribution())]
+                model, states, lambda s, k=k: [k.rows_for(s.as_distribution())], cap
             )
     stages = [data[id(k)] for k in kernels]
     if steps is None:

@@ -5,7 +5,8 @@ deterministically: under a joint measure theta the next measure is the
 push-forward mu'(x') = sum_{x,u} T(x'|x,u,mu) theta(x,u).  The limit
 control problem is quantized onto a simplex grid over measures and a
 finite grid of per-state action kernels; transitions project the exact
-flow back onto the grid.
+flow back onto the grid.  `lifted.solve` solves it, and
+`lifted.policy_kernels` gives the kernels a solution chooses.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lifted import PolicyKernel, _SparseMDP, _per_stage, _solve
+from .lifted import _SparseMDP, _per_stage
 from .measures import DEFAULT_ENUMERATION_CAP, policy_grid, simplex_grid
-from .model import MARGINAL_TOL, DiscountedHorizon, FiniteHorizon, MarginalMismatchError
+from .model import MARGINAL_TOL, MarginalMismatchError
 
 
 def mean_field_flow(model, mu, theta):
@@ -68,43 +69,13 @@ def build_mkv_mdp(model, mesh, policy_mesh, cap=DEFAULT_ENUMERATION_CAP):
     return MkvMDP(model, state_grid, policies, cost, succ)
 
 
-@dataclass(frozen=True)
-class MkvSolution:
-    """Values and chosen kernel ordinals per grid point, one table per
-    stage (or a single stationary table)."""
-
-    mdp: MkvMDP
-    values: tuple
-    choices: tuple
-    stationary: bool
-
-
-def solve_mkv_finite(mkv, steps, beta=None):
-    return MkvSolution(mkv, *_solve(mkv.sparse, FiniteHorizon(steps, beta), mkv.model))
-
-
-def solve_mkv_discounted(mkv, beta=None, epsilon=1e-8):
-    return MkvSolution(mkv, *_solve(mkv.sparse, DiscountedHorizon(beta, epsilon), mkv.model))
-
-
-def extract_mf_policy(solution, stage=0):
-    """Chosen kernels as a PolicyKernel over the state grid."""
-    table = solution.choices[0] if solution.stationary else solution.choices[stage]
-    kernels = solution.mdp.policy_set.kernels[table]
-    return PolicyKernel(solution.mdp.state_grid, kernels)
-
-
-def extract_stage_policies(solution):
-    """One PolicyKernel per stage; a stationary solution yields one."""
-    return [extract_mf_policy(solution, stage=t) for t in range(len(solution.choices))]
-
-
 def flow_trajectory(model, mu0, pi, steps):
     """Exact limit flow mu_0..mu_steps under shared kernels.
 
-    `pi` is a PolicyKernel or one kernel per step; the kernel lookup at
-    the grid point nearest mu is the only quantized element, the flow
-    itself is not projected.  Each step's measure is clipped at zero and
+    `pi` is a PolicyKernel, one kernel per step or a kernel-choosing
+    Solution, mapped to steps by _per_stage; the kernel lookup at the grid
+    point nearest mu is the only quantized element, the flow itself is not
+    projected.  Each step's measure is clipped at zero and
     renormalized: rows carrying mass affine in sum(mu) would otherwise
     amplify a roundoff mass excess geometrically over long horizons.
     """

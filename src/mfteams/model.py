@@ -19,7 +19,6 @@ simplex grid instead (a partial check by design).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -257,11 +256,6 @@ class EnvironmentModel:
         if self.description:
             cfg["description"] = self.description
         return cfg
-
-    def content_hash(self):
-        """SHA-256 of the canonical JSON serialization."""
-        blob = json.dumps(self.to_config(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
 
 
 _REQUIRED_KEYS = {

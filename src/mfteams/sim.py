@@ -19,15 +19,16 @@ from itertools import product
 import numpy as np
 
 from .lifted import (
-    MeasurePolicy,
+    MeasureMDP,
     PolicyKernel,
-    SymmetricSolution,
+    Solution,
     _horizon,
     _per_stage,
-    _solve,
     _stage_tables,
     build_measure_mdp,
     evaluate_symmetric_policy_exact,
+    policy_kernels,
+    solve,
 )
 from .measures import (
     DEFAULT_ENUMERATION_CAP,
@@ -35,24 +36,12 @@ from .measures import (
     rank_compositions,
     round_to_counts,
 )
-from .mkv import (
-    MkvSolution,
-    build_mkv_mdp,
-    extract_stage_policies,
-    flow_trajectory,
-)
+from .mkv import build_mkv_mdp, flow_trajectory
+
 
 def _stream(seed, *key):
     # One stream per run, derived by hashing the base seed with the key.
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), *key]))
-
-
-@dataclass(frozen=True)
-class LiftedPolicy:
-    """A solved lifted policy together with the MDP that indexes it."""
-
-    mdp: object
-    policy: MeasurePolicy
 
 
 @dataclass(frozen=True)
@@ -115,23 +104,16 @@ def _multinomial(rng, n, p):
 def _cell_sampler(policy, steps):
     """draw(t, counts, rng) -> (R, X, U) cell counts for (R, X) state counts.
 
-    A solved policy is looked up by the rank of each row of counts; a
+    A lifted Solution is looked up by the rank of each row of counts; a
     finite one must hold exactly one table per stage, as _per_stage asks
-    of kernel sequences.
+    of kernel sequences and of the other solutions.
     """
-    if isinstance(policy, SymmetricSolution):
-        tables = _stage_tables(policy.choices, policy.stationary, steps)
-        kernels = policy.policy_set.kernels
-
-        def draw(t, counts, rng):
-            return _multinomial(rng, counts, kernels[tables[t][rank_compositions(counts)]])
-
-    elif isinstance(policy, LiftedPolicy):
+    if isinstance(policy, Solution) and isinstance(policy.problem, MeasureMDP):
         # The chosen joint action's counts are the cell counts: no draw.
-        mdp, chosen = policy.mdp, policy.policy
+        mdp = policy.problem
         cells = _stage_tables(
             [np.array([mdp.actions[i][a].counts for i, a in enumerate(table)])
-             for table in chosen.tables], chosen.stationary, steps)
+             for table in policy.choices], policy.stationary, steps)
 
         def draw(t, counts, rng):
             return cells[t][rank_compositions(counts)]
@@ -184,7 +166,7 @@ def simulate_n_agents(model, config):
     stream keyed by the seed.
     """
     policy = config.policy
-    shared = not isinstance(policy, (SymmetricSolution, LiftedPolicy))
+    shared = not isinstance(policy, Solution)
     beta, steps = _horizon(model, config.horizon)
     trunc = 0.0
     if steps is None:
@@ -406,13 +388,11 @@ def epsilon_gap(model, populations, horizon, mesh, policy_mesh,
     distribution.  Populations whose enumeration exceeds the cap are
     reported as skipped.
     """
-    mkv = build_mkv_mdp(model, mesh, policy_mesh, cap=cap)
-    kernels = extract_stage_policies(MkvSolution(mkv, *_solve(mkv.sparse, horizon, model, cap)))
+    kernels = policy_kernels(solve(build_mkv_mdp(model, mesh, policy_mesh, cap=cap), horizon, cap))
     rows = []
     for population in populations:
         try:
-            mdp = build_measure_mdp(model, population, cap=cap)
-            values, _, _ = _solve(mdp.sparse, horizon, model, cap)
+            values = solve(build_measure_mdp(model, population, cap=cap), horizon, cap).values
         except EnumerationCapError as err:
             rows.append(GapRow(population, None, None, None, f"skipped: {err}"))
             continue

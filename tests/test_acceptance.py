@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from mfteams import (
+    DiscountedHorizon,
     FiniteHorizon,
     PolicyKernel,
     bellman_backup,
@@ -24,9 +25,7 @@ from mfteams import (
     epsilon_gap,
     exact_action_distribution,
     realize_exchangeable_action,
-    solve_mkv_finite,
-    value_iteration_discounted,
-    value_iteration_finite,
+    solve,
     verify_markov_mf,
 )
 from mfteams.cli import main
@@ -104,8 +103,8 @@ def test_criterion_03_decoupled_oracle_equivalence(decoupled):
                         "xuy,y->xu", A, V
                     )
                     V = q.min(axis=1)
-                tables, _ = value_iteration_finite(mdp, steps)
-                worst = max(worst, np.abs(tables[0].values - fracs @ V).max())
+                values = solve(mdp, FiniteHorizon(steps)).values
+                worst = max(worst, np.abs(values[0] - fracs @ V).max())
             # discounted: sweep to the greedy policy, then solve it exactly
             V = np.zeros(2)
             for _ in range(400):
@@ -113,8 +112,8 @@ def test_criterion_03_decoupled_oracle_equivalence(decoupled):
             act = (c0 + beta * np.einsum("xuy,y->xu", A, V)).argmin(axis=1)
             P = A[np.arange(2), act]
             V = np.linalg.solve(np.eye(2) - beta * P, c0[np.arange(2), act])
-            table, _ = value_iteration_discounted(mdp, epsilon=1e-10)
-            worst = max(worst, np.abs(table.values - fracs @ V).max())
+            table = solve(mdp, DiscountedHorizon(epsilon=1e-10)).values[0]
+            worst = max(worst, np.abs(table - fracs @ V).max())
         assert worst <= 1e-10
         assert time.perf_counter() - start < 10.0
 
@@ -203,14 +202,14 @@ def test_criterion_07_value_convergence_to_limit(bundled):
     with criterion(7, "finite-N optimum approaches the limit value"):
         for name, model in bundled.items():
             mkv = build_mkv_mdp(model, 16, 8)
-            sol = solve_mkv_finite(mkv, 3)
+            sol = solve(mkv, FiniteHorizon(3))
             j_hat = sol.values[0][mkv.state_grid.project(model.initial_dist)]
             diffs = {}
             for population in (2, 16):
                 mdp = build_measure_mdp(model, population)
-                tables, _ = value_iteration_finite(mdp, 3)
+                values = solve(mdp, FiniteHorizon(3)).values
                 i0 = mdp.index[round_to_counts(model.initial_dist, population)]
-                diffs[population] = abs(tables[0].values[i0] - j_hat)
+                diffs[population] = abs(values[0][i0] - j_hat)
             # models whose optimum is representable at every N give equality
             assert diffs[16] <= diffs[2] + 1e-12
             if name == "weakly_coupled":
@@ -223,7 +222,7 @@ def test_criterion_08_quantization_refinement(bundled):
             values = {}
             for mesh in (4, 8, 16):
                 mkv = build_mkv_mdp(model, mesh, 8)
-                sol = solve_mkv_finite(mkv, 3)
+                sol = solve(mkv, FiniteHorizon(3))
                 values[mesh] = sol.values[0][
                     mkv.state_grid.project(model.initial_dist)
                 ]
@@ -281,9 +280,8 @@ def test_criterion_10_contraction_and_monotonicity():
                 )
             prev_lift, prev_mf = None, None
             for steps in (1, 2, 3, 4):
-                head, _ = value_iteration_finite(mdp, steps)
-                head = head[0].values
-                mf = solve_mkv_finite(mkv, steps).values[0]
+                head = solve(mdp, FiniteHorizon(steps)).values[0]
+                mf = solve(mkv, FiniteHorizon(steps)).values[0]
                 if prev_lift is not None:
                     assert (head >= prev_lift - 1e-12).all()
                     assert (mf >= prev_mf - 1e-12).all()

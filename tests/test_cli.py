@@ -207,6 +207,53 @@ def test_simulate_refuses_a_lifted_policy_with_other_stages(capsys, tmp_path):
     assert err == "error: got 4 policy tables for 2 stages\n"
 
 
+def test_simulate_refuses_a_lifted_policy_of_another_model(capsys, tmp_path):
+    solve_out = tmp_path / "solve"
+    run(capsys, "solve-n", "counterexample", "-N", "2", "--horizon", "2",
+        "--out", str(solve_out))
+    code, _, err = run(
+        capsys, "simulate", "weakly_coupled", "-N", "2", "--horizon", "2",
+        "--lifted-dir", str(solve_out), "--replications", "10", "--seed", "1",
+        "--out", str(tmp_path / "sim"),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "another model" in err
+
+
+def solve_mf_counterexample(capsys, out):
+    code, _, _ = run(capsys, "solve-mf", "counterexample", "--discount", "0.9",
+                     "--mesh", "2", "--policy-mesh", "2", "--out", str(out))
+    assert code == 0
+    return out / "policy.csv"
+
+
+def test_simulate_refuses_a_policy_file_of_another_model_or_command(capsys, tmp_path):
+    policy = solve_mf_counterexample(capsys, tmp_path / "mf")
+    argv = ["simulate", "weakly_coupled", "-N", "4", "--horizon", "3", "--replications", "10",
+            "--seed", "1", "--out", str(tmp_path / "sim")]
+    code, _, err = run(capsys, *argv, "--policy-file", str(policy))
+    assert code == 2
+    assert "another model" in err
+    # the same file next to the manifest of a solve-n run
+    lifted_out = tmp_path / "n"
+    run(capsys, "solve-n", "weakly_coupled", "-N", "2", "--horizon", "2", "--out", str(lifted_out))
+    (lifted_out / "policy.csv").write_bytes(policy.read_bytes())
+    code, _, err = run(capsys, *argv, "--policy-file", str(lifted_out / "policy.csv"))
+    assert code == 2
+    assert "does not hold a solve-mf run" in err
+
+
+def test_flow_refuses_a_policy_file_of_another_model(capsys, tmp_path):
+    policy = solve_mf_counterexample(capsys, tmp_path / "mf")
+    code, _, err = run(capsys, "flow", "weakly_coupled", "--policy-file", str(policy),
+                       "--steps", "3", "--out", str(tmp_path / "flow"))
+    assert code == 2
+    assert "another model" in err
+    code, _, _ = run(capsys, "flow", "counterexample", "--policy-file", str(policy),
+                     "--steps", "3", "--out", str(tmp_path / "flow"))
+    assert code == 0
+
+
 def test_cap_bounds_lifted_transition_entries(capsys, tmp_path):
     # X = U = 3 at N = 12: 125,970 joint actions times 91 measures
     path = tmp_path / "x3.json"

@@ -21,12 +21,11 @@ from mfteams import (
     model_from_config,
     multinomial_count_distribution,
     multinomial_pmf_table,
+    policy_kernels,
+    rank_compositions,
     realize_exchangeable_action,
-    solve_mkv_discounted,
-    solve_mkv_finite,
+    solve,
     solve_symmetric_restricted,
-    value_iteration_discounted,
-    value_iteration_finite,
 )
 from mfteams import lifted
 from mfteams.lifted import _backup, _greedy, _kernel_stage_data, _SparseMDP, eta_kernel
@@ -252,14 +251,14 @@ def test_eta_rejects_marginal_mismatch(counterexample):
 
 def test_two_agent_two_stage_values(counterexample):
     mdp = build_measure_mdp(counterexample, 2)
-    tables, policy = value_iteration_finite(mdp, 2)
+    sol = solve(mdp, FiniteHorizon(2))
     # from (1,1) the team holds the uniform measure at zero cost; from a
     # vertex it pays 0.5 once and then splits.
-    np.testing.assert_allclose(tables[0].values, [0.5, 0.0, 0.5], atol=1e-12)
-    np.testing.assert_allclose(tables[1].values, [0.5, 0.0, 0.5], atol=1e-12)
-    assert not policy.stationary
+    np.testing.assert_allclose(sol.values[0], [0.5, 0.0, 0.5], atol=1e-12)
+    np.testing.assert_allclose(sol.values[1], [0.5, 0.0, 0.5], atol=1e-12)
+    assert not sol.stationary
     i = mdp.index[(0, 2)]
-    theta = mdp.actions[i][policy.action_at(i, 0)]
+    theta = mdp.actions[i][sol.choices[0][i]]
     assert theta.counts == ((0, 0), (1, 1))
 
 
@@ -269,8 +268,7 @@ def test_finite_values_nondecreasing_in_horizon(counterexample):
         mdp = build_measure_mdp(model, 3)
         prev = None
         for steps in (1, 2, 3, 4):
-            values, _ = value_iteration_finite(mdp, steps, beta=0.9)
-            head = values[0].values
+            head = solve(mdp, FiniteHorizon(steps, beta=0.9)).values[0]
             if prev is not None:
                 assert (head >= prev - 1e-12).all()
             prev = head
@@ -293,12 +291,12 @@ def test_discounted_solution_certificate(counterexample):
     mdp = build_measure_mdp(counterexample, 2)
     epsilon = 1e-8
     beta = 0.9
-    table, policy = value_iteration_discounted(mdp, beta=beta, epsilon=epsilon)
-    assert table.stage == "stationary"
-    assert policy.stationary
-    assert (table.values >= 0.0).all()
-    refreshed, _ = bellman_backup(mdp, table.values, beta=beta)
-    residual = np.abs(refreshed - table.values).max()
+    sol = solve(mdp, DiscountedHorizon(beta=beta, epsilon=epsilon))
+    assert sol.stationary
+    table, = sol.values
+    assert (table >= 0.0).all()
+    refreshed, _ = bellman_backup(mdp, table, beta=beta)
+    residual = np.abs(refreshed - table).max()
     assert residual <= epsilon * (1.0 - beta) / (2.0 * beta)
 
 
@@ -315,8 +313,8 @@ def test_discounted_constant_cost_closed_form():
         }
     )
     mdp = build_measure_mdp(model, 2)
-    table, _ = value_iteration_discounted(mdp, epsilon=1e-10)
-    np.testing.assert_allclose(table.values, 1.0, atol=1e-9)
+    table = solve(mdp, DiscountedHorizon(epsilon=1e-10)).values[0]
+    np.testing.assert_allclose(table, 1.0, atol=1e-9)
 
 
 def reference_q(costs, sizes, rows, values, beta):
@@ -372,18 +370,18 @@ def test_flat_backup_matches_per_row_reference(seed, num_states, discounted):
 def test_discounted_rejects_beta_one(counterexample):
     mdp = build_measure_mdp(counterexample, 2)
     with pytest.raises(ValueError):
-        value_iteration_discounted(mdp)  # model discount is 1.0
+        solve(mdp, DiscountedHorizon())  # model discount is 1.0
 
 
 def test_finite_solves_need_a_stage_and_fit_the_cap(counterexample, monkeypatch):
     mdp = build_measure_mdp(counterexample, 2)
     with pytest.raises(ValueError, match="steps must be >= 1"):
-        value_iteration_finite(mdp, 0)
+        solve(mdp, FiniteHorizon(0))
     # refused before a single backup
     calls = count_backups(monkeypatch)
     mkv = build_mkv_mdp(counterexample, 2, 2)
     with pytest.raises(EnumerationCapError, match=f"{10**20}-stage horizon"):
-        solve_mkv_finite(mkv, 10**20)
+        solve(mkv, FiniteHorizon(10**20))
     for horizon in (FiniteHorizon(10**20), FiniteHorizon(4)):
         with pytest.raises(EnumerationCapError, match="value table"):
             evaluate_symmetric_policy_exact(
@@ -408,7 +406,7 @@ def test_hopeless_discounted_solve_fails_before_the_first_sweep(monkeypatch):
     mkv = build_mkv_mdp(make_random_model(np.random.default_rng(71), 3, 3, coupled=True), 2, 1)
     calls = count_backups(monkeypatch)
     with pytest.raises(ConvergenceError, match="needs more than 1000000 sweeps"):
-        solve_mkv_discounted(mkv, beta=0.99999999)
+        solve(mkv, DiscountedHorizon(beta=0.99999999))
     assert calls == []
 
 
@@ -417,15 +415,15 @@ def test_refusal_never_preempts_a_converging_solve(monkeypatch):
     for beta in (0.5, 0.9, 0.99):
         mdp = build_measure_mdp(make_random_model(rng, 2, 2, coupled=True), 3)
         calls = count_backups(monkeypatch)
-        table, _ = value_iteration_discounted(mdp, beta=beta)
+        table = solve(mdp, DiscountedHorizon(beta=beta)).values[0]
         sweeps = len(calls)
         monkeypatch.setattr(lifted, "_MAX_SWEEPS", sweeps)
-        again, _ = value_iteration_discounted(mdp, beta=beta)
-        np.testing.assert_array_equal(again.values, table.values)
+        again = solve(mdp, DiscountedHorizon(beta=beta)).values[0]
+        np.testing.assert_array_equal(again, table)
         del calls[:]
         monkeypatch.setattr(lifted, "_MAX_SWEEPS", sweeps // 2)
         with pytest.raises(ConvergenceError):
-            value_iteration_discounted(mdp, beta=beta)
+            solve(mdp, DiscountedHorizon(beta=beta))
         assert calls == []  # refused before the first sweep
         monkeypatch.undo()
 
@@ -529,10 +527,10 @@ def test_restricted_two_agent_values(counterexample):
     policies = policy_grid(2, 2, 2)
     sol = solve_symmetric_restricted(counterexample, 2, FiniteHorizon(2), policies)
     values = sol.values[0]
-    ordered = [values[sol.ordinal_of(c)] for c in [(2, 0), (1, 1), (0, 2)]]
+    ordered = [values[rank_compositions(c)] for c in [(2, 0), (1, 1), (0, 2)]]
     np.testing.assert_allclose(ordered, [0.75, 0.0, 0.75], atol=1e-12)
     # the chosen kernel at the vertex must randomize the occupied state
-    rows = sol.kernel_rows_at((0, 2), 0)
+    rows = policy_kernels(sol)[0].rows_for([0.0, 1.0])
     np.testing.assert_allclose(rows[1], [0.5, 0.5], atol=1e-12)
 
 
@@ -541,7 +539,7 @@ def test_restricted_degrades_without_randomization(counterexample):
     sol = solve_symmetric_restricted(
         counterexample, 2, FiniteHorizon(2), policy_grid(1, 2, 2)
     )
-    assert sol.values[0][sol.ordinal_of((0, 2))] == pytest.approx(1.0, abs=1e-12)
+    assert sol.values[0][rank_compositions((0, 2))] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lifted_dominates_restricted(counterexample, weakly_coupled):
@@ -550,10 +548,23 @@ def test_lifted_dominates_restricted(counterexample, weakly_coupled):
         (weakly_coupled, FiniteHorizon(3)),
     ):
         mdp = build_measure_mdp(model, 3)
-        tables, _ = value_iteration_finite(mdp, horizon.steps)
+        lifted_values = solve(mdp, horizon).values[0]
         sol = solve_symmetric_restricted(model, 3, horizon, policy_grid(4, 2, 2))
         for i, state in enumerate(mdp.states):
-            assert tables[0].values[i] <= sol.values[0][sol.ordinal_of(state.counts)] + 1e-12
+            assert lifted_values[i] <= sol.values[0][rank_compositions(state.counts)] + 1e-12
+
+
+def test_cap_bounds_restricted_and_exact_evaluation_rows(counterexample):
+    # 9 kernels at 3 measures: 81 row entries; one kernel per measure: 9
+    policies = policy_grid(2, 2, 2)
+    with pytest.raises(EnumerationCapError, match="rows needs 81 entries, above the cap of 50"):
+        solve_symmetric_restricted(counterexample, 2, FiniteHorizon(2), policies, cap=50)
+    sol = solve_symmetric_restricted(counterexample, 2, FiniteHorizon(2), policies, cap=81)
+    assert sol.values[0][rank_compositions((0, 2))] == pytest.approx(0.75, abs=1e-12)
+    kernel = PolicyKernel.constant(np.full((2, 2), 0.5), simplex_grid(2, 2))
+    with pytest.raises(EnumerationCapError, match="rows needs 9 entries, above the cap of 8"):
+        evaluate_symmetric_policy_exact(counterexample, 2, kernel, FiniteHorizon(2), cap=8)
+    evaluate_symmetric_policy_exact(counterexample, 2, kernel, FiniteHorizon(2), cap=9)
 
 
 def test_uniform_kernel_evaluation(counterexample):

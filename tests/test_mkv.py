@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from mfteams import (
+    DiscountedHorizon,
     EnvironmentModel,
+    FiniteHorizon,
     MarginalMismatchError,
     PolicyKernel,
     build_mkv_mdp,
-    extract_mf_policy,
-    extract_stage_policies,
     flow_trajectory,
     mean_field_flow,
-    solve_mkv_discounted,
-    solve_mkv_finite,
+    policy_kernels,
+    solve,
 )
 from mfteams.measures import simplex_grid
 
@@ -79,7 +79,7 @@ def test_long_discounted_flow_keeps_unit_mass(weakly_coupled):
     # weakly_coupled rows carry mass 0.8 + 0.2 * sum(mu), which amplifies a
     # roundoff excess by about 1.2 per step unless the flow is renormalized
     mkv = build_mkv_mdp(weakly_coupled, 32, 16)
-    kernel = extract_mf_policy(solve_mkv_discounted(mkv, beta=0.95))
+    kernel = policy_kernels(solve(mkv, DiscountedHorizon(beta=0.95)))
     traj = flow_trajectory(weakly_coupled, weakly_coupled.initial_dist, kernel, 318)
     assert np.isfinite(traj).all()
     assert traj.min() >= 0.0
@@ -144,7 +144,7 @@ def test_mkv_finite_matches_exhaustive_two_stage(counterexample, weakly_coupled)
     for model in (counterexample, weakly_coupled):
         mkv = build_mkv_mdp(model, 4, 2)
         beta = 1.0 if model.discount == 1.0 else model.discount
-        sol = solve_mkv_finite(mkv, 2, beta=beta)
+        sol = solve(mkv, FiniteHorizon(2, beta=beta))
         G, P = mkv.stage_cost.shape
         for g in range(G):
             best = np.inf
@@ -156,17 +156,17 @@ def test_mkv_finite_matches_exhaustive_two_stage(counterexample, weakly_coupled)
 
 def test_mkv_counterexample_value(counterexample):
     mkv = build_mkv_mdp(counterexample, 2, 2)
-    sol = solve_mkv_finite(mkv, 2)
+    sol = solve(mkv, FiniteHorizon(2))
     g0 = mkv.state_grid.ordinal_of((0, 2))
     assert sol.values[0][g0] == pytest.approx(0.5, abs=1e-12)
-    pi = extract_mf_policy(sol, stage=0)
+    pi = policy_kernels(sol)[0]
     np.testing.assert_allclose(pi.rows_for([0.0, 1.0])[1], [0.5, 0.5], atol=1e-12)
 
 
 def test_mkv_discounted_certificate(weakly_coupled):
     mkv = build_mkv_mdp(weakly_coupled, 4, 4)
     epsilon = 1e-8
-    sol = solve_mkv_discounted(mkv, epsilon=epsilon)
+    sol = solve(mkv, DiscountedHorizon(epsilon=epsilon))
     assert sol.stationary
     values = sol.values[0]
     assert (values >= 0.0).all()
@@ -176,13 +176,14 @@ def test_mkv_discounted_certificate(weakly_coupled):
     assert residual <= epsilon * (1.0 - beta) / (2.0 * beta)
 
 
-def test_extract_stage_policies_shapes(counterexample, weakly_coupled):
-    sol = solve_mkv_finite(build_mkv_mdp(counterexample, 2, 2), 3)
-    stages = extract_stage_policies(sol)
+def test_policy_kernels_shapes(counterexample, weakly_coupled):
+    sol = solve(build_mkv_mdp(counterexample, 2, 2), FiniteHorizon(3))
+    stages = policy_kernels(sol)
     assert len(stages) == 3
     assert all(isinstance(k, PolicyKernel) for k in stages)
-    stat = solve_mkv_discounted(build_mkv_mdp(weakly_coupled, 2, 2))
-    assert len(extract_stage_policies(stat)) == 1
+    # a stationary solution gives the bare kernel that serves every stage
+    stat = solve(build_mkv_mdp(weakly_coupled, 2, 2), DiscountedHorizon())
+    assert isinstance(policy_kernels(stat), PolicyKernel)
 
 
 def test_counterexample_uniform_flow_reaches_fixed_point(counterexample):

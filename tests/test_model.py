@@ -273,20 +273,14 @@ def test_config_round_trip(weakly_coupled):
     np.testing.assert_array_equal(rebuilt.kernel_coupling, weakly_coupled.kernel_coupling)
     np.testing.assert_array_equal(rebuilt.cost_quad, weakly_coupled.cost_quad)
     assert rebuilt.discount == weakly_coupled.discount
-    assert rebuilt.content_hash() == weakly_coupled.content_hash()
+    assert rebuilt.to_config() == weakly_coupled.to_config()
 
 
 def test_save_load_round_trip(tmp_path, decoupled):
     path = tmp_path / "model.json"
     save_model(decoupled, path)
     rebuilt = load_model(path)
-    assert rebuilt.content_hash() == decoupled.content_hash()
-
-
-def test_content_hash_tracks_content(decoupled):
-    cfg = decoupled.to_config()
-    cfg["cost_const"][0][0] += 0.125
-    assert model_from_config(cfg).content_hash() != decoupled.content_hash()
+    assert rebuilt.to_config() == decoupled.to_config()
 
 
 def test_load_model_rejects_bad_json(tmp_path):

@@ -10,21 +10,23 @@ from hypothesis import strategies as st
 from mfteams import (
     DiscountedHorizon,
     FiniteHorizon,
-    LiftedPolicy,
-    MeasurePolicy,
     PolicyKernel,
     SimConfig,
+    Solution,
     build_measure_mdp,
+    build_mkv_mdp,
     chaos_gap,
     enumerate_empirical,
     epsilon_gap,
     eta_kernel,
     evaluate_symmetric_policy_exact,
+    flow_trajectory,
     multinomial_count_distribution,
     multinomial_pmf_table,
+    policy_kernels,
     simulate_n_agents,
+    solve,
     solve_symmetric_restricted,
-    value_iteration_finite,
     verify_markov_mf,
 )
 from mfteams import lifted
@@ -101,7 +103,7 @@ def test_one_step_count_law_matches_exact(seed, num_states, num_actions, populat
     shared = PolicyKernel(grid, rng.dirichlet(np.ones(num_actions), size=(len(grid), num_states)))
     mdp = build_measure_mdp(model, population)
     table = np.array([rng.integers(len(acts)) for acts in mdp.actions])
-    lifted = LiftedPolicy(mdp, MeasurePolicy((table,), stationary=True))
+    lifted = Solution(mdp, values=None, choices=(table,), stationary=True)
 
     def shared_law(counts):
         # each occupied state x moves by the law rows[x] @ T[x]
@@ -127,14 +129,14 @@ def test_one_step_count_law_matches_exact(seed, num_states, num_actions, populat
 
 def test_lifted_cell_counts_equal_theta(weakly_coupled):
     mdp = build_measure_mdp(weakly_coupled, 3)
-    _, policy = value_iteration_finite(mdp, 2)
-    draw = _cell_sampler(LiftedPolicy(mdp, policy), 2)
+    sol = solve(mdp, FiniteHorizon(2))
+    draw = _cell_sampler(sol, 2)
     order = [1, 0, 3, 2, 1, 0]  # repeated and out of enumeration order
     counts = np.array([mdp.states[i].counts for i in order])
     for t in range(2):
         cells = draw(t, counts, None)
         for row, i in zip(cells, order):
-            theta = mdp.actions[i][policy.action_at(i, t)]
+            theta = mdp.actions[i][sol.choices[t][i]]
             assert row.tolist() == [list(r) for r in theta.counts]
 
 
@@ -172,9 +174,8 @@ def test_uniform_kernel_simulation_matches_exact(counterexample):
 
 def test_lifted_optimal_rollout_is_deterministic(counterexample):
     mdp = build_measure_mdp(counterexample, 2)
-    _, policy = value_iteration_finite(mdp, 2)
     config = SimConfig(population=2, horizon=FiniteHorizon(2),
-                       policy=LiftedPolicy(mdp, policy), replications=50, seed=3)
+                       policy=solve(mdp, FiniteHorizon(2)), replications=50, seed=3)
     report = simulate_n_agents(counterexample, config)
     # from (0,2) the optimal play pays 0.5 then splits; every path is identical
     assert report.mean_cost == 0.5
@@ -253,12 +254,34 @@ def test_staged_restricted_solution_needs_one_table_per_stage(counterexample):
                                                     policy=sol, replications=5, seed=1))
 
 
+def test_discounted_limit_kernels_drive_finite_rollouts_and_flows(weakly_coupled):
+    # a stationary solution's kernel serves every stage of a finite horizon
+    sol = solve(build_mkv_mdp(weakly_coupled, 8, 4), DiscountedHorizon(beta=0.95))
+    kernels = policy_kernels(sol)
+    traj = flow_trajectory(weakly_coupled, weakly_coupled.initial_dist, kernels, 3)
+    assert traj.shape == (4, 2)
+    np.testing.assert_array_equal(
+        flow_trajectory(weakly_coupled, weakly_coupled.initial_dist, sol, 3), traj)
+    config = SimConfig(population=16, horizon=FiniteHorizon(3), policy=kernels,
+                       replications=20, seed=4)
+    assert simulate_n_agents(weakly_coupled, config).steps == 3
+
+
+def test_restricted_solution_kernels_sit_on_its_measures(weakly_coupled):
+    sol = solve_symmetric_restricted(weakly_coupled, 5, FiniteHorizon(2), policy_grid(2, 2, 2))
+    kernels = sol.problem.policy_set.kernels
+    for stage, kernel in enumerate(policy_kernels(sol)):
+        for i, state in enumerate(sol.states):
+            np.testing.assert_array_equal(kernel.rows_for(state.as_distribution()),
+                                          kernels[sol.choices[stage][i]])
+
+
 def test_lifted_rollout_leaves_the_rows_unbuilt(weakly_coupled):
     mdp = build_measure_mdp(weakly_coupled, 6)
     first = np.zeros(len(mdp), dtype=np.int64)
     simulate_n_agents(weakly_coupled, SimConfig(
         population=6, horizon=FiniteHorizon(3),
-        policy=LiftedPolicy(mdp, MeasurePolicy((first,), stationary=True)),
+        policy=Solution(mdp, values=None, choices=(first,), stationary=True),
         replications=20, seed=2))
     assert "sparse" not in vars(mdp)
 
@@ -270,10 +293,10 @@ def test_lifted_rollout_builds_no_transition_rows(weakly_coupled, monkeypatch):
     monkeypatch.setattr(lifted, "multinomial_count_distribution", forbidden)
     mdp = build_measure_mdp(weakly_coupled, 6)
     first = np.zeros(len(mdp), dtype=np.int64)  # joint action 0 at every measure
-    for policy in (MeasurePolicy((first,), stationary=True),
-                   MeasurePolicy((first,) * 3, stationary=False)):
+    for policy in (Solution(mdp, values=None, choices=(first,), stationary=True),
+                   Solution(mdp, values=None, choices=(first,) * 3, stationary=False)):
         report = simulate_n_agents(weakly_coupled, SimConfig(
-            population=6, horizon=FiniteHorizon(3), policy=LiftedPolicy(mdp, policy),
+            population=6, horizon=FiniteHorizon(3), policy=policy,
             replications=20, seed=2))
         assert report.steps == 3
 
@@ -326,9 +349,8 @@ def test_chaos_gap_zero_for_deterministic_dynamics(counterexample):
 
 def test_chaos_gap_needs_shared_kernels(counterexample):
     mdp = build_measure_mdp(counterexample, 2)
-    _, policy = value_iteration_finite(mdp, 2)
     with pytest.raises(TypeError):
-        chaos_gap(counterexample, [2], LiftedPolicy(mdp, policy),
+        chaos_gap(counterexample, [2], solve(mdp, FiniteHorizon(2)),
                   steps=2, replications=10, seed=0)
 
 
