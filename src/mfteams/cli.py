@@ -181,15 +181,15 @@ def _cmd_solve_mf(args, argv):
                + [f"pi_{u}" for u in range(U)])
     vrows, prows = [], []
     labels = ["stationary"] if sol.stationary else range(len(sol.values))
+    points = [[str(g)] + [_fmt(v) for v in mu] for g, mu in enumerate(grid.points)]
+    kernel_rows = {}  # the formatted (state, action law) rows of each chosen kernel
     for stage, stage_values, stage_choices in zip(labels, sol.values, sol.choices):
-        for g in range(len(grid)):
-            mu = grid.point(g)
-            vrows.append([str(stage), str(g)] + [_fmt(v) for v in mu]
-                         + [_fmt(stage_values[g]), str(int(stage_choices[g]))])
-            kernel = mkv.policy_set.kernel(int(stage_choices[g]))
-            for x in range(X):
-                prows.append([str(stage), str(g)] + [_fmt(v) for v in mu] + [str(x)]
-                             + [_fmt(p) for p in kernel[x]])
+        for point, value, choice in zip(points, stage_values, stage_choices.tolist()):
+            vrows.append([str(stage)] + point + [_fmt(value), str(choice)])
+            if choice not in kernel_rows:
+                kernel_rows[choice] = [[str(x)] + [_fmt(p) for p in row]
+                                       for x, row in enumerate(mkv.policy_set.kernel(choice))]
+            prows.extend([str(stage)] + point + row for row in kernel_rows[choice])
     _write_csv(out / "values.csv", vheader, vrows)
     _write_csv(out / "policy.csv", pheader, prows)
     g0 = grid.project(model.initial_dist)
@@ -242,14 +242,14 @@ def _read_mf_policy(path, model, model_path):
     grid = simplex_grid(mesh, cardinality)
     kernels = []
     for rows in stages:
+        g = np.array([int(parts[1]) for parts in rows])
+        x = np.array([int(parts[state_col]) for parts in rows])
+        mus = np.array([[float(parts[i]) for i in mu_cols] for parts in rows])
+        off = np.abs(mus - grid.points[g]).max(axis=1) > 1e-12
+        if off.any():
+            raise ValueError(f"grid point {g[off.argmax()]} in {path} is off-grid")
         table = np.zeros((size, num_states, num_actions))
-        for parts in rows:
-            g = int(parts[1])
-            mu = np.array([float(parts[i]) for i in mu_cols])
-            if np.abs(mu - grid.point(g)).max() > 1e-12:
-                raise ValueError(f"grid point {g} in {path} is off-grid")
-            x = int(parts[state_col])
-            table[g, x] = [float(parts[i]) for i in pi_cols]
+        table[g, x] = [[float(parts[i]) for i in pi_cols] for parts in rows]
         kernels.append(PolicyKernel(grid, table))
     return kernels[0] if stationary else kernels
 

@@ -48,6 +48,7 @@ from .measures import (
     simplex_grid,
 )
 from .model import (
+    SIMPLEX_TOL,
     DiscountedHorizon,
     FiniteHorizon,
     MarginalMismatchError,
@@ -592,9 +593,14 @@ class PolicyKernel:
             raise ValueError(
                 f"table shape {table.shape} does not cover the {len(self.grid)}-point grid"
             )
-        for g in range(table.shape[0]):
-            for x in range(table.shape[1]):
-                as_simplex(table[g, x], what=f"kernel row (grid {g}, state {x})")
+        # one pass over every row; the first bad row in C order names the fault
+        with np.errstate(invalid="ignore"):
+            bad = (~np.isfinite(table).all(axis=2)
+                   | (table.min(axis=2, initial=np.inf) < -SIMPLEX_TOL)
+                   | (np.abs(table.sum(axis=2) - 1.0) > SIMPLEX_TOL))
+        if bad.any():
+            g, x = (int(i) for i in np.argwhere(bad)[0])
+            as_simplex(table[g, x], what=f"kernel row (grid {g}, state {x})")
         table = np.ascontiguousarray(table)
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
@@ -607,10 +613,6 @@ class PolicyKernel:
     def rows_for(self, mu):
         """Action rows at the grid point nearest mu."""
         return self.table[self.grid.project(mu)]
-
-    def rows_for_many(self, mus):
-        """`rows_for` of every row of an (R, X) array, as an (R, X, U) array."""
-        return self.table[self.grid.project_many(mus)]
 
 
 def policy_kernels(sol):

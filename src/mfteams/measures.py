@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
-_PROJECT_BLOCK = 1 << 20  # distance entries per block of SimplexGrid.project_many
+_PROJECT_BLOCK = 1 << 20  # (row, point, coordinate) terms per block of SimplexGrid.project_many
 
 
 class EnumerationCapError(Exception):
@@ -188,6 +188,7 @@ class SimplexGrid:
         self.cardinality = cardinality
         self.counts = list(compositions(mesh, cardinality))
         self.points = np.asarray(self.counts, dtype=float) / mesh
+        self._columns = np.ascontiguousarray(self.points.T)  # coordinate x of every point
 
     def __len__(self):
         return len(self.counts)
@@ -199,23 +200,59 @@ class SimplexGrid:
         return Ordinals(self.mesh, self.cardinality)[counts]
 
     def project(self, mu):
-        """`project_many` of the single measure mu."""
-        return int(self.project_many(np.reshape(mu, (1, -1)))[0])
+        """`project_many` of the single measure mu, which fits one block."""
+        mu = np.asarray(mu, dtype=float).reshape(1, -1)
+        return int(_l1_distances(self._columns, mu).argmin())
 
     def project_many(self, mus):
         """Ordinal of the L1-nearest grid point to every row of an
         (R, cardinality) array; ties go to the smallest ordinal.
 
         Rows are processed in blocks so the distance array stays near
-        _PROJECT_BLOCK entries whatever R is.
+        _PROJECT_BLOCK / cardinality entries whatever R is.
         """
         mus = np.asarray(mus, dtype=float)
         out = np.empty(len(mus), dtype=np.int64)
         block = max(1, _PROJECT_BLOCK // self.points.size)
         for start in range(0, len(mus), block):
-            chunk = mus[start : start + block, None, :]
-            out[start : start + block] = np.abs(self.points - chunk).sum(axis=2).argmin(axis=1)
+            chunk = mus[start : start + block]
+            out[start : start + block] = _l1_distances(self._columns, chunk).argmin(axis=1)
         return out
+
+
+def _l1_distances(columns, mus, lo=0, hi=None):
+    """(R, G) array of sum_{lo <= x < hi} |columns[x, g] - mus[r, x]|,
+    accumulated one coordinate at a time; hi defaults to every coordinate.
+
+    The terms are added in the order numpy's pairwise summation adds a
+    contiguous axis, so the result equals np.abs(points - mus[:, None])
+    .sum(-1) bit for bit: left to right below 8 terms, eight strided
+    partial sums up to 128 terms, and two halves (the first a multiple of
+    8 long) above that.
+    """
+    hi = len(columns) if hi is None else hi
+    n = hi - lo
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _l1_distances(columns, mus, lo, lo + half) + _l1_distances(columns, mus, lo + half, hi)
+
+    def term(x, out=None):
+        d = np.subtract(columns[x], mus[:, x, None], out=out)
+        return np.abs(d, out=d)
+
+    head = term(lo)
+    scratch = np.empty_like(head)
+    if n < 8:
+        rest = range(lo + 1, hi)
+    else:
+        r = [head] + [term(lo + j) for j in range(1, 8)]
+        for i in range(8, n - n % 8):
+            r[i % 8] += term(lo + i, scratch)
+        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = range(hi - n % 8, hi)
+    for x in rest:
+        head += term(x, scratch)
+    return head
 
 
 def simplex_grid(mesh, cardinality, cap=DEFAULT_ENUMERATION_CAP):

@@ -29,6 +29,14 @@ def mean_field_flow(model, mu, theta):
     gap = np.abs(theta.sum(axis=-1) - mu).max()
     if gap > MARGINAL_TOL:
         raise MarginalMismatchError(f"state marginal of theta deviates from mu by {gap}")
+    return _push_forward(model, mu, theta)
+
+
+def _push_forward(model, mu, theta):
+    """mean_field_flow without its marginal check, for joint measures
+    mu[:, None] * rows built from action laws (a policy grid's kernels or a
+    PolicyKernel's validated rows), whose state marginal is mu within
+    SIMPLEX_TOL, far inside MARGINAL_TOL."""
     return np.einsum("...xu,xuy->...y", theta, model.kernel_tensor_at(mu))
 
 
@@ -63,7 +71,7 @@ def build_mkv_mdp(model, mesh, policy_mesh, cap=DEFAULT_ENUMERATION_CAP):
     for g, mu in enumerate(state_grid.points):
         theta = mu[:, None] * policies.kernels  # one joint measure per kernel
         cost[g] = (model.cost_matrix_at(mu) * theta).sum(axis=(1, 2))
-        succ[g] = state_grid.project_many(mean_field_flow(model, mu, theta))
+        succ[g] = state_grid.project_many(_push_forward(model, mu, theta))
     cost.setflags(write=False)
     succ.setflags(write=False)
     return MkvMDP(model, state_grid, policies, cost, succ)
@@ -84,8 +92,7 @@ def flow_trajectory(model, mu0, pi, steps):
     out = np.empty((steps + 1, mu.size))
     out[0] = mu
     for t in range(steps):
-        rows = kernels[t].rows_for(out[t])
-        theta = out[t][:, None] * rows
-        nxt = np.clip(mean_field_flow(model, out[t], theta), 0.0, None)
+        mu = out[t]
+        nxt = np.clip(_push_forward(model, mu, mu[:, None] * kernels[t].rows_for(mu)), 0.0, None)
         out[t + 1] = nxt / nxt.sum()
     return out

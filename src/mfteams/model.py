@@ -51,11 +51,16 @@ class MarginalMismatchError(ModelError):
 def as_simplex(vec, tol=SIMPLEX_TOL, what="distribution"):
     """Validate and return a probability vector as a float array.
 
-    Entries below -tol or a total mass off 1 by more than tol raise ValueError.
+    Non-finite entries, entries below -tol or a total mass off 1 by more
+    than tol raise ValueError.
     """
     v = np.asarray(vec, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{what} must be a nonempty vector, got shape {v.shape}")
+    finite = np.isfinite(v)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"{what} has non-finite entry {v[i]} at index {i}")
     if v.min() < -tol:
         raise ValueError(f"{what} has negative entry {v.min()} at index {int(v.argmin())}")
     s = v.sum()
@@ -203,9 +208,6 @@ class EnvironmentModel:
             + np.einsum("xuz,...z->...xu", self.cost_linear, mu)
             + np.einsum("xuzw,...z,...w->...xu", self.cost_quad, mu, mu)
         )
-
-    kernel_tensors_at = kernel_tensor_at
-    cost_matrices_at = cost_matrix_at
 
     def kernel_at(self, x, u, mu):
         """Next-state distribution T(.|x,u,mu)."""

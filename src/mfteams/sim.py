@@ -88,10 +88,19 @@ def _multinomial(rng, n, p):
     gets conditional probability exactly 1 and a category of probability
     zero is never drawn, whatever n is.
     """
-    p = np.clip(p, 0.0, None)
+    return _binomial_chain(rng, n, _conditionals(p))
+
+
+def _conditionals(p):
+    """The conditional probabilities p_j / sum_{k >= j} p_k of the rows
+    p[..., :] clipped at zero; 0 where that tail is zero or NaN."""
+    p = np.maximum(p, 0.0)
     tail = np.cumsum(p[..., ::-1], axis=-1)[..., ::-1]
-    with np.errstate(invalid="ignore"):
-        cond = np.clip(np.nan_to_num(p / tail), 0.0, 1.0)
+    return np.divide(p, tail, out=np.zeros_like(p), where=tail > 0)
+
+
+def _binomial_chain(rng, n, cond):
+    """_multinomial of n[...] trials given the _conditionals of its rows."""
     left = np.array(n, dtype=np.int64)
     out = np.empty(left.shape + cond.shape[-1:], dtype=np.int64)
     for j in range(cond.shape[-1] - 1):
@@ -120,10 +129,15 @@ def _cell_sampler(policy, steps):
 
     else:
         kernels = _per_stage(policy, steps)
+        conds = {}  # each distinct kernel's conditional action table, made once
+        for k in kernels:
+            if id(k) not in conds:
+                conds[id(k)] = _conditionals(k.table)
 
         def draw(t, counts, rng):
-            rows = kernels[t].rows_for_many(counts / counts[0].sum())
-            return _multinomial(rng, counts, rows)
+            k = kernels[t]
+            cond = conds[id(k)][k.grid.project_many(counts / counts[0].sum())]
+            return _binomial_chain(rng, counts, cond)
 
     return draw
 

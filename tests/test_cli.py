@@ -1,12 +1,14 @@
 import json
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mfteams import save_model
 from mfteams.cli import main
+from mfteams.models import bundled_path
 
 from conftest import make_random_model
 
@@ -103,6 +105,26 @@ def test_solve_n_invalid_model(capsys, tmp_path):
     assert "kernel_base" in err
 
 
+NAN_START_RUNS = {
+    "solve-n": ["solve-n", "-N", "4", "--horizon", "2"],
+    "simulate": ["simulate", "-N", "4", "--horizon", "2", "--uniform-kernel",
+                 "--replications", "10", "--seed", "1"],
+    "solve-mf": ["solve-mf", "--horizon", "2", "--mesh", "8", "--policy-mesh", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NAN_START_RUNS))
+def test_nan_initial_dist_exits_2(capsys, tmp_path, command):
+    cfg = json.loads(Path(bundled_path("weakly_coupled")).read_text())
+    cfg["initial_dist"] = [float("nan"), 1.0]
+    path = tmp_path / "nan_start.json"
+    path.write_text(json.dumps(cfg))
+    name, *flags = NAN_START_RUNS[command]
+    code, _, err = run(capsys, name, str(path), *flags, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "initial_dist: initial_dist has non-finite entry nan at index 0" in err
+
+
 def test_solve_n_cap_exceeded(capsys, tmp_path):
     code, _, err = run(capsys, "solve-n", "counterexample", "-N", "40",
                        "--horizon", "2", "--cap", "100",
@@ -131,6 +153,21 @@ def test_solve_mf_then_simulate_policy_file(capsys, tmp_path):
     assert report["replications"] == 200
     assert report["steps"] == 3
     assert report["chaos_series"] is not None
+
+
+def test_simulate_refuses_a_nan_policy_row(capsys, tmp_path):
+    mf_out = tmp_path / "mf"
+    code, _, _ = run(capsys, "solve-mf", "decoupled", "--discount", "0.9",
+                     "--mesh", "4", "--policy-mesh", "2", "--out", str(mf_out))
+    assert code == 0
+    policy = mf_out / "policy.csv"
+    header, first, *rest = policy.read_text().splitlines()
+    policy.write_text("\n".join([header, ",".join(first.split(",")[:-2] + ["nan", "1"]), *rest]))
+    code, _, err = run(capsys, "simulate", "decoupled", "-N", "4", "--horizon", "3",
+                       "--policy-file", str(policy), "--replications", "10", "--seed", "5",
+                       "--out", str(tmp_path / "sim"))
+    assert code == 2
+    assert "kernel row (grid 0, state 0) has non-finite entry nan at index 0" in err
 
 
 def test_solve_mf_staged_policy_then_flow(capsys, tmp_path):

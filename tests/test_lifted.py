@@ -37,7 +37,7 @@ from mfteams.measures import (
     policy_grid,
     simplex_grid,
 )
-from mfteams.model import EnvironmentModel
+from mfteams.model import EnvironmentModel, as_simplex
 
 from conftest import make_random_model
 
@@ -615,6 +615,43 @@ def test_policy_kernel_validates_rows():
     grid = simplex_grid(2, 2)
     with pytest.raises(ValueError):
         PolicyKernel(grid, np.full((len(grid), 2, 2), 0.4))
+
+
+def _check_rows_one_by_one(table):
+    """The row-by-row validation that PolicyKernel made before its one
+    vectorized pass over the table."""
+    for g in range(table.shape[0]):
+        for x in range(table.shape[1]):
+            as_simplex(table[g, x], what=f"kernel row (grid {g}, state {x})")
+
+
+@pytest.mark.parametrize("bad_rows", [
+    {(1, 2): [-0.1, 1.1], (3, 0): [0.6, 0.6]},
+    {(0, 1): [0.3, 0.3], (2, 0): [np.nan, 1.0], (1, 1): [-2.0, 3.0]},
+    {(2, 2): [0.5, np.nan], (3, 1): [-1.0, 2.0]},
+    {(3, 2): [np.inf, 0.0], (3, 1): [0.5, 0.5 + 1e-9]},
+    {(0, 0): [0.5, 0.5 + 5e-13], (1, 0): [0.5 + 2e-12, 0.5]},
+])
+def test_policy_kernel_names_the_first_bad_row_in_c_order(bad_rows):
+    grid = simplex_grid(3, 2)
+    table = np.full((len(grid), 3, 2), 0.5)
+    for (g, x), row in bad_rows.items():
+        table[g, x] = row
+    with pytest.raises(ValueError) as expected:
+        _check_rows_one_by_one(table)
+    with pytest.raises(ValueError) as err:
+        PolicyKernel(grid, table)
+    assert str(err.value) == str(expected.value)
+
+
+def test_policy_kernel_accepts_rows_within_tolerance_and_refuses_empty_rows():
+    grid = simplex_grid(3, 2)
+    table = np.full((len(grid), 3, 2), 0.5)
+    table[1, 2] = [0.5, 0.5 + 5e-13]
+    table[2, 0] = [-5e-13, 1.0]
+    PolicyKernel(grid, table)
+    with pytest.raises(ValueError, match=r"kernel row \(grid 0, state 0\) must be a nonempty"):
+        PolicyKernel(grid, np.zeros((len(grid), 3, 0)))
 
 
 def test_policy_kernel_lookup_uses_nearest_point():

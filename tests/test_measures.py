@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfteams import measures
 from mfteams.measures import (
     EmpiricalJointMeasure,
     EmpiricalStateMeasure,
@@ -188,6 +189,55 @@ def test_project_many_matches_project_row_by_row():
         ])
         expected = [grid.project(mu) for mu in mus]
         assert grid.project_many(mus).tolist() == expected
+
+
+def _broadcast_projection(grid, mus):
+    """The projection formula that project_many replaced."""
+    return np.abs(grid.points - mus[:, None]).sum(-1).argmin(-1)
+
+
+def _projection_rows(grid, rng, size):
+    """Random measures, grid points, and midpoints of neighbouring grid
+    points (one unit of mass moved between two coordinates), where exact
+    ties occur."""
+    X, mesh = grid.cardinality, grid.mesh
+    counts = np.array(grid.counts)[rng.integers(len(grid), size=size)]
+    src, dst = rng.integers(X, size=(2, size))
+    moved = counts.copy()
+    has = moved[np.arange(size), src] > 0
+    moved[np.arange(size)[has], src[has]] -= 1
+    moved[np.arange(size)[has], dst[has]] += 1
+    return np.concatenate([
+        rng.dirichlet(np.ones(X), size=size),
+        counts / mesh,
+        0.5 * (counts + moved) / mesh,
+    ])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(cardinality=st.integers(2, 9), mesh=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_project_many_matches_the_broadcast_formula(cardinality, mesh, seed):
+    grid = simplex_grid(mesh, cardinality)
+    mus = _projection_rows(grid, np.random.default_rng(seed), 8)
+    np.testing.assert_array_equal(grid.project_many(mus), _broadcast_projection(grid, mus))
+
+
+def test_project_many_matches_the_broadcast_formula_across_blocks():
+    grid = simplex_grid(8, 9)
+    mus = _projection_rows(grid, np.random.default_rng(29), 10)
+    block = measures._PROJECT_BLOCK // grid.points.size
+    assert len(mus) > 2 * block
+    np.testing.assert_array_equal(grid.project_many(mus), _broadcast_projection(grid, mus))
+
+
+@pytest.mark.parametrize("cardinality", [2, 7, 8, 9, 16, 23, 128, 129, 136, 300])
+def test_column_distances_keep_numpys_summation_order(cardinality):
+    rng = np.random.default_rng(cardinality)
+    points = rng.dirichlet(np.ones(cardinality), size=6)
+    mus = rng.dirichlet(np.full(cardinality, 0.3), size=5)
+    got = measures._l1_distances(np.ascontiguousarray(points.T), mus)
+    want = np.abs(points - mus[:, None]).sum(-1)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_grid_cap():

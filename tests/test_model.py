@@ -149,6 +149,13 @@ def test_as_simplex_tolerance():
         as_simplex([-1e-6, 1.0 + 1e-6])
 
 
+@pytest.mark.parametrize("vec", [[np.nan, 1.0], [0.0, np.nan], [np.inf, 0.0], [1.0, -np.inf]])
+def test_as_simplex_refuses_non_finite_entries(vec):
+    i = int(np.flatnonzero(~np.isfinite(vec))[0])
+    with pytest.raises(ValueError, match=f"initial_dist has non-finite entry .* at index {i}"):
+        as_simplex(vec, what="initial_dist")
+
+
 def test_horizon_validation():
     with pytest.raises(ValueError):
         FiniteHorizon(0)
@@ -220,8 +227,8 @@ def test_batched_evaluation_matches_single_measure():
     for trial in range(6):
         model = make_random_model(rng, num_states=2 + trial % 2, num_actions=3, coupled=True)
         mus = rng.dirichlet(np.ones(model.num_states), size=7)
-        tensors = model.kernel_tensors_at(mus)
-        costs = model.cost_matrices_at(mus)
+        tensors = model.kernel_tensor_at(mus)
+        costs = model.cost_matrix_at(mus)
         for r, mu in enumerate(mus):
             np.testing.assert_allclose(tensors[r], model.kernel_tensor_at(mu), rtol=0, atol=1e-15)
             np.testing.assert_allclose(costs[r], model.cost_matrix_at(mu), rtol=0, atol=1e-14)

@@ -31,7 +31,7 @@ from mfteams import (
 )
 from mfteams import lifted
 from mfteams.measures import policy_grid, simplex_grid
-from mfteams.sim import _cell_sampler, _multinomial, _rollout
+from mfteams.sim import _cell_sampler, _conditionals, _multinomial, _rollout
 
 from conftest import make_random_model
 
@@ -70,6 +70,57 @@ def test_multinomial_broadcasts_rows_against_trials():
     assert draws.shape == (2, 2, 2)
     np.testing.assert_array_equal(draws.sum(axis=2), n)
     np.testing.assert_array_equal(draws[:, 1], [[0, 0], [2, 0]])
+
+
+def _clip_conditionals(p):
+    """The conditional probabilities as they were written with clip and
+    nan_to_num, kept to pin _multinomial's draws."""
+    p = np.clip(p, 0.0, None)
+    tail = np.cumsum(p[..., ::-1], axis=-1)[..., ::-1]
+    with np.errstate(invalid="ignore"):
+        return np.clip(np.nan_to_num(p / tail), 0.0, 1.0)
+
+
+def _clip_multinomial(rng, n, p):
+    cond = _clip_conditionals(p)
+    left = np.array(n, dtype=np.int64)
+    out = np.empty(left.shape + cond.shape[-1:], dtype=np.int64)
+    for j in range(cond.shape[-1] - 1):
+        out[..., j] = rng.binomial(left, cond[..., j])
+        left -= out[..., j]
+    out[..., -1] = left
+    return out
+
+
+def _awkward_rows(rng, shape, width):
+    """Random rows of `width` with zero entries, -1e-17 entries and
+    all-zero rows mixed in."""
+    p = rng.dirichlet(np.ones(width), size=shape)
+    flat = p.reshape(-1, width)
+    flat[::3, 0] = 0.0
+    flat[1::4, -1] = -1e-17
+    flat[2::5] = 0.0
+    flat[3::7, width // 2] = -0.0
+    return flat.reshape(p.shape)
+
+
+@pytest.mark.parametrize("n_shape, p_shape", [
+    ((6,), (4,)),  # initial draw: replications x states
+    ((6, 3), (6, 3, 4)),  # cells: state counts x action rows
+    ((6, 3, 4), (6, 3, 4, 3)),  # next states: cell counts x kernel rows
+])
+def test_multinomial_draws_what_the_clip_formula_drew(n_shape, p_shape):
+    rng = np.random.default_rng(41)
+    for trial in range(20):
+        p = _awkward_rows(rng, p_shape[:-1] or (5,), p_shape[-1])
+        if len(p_shape) == 1:
+            p = p[trial % 5]  # one row of each kind
+        # equal as numbers (a -0.0 and a 0.0 both draw nothing without using the stream)
+        np.testing.assert_array_equal(_conditionals(p), _clip_conditionals(p))
+        n = rng.integers(0, 10**6, size=n_shape)
+        old_rng, new_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+        np.testing.assert_array_equal(_multinomial(new_rng, n, p), _clip_multinomial(old_rng, n, p))
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
 def _check_frequencies(next_counts, exact):
