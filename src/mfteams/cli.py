@@ -2,7 +2,7 @@
 
 Subcommands: solve-n, solve-mf, simulate, gap-table, counterexample, flow.
 Every run that writes files also writes a manifest.json recording the
-resolved arguments, the model hash and the seed; the numeric outputs are
+parsed options, the model hash and the seed; the numeric outputs are
 byte-reproducible from the manifest.  Floats are written with 17
 significant digits.
 
@@ -33,7 +33,6 @@ from .lifted import (
 from .measures import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
-    num_compositions,
     policy_grid,
     rank_compositions,
     round_to_counts,
@@ -64,6 +63,10 @@ def _resolve_model_path(spec):
     raise FileNotFoundError(f"model file {spec!r} not found (bundled: {', '.join(BUNDLED)})")
 
 
+def _populations(spec):
+    return [int(p) for p in spec.split(",")]
+
+
 def _horizon_from_args(args):
     if getattr(args, "horizon", None) is not None:
         return FiniteHorizon(args.horizon)
@@ -88,19 +91,28 @@ def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_manifest(out, command, argv, model_path, params, seed=None):
+# parsed options that the manifest holds outside `params`, or not at all
+_NOT_PARAMS = {"command", "func", "model", "out", "seed"}
+
+
+def _write_manifest(args, argv):
+    """Write the manifest of the run `args` to its --out directory, which
+    is made if missing, and return that directory.  `params` holds every
+    parsed option except those of _NOT_PARAMS."""
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "command": command,
+        "command": args.command,
         "argv": list(argv),
-        "model_path": str(model_path),
-        "model_sha256": _sha256(model_path),
-        "params": params,
-        "seed": seed,
+        "model_path": str(args.model),
+        "model_sha256": _sha256(args.model),
+        "params": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS},
+        "seed": getattr(args, "seed", None),
         "version": __version__,
         "written_at": datetime.now(timezone.utc).isoformat(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    return out
 
 
 def _solved_manifest(directory, command, model_path):
@@ -125,16 +137,11 @@ def _write_csv(path, header, rows):
 
 
 def _cmd_solve_n(args, argv):
-    model = load_model(_resolve_model_path(args.model))
+    model = load_model(args.model)
     mdp = build_measure_mdp(model, args.agents, cap=args.cap)
     sol = solve(mdp, _horizon_from_args(args), args.cap)
     X, U = model.num_states, model.num_actions
-    out = Path(args.out)
-    _write_manifest(
-        out, "solve-n", argv, _resolve_model_path(args.model),
-        {"agents": args.agents, "horizon": getattr(args, "horizon", None),
-         "discount": getattr(args, "discount", None), "eps": args.eps, "cap": args.cap},
-    )
+    out = _write_manifest(args, argv)
     header = (["stage", "ordinal"] + [f"count_{x}" for x in range(X)]
               + ["value", "action_ordinal"])
     rows = []
@@ -163,18 +170,12 @@ def _cmd_solve_n(args, argv):
 
 
 def _cmd_solve_mf(args, argv):
-    model = load_model(_resolve_model_path(args.model))
+    model = load_model(args.model)
     mkv = build_mkv_mdp(model, args.mesh, args.policy_mesh, cap=args.cap)
     sol = solve(mkv, _horizon_from_args(args), args.cap)
     X, U = model.num_states, model.num_actions
     grid = mkv.state_grid
-    out = Path(args.out)
-    _write_manifest(
-        out, "solve-mf", argv, _resolve_model_path(args.model),
-        {"mesh": args.mesh, "policy_mesh": args.policy_mesh,
-         "horizon": getattr(args, "horizon", None),
-         "discount": getattr(args, "discount", None), "eps": args.eps, "cap": args.cap},
-    )
+    out = _write_manifest(args, argv)
     vheader = (["stage", "ordinal"] + [f"mu_{x}" for x in range(X)]
                + ["value", "policy_ordinal"])
     pheader = (["stage", "ordinal"] + [f"mu_{x}" for x in range(X)] + ["state"]
@@ -219,36 +220,35 @@ def _read_mf_policy(path, model, model_path):
     """Rebuild the kernels of a solve-mf policy.csv as policy_kernels gives
     them: one PolicyKernel when stationary, one per stage otherwise.  The
     manifest next to the file must record a solve of the model file at
-    `model_path`."""
-    _solved_manifest(Path(path).parent, "solve-mf", model_path)
+    `model_path`; the kernels live on the grid of the mesh it records."""
+    params = _solved_manifest(Path(path).parent, "solve-mf", model_path)["params"]
     header, stages, stationary = _stage_rows(path)
     num_states, num_actions = model.num_states, model.num_actions
     mu_cols = [i for i, h in enumerate(header) if h.startswith("mu_")]
     if not mu_cols or header[0] != "stage":
         raise ValueError(f"{path} is not a solve-mf policy file")
-    cardinality = len(mu_cols)
-    if cardinality != num_states:
-        raise ValueError(f"policy file has {cardinality} states, model has {num_states}")
+    if len(mu_cols) != num_states:
+        raise ValueError(f"policy file has {len(mu_cols)} states, model has {num_states}")
     state_col = header.index("state")
     pi_cols = [i for i, h in enumerate(header) if h.startswith("pi_")]
     if len(pi_cols) != num_actions:
         raise ValueError(f"policy file has {len(pi_cols)} actions, model has {num_actions}")
-    size = max(int(parts[1]) for rows in stages for parts in rows) + 1
-    mesh = 1
-    while num_compositions(mesh, cardinality) < size:
-        mesh += 1
-    if num_compositions(mesh, cardinality) != size:
-        raise ValueError(f"{size} grid points do not form a full simplex grid")
-    grid = simplex_grid(mesh, cardinality)
+    grid = simplex_grid(params["mesh"], num_states, cap=params["cap"])
     kernels = []
     for rows in stages:
+        if any(len(parts) != len(header) for parts in rows):
+            raise ValueError(f"{path} has a row whose columns do not match its header")
         g = np.array([int(parts[1]) for parts in rows])
         x = np.array([int(parts[state_col]) for parts in rows])
+        for what, v, n in (("grid ordinal", g, len(grid)), ("state", x, num_states)):
+            outside = (v < 0) | (v >= n)
+            if outside.any():
+                raise ValueError(f"{what} {v[outside.argmax()]} in {path} is outside [0, {n})")
         mus = np.array([[float(parts[i]) for i in mu_cols] for parts in rows])
         off = np.abs(mus - grid.points[g]).max(axis=1) > 1e-12
         if off.any():
             raise ValueError(f"grid point {g[off.argmax()]} in {path} is off-grid")
-        table = np.zeros((size, num_states, num_actions))
+        table = np.zeros((len(grid), num_states, num_actions))
         table[g, x] = [[float(parts[i]) for i in pi_cols] for parts in rows]
         kernels.append(PolicyKernel(grid, table))
     return kernels[0] if stationary else kernels
@@ -263,7 +263,7 @@ def _lifted_policy_from_dir(model, model_path, directory, agents):
     params = _solved_manifest(directory, "solve-n", model_path)["params"]
     if params["agents"] != agents:
         raise ValueError(f"policy was solved for N={params['agents']}, requested N={agents}")
-    mdp = build_measure_mdp(model, agents, cap=params.get("cap") or DEFAULT_ENUMERATION_CAP)
+    mdp = build_measure_mdp(model, agents, cap=params["cap"])
     _, stages, stationary = _stage_rows(Path(directory) / "values.csv")
     if any([int(parts[1]) for parts in rows] != list(range(len(mdp))) for rows in stages):
         raise ValueError(f"{directory} does not list the {len(mdp)} measures of N={agents}")
@@ -273,8 +273,7 @@ def _lifted_policy_from_dir(model, model_path, directory, agents):
 
 
 def _cmd_simulate(args, argv):
-    model_path = _resolve_model_path(args.model)
-    model = load_model(model_path)
+    model = load_model(args.model)
     if args.replications < 1:
         raise ValueError("--replications must be >= 1")
     horizon = _horizon_from_args(args)
@@ -282,9 +281,9 @@ def _cmd_simulate(args, argv):
         rows = np.full((model.num_states, model.num_actions), 1.0 / model.num_actions)
         policy = PolicyKernel.constant(rows, simplex_grid(2, model.num_states))
     elif args.policy_file:
-        policy = _read_mf_policy(args.policy_file, model, model_path)
+        policy = _read_mf_policy(args.policy_file, model, args.model)
     else:
-        policy = _lifted_policy_from_dir(model, model_path, args.lifted_dir, args.agents)
+        policy = _lifted_policy_from_dir(model, args.model, args.lifted_dir, args.agents)
     config = SimConfig(
         population=args.agents,
         horizon=horizon,
@@ -294,16 +293,7 @@ def _cmd_simulate(args, argv):
         truncation_error=args.trunc_error,
     )
     report = simulate_n_agents(model, config)
-    out = Path(args.out)
-    _write_manifest(
-        out, "simulate", argv, model_path,
-        {"agents": args.agents, "replications": args.replications,
-         "horizon": getattr(args, "horizon", None),
-         "discount": getattr(args, "discount", None), "trunc_error": args.trunc_error,
-         "policy_file": args.policy_file, "lifted_dir": args.lifted_dir,
-         "uniform_kernel": args.uniform_kernel},
-        seed=args.seed,
-    )
+    out = _write_manifest(args, argv)
     (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     se = "none" if report.std_error is None else _fmt(report.std_error)
     print(f"mean_cost {_fmt(report.mean_cost)}")
@@ -315,20 +305,10 @@ def _cmd_simulate(args, argv):
 
 
 def _cmd_gap_table(args, argv):
-    model = load_model(_resolve_model_path(args.model))
-    populations = [int(p) for p in args.agents.split(",")]
-    if not populations:
-        raise ValueError("--agents must list at least one population size")
-    horizon = _horizon_from_args(args)
-    rows = epsilon_gap(model, populations, horizon, args.mesh, args.policy_mesh,
-                       cap=args.cap)
-    out = Path(args.out)
-    _write_manifest(
-        out, "gap-table", argv, _resolve_model_path(args.model),
-        {"agents": populations, "mesh": args.mesh, "policy_mesh": args.policy_mesh,
-         "horizon": getattr(args, "horizon", None),
-         "discount": getattr(args, "discount", None), "eps": args.eps, "cap": args.cap},
-    )
+    model = load_model(args.model)
+    rows = epsilon_gap(model, args.agents, _horizon_from_args(args), args.mesh,
+                       args.policy_mesh, cap=args.cap)
+    out = _write_manifest(args, argv)
     header = ["N", "J_opt", "J_policy", "eps_N", "status"]
     csv_rows = []
     for r in rows:
@@ -386,15 +366,10 @@ def _cmd_counterexample(args, argv):
 
 
 def _cmd_flow(args, argv):
-    model_path = _resolve_model_path(args.model)
-    model = load_model(model_path)
-    pi = _read_mf_policy(args.policy_file, model, model_path)
+    model = load_model(args.model)
+    pi = _read_mf_policy(args.policy_file, model, args.model)
     traj = flow_trajectory(model, model.initial_dist, pi, args.steps)
-    out = Path(args.out)
-    _write_manifest(
-        out, "flow", argv, model_path,
-        {"steps": args.steps, "policy_file": args.policy_file},
-    )
+    out = _write_manifest(args, argv)
     header = ["t"] + [f"mu_{x}" for x in range(model.num_states)]
     rows = [[str(t)] + [_fmt(v) for v in traj[t]] for t in range(args.steps + 1)]
     _write_csv(out / "trajectory.csv", header, rows)
@@ -414,7 +389,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve-n", help="solve the exact N-agent lifted MDP")
-    p.add_argument("model", help="model JSON path or bundled name")
+    p.add_argument("model", type=_resolve_model_path, help="model JSON path or bundled name")
     p.add_argument("-N", "--agents", type=int, required=True)
     _add_horizon_flags(p)
     _add_solver_flags(p)
@@ -422,7 +397,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_solve_n)
 
     p = sub.add_parser("solve-mf", help="solve the quantized mean-field limit MDP")
-    p.add_argument("model")
+    p.add_argument("model", type=_resolve_model_path)
     _add_horizon_flags(p)
     p.add_argument("--mesh", type=int, default=8)
     p.add_argument("--policy-mesh", type=int, default=8)
@@ -431,7 +406,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_solve_mf)
 
     p = sub.add_parser("simulate", help="Monte Carlo rollouts of the N-agent system")
-    p.add_argument("model")
+    p.add_argument("model", type=_resolve_model_path)
     p.add_argument("-N", "--agents", type=int, required=True)
     _add_horizon_flags(p)
     src = p.add_mutually_exclusive_group(required=True)
@@ -446,8 +421,9 @@ def _build_parser():
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("gap-table", help="optimality gap of the limit policy per N")
-    p.add_argument("model")
-    p.add_argument("--agents", required=True, help="comma-separated population sizes")
+    p.add_argument("model", type=_resolve_model_path)
+    p.add_argument("--agents", type=_populations, required=True,
+                   help="comma-separated population sizes")
     _add_horizon_flags(p)
     p.add_argument("--mesh", type=int, default=8)
     p.add_argument("--policy-mesh", type=int, default=8)
@@ -462,7 +438,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("flow", help="deterministic limit flow under a saved policy")
-    p.add_argument("model")
+    p.add_argument("model", type=_resolve_model_path)
     p.add_argument("--policy-file", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -473,9 +449,8 @@ def _build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)  # a missing model file raises here
         return args.func(args, argv)
     except (OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -26,6 +26,7 @@ limit problems alike and returns one `Solution` record.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -212,6 +213,16 @@ class _Convolver:
         out = np.bincount((self._tables[a, b] + offset).ravel(), w.ravel(),
                           minlength=offset.size * size)
         return out.reshape(lead + (size,))
+
+    def fold(self, factors):
+        """Law of the sum of independent count vectors given as (laws,
+        total) pairs, convolved left to right with their leading axes
+        broadcast; pairs of total 0 are skipped and one must be positive."""
+        (law, total), *rest = [(f, n) for f, n in factors if n]
+        for f, n in rest:
+            law = self.convolve(law, total, f, n)
+            total += n
+        return law
 
 
 def _backup(mdp, values, beta):
@@ -448,19 +459,22 @@ def _lifted_rows(conv, splits, counts, tens, cmat):
     The agents of a state move independently of the others, so each
     state's split has one factor, the law of those agents' next counts,
     and a joint action's row is the convolution of its states' factors.
+    State x's factors lie on leading axis x, so the fold crosses the splits
+    of every state, state 0 slowest, as enumerate_joint_actions does.
     """
+    X = len(counts)
     per_state = [splits[n] for n in counts]
-    pick = np.indices([len(s) for s in per_state]).reshape(len(counts), -1)
+    pick = np.indices([len(s) for s in per_state]).reshape(X, -1)
     theta = np.stack([s[p] for s, p in zip(per_state, pick)], axis=1)  # (A, X, U)
     cost = (cmat * (theta / sum(counts))).reshape(len(theta), -1).sum(axis=1)
-    rows, total = np.ones((1, 1)), 0
+    factors = []
     for x, n in enumerate(counts):
         if n:
-            factors = _split_factors(conv, tens[x], splits[n], n)
-            rows = conv.convolve(rows[:, None], total, factors[None], n)
-            rows = rows.reshape(-1, rows.shape[-1])
-            total += n
-    return cost, rows
+            f = _split_factors(conv, tens[x], splits[n], n)
+            lead = [1] * X
+            lead[x] = len(f)
+            factors.append((f.reshape(*lead, -1), n))
+    return cost, conv.fold(factors).reshape(len(theta), -1)
 
 
 def _split_factors(conv, laws, splits, n):
@@ -468,15 +482,8 @@ def _split_factors(conv, laws, splits, n):
     compositions(n, X), for each row of `splits`: the convolution over
     actions u of Multinomial(split[u], laws[u])."""
     pmfs = [conv.multinomial(laws, m) for m in range(n + 1)]  # pmfs[m][u]
-    out = np.empty((len(splits), len(pmfs[n][0])))
-    for i, split in enumerate(splits.tolist()):
-        f, total = pmfs[0][0], 0
-        for u, m in enumerate(split):
-            if m:
-                f = conv.convolve(f, total, pmfs[m][u], m)
-                total += m
-        out[i] = f
-    return out
+    return np.array([conv.fold((pmfs[m][u], m) for u, m in enumerate(split))
+                     for split in splits.tolist()])
 
 
 def bellman_backup(mdp, values, beta=None):
@@ -521,27 +528,6 @@ def realize_exchangeable_action(states, theta, rng):
     return out
 
 
-def _group_assignments(row):
-    """Distinct ordered action assignments for one state's agents."""
-    total = sum(row)
-    remaining = list(row)
-    prefix = []
-
-    def rec():
-        if len(prefix) == total:
-            yield tuple(prefix)
-            return
-        for u, r in enumerate(remaining):
-            if r:
-                remaining[u] -= 1
-                prefix.append(u)
-                yield from rec()
-                prefix.pop()
-                remaining[u] += 1
-
-    yield from rec()
-
-
 def exact_action_distribution(states, theta, max_population=8):
     """Uniform distribution over all action vectors consistent with theta,
     as a dict from action tuples to probabilities.  Test-scale only."""
@@ -552,27 +538,21 @@ def exact_action_distribution(states, theta, max_population=8):
     counts = np.bincount(states, minlength=len(theta.counts))
     if tuple(int(c) for c in counts) != theta.state_marginal().counts:
         raise MarginalMismatchError("state histogram does not match theta marginal")
-    groups = []
+    agents, orderings = [], []  # per occupied state: its holders, their distinct action orders
     prob = 1.0
     for x, row in enumerate(theta.counts):
-        holders = np.flatnonzero(states == x)
-        if holders.size:
-            assigns = list(_group_assignments(row))
-            groups.append((holders, assigns))
-            prob /= len(assigns)
+        holders = np.flatnonzero(states == x).tolist()
+        if holders:
+            actions = [u for u, c in enumerate(row) for _ in range(c)]
+            agents.append(holders)
+            orderings.append(sorted(set(itertools.permutations(actions))))
+            prob /= len(orderings[-1])
     dist = {}
-
-    def rec(g, current):
-        if g == len(groups):
-            dist[tuple(current)] = prob
-            return
-        holders, assigns = groups[g]
-        for assign in assigns:
-            for pos, u in zip(holders, assign):
-                current[pos] = u
-            rec(g + 1, current)
-
-    rec(0, [0] * n)
+    for assigns in itertools.product(*orderings):
+        current = [0] * n
+        for pos, u in zip(itertools.chain(*agents), itertools.chain(*assigns)):
+            current[pos] = u
+        dist[tuple(current)] = prob
     return dist
 
 
@@ -680,13 +660,9 @@ def _kernel_stage_data(model, states, kernels_fn, cap=DEFAULT_ENUMERATION_CAP):
                 states, model.kernel_tensor_at(mus), model.cost_matrix_at(mus), kernels):
             # the rank tables of one measure's totals serve no other measure
             conv = _Convolver(model.num_states)
-            cost, rows, total = 0, np.ones((len(ks), 1)), 0
-            for x, n in enumerate(state.counts):
-                if n:
-                    cost = cost + (n / pop) * (ks[:, x] @ cmat[x])
-                    rows = conv.convolve(rows, total, conv.multinomial(ks[:, x] @ tens[x], n), n)
-                    total += n
-            yield cost, rows
+            occupied = [(x, n) for x, n in enumerate(state.counts) if n]
+            yield (sum((n / pop) * (ks[:, x] @ cmat[x]) for x, n in occupied),
+                   conv.fold((conv.multinomial(ks[:, x] @ tens[x], n), n) for x, n in occupied))
 
     return _pack(blocks(), bound)
 

@@ -87,6 +87,8 @@ def flow_trajectory(model, mu0, pi, steps):
     renormalized: rows carrying mass affine in sum(mu) would otherwise
     amplify a roundoff mass excess geometrically over long horizons.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     kernels = _per_stage(pi, steps)
     mu = np.asarray(mu0, dtype=float)
     out = np.empty((steps + 1, mu.size))

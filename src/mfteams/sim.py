@@ -60,6 +60,9 @@ class SimConfig:
             raise ValueError(f"population {self.population} exceeds the int64 range")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if not 0 < self.truncation_error < math.inf:
+            raise ValueError(
+                f"truncation_error must be finite and > 0, got {self.truncation_error}")
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,48 @@ def test_simulate_refuses_a_nan_policy_row(capsys, tmp_path):
     assert "kernel row (grid 0, state 0) has non-finite entry nan at index 0" in err
 
 
+def _first_row(edit):
+    """An edit of a policy file's rows, each a field list (stage, g, mu_0,
+    mu_1, x, pi_0, pi_1), that applies `edit` to the first row only."""
+    return lambda rows: [edit(rows[0])] + rows[1:]
+
+
+# a decoupled mesh-4 policy has grid ordinals 0..4 and states 0..1
+MALFORMED_POLICY_ROWS = {
+    "state 7": (_first_row(lambda p: p[:4] + ["7"] + p[5:]), "state 7 in "),
+    "state 2": (_first_row(lambda p: p[:4] + ["2"] + p[5:]), "state 2 in "),
+    "state -1": (lambda rows: [p[:4] + ["-1"] + p[5:] if p[4] == "1" else p for p in rows],
+                 "state -1 in "),
+    "cut row": (_first_row(lambda p: p[:-1]), "has a row whose columns do not match its header"),
+    "grid ordinal 5": (_first_row(lambda p: p[:1] + ["5"] + p[2:]), "grid ordinal 5 in "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_POLICY_ROWS))
+def test_malformed_policy_row_exits_2(capsys, tmp_path, case):
+    mf_out = tmp_path / "mf"
+    code, _, _ = run(capsys, "solve-mf", "decoupled", "--discount", "0.9",
+                     "--mesh", "4", "--policy-mesh", "2", "--out", str(mf_out))
+    assert code == 0
+    policy = mf_out / "policy.csv"
+    header, *lines = policy.read_text().splitlines()
+    edit, message = MALFORMED_POLICY_ROWS[case]
+    rows = edit([line.split(",") for line in lines])
+    policy.write_text("\n".join([header] + [",".join(parts) for parts in rows]) + "\n")
+    code, _, err = run(capsys, "flow", "decoupled", "--policy-file", str(policy),
+                       "--steps", "2", "--out", str(tmp_path / "flow"))
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+
+
+def test_flow_refuses_negative_steps(capsys, tmp_path):
+    policy = solve_mf_counterexample(capsys, tmp_path / "mf")
+    code, _, err = run(capsys, "flow", "counterexample", "--policy-file", str(policy),
+                       "--steps", "-1", "--out", str(tmp_path / "flow"))
+    assert code == 2
+    assert err == "error: steps must be >= 0, got -1\n"
+
+
 def test_solve_mf_staged_policy_then_flow(capsys, tmp_path):
     mf_out = tmp_path / "mf"
     code, _, _ = run(capsys, "solve-mf", "counterexample", "--horizon", "2",
@@ -328,6 +370,19 @@ def test_simulate_population_beyond_int64_exits_2(capsys, tmp_path):
     assert "int64" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_simulate_refuses_a_bad_truncation_error(capsys, tmp_path, value):
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "simulate", "weakly_coupled", "-N", "4", "--discount", "0.9",
+        "--uniform-kernel", "--replications", "10", "--seed", "1",
+        f"--trunc-error={value}", "--out", str(tmp_path / "o"),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err == f"error: truncation_error must be finite and > 0, got {float(value)}\n"
+
+
 def test_simulate_has_no_eps_option(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "weakly_coupled", "-N", "4", "--discount", "0.9",
@@ -431,6 +486,38 @@ def test_gap_table_counterexample(capsys, tmp_path):
     assert fields[0] == "2"
     assert float(fields[3]) == pytest.approx(0.25, abs=1e-9)
     assert "eps=0.25" in text
+
+
+def test_manifest_params_are_the_parsed_options(capsys, tmp_path):
+    solve_opts = {"horizon", "discount", "eps", "cap"}
+    expected = {
+        "solve-n": {"agents"} | solve_opts,
+        "solve-mf": {"mesh", "policy_mesh"} | solve_opts,
+        "simulate": {"agents", "replications", "horizon", "discount", "trunc_error",
+                     "policy_file", "lifted_dir", "uniform_kernel"},
+        "gap-table": {"agents", "mesh", "policy_mesh"} | solve_opts,
+        "flow": {"steps", "policy_file"},
+    }
+    policy = solve_mf_counterexample(capsys, tmp_path / "solve-mf")
+    runs = {
+        "solve-n": ["-N", "2", "--horizon", "2"],
+        "simulate": ["-N", "2", "--horizon", "2", "--policy-file", str(policy),
+                     "--replications", "4", "--seed", "3"],
+        "gap-table": ["--agents", "2,3", "--horizon", "2", "--mesh", "2", "--policy-mesh", "2"],
+        "flow": ["--policy-file", str(policy), "--steps", "2"],
+    }
+    for command, flags in runs.items():
+        code, _, _ = run(capsys, command, "counterexample", *flags,
+                         "--out", str(tmp_path / command))
+        assert code == 0
+    for command, keys in expected.items():
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert set(manifest["params"]) == keys
+        assert manifest["model_path"] == str(Path(bundled_path("counterexample")))
+        assert manifest["seed"] == (3 if command == "simulate" else None)
+    gap = json.loads((tmp_path / "gap-table" / "manifest.json").read_text())
+    assert gap["params"]["agents"] == [2, 3]
 
 
 # ---- parser-level behavior ----
