@@ -13,6 +13,7 @@ non-convergence failure, 3 self-test failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -133,6 +134,81 @@ def _write_csv(path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _headers(command, model):
+    """The (values.csv, policy.csv) headers a `command` run writes for `model`."""
+    states, actions = range(model.num_states), range(model.num_actions)
+    if command == "solve-n":
+        cells, choice = [f"count_{x}" for x in states], "action_ordinal"
+        policy = [choice] + [f"theta_{x}_{u}" for x in states for u in actions]
+    else:
+        cells, choice = [f"mu_{x}" for x in states], "policy_ordinal"
+        policy = cells + ["state"] + [f"pi_{u}" for u in actions]
+    return ["stage", "ordinal"] + cells + ["value", choice], ["stage", "ordinal"] + policy
+
+
+def _write_solution(args, argv, sol, points, policy_rows):
+    """Write the manifest, values.csv and policy.csv of the solve-n or
+    solve-mf run `args`.  Ordinal i of stage `stationary` or 0..T-1 has the
+    values.csv row (stage, i, cells, value, choice) with cells points[i], and
+    a policy.csv row (stage, i, row) per row of policy_rows(i, cells, choice)."""
+    out = _write_manifest(args, argv)
+    vheader, pheader = _headers(args.command, sol.problem.model)
+    cells = [[_fmt(v) for v in point] for point in points]
+    labels = ["stationary"] if sol.stationary else range(len(sol.values))
+    vrows, prows = [], []
+    for stage, values, choices in zip(labels, sol.values, sol.choices):
+        for i, (point, value, choice) in enumerate(zip(cells, values, choices.tolist())):
+            vrows.append([str(stage), str(i)] + point + [_fmt(value), str(choice)])
+            prows.extend([str(stage), str(i)] + row for row in policy_rows(i, point, choice))
+    _write_csv(out / "values.csv", vheader, vrows)
+    _write_csv(out / "policy.csv", pheader, prows)
+
+
+def _checked_stages(path, header, keys, points, tol=1e-12, choices=None):
+    """The rows of a file that _write_solution wrote, as numbers, one array
+    per stage indexed by key, and whether its one stage is stationary.  The
+    file has exactly `header`, rows of its length, and stages `stationary`
+    alone or 0..T-1.  Each key column (column, name, n), the ordinal of
+    column 1 first, holds an integer in [0, n), and each key has one row per
+    stage.  The cells after the ordinal equal points[ordinal] within `tol`,
+    and with `choices`, the last column is an integer in [0, choices[ordinal])."""
+
+    def check_range(what, values, bounds):  # refuse the first value not an integer in [0, bound)
+        bad = np.flatnonzero((values < 0) | (values >= bounds) | (np.floor(values) != values))[:1]
+        if bad.size:
+            raise ValueError(f"{what} {_fmt(values[bad[0]])} in {path} is not one of "
+                             f"0..{bounds[bad[0]] - 1}")
+
+    rows = [line.split(",") for line in Path(path).read_text().strip().splitlines()]
+    if rows[:1] != [header]:
+        raise ValueError(f"{path} does not start with the header {','.join(header)}")
+    if any(len(parts) != len(header) for parts in rows):
+        raise ValueError(f"{path} has a row whose columns do not match its header")
+    labels = {parts[0] for parts in rows[1:]}
+    stationary = labels == {"stationary"}
+    if not stationary and labels != set(map(str, range(len(labels)))):
+        raise ValueError(f"{path} does not number its stages from 0")
+    table = np.array([["0" if stationary else parts[0]] + parts[1:] for parts in rows[1:]],
+                     dtype=float).reshape(-1, len(header))
+    keys = [(0, "stationary stage" if stationary else "stage", len(labels))] + keys
+    for col, name, n in keys:
+        check_range(name, table[:, col], np.full(len(table), n))
+    key = table[:, [col for col, _, _ in keys]].T.astype(np.int64)
+    shape = tuple(n for _, _, n in keys)
+    flat = np.ravel_multi_index(key, shape)
+    seen = np.bincount(flat, minlength=np.prod(shape))
+    if (seen != 1).any():
+        k = np.unravel_index((seen != 1).argmax(), shape)
+        named = " and ".join(f"{name} {v}" for (_, name, _), v in zip(keys, k))
+        raise ValueError(f"{path} has {seen[seen != 1][0]} rows, not one, for {named}")
+    off = ~(np.abs(table[:, 2 : 2 + points.shape[1]] - points[key[1]]) <= tol).all(1)
+    if off.any():
+        raise ValueError(f"line {off.argmax() + 2} of {path} does not hold its ordinal's cells")
+    if choices is not None:
+        check_range(header[-1], table[:, -1], np.asarray(choices)[key[1]])
+    return table[np.argsort(flat)].reshape(shape + (len(header),)), stationary
+
+
 # ---- solve-n ----
 
 
@@ -140,25 +216,8 @@ def _cmd_solve_n(args, argv):
     model = load_model(args.model)
     mdp = build_measure_mdp(model, args.agents, cap=args.cap)
     sol = solve(mdp, _horizon_from_args(args), args.cap)
-    X, U = model.num_states, model.num_actions
-    out = _write_manifest(args, argv)
-    header = (["stage", "ordinal"] + [f"count_{x}" for x in range(X)]
-              + ["value", "action_ordinal"])
-    rows = []
-    prows = []
-    pheader = (["stage", "ordinal", "action_ordinal"]
-               + [f"theta_{x}_{u}" for x in range(X) for u in range(U)])
-    labels = ["stationary"] if sol.stationary else range(len(sol.values))
-    for stage, stage_values, stage_actions in zip(labels, sol.values, sol.choices):
-        for i, state in enumerate(mdp.states):
-            a = int(stage_actions[i])
-            rows.append([str(stage), str(i)] + [str(c) for c in state.counts]
-                        + [_fmt(stage_values[i]), str(a)])
-            theta = mdp.actions[i][a]
-            prows.append([str(stage), str(i), str(a)]
-                         + [str(c) for row in theta.counts for c in row])
-    _write_csv(out / "values.csv", header, rows)
-    _write_csv(out / "policy.csv", pheader, prows)
+    _write_solution(args, argv, sol, [state.counts for state in mdp.states], lambda i, _, a: [
+        [str(a)] + [str(c) for row in mdp.actions[i][a].counts for c in row]])
     counts0 = round_to_counts(model.initial_dist, args.agents)
     i0 = rank_compositions(counts0)
     print(f"mu0_counts {counts0}")
@@ -173,47 +232,14 @@ def _cmd_solve_mf(args, argv):
     model = load_model(args.model)
     mkv = build_mkv_mdp(model, args.mesh, args.policy_mesh, cap=args.cap)
     sol = solve(mkv, _horizon_from_args(args), args.cap)
-    X, U = model.num_states, model.num_actions
-    grid = mkv.state_grid
-    out = _write_manifest(args, argv)
-    vheader = (["stage", "ordinal"] + [f"mu_{x}" for x in range(X)]
-               + ["value", "policy_ordinal"])
-    pheader = (["stage", "ordinal"] + [f"mu_{x}" for x in range(X)] + ["state"]
-               + [f"pi_{u}" for u in range(U)])
-    vrows, prows = [], []
-    labels = ["stationary"] if sol.stationary else range(len(sol.values))
-    points = [[str(g)] + [_fmt(v) for v in mu] for g, mu in enumerate(grid.points)]
-    kernel_rows = {}  # the formatted (state, action law) rows of each chosen kernel
-    for stage, stage_values, stage_choices in zip(labels, sol.values, sol.choices):
-        for point, value, choice in zip(points, stage_values, stage_choices.tolist()):
-            vrows.append([str(stage)] + point + [_fmt(value), str(choice)])
-            if choice not in kernel_rows:
-                kernel_rows[choice] = [[str(x)] + [_fmt(p) for p in row]
-                                       for x, row in enumerate(mkv.policy_set.kernel(choice))]
-            prows.extend([str(stage)] + point + row for row in kernel_rows[choice])
-    _write_csv(out / "values.csv", vheader, vrows)
-    _write_csv(out / "policy.csv", pheader, prows)
-    g0 = grid.project(model.initial_dist)
+    kernel_rows = functools.cache(lambda choice: [  # a chosen kernel's (state, action law) rows
+        [str(x)] + [_fmt(p) for p in row] for x, row in enumerate(mkv.policy_set.kernel(choice))])
+    _write_solution(args, argv, sol, mkv.state_grid.points,
+                    lambda g, mu, choice: [mu + row for row in kernel_rows(choice)])
+    g0 = mkv.state_grid.project(model.initial_dist)
     print(f"mu0_ordinal {g0}")
     print(f"value {_fmt(sol.values[0][g0])}")
     return 0
-
-
-def _stage_rows(path):
-    """(header, the rows of each stage, stationary) of a stage-labelled
-    CSV file written by solve-n or solve-mf."""
-    header, *lines = Path(path).read_text().strip().splitlines()
-    stages = {}
-    for line in lines:
-        parts = line.split(",")
-        stages.setdefault(parts[0], []).append(parts)
-    if "stationary" in stages:
-        if len(stages) != 1:
-            raise ValueError("mixed stationary and staged policy rows")
-        return header.split(","), [stages["stationary"]], True
-    if set(stages) != set(map(str, range(len(stages)))):
-        raise ValueError(f"{path} does not number its stages from 0")
-    return header.split(","), [stages[str(t)] for t in range(len(stages))], False
 
 
 def _read_mf_policy(path, model, model_path):
@@ -222,35 +248,11 @@ def _read_mf_policy(path, model, model_path):
     manifest next to the file must record a solve of the model file at
     `model_path`; the kernels live on the grid of the mesh it records."""
     params = _solved_manifest(Path(path).parent, "solve-mf", model_path)["params"]
-    header, stages, stationary = _stage_rows(path)
-    num_states, num_actions = model.num_states, model.num_actions
-    mu_cols = [i for i, h in enumerate(header) if h.startswith("mu_")]
-    if not mu_cols or header[0] != "stage":
-        raise ValueError(f"{path} is not a solve-mf policy file")
-    if len(mu_cols) != num_states:
-        raise ValueError(f"policy file has {len(mu_cols)} states, model has {num_states}")
-    state_col = header.index("state")
-    pi_cols = [i for i, h in enumerate(header) if h.startswith("pi_")]
-    if len(pi_cols) != num_actions:
-        raise ValueError(f"policy file has {len(pi_cols)} actions, model has {num_actions}")
-    grid = simplex_grid(params["mesh"], num_states, cap=params["cap"])
-    kernels = []
-    for rows in stages:
-        if any(len(parts) != len(header) for parts in rows):
-            raise ValueError(f"{path} has a row whose columns do not match its header")
-        g = np.array([int(parts[1]) for parts in rows])
-        x = np.array([int(parts[state_col]) for parts in rows])
-        for what, v, n in (("grid ordinal", g, len(grid)), ("state", x, num_states)):
-            outside = (v < 0) | (v >= n)
-            if outside.any():
-                raise ValueError(f"{what} {v[outside.argmax()]} in {path} is outside [0, {n})")
-        mus = np.array([[float(parts[i]) for i in mu_cols] for parts in rows])
-        off = np.abs(mus - grid.points[g]).max(axis=1) > 1e-12
-        if off.any():
-            raise ValueError(f"grid point {g[off.argmax()]} in {path} is off-grid")
-        table = np.zeros((len(grid), num_states, num_actions))
-        table[g, x] = [[float(parts[i]) for i in pi_cols] for parts in rows]
-        kernels.append(PolicyKernel(grid, table))
+    X = model.num_states
+    grid = simplex_grid(params["mesh"], X, cap=params["cap"])
+    keys = [(1, "grid ordinal", len(grid)), (2 + X, "state", X)]
+    stages, stationary = _checked_stages(path, _headers("solve-mf", model)[1], keys, grid.points)
+    kernels = [PolicyKernel(grid, rows[..., 3 + X:]) for rows in stages]
     return kernels[0] if stationary else kernels
 
 
@@ -264,18 +266,15 @@ def _lifted_policy_from_dir(model, model_path, directory, agents):
     if params["agents"] != agents:
         raise ValueError(f"policy was solved for N={params['agents']}, requested N={agents}")
     mdp = build_measure_mdp(model, agents, cap=params["cap"])
-    _, stages, stationary = _stage_rows(Path(directory) / "values.csv")
-    if any([int(parts[1]) for parts in rows] != list(range(len(mdp))) for rows in stages):
-        raise ValueError(f"{directory} does not list the {len(mdp)} measures of N={agents}")
-    values = tuple(np.array([float(parts[-2]) for parts in rows]) for rows in stages)
-    choices = tuple(np.array([int(parts[-1]) for parts in rows]) for rows in stages)
-    return Solution(mdp, values, choices, stationary)
+    stages, stationary = _checked_stages(
+        Path(directory) / "values.csv", _headers("solve-n", model)[0], [(1, "ordinal", len(mdp))],
+        np.array([state.counts for state in mdp.states]), 0, [len(a) for a in mdp.actions])
+    values, choices = stages[..., -2], stages[..., -1].astype(np.int64)
+    return Solution(mdp, tuple(values), tuple(choices), stationary)
 
 
 def _cmd_simulate(args, argv):
     model = load_model(args.model)
-    if args.replications < 1:
-        raise ValueError("--replications must be >= 1")
     horizon = _horizon_from_args(args)
     if args.uniform_kernel:
         rows = np.full((model.num_states, model.num_actions), 1.0 / model.num_actions)

@@ -1,13 +1,25 @@
 import json
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mfteams import save_model
-from mfteams.cli import main
+from mfteams import (
+    DiscountedHorizon,
+    FiniteHorizon,
+    build_measure_mdp,
+    build_mkv_mdp,
+    load_model,
+    policy_kernels,
+    save_model,
+    solve,
+)
+from mfteams.cli import _lifted_policy_from_dir, _read_mf_policy, main
 from mfteams.models import bundled_path
 
 from conftest import make_random_model
@@ -180,10 +192,18 @@ def _first_row(edit):
 MALFORMED_POLICY_ROWS = {
     "state 7": (_first_row(lambda p: p[:4] + ["7"] + p[5:]), "state 7 in "),
     "state 2": (_first_row(lambda p: p[:4] + ["2"] + p[5:]), "state 2 in "),
+    "state 0.5": (_first_row(lambda p: p[:4] + ["0.5"] + p[5:]), "state 0.5 in "),
     "state -1": (lambda rows: [p[:4] + ["-1"] + p[5:] if p[4] == "1" else p for p in rows],
                  "state -1 in "),
     "cut row": (_first_row(lambda p: p[:-1]), "has a row whose columns do not match its header"),
     "grid ordinal 5": (_first_row(lambda p: p[:1] + ["5"] + p[2:]), "grid ordinal 5 in "),
+    # the first row again, with its action law (1, 0) turned into (0, 1)
+    "repeated row": (lambda rows: rows + [rows[0][:-2] + ["0", "1"]],
+                     "has 2 rows, not one, for stationary stage 0 and grid ordinal 0 and state 0"),
+    "missing row": (lambda rows: rows[1:],
+                    "has 0 rows, not one, for stationary stage 0 and grid ordinal 0 and state 0"),
+    "off-grid cells": (_first_row(lambda p: p[:2] + ["0.5"] + p[3:]),
+                       "line 2 of "),
 }
 
 
@@ -202,6 +222,119 @@ def test_malformed_policy_row_exits_2(capsys, tmp_path, case):
                        "--steps", "2", "--out", str(tmp_path / "flow"))
     assert code == 2
     assert err.startswith("error: ") and message in err
+
+
+# a counterexample N=2 values.csv row is (stage, ordinal, count_0, count_1, value,
+# action_ordinal); ordinal 0 holds the counts (2, 0) and has 3 joint actions
+MALFORMED_VALUES_ROWS = {
+    "action_ordinal 99": (_first_row(lambda p: p[:-1] + ["99"]),
+                          "action_ordinal 99 in "),
+    "action_ordinal -1": (_first_row(lambda p: p[:-1] + ["-1"]),
+                          "action_ordinal -1 in "),
+    "cut row": (_first_row(lambda p: p[:-1]), "has a row whose columns do not match its header"),
+    "repeated ordinal": (_first_row(lambda p: p[:1] + ["1"] + p[2:]),
+                         "has 0 rows, not one, for stage 0 and ordinal 0"),
+    "other counts": (_first_row(lambda p: p[:2] + ["1", "1"] + p[4:]), "line 2 of "),
+    "stage 2": (lambda rows: [p if p[0] == "0" else ["2"] + p[1:] for p in rows],
+                "does not number its stages from 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_VALUES_ROWS))
+def test_malformed_lifted_values_row_exits_2(capsys, tmp_path, case):
+    solve_out = tmp_path / "solve"
+    code, _, _ = run(capsys, "solve-n", "counterexample", "-N", "2", "--horizon", "2",
+                     "--out", str(solve_out))
+    assert code == 0
+    values = solve_out / "values.csv"
+    header, *lines = values.read_text().splitlines()
+    edit, message = MALFORMED_VALUES_ROWS[case]
+    rows = edit([line.split(",") for line in lines])
+    values.write_text("\n".join([header] + [",".join(parts) for parts in rows]) + "\n")
+    code, _, err = run(capsys, "simulate", "counterexample", "-N", "2", "--horizon", "2",
+                       "--lifted-dir", str(solve_out), "--replications", "10", "--seed", "1",
+                       "--out", str(tmp_path / "sim"))
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+
+
+# a header that names one column differently, and the run that reads the file
+OTHER_HEADERS = {
+    "solve-n": (["solve-n", "-N", "2", "--horizon", "2"], "values.csv", "action_ordinal", "action",
+                ["simulate", "-N", "2", "--horizon", "2", "--replications", "10", "--seed", "1",
+                 "--lifted-dir"]),
+    "solve-mf": (["solve-mf", "--discount", "0.9", "--mesh", "2", "--policy-mesh", "2"],
+                 "policy.csv", "pi_1", "pi_2", ["flow", "--steps", "2", "--policy-file"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OTHER_HEADERS))
+def test_saved_solution_with_another_header_exits_2(capsys, tmp_path, command):
+    solve_argv, name, column, renamed, read_argv = OTHER_HEADERS[command]
+    saved = tmp_path / "saved"
+    code, _, _ = run(capsys, solve_argv[0], "counterexample", *solve_argv[1:], "--out", str(saved))
+    assert code == 0
+    header, rest = (saved / name).read_text().split("\n", 1)
+    (saved / name).write_text(header.replace(column, renamed) + "\n" + rest)
+    source = saved if name == "values.csv" else saved / name
+    code, _, err = run(capsys, read_argv[0], "counterexample", *read_argv[1:], str(source),
+                       "--out", str(tmp_path / "read"))
+    assert code == 2
+    assert err == f"error: {saved / name} does not start with the header {header}\n"
+
+
+@pytest.mark.parametrize("command", sorted(OTHER_HEADERS))
+def test_saved_solution_rows_in_reverse_order_read_the_same(capsys, tmp_path, command):
+    solve_argv, name, _, _, read_argv = OTHER_HEADERS[command]
+    saved = tmp_path / "saved"
+    code, _, _ = run(capsys, solve_argv[0], "counterexample", *solve_argv[1:], "--out", str(saved))
+    assert code == 0
+    source = saved if name == "values.csv" else saved / name
+    outputs = []
+    for reverse in (False, True):
+        if reverse:
+            header, *lines = (saved / name).read_text().splitlines()
+            (saved / name).write_text("\n".join([header] + lines[::-1]) + "\n")
+        code, out, _ = run(capsys, read_argv[0], "counterexample", *read_argv[1:], str(source),
+                           "--out", str(tmp_path / f"read{reverse}"))
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_states=st.sampled_from([2, 3]),
+       num_actions=st.sampled_from([2, 3]), agents=st.integers(1, 4), mesh=st.integers(1, 4),
+       policy_mesh=st.integers(1, 4), horizon=st.sampled_from(["1", "3", "0.5", "0.9"]))
+def test_saved_solutions_read_back_as_solved(seed, num_states, num_actions, agents, mesh,
+                                             policy_mesh, horizon):
+    # 17 significant digits round-trip every float, so values and kernels come back bit-equal
+    discounted = "." in horizon
+    flag = "--discount" if discounted else "--horizon"
+    objective = DiscountedHorizon(float(horizon)) if discounted else FiniteHorizon(int(horizon))
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(make_random_model(rng, num_states, num_actions, coupled=True), path)
+        model = load_model(path)
+        assert main(["solve-n", str(path), "-N", str(agents), flag, horizon,
+                     "--out", f"{tmp}/n"]) == 0
+        lifted = solve(build_measure_mdp(model, agents), objective)
+        read = _lifted_policy_from_dir(model, path, f"{tmp}/n", agents)
+        assert read.stationary == lifted.stationary
+        assert len(read.choices) == len(lifted.choices)
+        for got, want in zip(read.choices + read.values, lifted.choices + lifted.values):
+            assert np.array_equal(got, want)
+        assert main(["solve-mf", str(path), "--mesh", str(mesh), "--policy-mesh", str(policy_mesh),
+                     flag, horizon, "--out", f"{tmp}/mf"]) == 0
+        limit = policy_kernels(solve(build_mkv_mdp(model, mesh, policy_mesh), objective))
+        kernels = _read_mf_policy(f"{tmp}/mf/policy.csv", model, path)
+        if lifted.stationary:
+            kernels, limit = [kernels], [limit]
+        assert len(kernels) == len(limit)
+        for got, want in zip(kernels, limit):
+            assert np.array_equal(got.grid.points, want.grid.points)
+            assert np.array_equal(got.table, want.table)
 
 
 def test_flow_refuses_negative_steps(capsys, tmp_path):
