@@ -188,8 +188,18 @@ def _checked_stages(path, header, keys, points, tol=1e-12, choices=None):
     stationary = labels == {"stationary"}
     if not stationary and labels != set(map(str, range(len(labels)))):
         raise ValueError(f"{path} does not number its stages from 0")
-    table = np.array([["0" if stationary else parts[0]] + parts[1:] for parts in rows[1:]],
-                     dtype=float).reshape(-1, len(header))
+    cells = [["0" if stationary else parts[0]] + parts[1:] for parts in rows[1:]]
+    try:
+        table = np.array(cells, dtype=float).reshape(-1, len(header))
+    except ValueError:  # name the first cell that is not a number
+        for line, parts in enumerate(cells, 2):
+            for col, (name, cell) in enumerate(zip(header, parts), 1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(f"{path}, line {line}, column {col} ({name}) holds "
+                                     f"{cell!r}, not a number") from None
+        raise
     keys = [(0, "stationary stage" if stationary else "stage", len(labels))] + keys
     for col, name, n in keys:
         check_range(name, table[:, col], np.full(len(table), n))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -47,6 +47,24 @@ def compositions(total, parts):
     for first in range(total, -1, -1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def composition_array(total, parts):
+    """The count vectors of `compositions(total, parts)` as an int64 array,
+    one per row in the same order, so row i has rank i.
+
+    Stars and bars: a vector is the gaps between parts - 1 bars among
+    total + parts - 1 slots, and bar positions in increasing lexicographic
+    order give the vectors in increasing lexicographic order.
+    """
+    if parts < 1:
+        raise ValueError("parts must be >= 1")
+    slots = total + parts - 1
+    size = num_compositions(total, parts)
+    bars = np.fromiter(chain.from_iterable(combinations(range(slots), parts - 1)),
+                       dtype=np.int64, count=size * (parts - 1)).reshape(size, parts - 1)
+    edges = np.hstack([np.full((size, 1), -1), bars[::-1], np.full((size, 1), slots)])
+    return np.diff(edges, axis=1) - 1
 
 
 def rank_compositions(counts):

@@ -8,6 +8,14 @@ exact optimality-gap table for limit-derived policies.  Rollouts run on
 the count chain: per step, (state, action) cell counts per state, then
 next-state counts per cell, for all replications at once and at a cost
 independent of the population size.
+
+What a step reads of the current measure (the stage costs, the next-state
+conditionals and where the policy's action rows sit) depends on the
+measure alone.  When a population's measures number at most replications
+times steps, and their laws fit under DEFAULT_ENUMERATION_CAP entries, a
+rollout computes them once per measure and gathers each step's rows by
+rank; otherwise it computes them for each step's measures.  The numbers
+are the same either way.
 """
 
 from __future__ import annotations
@@ -33,10 +41,15 @@ from .lifted import (
 from .measures import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
+    composition_array,
+    num_compositions,
     rank_compositions,
     round_to_counts,
 )
 from .mkv import build_mkv_mdp, flow_trajectory
+
+
+_MAX_TRUNCATION_STEPS = 100_000  # longest discounted rollout simulate_n_agents runs
 
 
 def _stream(seed, *key):
@@ -113,12 +126,32 @@ def _binomial_chain(rng, n, cond):
     return out
 
 
-def _cell_sampler(policy, steps):
-    """draw(t, counts, rng) -> (R, X, U) cell counts for (R, X) state counts.
+@dataclass(frozen=True)
+class _CellSampler:
+    """A policy's draw of (R, X, U) cell counts for (R, X) state counts.
 
-    A lifted Solution is looked up by the rank of each row of counts; a
-    finite one must hold exactly one table per stage, as _per_stage asks
-    of kernel sequences and of the other solutions.
+    locate(counts, mus) gives, for each count vector of an (S, X) stack and
+    its measure, the (S, K) int64 indices its action laws are read at: the
+    vector's rank for a lifted Solution, and its nearest point on each of
+    the kernels' K distinct grids for shared kernels.  They depend on the
+    measure alone.  pick(t, where, counts, rng) draws stage t's cells given
+    the located indices `where` of the rows of counts; calling the sampler
+    locates and draws at once.
+    """
+
+    locate: object
+    pick: object
+
+    def __call__(self, t, counts, rng):
+        return self.pick(t, self.locate(counts, counts / counts[0].sum()), counts, rng)
+
+
+def _cell_sampler(policy, steps):
+    """The _CellSampler of `policy` over `steps` stages.
+
+    A lifted Solution's cells are its chosen joint actions, looked up by
+    rank; a finite one must hold exactly one table per stage, as _per_stage
+    asks of kernel sequences and of the other solutions.
     """
     if isinstance(policy, Solution) and isinstance(policy.problem, MeasureMDP):
         # The chosen joint action's counts are the cell counts: no draw.
@@ -126,41 +159,71 @@ def _cell_sampler(policy, steps):
         cells = _stage_tables(
             [np.array([mdp.actions[i][a].counts for i, a in enumerate(table)])
              for table in policy.choices], policy.stationary, steps)
+        return _CellSampler(lambda counts, mus: rank_compositions(counts)[:, None],
+                            lambda t, where, counts, rng: cells[t][where[:, 0]])
 
-        def draw(t, counts, rng):
-            return cells[t][rank_compositions(counts)]
+    kernels = _per_stage(policy, steps)
+    conds, grids = {}, {}  # each distinct kernel's conditional action table; each grid's column
+    for k in kernels:
+        if id(k) not in conds:
+            conds[id(k)] = _conditionals(k.table)
+        grids.setdefault(id(k.grid), (len(grids), k.grid))
+    column = [grids[id(k.grid)][0] for k in kernels]
 
-    else:
-        kernels = _per_stage(policy, steps)
-        conds = {}  # each distinct kernel's conditional action table, made once
-        for k in kernels:
-            if id(k) not in conds:
-                conds[id(k)] = _conditionals(k.table)
+    def locate(counts, mus):
+        return np.stack([grid.project_many(mus) for _, grid in grids.values()], axis=1)
 
-        def draw(t, counts, rng):
-            k = kernels[t]
-            cond = conds[id(k)][k.grid.project_many(counts / counts[0].sum())]
-            return _binomial_chain(rng, counts, cond)
+    def pick(t, where, counts, rng):
+        return _binomial_chain(rng, counts, conds[id(kernels[t])][where[:, column[t]]])
 
-    return draw
+    return _CellSampler(locate, pick)
 
 
-def _rollout(model, draw_cells, counts, steps, beta, rng):
+def _step_laws(model, sampler, counts, population):
+    """What a step reads of each count vector of the (S, X) stack `counts`:
+    the stage costs c[s, x, u], the _conditionals of the next-state laws
+    T(.|x, u, mu_s), and the sampler's located indices."""
+    mus = counts / population
+    return (model.cost_matrix_at(mus), _conditionals(model.kernel_tensor_at(mus)),
+            sampler.locate(counts, mus))
+
+
+def _rollout(model, sampler, counts, steps, beta, rng):
     """Advance populations with state counts `counts` (R, X) together.
+
+    The _step_laws of every measure of the population are computed once
+    and gathered by rank when those measures number at most R * steps and
+    their costs and conditionals fit under DEFAULT_ENUMERATION_CAP entries,
+    so the table never costs more evaluations than the steps would; each
+    step computes them for its R measures otherwise.
 
     Returns (discounted population-average cost per replication, the
     (R, steps + 1, X) state-count trajectories).
     """
     population = int(counts[0].sum())
+    reps, X = counts.shape
+    measures = num_compositions(population, X)
+    entries = measures * X * model.num_actions * (X + 1)
+    if measures <= reps * steps and entries <= DEFAULT_ENUMERATION_CAP:
+        table = _step_laws(model, sampler, composition_array(population, X), population)
+
+        def laws(counts):
+            rank = rank_compositions(counts)
+            return [law[rank] for law in table]
+    else:
+        def laws(counts):
+            return _step_laws(model, sampler, counts, population)
+
     traj = [counts]
-    cost = np.zeros(len(counts))
+    cost = np.zeros(reps)
     disc = 1.0
     for t in range(steps):
-        mus = counts / population
-        cells = draw_cells(t, counts, rng)
-        cost += disc * (cells * model.cost_matrix_at(mus)).sum(axis=(1, 2)) / population
+        stage_cost, next_conds, where = laws(counts)
+        cells = sampler.pick(t, where, counts, rng)
+        cost += disc * (cells * stage_cost).sum(axis=(1, 2)) / population
         disc *= beta
-        counts = _multinomial(rng, cells, model.kernel_tensor_at(mus)).sum(axis=(1, 2))
+        # integer sums are exact in any order; einsum adds these small ones fastest
+        counts = np.einsum("rxuy->ry", _binomial_chain(rng, cells, next_conds))
         traj.append(counts)
     return cost, np.stack(traj, axis=1)
 
@@ -178,9 +241,10 @@ def simulate_n_agents(model, config):
 
     Discounted horizons are truncated at the first length whose geometric
     tail bound beta^T * c_max / (1 - beta) drops below the configured
-    truncation error, and their one kernel serves every step.  All
-    replications advance together on the count chain, drawn from one RNG
-    stream keyed by the seed.
+    truncation error, and their one kernel serves every step; a truncation
+    longer than _MAX_TRUNCATION_STEPS is refused with a ValueError before
+    any rollout.  All replications advance together on the count chain,
+    drawn from one RNG stream keyed by the seed.
     """
     policy = config.policy
     shared = not isinstance(policy, Solution)
@@ -191,13 +255,18 @@ def simulate_n_agents(model, config):
             policy, = _per_stage(policy, None)
         tail = model.max_stage_cost() / (1.0 - beta)
         steps = 1
-        while tail * beta**steps > config.truncation_error and steps < 100_000:
+        while tail * beta**steps > config.truncation_error:
+            if steps == _MAX_TRUNCATION_STEPS:
+                needed = math.ceil(math.log(config.truncation_error / tail) / math.log(beta))
+                raise ValueError(
+                    f"truncation error {config.truncation_error} at beta={beta} needs "
+                    f"{needed} steps, above the limit of {_MAX_TRUNCATION_STEPS}")
             steps += 1
         trunc = tail * beta**steps
-    draw_cells = _cell_sampler(policy, steps)
+    sampler = _cell_sampler(policy, steps)
     rng = _stream(config.seed)
     start = np.full(config.replications, config.population)
-    costs, traj = _rollout(model, draw_cells, _multinomial(rng, start, model.initial_dist),
+    costs, traj = _rollout(model, sampler, _multinomial(rng, start, model.initial_dist),
                            steps, beta, rng)
     trajs = traj / config.population
     chaos = None
@@ -238,13 +307,13 @@ def chaos_gap(model, populations, pi, steps, replications, seed):
     drawn from one RNG stream keyed by (seed, population).
     """
     kernels = _per_stage(pi, steps)
-    draw_cells = _cell_sampler(kernels, steps)
+    sampler = _cell_sampler(kernels, steps)
     flow = flow_trajectory(model, model.initial_dist, kernels, steps)
     rows = []
     for population in populations:
         rng = _stream(seed, population)
         counts = _multinomial(rng, np.full(replications, population), model.initial_dist)
-        _, traj = _rollout(model, draw_cells, counts, steps, 1.0, rng)
+        _, traj = _rollout(model, sampler, counts, steps, 1.0, rng)
         all_gaps = np.abs(traj / population - flow).sum(axis=2)
         max_gaps = all_gaps.max(axis=1)
         rows.append(ChaosGapRow(

@@ -204,6 +204,8 @@ MALFORMED_POLICY_ROWS = {
                     "has 0 rows, not one, for stationary stage 0 and grid ordinal 0 and state 0"),
     "off-grid cells": (_first_row(lambda p: p[:2] + ["0.5"] + p[3:]),
                        "line 2 of "),
+    "mu_1 abc": (_first_row(lambda p: p[:3] + ["abc"] + p[4:]),
+                 "policy.csv, line 2, column 4 (mu_1) holds 'abc', not a number"),
 }
 
 
@@ -237,6 +239,8 @@ MALFORMED_VALUES_ROWS = {
     "other counts": (_first_row(lambda p: p[:2] + ["1", "1"] + p[4:]), "line 2 of "),
     "stage 2": (lambda rows: [p if p[0] == "0" else ["2"] + p[1:] for p in rows],
                 "does not number its stages from 0"),
+    "value abc": (_first_row(lambda p: p[:4] + ["abc"] + p[5:]),
+                  "values.csv, line 2, column 5 (value) holds 'abc', not a number"),
 }
 
 
@@ -514,6 +518,20 @@ def test_simulate_refuses_a_bad_truncation_error(capsys, tmp_path, value):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert err == f"error: truncation_error must be finite and > 0, got {float(value)}\n"
+
+
+def test_simulate_refuses_a_truncation_beyond_the_step_limit(capsys, tmp_path, monkeypatch):
+    rollouts = []
+    monkeypatch.setattr("mfteams.sim._rollout", lambda *args: rollouts.append(args))
+    code, _, err = run(
+        capsys, "simulate", "weakly_coupled", "-N", "4", "--discount", "0.9999",
+        "--uniform-kernel", "--replications", "10", "--seed", "1", "--out", str(tmp_path / "o"),
+    )
+    assert code == 2 and rollouts == []
+    assert err.startswith("error: truncation error 1e-06 at beta=0.9999 needs ")
+    needed = int(err.split(" needs ")[1].split()[0])
+    assert needed > 100_000 and err.endswith(f"{needed} steps, above the limit of 100000\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_has_no_eps_option(capsys, tmp_path):

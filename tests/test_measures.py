@@ -10,6 +10,7 @@ from mfteams.measures import (
     EnumerationCapError,
     Ordinals,
     canonical_assignment,
+    composition_array,
     compositions,
     enumerate_empirical,
     enumerate_joint_actions,
@@ -35,6 +36,15 @@ def test_rank_inverts_compositions(total, parts):
     assert rank_compositions(combos).tolist() == list(range(num_compositions(total, parts)))
     # a stack of stacks keeps its leading shape
     assert rank_compositions(combos[::-1][None]).tolist() == [list(range(len(combos)))[::-1]]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(total=st.integers(0, 20), parts=st.integers(1, 5))
+def test_composition_array_holds_the_compositions_in_order(total, parts):
+    combos = composition_array(total, parts)
+    assert combos.dtype == np.int64
+    assert combos.shape == (num_compositions(total, parts), parts)
+    assert combos.tolist() == [list(c) for c in compositions(total, parts)]
 
 
 def test_ordinals_refuse_vectors_off_the_enumeration():

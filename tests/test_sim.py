@@ -4,7 +4,7 @@ from math import comb, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from mfteams import (
@@ -30,8 +30,22 @@ from mfteams import (
     verify_markov_mf,
 )
 from mfteams import lifted
-from mfteams.measures import policy_grid, simplex_grid
-from mfteams.sim import _cell_sampler, _conditionals, _multinomial, _rollout
+from mfteams.measures import (
+    SimplexGrid,
+    num_compositions,
+    policy_grid,
+    rank_compositions,
+    simplex_grid,
+)
+from mfteams.model import EnvironmentModel
+from mfteams.sim import (
+    _binomial_chain,
+    _cell_sampler,
+    _conditionals,
+    _multinomial,
+    _rollout,
+    _stream,
+)
 
 from conftest import make_random_model
 
@@ -198,6 +212,165 @@ def test_rollout_runs_at_a_billion_agents(counterexample):
     report = simulate_n_agents(counterexample, config)
     assert report.chaos_series[-1] < 1e-3
     np.testing.assert_allclose(report.mean_measures.sum(axis=1), 1.0, atol=1e-12)
+
+
+# ---- per-measure step laws against the per-step loop ----
+
+
+def _reference_sampler(policy, steps):
+    """The cell sampler as it was before the step laws were tabulated per
+    measure: shared kernels project every replication's measure."""
+    if isinstance(policy, Solution) and isinstance(policy.problem, lifted.MeasureMDP):
+        mdp = policy.problem
+        cells = lifted._stage_tables(
+            [np.array([mdp.actions[i][a].counts for i, a in enumerate(table)])
+             for table in policy.choices], policy.stationary, steps)
+
+        def draw(t, counts, rng):
+            return cells[t][rank_compositions(counts)]
+
+    else:
+        kernels = lifted._per_stage(policy, steps)
+        conds = {}
+        for k in kernels:
+            if id(k) not in conds:
+                conds[id(k)] = _conditionals(k.table)
+
+        def draw(t, counts, rng):
+            k = kernels[t]
+            cond = conds[id(k)][k.grid.project_many(counts / counts[0].sum())]
+            return _binomial_chain(rng, counts, cond)
+
+    return draw
+
+
+def _reference_rollout(model, draw_cells, counts, steps, beta, rng):
+    """The rollout as it was before the step laws were tabulated per
+    measure: every step evaluates the costs and the kernel tensor at every
+    replication's measure."""
+    population = int(counts[0].sum())
+    traj = [counts]
+    cost = np.zeros(len(counts))
+    disc = 1.0
+    for t in range(steps):
+        mus = counts / population
+        cells = draw_cells(t, counts, rng)
+        cost += disc * (cells * model.cost_matrix_at(mus)).sum(axis=(1, 2)) / population
+        disc *= beta
+        counts = _multinomial(rng, cells, model.kernel_tensor_at(mus)).sum(axis=(1, 2))
+        traj.append(counts)
+    return cost, np.stack(traj, axis=1)
+
+
+def _random_policy(rng, model, kind, population, steps):
+    """A lifted Solution, one shared kernel, or one kernel per stage (on
+    grids of mixed meshes), with random action choices."""
+    X, U = model.num_states, model.num_actions
+    if kind == "lifted":
+        mdp = build_measure_mdp(model, population)
+        tables = [np.array([rng.integers(len(acts)) for acts in mdp.actions])
+                  for _ in range(1 if steps is None else steps)]
+        return Solution(mdp, values=None, choices=tuple(tables), stationary=steps is None)
+    grids = [simplex_grid(mesh, X) for mesh in (1, 3, 5)]
+    kernels = []
+    for _ in range(1 if kind == "shared" else steps):
+        grid = grids[rng.integers(len(grids))]
+        rows = rng.dirichlet(np.ones(U), size=(len(grid), X))
+        rows[rng.random(rows.shape[:2]) < 0.3, :] = np.eye(U)[rng.integers(U)]  # some point masses
+        kernels.append(PolicyKernel(grid, rows))
+    return kernels[0] if kind == "shared" else kernels
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.sampled_from([2, 3]),
+    num_actions=st.sampled_from([2, 3]),
+    population=st.integers(1, 12),
+    replications=st.sampled_from([1, 2, 5, 30]),
+    steps=st.integers(1, 6),
+    kind=st.sampled_from(["lifted", "shared", "stages"]),
+    discounted=st.booleans(),
+)
+def test_rollout_matches_the_per_step_loop(seed, num_states, num_actions, population,
+                                           replications, steps, kind, discounted):
+    rng = np.random.default_rng(seed)
+    model = make_random_model(rng, num_states, num_actions, coupled=True)
+    if discounted and kind == "stages":
+        kind = "shared"  # a discounted horizon takes one kernel
+    if kind == "lifted":
+        population = min(population, 5)  # keeps the joint-action enumeration small
+    policy = _random_policy(rng, model, kind, population, None if discounted else steps)
+    beta = model.discount if discounted else 1.0
+    tabulated = num_compositions(population, num_states) <= replications * steps
+    event("measures tabulated" if tabulated else "laws evaluated per step")  # both occur
+    start = _multinomial(rng, np.full(replications, population), model.initial_dist)
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    cost, traj = _rollout(model, _cell_sampler(policy, steps), start, steps, beta, new_rng)
+    ref_cost, ref_traj = _reference_rollout(model, _reference_sampler(policy, steps), start, steps,
+                                            beta, old_rng)
+    assert cost.tobytes() == ref_cost.tobytes()
+    assert traj.dtype == ref_traj.dtype and np.array_equal(traj, ref_traj)
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+def test_chaos_gap_matches_the_per_step_loop_on_both_sides_of_the_table(weakly_coupled):
+    # 30 replications x 3 steps: populations up to 89 tabulate their measures,
+    # 300 and 5000 evaluate each step; every population shares one sampler
+    populations, steps, replications, seed = [1, 2, 8, 89, 90, 300, 5000], 3, 30, 17
+    kernels = _random_policy(np.random.default_rng(5), weakly_coupled, "stages", None, steps)
+    rows = chaos_gap(weakly_coupled, populations, kernels, steps, replications, seed)
+    flow = flow_trajectory(weakly_coupled, weakly_coupled.initial_dist, kernels, steps)
+    for row, population in zip(rows, populations):
+        rng = _stream(seed, population)
+        start = _multinomial(rng, np.full(replications, population), weakly_coupled.initial_dist)
+        _, traj = _reference_rollout(weakly_coupled, _reference_sampler(kernels, steps), start,
+                                     steps, 1.0, rng)
+        gaps = np.abs(traj / population - flow).sum(axis=2)
+        assert row.mean_max_gap == float(gaps.max(axis=1).mean())
+        assert row.per_step_mean.tobytes() == gaps.mean(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["lifted", "shared"])
+def test_rollout_evaluates_the_model_once_per_measure_not_per_step(weakly_coupled, monkeypatch,
+                                                                   kind):
+    calls = Counter()
+    in_rollout = []
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            if in_rollout:
+                calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for cls, name in ((EnvironmentModel, "cost_matrix_at"), (EnvironmentModel, "kernel_tensor_at"),
+                      (SimplexGrid, "project_many")):
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+
+    def rollout(*args):
+        in_rollout.append(True)
+        try:
+            return _rollout(*args)
+        finally:
+            in_rollout.pop()
+
+    monkeypatch.setattr("mfteams.sim._rollout", rollout)
+    rng = np.random.default_rng(8)
+    policy = _random_policy(rng, weakly_coupled, kind, 16, None)
+    per_steps = []
+    for steps in (159, 318):
+        calls.clear()
+        report = simulate_n_agents(weakly_coupled, SimConfig(
+            population=16, horizon=FiniteHorizon(steps), policy=policy,
+            replications=20, seed=3))
+        assert report.steps == steps
+        per_steps.append(dict(calls))
+    # the 17 measures of N=16 are evaluated in one stack, whatever the steps
+    expected = {"cost_matrix_at": 1, "kernel_tensor_at": 1}
+    if kind == "shared":
+        expected["project_many"] = 1
+    assert per_steps == [expected, expected]
 
 
 # ---- simulate ----
