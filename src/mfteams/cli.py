@@ -182,6 +182,8 @@ def _checked_stages(path, header, keys, points, tol=1e-12, choices=None):
     rows = [line.split(",") for line in Path(path).read_text().strip().splitlines()]
     if rows[:1] != [header]:
         raise ValueError(f"{path} does not start with the header {','.join(header)}")
+    if len(rows) == 1:
+        raise ValueError(f"{path} holds its header and no rows")
     if any(len(parts) != len(header) for parts in rows):
         raise ValueError(f"{path} has a row whose columns do not match its header")
     labels = {parts[0] for parts in rows[1:]}
@@ -227,7 +229,7 @@ def _cmd_solve_n(args, argv):
     mdp = build_measure_mdp(model, args.agents, cap=args.cap)
     sol = solve(mdp, _horizon_from_args(args), args.cap)
     _write_solution(args, argv, sol, [state.counts for state in mdp.states], lambda i, _, a: [
-        [str(a)] + [str(c) for row in mdp.actions[i][a].counts for c in row]])
+        [str(a)] + [str(c) for c in mdp.joint_actions[mdp.act_off[i] + a].ravel().tolist()]])
     counts0 = round_to_counts(model.initial_dist, args.agents)
     i0 = rank_compositions(counts0)
     print(f"mu0_counts {counts0}")
@@ -278,7 +280,8 @@ def _lifted_policy_from_dir(model, model_path, directory, agents):
     mdp = build_measure_mdp(model, agents, cap=params["cap"])
     stages, stationary = _checked_stages(
         Path(directory) / "values.csv", _headers("solve-n", model)[0], [(1, "ordinal", len(mdp))],
-        np.array([state.counts for state in mdp.states]), 0, [len(a) for a in mdp.actions])
+        np.array([state.counts for state in mdp.states]), 0,
+        np.diff(mdp.act_off, append=len(mdp.joint_actions)))
     values, choices = stages[..., -2], stages[..., -1].astype(np.int64)
     return Solution(mdp, tuple(values), tuple(choices), stationary)
 

@@ -8,13 +8,19 @@ convolution of one multinomial per occupied (state, action) cell.  That
 law depends on the joint action only through its counts, never through
 which agent sits where, which is what makes the lift well defined.
 
-The rows are built as arrays, not dictionaries.  The agents of one state
-contribute one factor per action split of that state: the law of their
-next counts, a dense vector over the compositions of their number,
-indexed by rank (`rank_compositions`).  A joint action's row is the
-convolution of its states' factors, computed for all joint actions of a
-measure at once with a (rank a, rank b) -> rank(a + b) table and one
-weighted np.bincount per state.  `multinomial_pmf_table`,
+The rows are built as arrays, not dictionaries, and in batches, so the
+work grows with the number of distinct agent counts rather than with the
+number of measures and splits.  The agents of one state contribute one
+factor per action split of that state: the law of their next counts, a
+dense vector over the compositions of their number, indexed by rank
+(`rank_compositions`).  The model is evaluated once for all measures, and
+one multinomial per number of draws covers every (measure, state, action)
+law.  The factors of every (measure, state) pair holding the same number
+of agents are folded together, action by action, with one gather and one
+weighted np.bincount per action (`_Convolver.fold_splits`).  A joint
+action's row is the convolution of its states' factors, computed for all
+joint actions of a measure at once with a (rank a, rank b) -> rank(a + b)
+table and one weighted np.bincount per state.  `multinomial_pmf_table`,
 `multinomial_count_distribution` and `eta_kernel` compute the same laws
 as dictionaries and stay as the reference the tests compare against.
 
@@ -41,6 +47,7 @@ from .measures import (
     Ordinals,
     SimplexGrid,
     _check_cap,
+    composition_array,
     compositions,
     enumerate_empirical,
     enumerate_joint_actions,
@@ -163,11 +170,11 @@ class _Convolver:
 
     def __init__(self, parts):
         self.parts = parts
-        self._comps, self._coefs, self._tables = {}, {}, {}
+        self._comps, self._coefs, self._tables, self._plans = {}, {}, {}, {}
 
     def comps(self, n):
         if n not in self._comps:
-            self._comps[n] = np.array(list(compositions(n, self.parts)), dtype=np.int64)
+            self._comps[n] = composition_array(n, self.parts)
         return self._comps[n]
 
     def multinomial(self, laws, n):
@@ -223,6 +230,71 @@ class _Convolver:
             law = self.convolve(law, total, f, n)
             total += n
         return law
+
+    def fold_splits(self, pmfs, n):
+        """Law of the next counts of n agents for each of their action
+        splits, for P groups of n agents at once: pmfs[p, u] holds the
+        Multinomial(m, law of action u) of group p for m = 0, ..., n, laws
+        over compositions(m) laid end to end.  Returns the (P, splits, K)
+        array of fold((pmf of split[u] draws of action u, split[u]) for
+        each u) over the rows of composition_array(n, U), bit for bit: each
+        level of the plan convolves in convolve's (i, j) order, and a
+        split's zero parts are skipped as fold skips them."""
+        P, U, width = pmfs.shape
+        levels, final, size = self._split_plan(n, U)
+        laws = np.empty((P, size))
+        laws[:, : U * width] = pmfs.reshape(P, -1)
+        for take, times, put, lo, hi in levels:
+            w = laws[:, take] * laws[:, times]
+            offset = (hi - lo) * np.arange(P)[:, None]
+            laws[:, lo:hi] = np.bincount((put + offset).ravel(), w.ravel(),
+                                         minlength=P * (hi - lo)).reshape(P, -1)
+        return laws[:, final]
+
+    def _split_plan(self, n, actions):
+        """The plan of fold_splits for n agents and `actions` actions, kept
+        per (n, actions): one (take, times, put, lo, hi) level per action
+        at which some split convolves, and the columns of each split's law.
+
+        A row of the work array starts with the pmfs of every action, then
+        the law of every split after each convolve, level by level.  At
+        action u a split with no agents folded yet takes its part's pmf, a
+        zero part leaves its law where it is, and otherwise its law is
+        convolved with its part's pmf: level entry e multiplies columns
+        take[e] and times[e] and adds the product to column lo + put[e],
+        the entries of a convolve running over (i, j) in convolve's order.
+        """
+        if (n, actions) in self._plans:
+            return self._plans[n, actions]
+        # compositions(m) for m = 0, ..., n end to end, those of m from start[m] on:
+        # the compositions of n into parts + 1 coordinates less their leading slack n - m
+        upto = composition_array(n, self.parts + 1)[:, 1:]
+        start = np.array([0] + [num_compositions(m, self.parts + 1) for m in range(n + 1)])
+        size, width = np.diff(start), int(start[-1])
+        splits = composition_array(n, actions)
+        a = np.zeros(len(splits), dtype=np.int64)  # agents folded so far, per split
+        at = np.zeros(len(splits), dtype=np.int64)  # first column of their law
+        end, levels = actions * width, []
+        for u, m in enumerate(splits.T):
+            pmf = u * width + start[m]
+            conv = np.flatnonzero((a > 0) & (m > 0))
+            at = np.where(a == 0, pmf, at)
+            if conv.size:
+                ka, km, kout = size[a[conv]], size[m[conv]], size[a[conv] + m[conv]]
+                to = np.cumsum(kout) - kout  # each new law's column, less end
+                which = np.repeat(np.arange(conv.size), ka * km)  # the convolve of each entry
+                first = np.repeat(np.cumsum(ka * km) - ka * km, ka * km)
+                i, j = np.divmod(np.arange(which.size) - first, km[which])
+                i_at, j_at = start[a[conv]][which] + i, start[m[conv]][which] + j
+                rank = rank_compositions(upto[i_at] + upto[j_at])
+                levels.append((at[conv][which] + i, u * width + j_at, to[which] + rank,
+                               end, end + int(kout.sum())))
+                at[conv] = end + to
+                end += int(kout.sum())
+            a = a + m
+        final = at[:, None] + np.arange(size[n])
+        self._plans[n, actions] = levels, final, end
+        return self._plans[n, actions]
 
 
 def _backup(mdp, values, beta):
@@ -403,10 +475,13 @@ class MeasureMDP:
     the stage cost and exact transition row of every (measure, joint
     action) pair, stored flat in `sparse` when first asked for.
 
-    Every joint action is a composition of the population over the X*U
-    cells, so the rows hold at most num_compositions(N, X*U) times the
-    number of measures entries; that count is held to the cap before any
-    joint action is enumerated.
+    `joint_actions` holds every joint action once, as an int64 (pairs, X,
+    U) array of counts: measure i's joint actions are its rows act_off[i]
+    up to act_off[i + 1], in the order of enumerate_joint_actions, so the
+    pair numbering is that of `sparse`.  Every joint action is a
+    composition of the population over the X*U cells, so the rows hold at
+    most num_compositions(N, X*U) times the number of measures entries;
+    that count is held to the cap before any joint action is made.
     """
 
     def __init__(self, model, population, cap=DEFAULT_ENUMERATION_CAP):
@@ -417,22 +492,38 @@ class MeasureMDP:
         self.max_entries = num_compositions(population, X * U) * len(self.states)
         _check_cap("lifted transition rows", self.max_entries, cap)
         self.index = Ordinals(population, X)
-        self.actions = [enumerate_joint_actions(s, U, cap=cap) for s in self.states]
+        # a measure's joint actions cross the action splits of its states, state 0 slowest
+        splits = [composition_array(n, U) for n in range(population + 1)]
+        blocks = []
+        for counts in composition_array(population, X).tolist():
+            per_state = [splits[n] for n in counts]
+            pick = np.indices([len(s) for s in per_state]).reshape(X, -1)
+            blocks.append(np.stack([s[p] for s, p in zip(per_state, pick)], axis=1))
+        self.joint_actions = np.concatenate(blocks)
+        self.act_off = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+
+    @cached_property
+    def actions(self):
+        """Per measure, its joint actions as EmpiricalJointMeasure objects,
+        made on first use: the reference enumeration that `joint_actions`
+        holds as counts.  Nothing on the solve or rollout path reads it."""
+        return [enumerate_joint_actions(s, self.model.num_actions) for s in self.states]
 
     @cached_property
     def sparse(self):
-        """The flat MDP, built when a solver first asks for it.  Joint
-        actions are enumerated per measure, so marginals hold."""
-        X, U = self.model.num_states, self.model.num_actions
+        """The flat MDP, built when a solver first asks for it: the model
+        is evaluated once for all measures, the split factors of every
+        (measure, state) pair come from _split_factors, and each measure's
+        rows are its states' factors convolved by _lifted_rows."""
+        N, X = self.population, self.model.num_states
         conv = _Convolver(X)
-        splits = [np.array(list(compositions(n, U)), dtype=np.int64)
-                  for n in range(self.population + 1)]
-        mus = np.array([s.as_distribution() for s in self.states])
-        blocks = (
-            _lifted_rows(conv, splits, s.counts, tens, cmat)
-            for s, tens, cmat in zip(
-                self.states, self.model.kernel_tensor_at(mus), self.model.cost_matrix_at(mus))
-        )
+        counts = composition_array(N, X)
+        mus = counts / N
+        tens, cmats = self.model.kernel_tensor_at(mus), self.model.cost_matrix_at(mus)
+        factors = _split_factors(conv, tens, counts)
+        ends = [*self.act_off[1:], len(self.joint_actions)]
+        blocks = (_lifted_rows(conv, c, self.joint_actions[a:b], cmat, f)
+                  for c, a, b, cmat, f in zip(counts, self.act_off, ends, cmats, factors))
         return _pack(blocks, self.max_entries)
 
     @cached_property
@@ -441,7 +532,7 @@ class MeasureMDP:
         joint action, as views into `sparse`."""
         m = self.sparse
         rows = list(zip(np.split(m.idx, m.row_off[1:]), np.split(m.prob, m.row_off[1:])))
-        return [rows[a : a + len(acts)] for a, acts in zip(m.act_off, self.actions)]
+        return [rows[a:b] for a, b in zip(m.act_off, [*m.act_off[1:], len(rows)])]
 
     def __len__(self):
         return len(self.states)
@@ -451,39 +542,49 @@ def build_measure_mdp(model, population, cap=DEFAULT_ENUMERATION_CAP):
     return MeasureMDP(model, population, cap=cap)
 
 
-def _lifted_rows(conv, splits, counts, tens, cmat):
-    """(stage costs, dense next-measure rows) of every joint action at the
-    measure `counts`, in the order of enumerate_joint_actions; splits[n]
-    lists the action splits of n agents.
+def _lifted_rows(conv, counts, theta, cmat, factors):
+    """(stage costs, dense next-measure rows) of the joint actions theta,
+    an (A, X, U) array, at the measure `counts`; factors[x] holds the split
+    factors of state x, one per split of its counts[x] agents.
 
-    The agents of a state move independently of the others, so each
-    state's split has one factor, the law of those agents' next counts,
-    and a joint action's row is the convolution of its states' factors.
-    State x's factors lie on leading axis x, so the fold crosses the splits
-    of every state, state 0 slowest, as enumerate_joint_actions does.
+    The agents of a state move independently of the others, so a joint
+    action's row is the convolution of its states' factors.  State x's
+    factors lie on leading axis x, so the fold crosses the splits of every
+    state, state 0 slowest, as theta does.
     """
     X = len(counts)
-    per_state = [splits[n] for n in counts]
-    pick = np.indices([len(s) for s in per_state]).reshape(X, -1)
-    theta = np.stack([s[p] for s, p in zip(per_state, pick)], axis=1)  # (A, X, U)
-    cost = (cmat * (theta / sum(counts))).reshape(len(theta), -1).sum(axis=1)
-    factors = []
-    for x, n in enumerate(counts):
+    cost = (cmat * (theta / counts.sum())).reshape(len(theta), -1).sum(axis=1)
+    lead_factors = []
+    for x, n in enumerate(counts.tolist()):
         if n:
-            f = _split_factors(conv, tens[x], splits[n], n)
             lead = [1] * X
-            lead[x] = len(f)
-            factors.append((f.reshape(*lead, -1), n))
-    return cost, conv.fold(factors).reshape(len(theta), -1)
+            lead[x] = len(factors[x])
+            lead_factors.append((factors[x].reshape(*lead, -1), n))
+    return cost, conv.fold(lead_factors).reshape(len(theta), -1)
 
 
-def _split_factors(conv, laws, splits, n):
-    """Law of the next counts of n agents in one state, over
-    compositions(n, X), for each row of `splits`: the convolution over
-    actions u of Multinomial(split[u], laws[u])."""
-    pmfs = [conv.multinomial(laws, m) for m in range(n + 1)]  # pmfs[m][u]
-    return np.array([conv.fold((pmfs[m][u], m) for u, m in enumerate(split))
-                     for split in splits.tolist()])
+def _split_factors(conv, tens, counts):
+    """Split factors of every (measure, state) pair: out[i][x] is, for each
+    action split of the counts[i, x] agents of state x at measure i, the
+    law of their next counts over compositions(counts[i, x], X), the
+    convolution over actions u of Multinomial(split[u], tens[i, x, u]).
+
+    One multinomial per number of draws covers every law of `tens`, and
+    the pairs holding the same number of agents are folded in one batch.
+    """
+    M, X, U, _ = tens.shape
+    N = int(counts[0].sum())
+    # the pmfs of m = 0, ..., N draws end to end: those of m <= n fill the first
+    # num_compositions(n, X + 1) columns, the layout fold_splits reads
+    pmfs = np.concatenate([conv.multinomial(tens.reshape(-1, X), m) for m in range(N + 1)],
+                          axis=1).reshape(M, X, U, -1)
+    out = [[None] * X for _ in range(M)]
+    for n in sorted(set(counts.ravel().tolist()) - {0}):
+        rows, cols = np.nonzero(counts == n)
+        batch = conv.fold_splits(pmfs[rows, cols, :, : num_compositions(n, X + 1)], n)
+        for i, x, f in zip(rows.tolist(), cols.tolist(), batch):
+            out[i][x] = f
+    return out
 
 
 def bellman_backup(mdp, values, beta=None):

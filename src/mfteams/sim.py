@@ -156,9 +156,8 @@ def _cell_sampler(policy, steps):
     if isinstance(policy, Solution) and isinstance(policy.problem, MeasureMDP):
         # The chosen joint action's counts are the cell counts: no draw.
         mdp = policy.problem
-        cells = _stage_tables(
-            [np.array([mdp.actions[i][a].counts for i, a in enumerate(table)])
-             for table in policy.choices], policy.stationary, steps)
+        cells = _stage_tables([mdp.joint_actions[mdp.act_off + table] for table in policy.choices],
+                              policy.stationary, steps)
         return _CellSampler(lambda counts, mus: rank_compositions(counts)[:, None],
                             lambda t, where, counts, rng: cells[t][where[:, 0]])
 

@@ -206,6 +206,7 @@ MALFORMED_POLICY_ROWS = {
                        "line 2 of "),
     "mu_1 abc": (_first_row(lambda p: p[:3] + ["abc"] + p[4:]),
                  "policy.csv, line 2, column 4 (mu_1) holds 'abc', not a number"),
+    "header only": (lambda rows: [], "policy.csv holds its header and no rows"),
 }
 
 
@@ -241,6 +242,7 @@ MALFORMED_VALUES_ROWS = {
                 "does not number its stages from 0"),
     "value abc": (_first_row(lambda p: p[:4] + ["abc"] + p[5:]),
                   "values.csv, line 2, column 5 (value) holds 'abc', not a number"),
+    "header only": (lambda rows: [], "values.csv holds its header and no rows"),
 }
 
 

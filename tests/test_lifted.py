@@ -33,7 +33,9 @@ from mfteams.measures import (
     EmpiricalJointMeasure,
     EmpiricalStateMeasure,
     canonical_assignment,
+    composition_array,
     enumerate_empirical,
+    enumerate_joint_actions,
     policy_grid,
     simplex_grid,
 )
@@ -223,6 +225,60 @@ def test_array_rows_match_the_dict_convolution(seed, num_states, num_actions, po
                   multinomial_count_distribution([(k[x] @ tens[x], c) for x, c in occupied]))
                  for k in kernels[state.counts]]
     _check_pairs(_kernel_stage_data(model, states, lambda s: kernels[s.counts]), counts, refs)
+
+
+def _per_split_factors(conv, laws, splits):
+    """The loop the batched build replaced: per split of n agents over the
+    actions, fold Multinomial(split[u], laws[u]) over the actions u."""
+    pmfs = [conv.multinomial(laws, m) for m in range(int(splits[0].sum()) + 1)]
+    return np.array([conv.fold((pmfs[m][u], m) for u, m in enumerate(split))
+                     for split in splits.tolist()])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_states=st.sampled_from([2, 3]),
+       num_actions=st.sampled_from([2, 3]), population=st.integers(1, 6))
+@example(seed=7, num_states=3, num_actions=3, population=6)
+def test_batched_build_matches_the_per_split_loop(seed, num_states, num_actions, population):
+    rng = np.random.default_rng(seed)
+    model = _model_with_zeros(rng, num_states, num_actions)
+    mdp = build_measure_mdp(model, population)
+    acts = [enumerate_joint_actions(s, num_actions) for s in mdp.states]
+    thetas = [np.array([theta.counts for theta in a], dtype=np.int64) for a in acts]
+    assert mdp.joint_actions.dtype == np.int64
+    np.testing.assert_array_equal(mdp.joint_actions, np.concatenate(thetas))
+    np.testing.assert_array_equal(np.diff(mdp.act_off, append=len(mdp.joint_actions)),
+                                  [len(a) for a in acts])
+
+    conv = lifted._Convolver(num_states)
+    splits = [composition_array(n, num_actions) for n in range(population + 1)]
+    mus = np.array([s.as_distribution() for s in mdp.states])
+    blocks = [
+        lifted._lifted_rows(conv, np.array(s.counts), theta, cmat, [
+            _per_split_factors(conv, tens[x], splits[n]) if n else None
+            for x, n in enumerate(s.counts)])
+        for s, theta, tens, cmat in zip(mdp.states, thetas, model.kernel_tensor_at(mus),
+                                        model.cost_matrix_at(mus))
+    ]
+    for got, want in zip(mdp.sparse, lifted._pack(blocks, mdp.max_entries)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("num_states", [1, 2, 3])
+def test_split_folds_over_more_actions_match_the_loop(num_states):
+    # with four or five actions a split convolves up to four times and
+    # skips zero parts between its convolves
+    rng = np.random.default_rng(num_states)
+    for num_actions in (4, 5):
+        conv = lifted._Convolver(num_states)
+        for n in range(1, 6):
+            laws = _rows_with_zeros(rng, (3, num_actions, num_states))
+            pmfs = np.stack([np.concatenate([conv.multinomial(law, m) for m in range(n + 1)],
+                                            axis=1) for law in laws])
+            got = conv.fold_splits(pmfs, n)
+            for law, factors in zip(laws, got):
+                want = _per_split_factors(conv, law, composition_array(n, num_actions))
+                assert np.array_equal(factors, want)
 
 
 def test_factor_beyond_the_float_range_keeps_zero_categories():
