@@ -6,8 +6,8 @@ parsed options, the model hash and the seed; the numeric outputs are
 byte-reproducible from the manifest.  Floats are written with 17
 significant digits.
 
-Exit codes: 0 success, 1 I/O or parse failure, 2 validation, cap or
-non-convergence failure, 3 self-test failure.
+Exit codes: 0 success, 1 I/O or parse failure, 2 validation, cap,
+non-convergence or out-of-memory failure, 3 self-test failure.
 """
 
 from __future__ import annotations
@@ -468,8 +468,8 @@ def main(argv=None):
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (ModelError, EnumerationCapError, ValueError, ConvergenceError,
-            OverflowError) as err:
-        print(f"error: {err}", file=sys.stderr)
+            OverflowError, MemoryError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 2
 
 

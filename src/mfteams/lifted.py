@@ -49,8 +49,8 @@ from .measures import (
     _check_cap,
     composition_array,
     compositions,
+    empirical_counts,
     enumerate_empirical,
-    enumerate_joint_actions,
     num_compositions,
     rank_compositions,
     simplex_grid,
@@ -64,6 +64,7 @@ from .model import (
 )
 
 _MAX_SWEEPS = 1_000_000
+_MAX_STEPS = 100_000  # longest rollout or flow, in steps
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -166,11 +167,15 @@ class _Convolver:
     parts), indexed by rank.  The rank table of (a, b) holds the rank of
     the sum of every pair of compositions of a and of b, so the law of a
     sum of independent count vectors is one weighted np.bincount over it.
+    The compositions, coefficients and split plans are kept per total; the
+    rank tables are made per call, since the (a, b) pairs of one measure's
+    states seldom recur at another and a kept table would only hold memory
+    for the rest of a build that one convolver serves.
     """
 
     def __init__(self, parts):
         self.parts = parts
-        self._comps, self._coefs, self._tables, self._plans = {}, {}, {}, {}
+        self._comps, self._coefs, self._plans = {}, {}, {}
 
     def comps(self, n):
         if n not in self._comps:
@@ -210,14 +215,12 @@ class _Convolver:
         """Law of the sum of independent count vectors of totals a and b
         with laws f[..., :] and g[..., :], for the leading axes of f and g
         broadcast against each other; a law over compositions(a + b)."""
-        if (a, b) not in self._tables:
-            sums = self.comps(a)[:, None, :] + self.comps(b)[None, :, :]
-            self._tables[a, b] = rank_compositions(sums)
+        table = rank_compositions(self.comps(a)[:, None, :] + self.comps(b)[None, :, :])
         w = f[..., :, None] * g[..., None, :]
         lead = w.shape[:-2]
         size = num_compositions(a + b, self.parts)
         offset = size * np.arange(math.prod(lead)).reshape(lead + (1, 1))
-        out = np.bincount((self._tables[a, b] + offset).ravel(), w.ravel(),
+        out = np.bincount((table + offset).ravel(), w.ravel(),
                           minlength=offset.size * size)
         return out.reshape(lead + (size,))
 
@@ -503,13 +506,6 @@ class MeasureMDP:
         self.act_off = np.cumsum([0] + [len(b) for b in blocks[:-1]])
 
     @cached_property
-    def actions(self):
-        """Per measure, its joint actions as EmpiricalJointMeasure objects,
-        made on first use: the reference enumeration that `joint_actions`
-        holds as counts.  Nothing on the solve or rollout path reads it."""
-        return [enumerate_joint_actions(s, self.model.num_actions) for s in self.states]
-
-    @cached_property
     def sparse(self):
         """The flat MDP, built when a solver first asks for it: the model
         is evaluated once for all measures, the split factors of every
@@ -708,6 +704,13 @@ def policy_kernels(sol):
     return kernels[0] if sol.stationary else kernels
 
 
+def _check_steps(steps):
+    """Refuse a rollout or flow of more than _MAX_STEPS steps, before any
+    per-step list is made."""
+    if steps > _MAX_STEPS:
+        raise ValueError(f"{steps} steps are above the rollout and flow limit of {_MAX_STEPS}")
+
+
 def _per_stage(pi, steps):
     """The kernel of each of `steps` stages; steps=None, for a discounted
     horizon, gives the one kernel in a list.
@@ -740,32 +743,33 @@ def _stage_tables(tables, stationary, steps, what="policy tables"):
     return list(tables)
 
 
-def _kernel_stage_data(model, states, kernels_fn, cap=DEFAULT_ENUMERATION_CAP):
-    """_SparseMDP over `states` whose actions at a state are the shared
-    kernels kernels_fn(state), each an (X, U) array of action rows.
+def _kernel_stage_data(model, counts, kernels, cap=DEFAULT_ENUMERATION_CAP):
+    """_SparseMDP over the measures of `counts`, the (M, X) rows of
+    composition_array(N, X), whose actions at measure i are the K shared
+    kernels kernels[i], an (M, K, X, U) array of action rows.
 
     All agents draw actions independently from the kernel, so the expected
     stage cost mixes the kernel into the running cost, and each occupied
     state's factor is one multinomial of the mixed law k[x] @ T[x]; a
-    kernel's row is the convolution of those factors.  The rows hold at
-    most pairs times measures entries, which is held to the cap.
+    kernel's row is the convolution of those factors.  The model is
+    evaluated once for all measures, and one _Convolver folds them all.
+    The rows hold at most pairs times measures entries, which is held to
+    the cap.
     """
-    pop = states[0].population
-    kernels = [np.asarray(kernels_fn(state), dtype=float) for state in states]
-    bound = sum(map(len, kernels)) * len(states)
+    M, K = kernels.shape[:2]
+    bound = M * K * M
     _check_cap("shared-kernel transition rows", bound, cap)
-    mus = np.array([state.as_distribution() for state in states])
+    pop = int(counts[0].sum())
+    mus = counts / pop
+    conv = _Convolver(model.num_states)
 
-    def blocks():
-        for state, tens, cmat, ks in zip(
-                states, model.kernel_tensor_at(mus), model.cost_matrix_at(mus), kernels):
-            # the rank tables of one measure's totals serve no other measure
-            conv = _Convolver(model.num_states)
-            occupied = [(x, n) for x, n in enumerate(state.counts) if n]
-            yield (sum((n / pop) * (ks[:, x] @ cmat[x]) for x, n in occupied),
-                   conv.fold((conv.multinomial(ks[:, x] @ tens[x], n), n) for x, n in occupied))
+    def block(c, tens, cmat, ks):
+        occupied = [(x, n) for x, n in enumerate(c.tolist()) if n]
+        return (sum((n / pop) * (ks[:, x] @ cmat[x]) for x, n in occupied),
+                conv.fold((conv.multinomial(ks[:, x] @ tens[x], n), n) for x, n in occupied))
 
-    return _pack(blocks(), bound)
+    return _pack(map(block, counts, model.kernel_tensor_at(mus), model.cost_matrix_at(mus),
+                     kernels), bound)
 
 
 @dataclass(frozen=True)
@@ -789,9 +793,11 @@ def solve_symmetric_restricted(model, population, horizon, policies,
     The kernels of `policies` are the actions of every measure.
     """
     states = enumerate_empirical(population, model.num_states, cap=cap)
+    counts = composition_array(population, model.num_states)
+    kernels = np.broadcast_to(policies.kernels, (len(counts),) + policies.kernels.shape)
     problem = RestrictedMDP(
         model, tuple(states), simplex_grid(population, model.num_states, cap=cap), policies,
-        _kernel_stage_data(model, states, lambda s: policies.kernels, cap))
+        _kernel_stage_data(model, counts, kernels, cap))
     return solve(problem, horizon, cap)
 
 
@@ -800,20 +806,21 @@ def evaluate_symmetric_policy_exact(model, population, pi, horizon,
     """Exact expected cost of fixed shared kernels on the measure chain.
 
     `pi` is a PolicyKernel, a sequence of them or a kernel-choosing
-    Solution, mapped to stages by _per_stage.  Kernels are looked up at the grid point nearest the
-    current measure.  Returns values over the empirical-measure
+    Solution, mapped to stages by _per_stage.  Kernels are looked up at the
+    grid point nearest the current measure, one project_many over every
+    measure per distinct kernel.  Returns values over the empirical-measure
     enumeration; no Monte Carlo is involved (the discounted case solves
     the policy's linear system directly).
     """
-    states = enumerate_empirical(population, model.num_states, cap=cap)
-    beta, steps = _horizon(model, horizon, len(states), cap)
+    counts = empirical_counts(population, model.num_states, cap)
+    beta, steps = _horizon(model, horizon, len(counts), cap)
     kernels = _per_stage(pi, steps)
+    mus = counts / population
     data = {}  # one _SparseMDP per distinct kernel object
     for k in kernels:
         if id(k) not in data:
-            data[id(k)] = _kernel_stage_data(
-                model, states, lambda s, k=k: [k.rows_for(s.as_distribution())], cap
-            )
+            rows = k.table[k.grid.project_many(mus)[:, None]]
+            data[id(k)] = _kernel_stage_data(model, counts, rows, cap)
     stages = [data[id(k)] for k in kernels]
     if steps is None:
         return _evaluate_discounted(stages[0], beta)

@@ -82,9 +82,8 @@ def rank_compositions(counts):
     tails = np.cumsum(counts[..., :0:-1], axis=-1)[..., ::-1]
     rank = np.zeros(counts.shape[:-1], dtype=np.int64)
     for i in range(parts - 1):
-        k = parts - 1 - i
-        term = np.ones_like(rank)
-        for j in range(1, k + 1):
+        term = tails[..., i]  # C(t_i, 1)
+        for j in range(2, parts - i):
             term = term * (tails[..., i] + j - 1) // j  # C(t_i + j - 1, j), exactly
         rank += term
     return rank
@@ -153,16 +152,21 @@ class EmpiricalJointMeasure:
         return np.asarray(self.counts, dtype=float) / self.population
 
 
-def enumerate_empirical(population, cardinality, cap=DEFAULT_ENUMERATION_CAP):
-    """All empirical measures of `population` agents over `cardinality` states."""
+def empirical_counts(population, cardinality, cap=DEFAULT_ENUMERATION_CAP):
+    """The count vectors of every empirical measure of `population` agents
+    over `cardinality` states, as the rows of composition_array; an empty
+    population or more measures than the cap are refused."""
     if population < 1:
         raise ValueError("population must be >= 1")
-    size = num_compositions(population, cardinality)
-    _check_cap("empirical measure enumeration", size, cap)
-    return [
-        EmpiricalStateMeasure(c, population)
-        for c in compositions(population, cardinality)
-    ]
+    _check_cap("empirical measure enumeration", num_compositions(population, cardinality), cap)
+    return composition_array(population, cardinality)
+
+
+def enumerate_empirical(population, cardinality, cap=DEFAULT_ENUMERATION_CAP):
+    """All empirical measures of `population` agents over `cardinality`
+    states, in the order of empirical_counts."""
+    return [EmpiricalStateMeasure(tuple(c), population)
+            for c in empirical_counts(population, cardinality, cap).tolist()]
 
 
 def enumerate_joint_actions(mu, num_actions, cap=DEFAULT_ENUMERATION_CAP):

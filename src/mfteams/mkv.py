@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lifted import _SparseMDP, _per_stage
-from .measures import DEFAULT_ENUMERATION_CAP, policy_grid, simplex_grid
+from .lifted import _SparseMDP, _check_steps, _per_stage
+from .measures import DEFAULT_ENUMERATION_CAP, EmpiricalStateMeasure, policy_grid, simplex_grid
 from .model import MARGINAL_TOL, MarginalMismatchError
 
 
@@ -50,6 +50,13 @@ class MkvMDP:
     policy_set: object
     stage_cost: np.ndarray
     successor: np.ndarray
+
+    @property
+    def states(self):
+        """The grid points as measures of `mesh` agents, in ordinal order:
+        states[i].as_distribution() is grid point i."""
+        grid = self.state_grid
+        return [EmpiricalStateMeasure(c, grid.mesh) for c in grid.counts]
 
     @property
     def sparse(self):
@@ -89,6 +96,7 @@ def flow_trajectory(model, mu0, pi, steps):
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    _check_steps(steps)
     kernels = _per_stage(pi, steps)
     mu = np.asarray(mu0, dtype=float)
     out = np.empty((steps + 1, mu.size))

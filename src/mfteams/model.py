@@ -92,8 +92,8 @@ class DiscountedHorizon:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
 def _as_tensor(name, value, shape):
@@ -208,33 +208,6 @@ class EnvironmentModel:
             + np.einsum("xuz,...z->...xu", self.cost_linear, mu)
             + np.einsum("xuzw,...z,...w->...xu", self.cost_quad, mu, mu)
         )
-
-    def kernel_at(self, x, u, mu):
-        """Next-state distribution T(.|x,u,mu)."""
-        return self.kernel_tensor_at(mu)[x, u]
-
-    def cost_at(self, x, u, mu):
-        return float(self.cost_matrix_at(mu)[x, u])
-
-    def running_cost_tilde(self, theta, mu):
-        """Population-average stage cost of a joint state-action measure theta.
-
-        theta is an (X,U) weight matrix; its state marginal must equal mu
-        within MARGINAL_TOL.
-        """
-        theta = np.asarray(theta, dtype=float)
-        mu = np.asarray(mu, dtype=float)
-        if theta.shape != (self.num_states, self.num_actions):
-            raise MarginalMismatchError(
-                f"theta shape {theta.shape} does not match "
-                f"({self.num_states}, {self.num_actions})"
-            )
-        gap = np.abs(theta.sum(axis=1) - mu).max()
-        if gap > MARGINAL_TOL:
-            raise MarginalMismatchError(
-                f"state marginal of theta deviates from mu by {gap}"
-            )
-        return float((self.cost_matrix_at(mu) * theta).sum())
 
     def max_stage_cost(self, mesh=COST_CHECK_MESH):
         """Largest stage cost over a mesh-1/mesh simplex grid (tail-bound input)."""

@@ -27,9 +27,11 @@ from itertools import product
 import numpy as np
 
 from .lifted import (
+    _MAX_STEPS,
     MeasureMDP,
     PolicyKernel,
     Solution,
+    _check_steps,
     _horizon,
     _per_stage,
     _stage_tables,
@@ -47,9 +49,6 @@ from .measures import (
     round_to_counts,
 )
 from .mkv import build_mkv_mdp, flow_trajectory
-
-
-_MAX_TRUNCATION_STEPS = 100_000  # longest discounted rollout simulate_n_agents runs
 
 
 def _stream(seed, *key):
@@ -240,10 +239,10 @@ def simulate_n_agents(model, config):
 
     Discounted horizons are truncated at the first length whose geometric
     tail bound beta^T * c_max / (1 - beta) drops below the configured
-    truncation error, and their one kernel serves every step; a truncation
-    longer than _MAX_TRUNCATION_STEPS is refused with a ValueError before
-    any rollout.  All replications advance together on the count chain,
-    drawn from one RNG stream keyed by the seed.
+    truncation error, and their one kernel serves every step.  A finite
+    horizon or a truncation longer than _MAX_STEPS is refused with a
+    ValueError before any rollout.  All replications advance together on
+    the count chain, drawn from one RNG stream keyed by the seed.
     """
     policy = config.policy
     shared = not isinstance(policy, Solution)
@@ -255,13 +254,14 @@ def simulate_n_agents(model, config):
         tail = model.max_stage_cost() / (1.0 - beta)
         steps = 1
         while tail * beta**steps > config.truncation_error:
-            if steps == _MAX_TRUNCATION_STEPS:
+            if steps == _MAX_STEPS:
                 needed = math.ceil(math.log(config.truncation_error / tail) / math.log(beta))
                 raise ValueError(
                     f"truncation error {config.truncation_error} at beta={beta} needs "
-                    f"{needed} steps, above the limit of {_MAX_TRUNCATION_STEPS}")
+                    f"{needed} steps, above the limit of {_MAX_STEPS}")
             steps += 1
         trunc = tail * beta**steps
+    _check_steps(steps)
     sampler = _cell_sampler(policy, steps)
     rng = _stream(config.seed)
     start = np.full(config.replications, config.population)
@@ -305,6 +305,7 @@ def chaos_gap(model, populations, pi, steps, replications, seed):
     Each population's replications advance together on the count chain,
     drawn from one RNG stream keyed by (seed, population).
     """
+    _check_steps(steps)
     kernels = _per_stage(pi, steps)
     sampler = _cell_sampler(kernels, steps)
     flow = flow_trajectory(model, model.initial_dist, kernels, steps)

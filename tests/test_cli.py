@@ -351,6 +351,57 @@ def test_flow_refuses_negative_steps(capsys, tmp_path):
     assert err == "error: steps must be >= 0, got -1\n"
 
 
+def test_flow_refuses_steps_beyond_the_limit_at_once(capsys, tmp_path):
+    policy = solve_mf_counterexample(capsys, tmp_path / "mf")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "flow", "counterexample", "--policy-file", str(policy),
+                       "--steps", str(10**14), "--out", str(tmp_path / "flow"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err == f"error: {10**14} steps are above the rollout and flow limit of 100000\n"
+    assert not (tmp_path / "flow").exists()
+
+
+def test_finite_rollout_refuses_steps_beyond_the_limit_at_once(capsys, tmp_path, monkeypatch):
+    rollouts = []
+    monkeypatch.setattr("mfteams.sim._rollout", lambda *args: rollouts.append(args))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "simulate", "decoupled", "-N", "4", "--horizon", str(10**14),
+                       "--uniform-kernel", "--replications", "10", "--seed", "1",
+                       "--out", str(tmp_path / "o"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and rollouts == []
+    assert err == f"error: {10**14} steps are above the rollout and flow limit of 100000\n"
+
+
+@pytest.mark.parametrize("message, expected", [
+    ("Unable to allocate 728. TiB for an array with shape (100000000000000,) and data type int64",
+     "Unable to allocate 728. TiB for an array with shape (100000000000000,) and data type int64"),
+    ("", "MemoryError"),
+])
+def test_memory_error_exits_2_with_one_error_line(capsys, tmp_path, monkeypatch, message,
+                                                  expected):
+    def out_of_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("mfteams.cli.simulate_n_agents", out_of_memory)
+    code, _, err = run(capsys, "simulate", "decoupled", "-N", "4", "--discount", "0.9",
+                       "--uniform-kernel", "--replications", "10", "--seed", "1",
+                       "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_solve_mf_refuses_a_non_finite_eps_at_once(capsys, tmp_path, value):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "solve-mf", "decoupled", "--discount", "0.9", "--mesh", "4",
+                       "--policy-mesh", "2", f"--eps={value}", "--out", str(tmp_path / "o"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err == f"error: epsilon must be finite and > 0, got {float(value)}\n"
+
+
 def test_solve_mf_staged_policy_then_flow(capsys, tmp_path):
     mf_out = tmp_path / "mf"
     code, _, _ = run(capsys, "solve-mf", "counterexample", "--horizon", "2",

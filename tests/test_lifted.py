@@ -32,6 +32,7 @@ from mfteams.lifted import _backup, _greedy, _kernel_stage_data, _SparseMDP, eta
 from mfteams.measures import (
     EmpiricalJointMeasure,
     EmpiricalStateMeasure,
+    SimplexGrid,
     canonical_assignment,
     composition_array,
     enumerate_empirical,
@@ -209,10 +210,10 @@ def test_array_rows_match_the_dict_convolution(seed, num_states, num_actions, po
 
     mdp = build_measure_mdp(model, population)
     refs = []
-    for state, acts in zip(mdp.states, mdp.actions):
+    for state in mdp.states:
         cmat = model.cost_matrix_at(state.as_distribution())
         refs += [(float((cmat * theta.as_distribution()).sum()), eta_kernel(model, state, theta))
-                 for theta in acts]
+                 for theta in enumerate_joint_actions(state, num_actions)]
     _check_pairs(mdp.sparse, counts, refs)
 
     kernels = {c: _rows_with_zeros(rng, (3, num_states, num_actions)) for c in counts}
@@ -224,7 +225,63 @@ def test_array_rows_match_the_dict_convolution(seed, num_states, num_actions, po
         refs += [(sum((c / population) * float(k[x] @ cmat[x]) for x, c in occupied),
                   multinomial_count_distribution([(k[x] @ tens[x], c) for x, c in occupied]))
                  for k in kernels[state.counts]]
-    _check_pairs(_kernel_stage_data(model, states, lambda s: kernels[s.counts]), counts, refs)
+    _check_pairs(_kernel_stage_data(model, composition_array(population, num_states),
+                                    np.array([kernels[c] for c in counts])), counts, refs)
+
+
+def _kernel_rows_per_measure(model, states, kernels):
+    """The build that _kernel_stage_data replaced: per measure, its own
+    kernels, a fresh _Convolver and one fold over its occupied states."""
+    pop = states[0].population
+    mus = np.array([s.as_distribution() for s in states])
+    blocks = []
+    for state, tens, cmat, ks in zip(states, model.kernel_tensor_at(mus),
+                                     model.cost_matrix_at(mus), kernels):
+        conv = lifted._Convolver(model.num_states)
+        occupied = [(x, n) for x, n in enumerate(state.counts) if n]
+        blocks.append((sum((n / pop) * (ks[:, x] @ cmat[x]) for x, n in occupied),
+                       conv.fold((conv.multinomial(ks[:, x] @ tens[x], n), n)
+                                 for x, n in occupied)))
+    return lifted._pack(blocks, len(states) * kernels.shape[1] * len(states))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_states=st.sampled_from([2, 3]),
+       num_actions=st.sampled_from([2, 3]), population=st.integers(1, 6),
+       num_kernels=st.integers(1, 3), shared=st.booleans())
+@example(seed=3, num_states=3, num_actions=3, population=6, num_kernels=3, shared=False)
+def test_kernel_rows_match_the_per_measure_loop(seed, num_states, num_actions, population,
+                                                num_kernels, shared):
+    rng = np.random.default_rng(seed)
+    model = _model_with_zeros(rng, num_states, num_actions)
+    states = enumerate_empirical(population, num_states)
+    shape = (len(states), num_kernels, num_states, num_actions)
+    if shared:  # the restricted problem's kernels, the same at every measure
+        kernels = np.broadcast_to(_rows_with_zeros(rng, shape[1:]), shape)
+    else:
+        kernels = _rows_with_zeros(rng, shape)
+    got = _kernel_stage_data(model, composition_array(population, num_states), kernels)
+    for a, b in zip(got, _kernel_rows_per_measure(model, states, kernels)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_exact_evaluation_projects_once_per_distinct_kernel(counterexample, monkeypatch):
+    projected, many = [], []
+    project_many = SimplexGrid.project_many
+
+    def counting(grid, mus):
+        many.append(len(mus))
+        return project_many(grid, mus)
+
+    monkeypatch.setattr(SimplexGrid, "project", lambda grid, mu: projected.append(mu))
+    monkeypatch.setattr(SimplexGrid, "project_many", counting)
+    grid = simplex_grid(2, 2)
+    uniform = PolicyKernel.constant(np.full((2, 2), 0.5), grid)
+    split = PolicyKernel.constant(np.array([[1.0, 0.0], [0.5, 0.5]]), grid)
+    values = evaluate_symmetric_policy_exact(
+        counterexample, 2, [split, uniform, split], FiniteHorizon(3))
+    assert projected == [] and many == [3, 3]
+    assert values[0] == pytest.approx(1.25, abs=1e-12)
 
 
 def _per_split_factors(conv, laws, splits):
@@ -314,7 +371,7 @@ def test_two_agent_two_stage_values(counterexample):
     np.testing.assert_allclose(sol.values[1], [0.5, 0.0, 0.5], atol=1e-12)
     assert not sol.stationary
     i = mdp.index[(0, 2)]
-    theta = mdp.actions[i][sol.choices[0][i]]
+    theta = enumerate_joint_actions(mdp.states[i], 2)[sol.choices[0][i]]
     assert theta.counts == ((0, 0), (1, 1))
 
 

@@ -140,6 +140,15 @@ def test_mkv_mdp_tables(counterexample):
             assert mkv.successor[g, p] == grid.project(nxt)
 
 
+def test_limit_solution_states_are_the_grid_points(decoupled):
+    sol = solve(build_mkv_mdp(decoupled, 4, 2), FiniteHorizon(2))
+    grid = sol.problem.state_grid
+    assert len(sol.states) == len(grid) == len(sol.values[0])
+    for i, state in enumerate(sol.states):
+        assert state.population == grid.mesh and state.counts == grid.counts[i]
+        assert np.array_equal(state.as_distribution(), grid.point(i))
+
+
 def test_mkv_finite_matches_exhaustive_two_stage(counterexample, weakly_coupled):
     for model in (counterexample, weakly_coupled):
         mkv = build_mkv_mdp(model, 4, 2)

@@ -9,7 +9,6 @@ from mfteams import (
     DiscountedHorizon,
     EnvironmentModel,
     FiniteHorizon,
-    MarginalMismatchError,
     ModelValidationError,
     as_simplex,
     load_model,
@@ -163,6 +162,12 @@ def test_horizon_validation():
         DiscountedHorizon(epsilon=0.0)
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_discounted_horizon_refuses_a_non_finite_or_negative_epsilon(epsilon):
+    with pytest.raises(ValueError, match=f"epsilon must be finite and > 0, got {epsilon}"):
+        DiscountedHorizon(beta=0.9, epsilon=epsilon)
+
+
 # ---- kernel and cost evaluation ----
 
 
@@ -170,7 +175,7 @@ def test_counterexample_kernel_is_point_mass_on_action(counterexample):
     for x in range(2):
         for u in range(2):
             for mu in ([1.0, 0.0], [0.3, 0.7], [0.0, 1.0]):
-                row = counterexample.kernel_at(x, u, mu)
+                row = counterexample.kernel_tensor_at(mu)[x, u]
                 expected = np.zeros(2)
                 expected[u] = 1.0
                 np.testing.assert_allclose(row, expected, atol=0)
@@ -180,10 +185,10 @@ def test_counterexample_cost_values(counterexample):
     # sum_z (mu(z) - 1/2)^2: zero at uniform, 1/2 at the vertices.
     for x in range(2):
         for u in range(2):
-            assert counterexample.cost_at(x, u, [0.5, 0.5]) == pytest.approx(0.0, abs=1e-15)
-            assert counterexample.cost_at(x, u, [0.0, 1.0]) == pytest.approx(0.5, abs=1e-15)
-            assert counterexample.cost_at(x, u, [1.0, 0.0]) == pytest.approx(0.5, abs=1e-15)
-    assert counterexample.cost_at(0, 0, [0.25, 0.75]) == pytest.approx(0.125, abs=1e-15)
+            assert counterexample.cost_matrix_at([0.5, 0.5])[x, u] == pytest.approx(0.0, abs=1e-15)
+            assert counterexample.cost_matrix_at([0.0, 1.0])[x, u] == pytest.approx(0.5, abs=1e-15)
+            assert counterexample.cost_matrix_at([1.0, 0.0])[x, u] == pytest.approx(0.5, abs=1e-15)
+    assert counterexample.cost_matrix_at([0.25, 0.75])[0, 0] == pytest.approx(0.125, abs=1e-15)
 
 
 def test_coupled_kernel_hand_case():
@@ -203,10 +208,10 @@ def test_coupled_kernel_hand_case():
         initial_dist=[0.5, 0.5],
     )
     np.testing.assert_allclose(
-        model.kernel_at(0, 0, [0.3, 0.7]), [0.66, 0.34], atol=1e-15
+        model.kernel_tensor_at([0.3, 0.7])[0, 0], [0.66, 0.34], atol=1e-15
     )
     np.testing.assert_allclose(
-        model.kernel_at(1, 0, [1.0, 0.0]), [0.8, 0.2], atol=0
+        model.kernel_tensor_at([1.0, 0.0])[1, 0], [0.8, 0.2], atol=0
     )
 
 
@@ -242,29 +247,6 @@ def test_vertex_validity_certifies_grid(counterexample, decoupled, weakly_couple
             tens = model.kernel_tensor_at(grid.point(g))
             assert tens.min() >= -1e-12
             np.testing.assert_allclose(tens.sum(axis=2), 1.0, atol=1e-12)
-
-
-def test_running_cost_tilde_mixes_cost_matrix(counterexample):
-    theta = np.array([[0.0, 0.0], [0.5, 0.5]])
-    assert counterexample.running_cost_tilde(theta, [0.0, 1.0]) == pytest.approx(0.5)
-    rng = np.random.default_rng(3)
-    model = make_random_model(rng, num_states=2, num_actions=3)
-    mu = rng.dirichlet(np.ones(2))
-    rows_a = rng.dirichlet(np.ones(3), size=2)
-    rows_b = rng.dirichlet(np.ones(3), size=2)
-    lam = 0.3
-    c_a = model.running_cost_tilde(mu[:, None] * rows_a, mu)
-    c_b = model.running_cost_tilde(mu[:, None] * rows_b, mu)
-    mix = mu[:, None] * (lam * rows_a + (1.0 - lam) * rows_b)
-    assert model.running_cost_tilde(mix, mu) == pytest.approx(
-        lam * c_a + (1.0 - lam) * c_b, abs=1e-12
-    )
-
-
-def test_running_cost_rejects_bad_marginal(counterexample):
-    theta = np.array([[0.5, 0.0], [0.0, 0.5]])
-    with pytest.raises(MarginalMismatchError):
-        counterexample.running_cost_tilde(theta, [0.0, 1.0])
 
 
 def test_max_stage_cost(counterexample):

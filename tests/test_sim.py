@@ -32,6 +32,7 @@ from mfteams import (
 from mfteams import lifted
 from mfteams.measures import (
     SimplexGrid,
+    enumerate_joint_actions,
     num_compositions,
     policy_grid,
     rank_compositions,
@@ -167,7 +168,8 @@ def test_one_step_count_law_matches_exact(seed, num_states, num_actions, populat
     grid = simplex_grid(2, num_states)
     shared = PolicyKernel(grid, rng.dirichlet(np.ones(num_actions), size=(len(grid), num_states)))
     mdp = build_measure_mdp(model, population)
-    table = np.array([rng.integers(len(acts)) for acts in mdp.actions])
+    acts = [enumerate_joint_actions(s, num_actions) for s in mdp.states]
+    table = np.array([rng.integers(len(a)) for a in acts])
     lifted = Solution(mdp, values=None, choices=(table,), stationary=True)
 
     def shared_law(counts):
@@ -181,7 +183,7 @@ def test_one_step_count_law_matches_exact(seed, num_states, num_actions, populat
     def lifted_law(counts):
         # the cell counts are the chosen theta
         i = mdp.index[counts]
-        return eta_kernel(model, mdp.states[i], mdp.actions[i][table[i]])
+        return eta_kernel(model, mdp.states[i], acts[i][table[i]])
 
     # two start states interleaved, so replications that mix show up
     starts = [mdp.states[i].counts for i in rng.integers(len(mdp.states), size=2)]
@@ -201,7 +203,7 @@ def test_lifted_cell_counts_equal_theta(weakly_coupled):
     for t in range(2):
         cells = draw(t, counts, None)
         for row, i in zip(cells, order):
-            theta = mdp.actions[i][sol.choices[t][i]]
+            theta = enumerate_joint_actions(mdp.states[i], 2)[sol.choices[t][i]]
             assert row.tolist() == [list(r) for r in theta.counts]
 
 
@@ -222,8 +224,9 @@ def _reference_sampler(policy, steps):
     measure: shared kernels project every replication's measure."""
     if isinstance(policy, Solution) and isinstance(policy.problem, lifted.MeasureMDP):
         mdp = policy.problem
+        acts = [enumerate_joint_actions(s, mdp.model.num_actions) for s in mdp.states]
         cells = lifted._stage_tables(
-            [np.array([mdp.actions[i][a].counts for i, a in enumerate(table)])
+            [np.array([acts[i][a].counts for i, a in enumerate(table)])
              for table in policy.choices], policy.stationary, steps)
 
         def draw(t, counts, rng):
@@ -268,7 +271,8 @@ def _random_policy(rng, model, kind, population, steps):
     X, U = model.num_states, model.num_actions
     if kind == "lifted":
         mdp = build_measure_mdp(model, population)
-        tables = [np.array([rng.integers(len(acts)) for acts in mdp.actions])
+        acts = [enumerate_joint_actions(s, U) for s in mdp.states]
+        tables = [np.array([rng.integers(len(a)) for a in acts])
                   for _ in range(1 if steps is None else steps)]
         return Solution(mdp, values=None, choices=tuple(tables), stationary=steps is None)
     grids = [simplex_grid(mesh, X) for mesh in (1, 3, 5)]
@@ -448,6 +452,22 @@ def test_stage_kernel_list_rollout(counterexample):
             SimConfig(population=2, horizon=FiniteHorizon(3),
                       policy=[split, split], replications=10, seed=1),
         )
+
+
+def test_rollouts_and_flows_refuse_steps_beyond_the_limit(counterexample, monkeypatch):
+    # refused before a per-stage list of 10**14 kernels is made
+    stages = []
+    monkeypatch.setattr("mfteams.sim._per_stage", lambda *args: stages.append(args))
+    monkeypatch.setattr("mfteams.mkv._per_stage", lambda *args: stages.append(args))
+    k, limit = uniform_kernel(), "above the rollout and flow limit of 100000"
+    with pytest.raises(ValueError, match=limit):
+        simulate_n_agents(counterexample, SimConfig(population=2, horizon=FiniteHorizon(10**14),
+                                                    policy=k, replications=10, seed=1))
+    with pytest.raises(ValueError, match=limit):
+        chaos_gap(counterexample, [2], k, steps=10**14, replications=10, seed=1)
+    with pytest.raises(ValueError, match=limit):
+        flow_trajectory(counterexample, counterexample.initial_dist, k, 10**14)
+    assert stages == []
 
 
 def test_stage_rule_is_the_same_for_every_rollout(counterexample, decoupled):
