@@ -15,9 +15,10 @@ factor per action split of that state: the law of their next counts, a
 dense vector over the compositions of their number, indexed by rank
 (`rank_compositions`).  The model is evaluated once for all measures, and
 one multinomial per number of draws covers every (measure, state, action)
-law.  The factors of every (measure, state) pair holding the same number
-of agents are folded together, action by action, with one gather and one
-weighted np.bincount per action (`_Convolver.fold_splits`).  A joint
+law.  The factors come from a prefix recursion over the actions: the
+splits of m agents over actions 0..u are those of m - k agents over
+actions 0..u-1 and k draws of action u, so each (u, m, k) is one convolve
+over every (measure, state) pair holding enough agents.  A joint
 action's row is the convolution of its states' factors, computed for all
 joint actions of a measure at once with a (rank a, rank b) -> rank(a + b)
 table and one weighted np.bincount per state.  `multinomial_pmf_table`,
@@ -167,15 +168,17 @@ class _Convolver:
     parts), indexed by rank.  The rank table of (a, b) holds the rank of
     the sum of every pair of compositions of a and of b, so the law of a
     sum of independent count vectors is one weighted np.bincount over it.
-    The compositions, coefficients and split plans are kept per total; the
-    rank tables are made per call, since the (a, b) pairs of one measure's
-    states seldom recur at another and a kept table would only hold memory
-    for the rest of a build that one convolver serves.
+    Every convolution of a build is one convolve: the split factors, the
+    fold across states and the shared-kernel rows.  The compositions and
+    coefficients are kept per total; the rank tables are made per call,
+    since the (a, b) pairs of one measure's states seldom recur at another
+    and a kept table would only hold memory for the rest of a build that
+    one convolver serves.
     """
 
     def __init__(self, parts):
         self.parts = parts
-        self._comps, self._coefs, self._plans = {}, {}, {}
+        self._comps, self._coefs = {}, {}
 
     def comps(self, n):
         if n not in self._comps:
@@ -233,71 +236,6 @@ class _Convolver:
             law = self.convolve(law, total, f, n)
             total += n
         return law
-
-    def fold_splits(self, pmfs, n):
-        """Law of the next counts of n agents for each of their action
-        splits, for P groups of n agents at once: pmfs[p, u] holds the
-        Multinomial(m, law of action u) of group p for m = 0, ..., n, laws
-        over compositions(m) laid end to end.  Returns the (P, splits, K)
-        array of fold((pmf of split[u] draws of action u, split[u]) for
-        each u) over the rows of composition_array(n, U), bit for bit: each
-        level of the plan convolves in convolve's (i, j) order, and a
-        split's zero parts are skipped as fold skips them."""
-        P, U, width = pmfs.shape
-        levels, final, size = self._split_plan(n, U)
-        laws = np.empty((P, size))
-        laws[:, : U * width] = pmfs.reshape(P, -1)
-        for take, times, put, lo, hi in levels:
-            w = laws[:, take] * laws[:, times]
-            offset = (hi - lo) * np.arange(P)[:, None]
-            laws[:, lo:hi] = np.bincount((put + offset).ravel(), w.ravel(),
-                                         minlength=P * (hi - lo)).reshape(P, -1)
-        return laws[:, final]
-
-    def _split_plan(self, n, actions):
-        """The plan of fold_splits for n agents and `actions` actions, kept
-        per (n, actions): one (take, times, put, lo, hi) level per action
-        at which some split convolves, and the columns of each split's law.
-
-        A row of the work array starts with the pmfs of every action, then
-        the law of every split after each convolve, level by level.  At
-        action u a split with no agents folded yet takes its part's pmf, a
-        zero part leaves its law where it is, and otherwise its law is
-        convolved with its part's pmf: level entry e multiplies columns
-        take[e] and times[e] and adds the product to column lo + put[e],
-        the entries of a convolve running over (i, j) in convolve's order.
-        """
-        if (n, actions) in self._plans:
-            return self._plans[n, actions]
-        # compositions(m) for m = 0, ..., n end to end, those of m from start[m] on:
-        # the compositions of n into parts + 1 coordinates less their leading slack n - m
-        upto = composition_array(n, self.parts + 1)[:, 1:]
-        start = np.array([0] + [num_compositions(m, self.parts + 1) for m in range(n + 1)])
-        size, width = np.diff(start), int(start[-1])
-        splits = composition_array(n, actions)
-        a = np.zeros(len(splits), dtype=np.int64)  # agents folded so far, per split
-        at = np.zeros(len(splits), dtype=np.int64)  # first column of their law
-        end, levels = actions * width, []
-        for u, m in enumerate(splits.T):
-            pmf = u * width + start[m]
-            conv = np.flatnonzero((a > 0) & (m > 0))
-            at = np.where(a == 0, pmf, at)
-            if conv.size:
-                ka, km, kout = size[a[conv]], size[m[conv]], size[a[conv] + m[conv]]
-                to = np.cumsum(kout) - kout  # each new law's column, less end
-                which = np.repeat(np.arange(conv.size), ka * km)  # the convolve of each entry
-                first = np.repeat(np.cumsum(ka * km) - ka * km, ka * km)
-                i, j = np.divmod(np.arange(which.size) - first, km[which])
-                i_at, j_at = start[a[conv]][which] + i, start[m[conv]][which] + j
-                rank = rank_compositions(upto[i_at] + upto[j_at])
-                levels.append((at[conv][which] + i, u * width + j_at, to[which] + rank,
-                               end, end + int(kout.sum())))
-                at[conv] = end + to
-                end += int(kout.sum())
-            a = a + m
-        final = at[:, None] + np.arange(size[n])
-        self._plans[n, actions] = levels, final, end
-        return self._plans[n, actions]
 
 
 def _backup(mdp, values, beta):
@@ -509,8 +447,9 @@ class MeasureMDP:
     def sparse(self):
         """The flat MDP, built when a solver first asks for it: the model
         is evaluated once for all measures, the split factors of every
-        (measure, state) pair come from _split_factors, and each measure's
-        rows are its states' factors convolved by _lifted_rows."""
+        (measure, state) pair come from _split_factors, one convolve per
+        (action, agents, draws of that action) over all pairs, and each
+        measure's rows are its states' factors convolved by _lifted_rows."""
         N, X = self.population, self.model.num_states
         conv = _Convolver(X)
         counts = composition_array(N, X)
@@ -563,23 +502,44 @@ def _split_factors(conv, tens, counts):
     """Split factors of every (measure, state) pair: out[i][x] is, for each
     action split of the counts[i, x] agents of state x at measure i, the
     law of their next counts over compositions(counts[i, x], X), the
-    convolution over actions u of Multinomial(split[u], tens[i, x, u]).
+    convolution over actions u of Multinomial(split[u], tens[i, x, u]);
+    None when the state is empty.
 
-    One multinomial per number of draws covers every law of `tens`, and
-    the pairs holding the same number of agents are folded in one batch.
+    A prefix recursion over the actions: the laws of the splits of m
+    agents over actions 0..u are those of m - k agents over actions
+    0..u-1, each convolved with the pmf of k draws of action u.  With the
+    occupied pairs sorted by agent count, most first, those holding at
+    least m agents are a prefix and those holding exactly m a slice, so
+    each (u, m, k) is one convolve over the pairs holding at least m, or
+    exactly m at the last action.  The 0-draw pmf is [1.0], so a zero part
+    passes a law through exactly, and the nonzero parts are convolved left
+    to right, as fold does.
     """
     M, X, U, _ = tens.shape
-    N = int(counts[0].sum())
-    # the pmfs of m = 0, ..., N draws end to end: those of m <= n fill the first
-    # num_compositions(n, X + 1) columns, the layout fold_splits reads
-    pmfs = np.concatenate([conv.multinomial(tens.reshape(-1, X), m) for m in range(N + 1)],
-                          axis=1).reshape(M, X, U, -1)
+    n = counts.ravel()
+    pairs = np.argsort(-n, kind="stable")[: np.count_nonzero(n)]
+    N = int(n[pairs[0]])
+    held = [int(np.count_nonzero(n[pairs] >= m)) for m in range(N + 2)]  # the first held[m] pairs
+    laws = tens.reshape(M * X, U, -1)[pairs]
+    pmfs = [conv.multinomial(laws[: held[m]].reshape(-1, conv.parts), m).reshape(held[m], U, -1)
+            for m in range(N + 1)]
+    level, first = [p[:, :1] for p in pmfs], [0] * (N + 1)  # level[m] starts at pair first[m]
+    for u in range(1, U):
+        if u == U - 1:
+            first = held[1:]
+        nxt = []
+        for m, lo in enumerate(first):
+            cat = np.concatenate([conv.convolve(level[m - k][lo : held[m]], m - k,
+                                                pmfs[k][lo : held[m], u, None], k)
+                                  for k in range(m + 1)], axis=1)
+            # the splits come grouped by their last part, each group in composition order
+            nxt.append(np.empty_like(cat))
+            nxt[-1][:, np.argsort(composition_array(m, u + 1)[:, -1], kind="stable")] = cat
+        level = nxt
     out = [[None] * X for _ in range(M)]
-    for n in sorted(set(counts.ravel().tolist()) - {0}):
-        rows, cols = np.nonzero(counts == n)
-        batch = conv.fold_splits(pmfs[rows, cols, :, : num_compositions(n, X + 1)], n)
-        for i, x, f in zip(rows.tolist(), cols.tolist(), batch):
-            out[i][x] = f
+    for p, pair in enumerate(pairs.tolist()):
+        m = n[pair]
+        out[pair // X][pair % X] = level[m][p - first[m]]
     return out
 
 

@@ -56,6 +56,18 @@ def _stream(seed, *key):
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), *key]))
 
 
+def _check_sizes(populations, replications):
+    """Refuse a population below 1 or past the int64 range, or fewer than
+    one replication, before anything is drawn."""
+    for population in populations:
+        if population < 1:
+            raise ValueError("population must be >= 1")
+        if population > np.iinfo(np.int64).max:
+            raise ValueError(f"population {population} exceeds the int64 range")
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     population: int
@@ -66,12 +78,7 @@ class SimConfig:
     truncation_error: float = 1e-6
 
     def __post_init__(self):
-        if self.population < 1:
-            raise ValueError("population must be >= 1")
-        if self.population > np.iinfo(np.int64).max:
-            raise ValueError(f"population {self.population} exceeds the int64 range")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        _check_sizes([self.population], self.replications)
         if not 0 < self.truncation_error < math.inf:
             raise ValueError(
                 f"truncation_error must be finite and > 0, got {self.truncation_error}")
@@ -305,6 +312,7 @@ def chaos_gap(model, populations, pi, steps, replications, seed):
     Each population's replications advance together on the count chain,
     drawn from one RNG stream keyed by (seed, population).
     """
+    _check_sizes(populations, replications)
     _check_steps(steps)
     kernels = _per_stage(pi, steps)
     sampler = _cell_sampler(kernels, steps)
@@ -352,6 +360,8 @@ def verify_markov_mf(model, population, pi, t_max=2):
     X, U = model.num_states, model.num_actions
     if N > 4 or X > 3 or U > 3:
         raise ValueError("exact history enumeration is limited to N <= 4, |X|,|U| <= 3")
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
     if isinstance(pi, PolicyKernel):
         agent_kernels = [pi] * N
     else:

@@ -324,15 +324,13 @@ def test_batched_build_matches_the_per_split_loop(seed, num_states, num_actions,
 @pytest.mark.parametrize("num_states", [1, 2, 3])
 def test_split_folds_over_more_actions_match_the_loop(num_states):
     # with four or five actions a split convolves up to four times and
-    # skips zero parts between its convolves
+    # skips zero parts between its convolves; with one it never convolves
     rng = np.random.default_rng(num_states)
-    for num_actions in (4, 5):
+    for num_actions in (4, 5, 1):
         conv = lifted._Convolver(num_states)
         for n in range(1, 6):
             laws = _rows_with_zeros(rng, (3, num_actions, num_states))
-            pmfs = np.stack([np.concatenate([conv.multinomial(law, m) for m in range(n + 1)],
-                                            axis=1) for law in laws])
-            got = conv.fold_splits(pmfs, n)
+            got = [f for f, in lifted._split_factors(conv, laws[:, None], np.full((3, 1), n))]
             for law, factors in zip(laws, got):
                 want = _per_split_factors(conv, law, composition_array(n, num_actions))
                 assert np.array_equal(factors, want)

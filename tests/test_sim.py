@@ -605,6 +605,16 @@ def test_chaos_gap_single_replication_has_no_se(counterexample):
     assert rows[0].per_step_se is None
 
 
+def test_chaos_gap_refuses_bad_populations_and_replications_before_any_rollout(
+        weakly_coupled, monkeypatch):
+    monkeypatch.setattr("mfteams.sim._rollout", lambda *args: pytest.fail("rolled out"))
+    for populations, replications, message in (
+            ([0], 5, "population must be >= 1"), ([4, -2], 5, "population must be >= 1"),
+            ([2**63], 5, "exceeds the int64 range"), ([4], 0, "replications must be >= 1")):
+        with pytest.raises(ValueError, match=message):
+            chaos_gap(weakly_coupled, populations, uniform_kernel(), 3, replications, 1)
+
+
 # ---- Markov summary check ----
 
 
@@ -632,6 +642,9 @@ def test_markov_check_input_guards(counterexample):
         verify_markov_mf(counterexample, 5, uniform_kernel())
     with pytest.raises(ValueError):
         verify_markov_mf(counterexample, 3, [uniform_kernel()] * 2)
+    for t_max in (0, -1):
+        with pytest.raises(ValueError, match=f"t_max must be >= 1, got {t_max}"):
+            verify_markov_mf(counterexample, 2, uniform_kernel(), t_max=t_max)
 
 
 # ---- optimality gap ----
