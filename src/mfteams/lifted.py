@@ -101,12 +101,13 @@ class ConvergenceError(RuntimeError):
 
 
 class _SparseMDP(NamedTuple):
-    """A finite MDP in one flat layout.
+    """A finite MDP in one flat layout, with CSR transition rows.
 
     (state, action) pairs are numbered state-major: state i owns the pairs
     act_off[i] up to act_off[i + 1], and a pair's offset from act_off[i] is
     its action ordinal.  Pair a's transition row is idx and prob over
-    row_off[a] up to row_off[a + 1]; no row is empty.
+    row_off[a] up to row_off[a + 1]; no row is empty.  Every problem is
+    built and kept in this layout; _for_sweeps picks what the sweeps read.
     """
 
     cost: np.ndarray
@@ -114,6 +115,52 @@ class _SparseMDP(NamedTuple):
     row_off: np.ndarray
     idx: np.ndarray
     prob: np.ndarray
+
+    def expect(self, values):
+        """Expected next value of every pair: a segment sum per row."""
+        return np.add.reduceat(self.prob * values[self.idx], self.row_off)
+
+    @property
+    def longest_row(self):
+        return int(np.diff(self.row_off, append=self.idx.size).max())
+
+
+class _DenseMDP(NamedTuple):
+    """A _SparseMDP's cost and pairs with its transition rows as one
+    (pairs, states) array, which _for_sweeps makes when at least half its
+    entries are nonzero."""
+
+    cost: np.ndarray
+    act_off: np.ndarray
+    rows: np.ndarray
+
+    def expect(self, values):
+        """Expected next value of every pair: one row-wise einsum.  Unlike
+        `rows @ values`, which goes to BLAS, it sums identical rows to
+        identical values, so exact duplicate actions still tie."""
+        return np.einsum("as,s->a", self.rows, values)
+
+    @property
+    def longest_row(self):
+        return self.rows.shape[1]
+
+
+def _dense_rows(mdp):
+    """The (pairs, states) array of a _SparseMDP's rows, by one bincount,
+    so indices repeated within a row add up."""
+    pairs, n = mdp.cost.size, mdp.act_off.size
+    flat = np.repeat(np.arange(0, pairs * n, n), np.diff(mdp.row_off, append=mdp.idx.size))
+    flat += mdp.idx
+    return np.bincount(flat, mdp.prob, minlength=pairs * n).reshape(pairs, n)
+
+
+def _for_sweeps(mdp):
+    """What repeated backups of a _SparseMDP read: dense rows when the
+    (pairs, states) array takes no more bytes than idx and prob, that is
+    pairs * states <= 2 * nnz, and the CSR rows otherwise."""
+    if mdp.cost.size * mdp.act_off.size > 2 * mdp.idx.size:
+        return mdp
+    return _DenseMDP(mdp.cost, mdp.act_off, _dense_rows(mdp))
 
 
 def _pack(blocks, bound):
@@ -239,13 +286,15 @@ class _Convolver:
 
 
 def _backup(mdp, values, beta):
-    """One Bellman backup: (Q-value of every pair, minimum per state).
+    """One Bellman backup of a _SparseMDP or _DenseMDP: (Q-value of every
+    pair, minimum per state).  The expected next values come from the
+    MDP's `expect`.
 
     values=None backs up the stage cost alone, as at a last stage.
     """
     q = mdp.cost
     if values is not None:
-        q = q + beta * np.add.reduceat(mdp.prob * values[mdp.idx], mdp.row_off)
+        q = q + beta * mdp.expect(values)
     return q, np.minimum.reduceat(q, mdp.act_off)
 
 
@@ -257,7 +306,7 @@ def _greedy(mdp, q, best):
 
 
 def _solve_finite(stages, beta):
-    """Backward recursion over one _SparseMDP per stage, all on the same
+    """Backward recursion over one MDP per stage, all on the same
     states; the last stage minimizes its stage cost alone.
 
     Returns (values, actions), one array per stage.
@@ -314,10 +363,11 @@ class Solution:
 def solve(problem, horizon, cap=DEFAULT_ENUMERATION_CAP):
     """Solve `problem` under `horizon`: backward recursion over its steps,
     or value iteration when discounted.  `problem` is a MeasureMDP, a
-    RestrictedMDP or an MkvMDP: it has a `model` and a flat `sparse` MDP.
+    RestrictedMDP or an MkvMDP: it has a `model` and a flat `sparse` MDP,
+    which _for_sweeps turns once into what every backup reads.
     """
-    mdp = problem.sparse
-    beta, steps = _horizon(problem.model, horizon, mdp.act_off.size, cap)
+    beta, steps = _horizon(problem.model, horizon, problem.sparse.act_off.size, cap)
+    mdp = _for_sweeps(problem.sparse)
     if steps is None:
         values, actions = _solve_discounted(mdp, beta, horizon.epsilon)
         return Solution(problem, (values,), (actions,), True)
@@ -331,8 +381,7 @@ def _hopeless(mdp, beta, threshold):
     sweep j is at least beta**(j - 1) * m, less at most eps * (longest row
     + 2) * max cost * n**2 of rounding, n = min(sweeps, 1 / (1 - beta))."""
     m, n = float(mdp.cost.min()), min(_MAX_SWEEPS, 1.0 / (1.0 - beta))
-    row = int(np.diff(mdp.row_off, append=mdp.idx.size).max())
-    slack = np.finfo(float).eps * (row + 2) * float(mdp.cost.max()) * n * n
+    slack = np.finfo(float).eps * (mdp.longest_row + 2) * float(mdp.cost.max()) * n * n
     # the factor 2 also covers row masses off 1 by the 1e-12 tolerance
     return m > 0.0 and m * beta ** (_MAX_SWEEPS - 1) > 2.0 * (threshold + slack)
 
@@ -341,10 +390,7 @@ def _evaluate_discounted(mdp, beta):
     """Exact discounted values of a _SparseMDP with one action per state,
     from the linear system (I - beta P) v = cost."""
     n = mdp.act_off.size
-    rows = np.repeat(np.arange(n), np.diff(mdp.row_off, append=mdp.idx.size))
-    P = np.zeros((n, n))
-    P[rows, mdp.idx] = mdp.prob
-    return np.linalg.solve(np.eye(n) - beta * P, mdp.cost)
+    return np.linalg.solve(np.eye(n) - beta * _dense_rows(mdp), mdp.cost)
 
 
 def multinomial_pmf_table(law, trials):
@@ -776,11 +822,12 @@ def evaluate_symmetric_policy_exact(model, population, pi, horizon,
     beta, steps = _horizon(model, horizon, len(counts), cap)
     kernels = _per_stage(pi, steps)
     mus = counts / population
-    data = {}  # one _SparseMDP per distinct kernel object
+    data = {}  # one MDP per distinct kernel object, as its evaluation reads it
     for k in kernels:
         if id(k) not in data:
             rows = k.table[k.grid.project_many(mus)[:, None]]
-            data[id(k)] = _kernel_stage_data(model, counts, rows, cap)
+            mdp = _kernel_stage_data(model, counts, rows, cap)
+            data[id(k)] = mdp if steps is None else _for_sweeps(mdp)
     stages = [data[id(k)] for k in kernels]
     if steps is None:
         return _evaluate_discounted(stages[0], beta)

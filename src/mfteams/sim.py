@@ -21,6 +21,7 @@ are the same either way.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -56,15 +57,23 @@ def _stream(seed, *key):
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), *key]))
 
 
-def _check_sizes(populations, replications):
-    """Refuse a population below 1 or past the int64 range, or fewer than
-    one replication, before anything is drawn."""
+def _check_integer(name, value):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_sizes(populations, replications=1):
+    """Refuse a population that is not an integer, below 1 or past the
+    int64 range, or a replication count that is not an integer or below 1,
+    before anything is enumerated or drawn."""
     for population in populations:
-        if population < 1:
+        if _check_integer("population", population) < 1:
             raise ValueError("population must be >= 1")
         if population > np.iinfo(np.int64).max:
             raise ValueError(f"population {population} exceeds the int64 range")
-    if replications < 1:
+    if _check_integer("replications", replications) < 1:
         raise ValueError("replications must be >= 1")
 
 
@@ -356,6 +365,7 @@ def verify_markov_mf(model, population, pi, t_max=2):
     breaks it once ambiguity about which other agent is where carries
     information.
     """
+    _check_sizes([population])
     N = population
     X, U = model.num_states, model.num_actions
     if N > 4 or X > 3 or U > 3:
@@ -484,6 +494,7 @@ def epsilon_gap(model, populations, horizon, mesh, policy_mesh,
     distribution.  Populations whose enumeration exceeds the cap are
     reported as skipped.
     """
+    _check_sizes(populations)
     kernels = policy_kernels(solve(build_mkv_mdp(model, mesh, policy_mesh, cap=cap), horizon, cap))
     rows = []
     for population in populations:

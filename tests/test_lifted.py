@@ -478,6 +478,127 @@ def test_flat_backup_matches_per_row_reference(seed, num_states, discounted):
         assert first[pair] == pair, "a later duplicate action won the tie"
 
 
+def random_csr_mdp(rng, num_states):
+    """A random _SparseMDP whose states have 1-4 actions, some of them exact
+    copies of an earlier action of the same state, and whose rows repeat
+    indices; also, per pair, the first pair with the same cost and row."""
+    costs, rows, sizes, first = [], [], [], []
+    for _ in range(num_states):
+        sizes.append(int(rng.integers(1, 5)))
+        for a in range(sizes[-1]):
+            if a and rng.random() < 0.3:
+                src = len(costs) - int(rng.integers(1, a + 1))
+                costs.append(costs[src])
+                rows.append(rows[src])
+                first.append(first[src])
+                continue
+            nnz = int(rng.integers(1, 2 * num_states + 1))
+            first.append(len(costs))
+            costs.append(float(rng.normal()))
+            rows.append((rng.integers(num_states, size=nnz), rng.dirichlet(np.ones(nnz))))
+    mdp = _SparseMDP(
+        np.array(costs),
+        np.cumsum([0, *sizes[:-1]]),
+        np.cumsum([0, *(idx.size for idx, _ in rows[:-1])]),
+        np.concatenate([idx for idx, _ in rows]),
+        np.concatenate([probs for _, probs in rows]),
+    )
+    return mdp, first
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_states=st.integers(1, 70), discounted=st.booleans())
+@example(seed=3, num_states=129, discounted=True)
+@example(seed=4, num_states=257, discounted=True)
+def test_dense_backup_matches_the_csr_backup(seed, num_states, discounted):
+    rng = np.random.default_rng(seed)
+    beta = float(rng.uniform(0.01, 1.0)) if discounted else 0.0
+    mdp, first = random_csr_mdp(rng, num_states)
+    dense = lifted._DenseMDP(mdp.cost, mdp.act_off, lifted._dense_rows(mdp))
+    assert dense.rows.shape == (mdp.cost.size, num_states)
+    values = rng.normal(size=num_states)
+    q, best = _backup(mdp, values, beta)
+    dense_q, dense_best = _backup(dense, values, beta)
+    np.testing.assert_allclose(dense_q, q, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(dense_best, best, rtol=0.0, atol=1e-12)
+    act = _greedy(dense, dense_q, dense_best)
+    np.testing.assert_array_equal(act, _greedy(mdp, q, best))
+    pairs = mdp.act_off + act
+    assert all(first[pair] == pair for pair in pairs), "a later duplicate action won the tie"
+
+
+def test_dense_backup_sums_identical_rows_identically():
+    # BLAS matrix-vector products sum some rows of one array in another
+    # order than the rest; then an exact duplicate action could win its tie
+    rng = np.random.default_rng(83)
+    for num_states in [*range(1, 70), 127, 128, 129, 130, 255, 256, 257]:
+        for actions in (1, 2, 3):
+            pairs = actions * num_states
+            row = rng.dirichlet(np.ones(num_states))
+            mdp = _SparseMDP(np.full(pairs, 0.5), np.arange(0, pairs, actions),
+                             np.arange(0, pairs * num_states, num_states),
+                             np.tile(np.arange(num_states), pairs), np.tile(row, pairs))
+            dense = lifted._for_sweeps(mdp)
+            assert isinstance(dense, lifted._DenseMDP)
+            q, best = _backup(dense, rng.normal(size=num_states), 0.9)
+            assert np.unique(q).size == 1, (num_states, actions)
+            assert not _greedy(dense, q, best).any()
+
+
+def test_dense_sweeps_match_csr_sweeps(monkeypatch):
+    rng = np.random.default_rng(79)
+    model = make_random_model(rng, 2, 3, coupled=True)
+    mdp = build_measure_mdp(model, 6)
+    kernel = PolicyKernel(simplex_grid(4, 2), rng.dirichlet(np.ones(3), size=(5, 2)))
+    runs = {
+        "lifted discounted": lambda: solve(mdp, DiscountedHorizon(beta=0.9)),
+        "lifted finite": lambda: solve(mdp, FiniteHorizon(4)),
+        "restricted": lambda: solve_symmetric_restricted(
+            model, 6, DiscountedHorizon(beta=0.9), policy_grid(3, 2, 3)),
+        "exact evaluation": lambda: evaluate_symmetric_policy_exact(
+            model, 6, kernel, FiniteHorizon(3)),
+    }
+
+    def outcome(run, for_sweeps):
+        made = []
+
+        def recording(m):
+            made.append(for_sweeps(m))
+            return made[-1]
+
+        calls = count_backups(monkeypatch)
+        monkeypatch.setattr(lifted, "_for_sweeps", recording)
+        out = run()
+        monkeypatch.undo()
+        if isinstance(out, lifted.Solution):
+            return out.values, out.choices, len(calls), made
+        return (out,), (), len(calls), made
+
+    for name, run in runs.items():
+        values, choices, sweeps, made = outcome(run, lifted._for_sweeps)
+        csr_values, csr_choices, csr_sweeps, csr_made = outcome(run, lambda m: m)
+        assert [type(m) for m in made + csr_made] == [lifted._DenseMDP, _SparseMDP], name
+        assert sweeps == csr_sweeps, name
+        for got, want in zip(choices, csr_choices, strict=True):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        for got, want in zip(values, csr_values, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=name)
+
+
+def test_limit_and_sparse_lifted_rows_stay_csr(counterexample, weakly_coupled):
+    lifted_rows = build_measure_mdp(counterexample, 8).sparse
+    assert lifted_rows.cost.size * lifted_rows.act_off.size == 1485
+    assert lifted_rows.idx.size == 165
+    limit = build_mkv_mdp(weakly_coupled, 32, 16).sparse
+    for mdp in (lifted_rows, limit):
+        assert lifted._for_sweeps(mdp) is mdp
+    # dense rows exactly when pairs * states <= 2 * nnz: one successor per row
+    # is dense on 2 states and stays CSR on 3
+    for n, kind in ((2, lifted._DenseMDP), (3, _SparseMDP)):
+        mdp = _SparseMDP(np.ones(n), np.arange(n), np.arange(n), np.arange(n), np.ones(n))
+        assert type(lifted._for_sweeps(mdp)) is kind
+
+
 def test_discounted_rejects_beta_one(counterexample):
     mdp = build_measure_mdp(counterexample, 2)
     with pytest.raises(ValueError):

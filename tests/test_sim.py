@@ -615,6 +615,38 @@ def test_chaos_gap_refuses_bad_populations_and_replications_before_any_rollout(
             chaos_gap(weakly_coupled, populations, uniform_kernel(), 3, replications, 1)
 
 
+NON_INTEGER_SIZES = {
+    "SimConfig population": ("population", lambda model: SimConfig(
+        population=2.5, horizon=FiniteHorizon(2), policy=uniform_kernel(),
+        replications=3, seed=1)),
+    "SimConfig replications": ("replications", lambda model: SimConfig(
+        population=2, horizon=FiniteHorizon(2), policy=uniform_kernel(),
+        replications=2.5, seed=1)),
+    "chaos_gap population": ("population", lambda model: chaos_gap(
+        model, [4, 2.5], uniform_kernel(), 3, 5, 1)),
+    "chaos_gap replications": ("replications", lambda model: chaos_gap(
+        model, [4], uniform_kernel(), 3, 2.5, 1)),
+    "epsilon_gap population": ("population", lambda model: epsilon_gap(
+        model, [2, 2.5], FiniteHorizon(2), 4, 2)),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGER_SIZES)
+def test_non_integer_populations_and_replications_are_refused(weakly_coupled, monkeypatch,
+                                                               case):
+    monkeypatch.setattr("mfteams.sim._rollout", lambda *args: pytest.fail("rolled out"))
+    monkeypatch.setattr("mfteams.sim.solve", lambda *args: pytest.fail("solved"))
+    name, call = NON_INTEGER_SIZES[case]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
+        call(weakly_coupled)
+
+
+def test_integer_sizes_of_any_integer_type_are_accepted():
+    config = SimConfig(population=np.int64(2), horizon=FiniteHorizon(2),
+                       policy=uniform_kernel(), replications=np.int32(3), seed=1)
+    assert (config.population, config.replications) == (2, 3)
+
+
 # ---- Markov summary check ----
 
 
@@ -645,6 +677,17 @@ def test_markov_check_input_guards(counterexample):
     for t_max in (0, -1):
         with pytest.raises(ValueError, match=f"t_max must be >= 1, got {t_max}"):
             verify_markov_mf(counterexample, 2, uniform_kernel(), t_max=t_max)
+
+
+@pytest.mark.parametrize("population, message", [
+    (0, "population must be >= 1"), (-1, "population must be >= 1"),
+    (2.5, "population must be an integer, got 2.5"),
+])
+def test_markov_check_refuses_an_empty_or_fractional_team(counterexample, monkeypatch,
+                                                          population, message):
+    monkeypatch.setattr("mfteams.sim.product", lambda *args, **kw: pytest.fail("enumerated"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_markov_mf(counterexample, population, uniform_kernel())
 
 
 # ---- optimality gap ----
