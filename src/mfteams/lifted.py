@@ -28,7 +28,12 @@ as dictionaries and stay as the reference the tests compare against.
 Also provides the symmetric-kernel-restricted problem on the same state
 space: agents share one per-state action kernel chosen per current
 measure, drawn independently.  `solve` solves the lifted, restricted and
-limit problems alike and returns one `Solution` record.
+limit problems alike and returns one `Solution` record.  A discounted
+solve runs Howard policy iteration wherever one policy's (states, states)
+rows take no more memory than the problem's rows, then value iteration,
+which alone runs on larger limit grids; it certifies its values within
+epsilon/2 by value iteration's stopping threshold or raises
+ConvergenceError.
 """
 
 from __future__ import annotations
@@ -96,8 +101,9 @@ def _horizon(model, horizon, states=0, cap=None):
 
 
 class ConvergenceError(RuntimeError):
-    """Discounted value iteration reached its sweep limit before the update
-    fell to the stopping threshold."""
+    """A discounted solve did not reach its stopping threshold: not within
+    its backup limit, or not by policy iteration where _hopeless shows that
+    value-iteration sweeps from zero could not."""
 
 
 class _SparseMDP(NamedTuple):
@@ -120,9 +126,30 @@ class _SparseMDP(NamedTuple):
         """Expected next value of every pair: a segment sum per row."""
         return np.add.reduceat(self.prob * values[self.idx], self.row_off)
 
+    def dense_rows(self, pairs=None):
+        """The (len(pairs), states) array of the rows of `pairs`, of every
+        pair by default, by one bincount, so indices repeated within a row
+        add up."""
+        lengths = np.diff(self.row_off, append=self.idx.size)
+        idx, prob = self.idx, self.prob
+        if pairs is not None:
+            lengths = lengths[pairs]
+            entry = np.arange(lengths.sum()) + np.repeat(
+                self.row_off[pairs] - np.cumsum(lengths) + lengths, lengths)
+            idx, prob = idx[entry], prob[entry]
+        n = self.act_off.size
+        flat = np.repeat(np.arange(0, lengths.size * n, n), lengths)
+        flat += idx
+        return np.bincount(flat, prob, minlength=lengths.size * n).reshape(lengths.size, n)
+
     @property
     def longest_row(self):
         return int(np.diff(self.row_off, append=self.idx.size).max())
+
+    @property
+    def footprint(self):
+        """The rows' size in 8-byte words: idx and prob."""
+        return 2 * self.idx.size
 
 
 class _DenseMDP(NamedTuple):
@@ -140,27 +167,25 @@ class _DenseMDP(NamedTuple):
         identical values, so exact duplicate actions still tie."""
         return np.einsum("as,s->a", self.rows, values)
 
+    def dense_rows(self, pairs):
+        return self.rows[pairs]
+
     @property
     def longest_row(self):
         return self.rows.shape[1]
 
-
-def _dense_rows(mdp):
-    """The (pairs, states) array of a _SparseMDP's rows, by one bincount,
-    so indices repeated within a row add up."""
-    pairs, n = mdp.cost.size, mdp.act_off.size
-    flat = np.repeat(np.arange(0, pairs * n, n), np.diff(mdp.row_off, append=mdp.idx.size))
-    flat += mdp.idx
-    return np.bincount(flat, mdp.prob, minlength=pairs * n).reshape(pairs, n)
+    @property
+    def footprint(self):
+        return self.rows.size
 
 
 def _for_sweeps(mdp):
     """What repeated backups of a _SparseMDP read: dense rows when the
     (pairs, states) array takes no more bytes than idx and prob, that is
     pairs * states <= 2 * nnz, and the CSR rows otherwise."""
-    if mdp.cost.size * mdp.act_off.size > 2 * mdp.idx.size:
+    if mdp.cost.size * mdp.act_off.size > mdp.footprint:
         return mdp
-    return _DenseMDP(mdp.cost, mdp.act_off, _dense_rows(mdp))
+    return _DenseMDP(mdp.cost, mdp.act_off, mdp.dense_rows())
 
 
 def _pack(blocks, bound):
@@ -319,23 +344,59 @@ def _solve_finite(stages, beta):
 
 
 def _solve_discounted(mdp, beta, epsilon):
-    """Successive approximation from zero until the sup-norm update is at
-    most epsilon*(1-beta)/(2*beta), so the returned values are within
-    epsilon/2 of the fixed point and the greedy actions are epsilon-optimal.
+    """Successive approximation until the sup-norm update |T v - v| is at
+    most epsilon*(1-beta)/(2*beta), so the returned values T v are within
+    epsilon/2 of the fixed point and their greedy actions are
+    epsilon-optimal; ties go to the smallest action ordinal.
 
-    Returns (values, actions); raises ConvergenceError when _MAX_SWEEPS
-    sweeps do not suffice, before the first if _hopeless shows they cannot.
+    It starts with Howard policy iteration (Puterman 1994, section 6.4)
+    when one policy's (states, states) rows take no more words than the
+    rows every backup reads, as dense rows always do: v is first the exact
+    values of the greedy policy of the stage cost, and after each backup
+    the policy switches a state to its greedy action where its current
+    action's Q exceeds the minimum by more than the rounding of the two,
+    and v becomes the new policy's exact values.  The computed Q of a pair
+    is c + beta * (row . v) over at most n = longest_row terms, whose sum
+    is off by at most gamma_n * |v|max with gamma_n = n*u/(1 - n*u) and
+    u = eps/2 (Higham 2002, section 3.1; a row's mass is 1 within 1e-12),
+    and the product and the sum each add at most u times their size, so
+    each computed Q is off by less than eps * (n + 2) * (|c|max + |v|max)
+    and a difference of two by less than twice that: rounding alone never
+    switches an action.  Once no state switches, it is value iteration: v
+    becomes T v.  Near beta = 1 rounding keeps even the optimal policy's
+    exact values from meeting the threshold, and a few sweeps from them
+    do.  When a policy's rows are too large, as on a limit grid with fewer
+    than half as many kernels as points, it is value iteration from zero.
+
+    Raises ConvergenceError when _MAX_SWEEPS backups do not suffice, and
+    makes no sweep where _hopeless shows that sweeps from zero cannot.
     """
     threshold = epsilon * (1.0 - beta) / (2.0 * beta)
-    values = np.zeros(mdp.act_off.size)
-    for _ in range(0 if _hopeless(mdp, beta, threshold) else _MAX_SWEEPS):
+    may_sweep = not _hopeless(mdp, beta, threshold)
+    n = mdp.act_off.size
+    policy, values, backups = None, np.zeros(n), 0
+    if n * n <= mdp.footprint:
+        q, best = _backup(mdp, None, beta)
+        policy = _greedy(mdp, q, best)
+        values, backups = _policy_values(mdp, policy, beta), 1
+        rounding = 2.0 * np.finfo(float).eps * (mdp.longest_row + 2)
+        cost_max = float(np.abs(mdp.cost).max())
+    while backups < _MAX_SWEEPS and (policy is not None or may_sweep):
         q, new = _backup(mdp, values, beta)
-        gap = float(np.abs(new - values).max())
+        backups += 1
+        if float(np.abs(new - values).max()) <= threshold:
+            return new, _greedy(mdp, q, new)
+        if policy is not None:
+            slack = rounding * (cost_max + float(np.abs(values).max()))
+            switch = q[mdp.act_off + policy] - new > slack
+            if switch.any():
+                policy = np.where(switch, _greedy(mdp, q, new), policy)
+                new = _policy_values(mdp, policy, beta)
+            else:
+                policy = None
         values = new
-        if gap <= threshold:
-            return values, _greedy(mdp, q, values)
     raise ConvergenceError(
-        f"value iteration needs more than {_MAX_SWEEPS} sweeps "
+        f"the discounted solve needs more than {_MAX_SWEEPS} sweeps "
         f"(beta={beta}, epsilon={epsilon})"
     )
 
@@ -362,11 +423,14 @@ class Solution:
 
 def solve(problem, horizon, cap=DEFAULT_ENUMERATION_CAP):
     """Solve `problem` under `horizon`: backward recursion over its steps,
-    or value iteration when discounted.  `problem` is a MeasureMDP, a
-    RestrictedMDP or an MkvMDP: it has a `model` and a flat `sparse` MDP,
-    which _for_sweeps turns once into what every backup reads.
+    or, when discounted, policy iteration and value iteration
+    (_solve_discounted).  `problem` is a MeasureMDP, a
+    RestrictedMDP or an MkvMDP: it has a `model`, its `states` and a flat
+    `sparse` MDP, which _for_sweeps turns once into what every backup
+    reads.  A finite horizon too long for the cap is refused before the
+    rows are built.
     """
-    beta, steps = _horizon(problem.model, horizon, problem.sparse.act_off.size, cap)
+    beta, steps = _horizon(problem.model, horizon, len(problem.states), cap)
     mdp = _for_sweeps(problem.sparse)
     if steps is None:
         values, actions = _solve_discounted(mdp, beta, horizon.epsilon)
@@ -386,11 +450,12 @@ def _hopeless(mdp, beta, threshold):
     return m > 0.0 and m * beta ** (_MAX_SWEEPS - 1) > 2.0 * (threshold + slack)
 
 
-def _evaluate_discounted(mdp, beta):
-    """Exact discounted values of a _SparseMDP with one action per state,
-    from the linear system (I - beta P) v = cost."""
-    n = mdp.act_off.size
-    return np.linalg.solve(np.eye(n) - beta * _dense_rows(mdp), mdp.cost)
+def _policy_values(mdp, policy, beta):
+    """Exact discounted values of the stationary policy that takes action
+    ordinal policy[i] in state i: the solution of (I - beta P) v = c over
+    its pairs' costs c and (states, states) rows P."""
+    pairs = mdp.act_off + policy
+    return np.linalg.solve(np.eye(pairs.size) - beta * mdp.dense_rows(pairs), mdp.cost[pairs])
 
 
 def multinomial_pmf_table(law, trials):
@@ -595,8 +660,9 @@ def bellman_backup(mdp, values, beta=None):
     Ties go to the smallest action ordinal.
     """
     b = _resolve_beta(mdp.model, beta, allow_one=True)
-    q, best = _backup(mdp.sparse, np.asarray(values, dtype=float), b)
-    return best, _greedy(mdp.sparse, q, best)
+    flat = mdp.sparse
+    q, best = _backup(flat, np.asarray(values, dtype=float), b)
+    return best, _greedy(flat, q, best)
 
 
 # ---- action realization ----
@@ -799,6 +865,7 @@ def solve_symmetric_restricted(model, population, horizon, policies,
     The kernels of `policies` are the actions of every measure.
     """
     states = enumerate_empirical(population, model.num_states, cap=cap)
+    _horizon(model, horizon, len(states), cap)  # refuse a horizon too long before any row
     counts = composition_array(population, model.num_states)
     kernels = np.broadcast_to(policies.kernels, (len(counts),) + policies.kernels.shape)
     problem = RestrictedMDP(
@@ -830,6 +897,6 @@ def evaluate_symmetric_policy_exact(model, population, pi, horizon,
             data[id(k)] = mdp if steps is None else _for_sweeps(mdp)
     stages = [data[id(k)] for k in kernels]
     if steps is None:
-        return _evaluate_discounted(stages[0], beta)
+        return _policy_values(stages[0], 0, beta)  # each state's one action
     values, _ = _solve_finite(stages, beta)
     return values[0]

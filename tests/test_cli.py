@@ -613,8 +613,10 @@ def test_simulate_worker_count_does_not_change_bytes(capsys, tmp_path, monkeypat
 
 def test_non_convergence_exits_2_without_traceback(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr("mfteams.lifted._MAX_SWEEPS", 5)
+    # 33 grid points and 4 kernels: value iteration from zero, not policy iteration
     code, _, err = run(
-        capsys, "solve-mf", "decoupled", "--discount", "0.999", "--out", str(tmp_path / "o"),
+        capsys, "solve-mf", "decoupled", "--discount", "0.999", "--mesh", "32",
+        "--policy-mesh", "1", "--out", str(tmp_path / "o"),
     )
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1

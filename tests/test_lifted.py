@@ -3,7 +3,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from mfteams import (
@@ -514,7 +514,7 @@ def test_dense_backup_matches_the_csr_backup(seed, num_states, discounted):
     rng = np.random.default_rng(seed)
     beta = float(rng.uniform(0.01, 1.0)) if discounted else 0.0
     mdp, first = random_csr_mdp(rng, num_states)
-    dense = lifted._DenseMDP(mdp.cost, mdp.act_off, lifted._dense_rows(mdp))
+    dense = lifted._DenseMDP(mdp.cost, mdp.act_off, mdp.dense_rows())
     assert dense.rows.shape == (mdp.cost.size, num_states)
     values = rng.normal(size=num_states)
     q, best = _backup(mdp, values, beta)
@@ -551,12 +551,15 @@ def test_dense_sweeps_match_csr_sweeps(monkeypatch):
     mdp = build_measure_mdp(model, 6)
     kernel = PolicyKernel(simplex_grid(4, 2), rng.dirichlet(np.ones(3), size=(5, 2)))
     runs = {
-        "lifted discounted": lambda: solve(mdp, DiscountedHorizon(beta=0.9)),
         "lifted finite": lambda: solve(mdp, FiniteHorizon(4)),
-        "restricted": lambda: solve_symmetric_restricted(
-            model, 6, DiscountedHorizon(beta=0.9), policy_grid(3, 2, 3)),
         "exact evaluation": lambda: evaluate_symmetric_policy_exact(
             model, 6, kernel, FiniteHorizon(3)),
+    }
+    # discounted solves run policy iteration; SweepsOnly forces value iteration
+    discounted = {
+        "lifted discounted": lambda: solve(mdp, DiscountedHorizon(beta=0.9)),
+        "restricted": lambda: solve_symmetric_restricted(
+            model, 6, DiscountedHorizon(beta=0.9), policy_grid(3, 2, 3)),
     }
 
     def outcome(run, for_sweeps):
@@ -583,6 +586,13 @@ def test_dense_sweeps_match_csr_sweeps(monkeypatch):
             np.testing.assert_array_equal(got, want, err_msg=name)
         for got, want in zip(values, csr_values, strict=True):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=name)
+    for name, run in discounted.items():
+        values, choices, backups, made = outcome(run, lifted._for_sweeps)
+        csr_values, csr_choices, sweeps, csr_made = outcome(run, SweepsOnly._make)
+        assert [type(m) for m in made + csr_made] == [lifted._DenseMDP, SweepsOnly], name
+        assert backups < sweeps, name
+        np.testing.assert_array_equal(choices[0], csr_choices[0], err_msg=name)
+        np.testing.assert_allclose(values[0], csr_values[0], rtol=0.0, atol=0.5e-8, err_msg=name)
 
 
 def test_limit_and_sparse_lifted_rows_stay_csr(counterexample, weakly_coupled):
@@ -622,6 +632,13 @@ def test_finite_solves_need_a_stage_and_fit_the_cap(counterexample, monkeypatch)
     assert calls == []
 
 
+class SweepsOnly(_SparseMDP):
+    """CSR rows whose policies are too large to evaluate exactly, so that
+    _solve_discounted runs value iteration from zero."""
+
+    footprint = 0
+
+
 def count_backups(monkeypatch):
     calls = []
 
@@ -635,17 +652,36 @@ def count_backups(monkeypatch):
 
 def test_hopeless_discounted_solve_fails_before_the_first_sweep(monkeypatch):
     # Costs are at least 0.1, so every update exceeds 0.099 for 10^6 sweeps.
-    mkv = build_mkv_mdp(make_random_model(np.random.default_rng(71), 3, 3, coupled=True), 2, 1)
-    calls = count_backups(monkeypatch)
-    with pytest.raises(ConvergenceError, match="needs more than 1000000 sweeps"):
-        solve(mkv, DiscountedHorizon(beta=0.99999999))
-    assert calls == []
+    # On 153 grid points and 27 kernels the solve is value iteration from
+    # zero and makes no backup; on 6 points, policy iteration alone.
+    model = make_random_model(np.random.default_rng(71), 3, 3, coupled=True)
+    for mesh in (16, 2):
+        mkv = build_mkv_mdp(model, mesh, 1)
+        calls = count_backups(monkeypatch)
+        evaluations = count_policy_values(monkeypatch)
+        with pytest.raises(ConvergenceError, match="needs more than 1000000 sweeps"):
+            solve(mkv, DiscountedHorizon(beta=0.99999999))
+        assert len(calls) == (0 if mesh == 16 else len(evaluations) + 1)
+        monkeypatch.undo()
+
+
+def count_policy_values(monkeypatch):
+    calls = []
+    evaluate = lifted._policy_values
+
+    def counting(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(lifted, "_policy_values", counting)
+    return calls
 
 
 def test_refusal_never_preempts_a_converging_solve(monkeypatch):
+    # 17 grid points and 4 kernels: value iteration from zero, which _hopeless guards
     rng = np.random.default_rng(73)
     for beta in (0.5, 0.9, 0.99):
-        mdp = build_measure_mdp(make_random_model(rng, 2, 2, coupled=True), 3)
+        mdp = build_mkv_mdp(make_random_model(rng, 2, 2, coupled=True), 16, 1)
         calls = count_backups(monkeypatch)
         table = solve(mdp, DiscountedHorizon(beta=beta)).values[0]
         sweeps = len(calls)
@@ -658,6 +694,107 @@ def test_refusal_never_preempts_a_converging_solve(monkeypatch):
             solve(mdp, DiscountedHorizon(beta=beta))
         assert calls == []  # refused before the first sweep
         monkeypatch.undo()
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_states=st.sampled_from([2, 3]),
+       num_actions=st.sampled_from([2, 3]), population=st.integers(1, 3),
+       beta=st.floats(0.5, 0.999))
+@example(seed=5, num_states=3, num_actions=3, population=4, beta=0.999)
+# value iteration's own rounding leaves it 5.2e-9 from the exact fixed point here
+@example(seed=0, num_states=2, num_actions=2, population=1, beta=0.999)
+def test_policy_iteration_matches_value_iteration_on_csr(seed, num_states, num_actions,
+                                                         population, beta):
+    epsilon = 1e-8
+    threshold = epsilon * (1.0 - beta) / (2.0 * beta)
+    model = make_random_model(np.random.default_rng(seed), num_states, num_actions, coupled=True)
+    rows = build_measure_mdp(model, population).sparse
+    dense = lifted._for_sweeps(rows)
+    assert isinstance(dense, lifted._DenseMDP)
+    values, choices = lifted._solve_discounted(dense, beta, epsilon)
+    vi_values, vi_choices = lifted._solve_discounted(SweepsOnly(*rows), beta, epsilon)
+    q, best = _backup(dense, values, beta)
+    # each value-iteration sweep rounds by less than eps * (n + 2) * (|c| + |v|)
+    # (see _solve_discounted), which adds up to 1 / (1 - beta) times that
+    scale = max(float(np.abs(dense.cost).max()) + float(np.abs(values).max()), 1.0)
+    drift = np.finfo(float).eps * (dense.longest_row + 2) * scale / (1.0 - beta)
+    assert np.abs(values - vi_values).max() <= epsilon / 2 + drift
+    assert np.abs(best - values).max() <= threshold
+    for i in np.flatnonzero(choices != vi_choices):
+        pairs = dense.act_off[i] + np.array([choices[i], vi_choices[i]])
+        assert q[pairs[1]] - q[pairs[0]] <= 1e-12 * max(1.0, abs(best[i])), (i, pairs)
+        event("policy and value iteration broke a tie differently")
+
+
+def test_policy_iteration_needs_a_handful_of_backups_at_beta_near_one(monkeypatch):
+    # value iteration needs about 25,000 sweeps on this problem
+    model = make_random_model(np.random.default_rng(21), 3, 3, coupled=True)
+    mdp = build_measure_mdp(model, 6)
+    calls = count_backups(monkeypatch)
+    sol = solve(mdp, DiscountedHorizon(beta=0.999))
+    assert len(calls) <= 6
+    # the values are one backup of the chosen policy's exact values
+    dense = lifted._for_sweeps(mdp.sparse)
+    exact = lifted._policy_values(dense, sol.choices[0], 0.999)
+    np.testing.assert_array_equal(_backup(dense, exact, 0.999)[1], sol.values[0])
+    _, best = _backup(dense, sol.values[0], 0.999)
+    assert np.abs(best - sol.values[0]).max() <= 1e-8 * 0.001 / (2 * 0.999)
+
+
+def test_exact_ties_never_switch_the_policy(monkeypatch):
+    # Equal costs tie every Q-value in exact arithmetic; the computed ones
+    # differ by rounding, which must not switch an action.  At this beta
+    # rounding keeps the update above the threshold and _hopeless rules out
+    # the sweeps, so the solve ends on the first policy.
+    rng = np.random.default_rng(3)
+    states, actions, beta = 40, 3, 0.999999
+    rows = rng.dirichlet(np.ones(states), size=states * actions)
+    mdp = lifted._DenseMDP(np.full(states * actions, 0.7), np.arange(0, states * actions, actions),
+                           rows)
+    q, best = _backup(mdp, lifted._policy_values(mdp, 0, beta), beta)
+    assert (q != np.repeat(best, actions)).any()  # rounding breaks some ties
+    calls = count_backups(monkeypatch)
+    evaluations = count_policy_values(monkeypatch)
+    with pytest.raises(ConvergenceError):
+        lifted._solve_discounted(mdp, beta, 1e-8)
+    assert len(evaluations) == 1 and len(calls) == 2
+
+
+@pytest.mark.parametrize("case, population, beta", [
+    ("weakly_coupled", 16, 0.99999),
+    ("random", 6, 0.9999),
+])
+def test_value_iteration_crosses_the_roundoff_floor(weakly_coupled, monkeypatch, case,
+                                                    population, beta):
+    # near beta = 1 the update of exactly evaluated values is about
+    # eps * |v|max, above epsilon*(1-beta)/(2*beta); a few value-iteration
+    # sweeps from them reach the threshold, where sweeps from zero need
+    # 10^5 or more
+    model = weakly_coupled
+    if case == "random":
+        model = make_random_model(np.random.default_rng(21), 3, 3, coupled=True)
+    mdp = build_measure_mdp(model, population)
+    calls = count_backups(monkeypatch)
+    sol = solve(mdp, DiscountedHorizon(beta=beta))
+    assert len(calls) <= 12
+    monkeypatch.undo()
+    dense = lifted._for_sweeps(mdp.sparse)
+    _, best = _backup(dense, sol.values[0], beta)
+    assert np.abs(best - sol.values[0]).max() <= 1e-8 * (1 - beta) / (2 * beta)
+    exact = lifted._policy_values(dense, sol.choices[0], beta)
+    assert np.abs(exact - sol.values[0]).max() <= 0.5e-8
+
+
+def test_a_long_finite_horizon_is_refused_before_the_rows_are_built(weakly_coupled,
+                                                                    monkeypatch):
+    built = []
+    monkeypatch.setattr(lifted, "_lifted_rows", lambda *args: built.append(args))
+    monkeypatch.setattr(lifted, "_kernel_stage_data", lambda *args: built.append(args))
+    with pytest.raises(EnumerationCapError, match="200000-stage horizon"):
+        solve(build_measure_mdp(weakly_coupled, 40), FiniteHorizon(200_000))
+    with pytest.raises(EnumerationCapError, match="200000-stage horizon"):
+        solve_symmetric_restricted(weakly_coupled, 40, FiniteHorizon(200_000), policy_grid(2, 2, 2))
+    assert built == []
 
 
 # ---- action realization ----
