@@ -27,6 +27,7 @@ from .lifted import (
     ConvergenceError,
     PolicyKernel,
     Solution,
+    _shared_kernels,
     build_measure_mdp,
     solve,
     solve_symmetric_restricted,
@@ -256,15 +257,16 @@ def _cmd_solve_mf(args, argv):
 
 def _read_mf_policy(path, model, model_path):
     """Rebuild the kernels of a solve-mf policy.csv as policy_kernels gives
-    them: one PolicyKernel when stationary, one per stage otherwise.  The
-    manifest next to the file must record a solve of the model file at
-    `model_path`; the kernels live on the grid of the mesh it records."""
+    them: one PolicyKernel when stationary, one per stage otherwise, shared
+    by equal tables.  The manifest next to the file must record a solve of
+    the model file at `model_path`; the kernels live on the grid of the
+    mesh it records."""
     params = _solved_manifest(Path(path).parent, "solve-mf", model_path)["params"]
     X = model.num_states
     grid = simplex_grid(params["mesh"], X, cap=params["cap"])
     keys = [(1, "grid ordinal", len(grid)), (2 + X, "state", X)]
     stages, stationary = _checked_stages(path, _headers("solve-mf", model)[1], keys, grid.points)
-    kernels = [PolicyKernel(grid, rows[..., 3 + X:]) for rows in stages]
+    kernels = _shared_kernels(grid, (rows[..., 3 + X:] for rows in stages))
     return kernels[0] if stationary else kernels
 
 

@@ -27,13 +27,14 @@ as dictionaries and stay as the reference the tests compare against.
 
 Also provides the symmetric-kernel-restricted problem on the same state
 space: agents share one per-state action kernel chosen per current
-measure, drawn independently.  `solve` solves the lifted, restricted and
-limit problems alike and returns one `Solution` record.  A discounted
-solve runs Howard policy iteration wherever one policy's (states, states)
-rows take no more memory than the problem's rows, then value iteration,
-which alone runs on larger limit grids; it certifies its values within
-epsilon/2 by value iteration's stopping threshold or raises
-ConvergenceError.
+measure, drawn independently.  Every problem is built straight into the
+operator its backups read, dense rows or, for the limit, one successor
+per pair; `solve` solves them alike and returns one `Solution` record.  A
+discounted solve runs Howard policy iteration wherever one policy's
+(states, states) rows take no more memory than a backup reads, then value
+iteration, which alone runs on limit grids with fewer kernels than
+points; it certifies its values within epsilon/2 by value iteration's
+stopping threshold or raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -106,56 +107,17 @@ class ConvergenceError(RuntimeError):
     value-iteration sweeps from zero could not."""
 
 
-class _SparseMDP(NamedTuple):
-    """A finite MDP in one flat layout, with CSR transition rows.
+class _DenseMDP(NamedTuple):
+    """A finite MDP in one flat layout, with its transition rows as one
+    (pairs, states) array.
 
     (state, action) pairs are numbered state-major: state i owns the pairs
     act_off[i] up to act_off[i + 1], and a pair's offset from act_off[i] is
-    its action ordinal.  Pair a's transition row is idx and prob over
-    row_off[a] up to row_off[a + 1]; no row is empty.  Every problem is
-    built and kept in this layout; _for_sweeps picks what the sweeps read.
+    its action ordinal.  Row a is pair a's next-state law over the state
+    ordinals.  The lifted, restricted and exact-evaluation problems are
+    built straight into this layout; the cap bounds rows.size, and the
+    rows are all that a backup reads (`footprint`, in 8-byte words).
     """
-
-    cost: np.ndarray
-    act_off: np.ndarray
-    row_off: np.ndarray
-    idx: np.ndarray
-    prob: np.ndarray
-
-    def expect(self, values):
-        """Expected next value of every pair: a segment sum per row."""
-        return np.add.reduceat(self.prob * values[self.idx], self.row_off)
-
-    def dense_rows(self, pairs=None):
-        """The (len(pairs), states) array of the rows of `pairs`, of every
-        pair by default, by one bincount, so indices repeated within a row
-        add up."""
-        lengths = np.diff(self.row_off, append=self.idx.size)
-        idx, prob = self.idx, self.prob
-        if pairs is not None:
-            lengths = lengths[pairs]
-            entry = np.arange(lengths.sum()) + np.repeat(
-                self.row_off[pairs] - np.cumsum(lengths) + lengths, lengths)
-            idx, prob = idx[entry], prob[entry]
-        n = self.act_off.size
-        flat = np.repeat(np.arange(0, lengths.size * n, n), lengths)
-        flat += idx
-        return np.bincount(flat, prob, minlength=lengths.size * n).reshape(lengths.size, n)
-
-    @property
-    def longest_row(self):
-        return int(np.diff(self.row_off, append=self.idx.size).max())
-
-    @property
-    def footprint(self):
-        """The rows' size in 8-byte words: idx and prob."""
-        return 2 * self.idx.size
-
-
-class _DenseMDP(NamedTuple):
-    """A _SparseMDP's cost and pairs with its transition rows as one
-    (pairs, states) array, which _for_sweeps makes when at least half its
-    entries are nonzero."""
 
     cost: np.ndarray
     act_off: np.ndarray
@@ -179,41 +141,26 @@ class _DenseMDP(NamedTuple):
         return self.rows.size
 
 
-def _for_sweeps(mdp):
-    """What repeated backups of a _SparseMDP read: dense rows when the
-    (pairs, states) array takes no more bytes than idx and prob, that is
-    pairs * states <= 2 * nnz, and the CSR rows otherwise."""
-    if mdp.cost.size * mdp.act_off.size > mdp.footprint:
-        return mdp
-    return _DenseMDP(mdp.cost, mdp.act_off, mdp.dense_rows())
+class _SuccessorMDP(NamedTuple):
+    """A finite MDP in the pair layout of _DenseMDP whose every pair moves
+    to one successor ordinal with probability 1, as in the quantized limit:
+    a backup gathers the successors' values, one word per pair."""
 
+    cost: np.ndarray
+    act_off: np.ndarray
+    successor: np.ndarray
+    longest_row = 1
 
-def _pack(blocks, bound):
-    """_SparseMDP from the (pair costs, dense rows) block of every state, in
-    state order; a block's rows are its pairs' next-state laws over the
-    state ordinals, and an entry is in the support when it is > 0.
+    def expect(self, values):
+        return values[self.successor]
 
-    The nonzeros go straight into flat arrays of `bound` entries, an upper
-    bound on their number; pages past the last nonzero are never written.
-    """
-    idx, prob = np.empty(bound, dtype=np.int64), np.empty(bound)
-    costs, row_nnz, end = [], [], 0
-    for cost, rows in blocks:
-        pair, succ = np.nonzero(rows > 0.0)
-        idx[end : end + pair.size] = succ
-        prob[end : end + pair.size] = rows[pair, succ]
-        end += pair.size
-        costs.append(cost)
-        row_nnz.append(np.bincount(pair, minlength=len(rows)))
-    num_actions = [len(c) for c in costs]
-    nnz = np.concatenate(row_nnz)
-    return _SparseMDP(
-        np.concatenate(costs),
-        np.cumsum([0, *num_actions[:-1]]),
-        np.cumsum(nnz) - nnz,
-        idx[:end],
-        prob[:end],
-    )
+    def dense_rows(self, pairs):
+        """The (len(pairs), states) one-hot rows of `pairs`."""
+        return np.eye(self.act_off.size)[self.successor[pairs]]
+
+    @property
+    def footprint(self):
+        return self.successor.size
 
 
 def _multinomial_coefficients(n, parts):
@@ -311,9 +258,9 @@ class _Convolver:
 
 
 def _backup(mdp, values, beta):
-    """One Bellman backup of a _SparseMDP or _DenseMDP: (Q-value of every
-    pair, minimum per state).  The expected next values come from the
-    MDP's `expect`.
+    """One Bellman backup of a _DenseMDP or _SuccessorMDP: (Q-value of
+    every pair, minimum per state).  The expected next values come from
+    the operator's `expect`.
 
     values=None backs up the stage cost alone, as at a last stage.
     """
@@ -350,8 +297,8 @@ def _solve_discounted(mdp, beta, epsilon):
     epsilon-optimal; ties go to the smallest action ordinal.
 
     It starts with Howard policy iteration (Puterman 1994, section 6.4)
-    when one policy's (states, states) rows take no more words than the
-    rows every backup reads, as dense rows always do: v is first the exact
+    when one policy's (states, states) rows take no more words than every
+    backup reads (`footprint`), as dense rows always do: v is first the exact
     values of the greedy policy of the stage cost, and after each backup
     the policy switches a state to its greedy action where its current
     action's Q exceeds the minimum by more than the rounding of the two,
@@ -366,7 +313,7 @@ def _solve_discounted(mdp, beta, epsilon):
     becomes T v.  Near beta = 1 rounding keeps even the optimal policy's
     exact values from meeting the threshold, and a few sweeps from them
     do.  When a policy's rows are too large, as on a limit grid with fewer
-    than half as many kernels as points, it is value iteration from zero.
+    kernels than points, it is value iteration from zero.
 
     Raises ConvergenceError when _MAX_SWEEPS backups do not suffice, and
     makes no sweep where _hopeless shows that sweeps from zero cannot.
@@ -424,26 +371,25 @@ class Solution:
 def solve(problem, horizon, cap=DEFAULT_ENUMERATION_CAP):
     """Solve `problem` under `horizon`: backward recursion over its steps,
     or, when discounted, policy iteration and value iteration
-    (_solve_discounted).  `problem` is a MeasureMDP, a
-    RestrictedMDP or an MkvMDP: it has a `model`, its `states` and a flat
-    `sparse` MDP, which _for_sweeps turns once into what every backup
-    reads.  A finite horizon too long for the cap is refused before the
-    rows are built.
+    (_solve_discounted).  `problem` is a MeasureMDP, a RestrictedMDP or an
+    MkvMDP: it has a `model`, its `states` and the `operator` every backup
+    reads, a _DenseMDP or, for the limit, a _SuccessorMDP.  A finite
+    horizon too long for the cap is refused before the rows are built.
     """
     beta, steps = _horizon(problem.model, horizon, len(problem.states), cap)
-    mdp = _for_sweeps(problem.sparse)
     if steps is None:
-        values, actions = _solve_discounted(mdp, beta, horizon.epsilon)
+        values, actions = _solve_discounted(problem.operator, beta, horizon.epsilon)
         return Solution(problem, (values,), (actions,), True)
-    values, actions = _solve_finite([mdp] * steps, beta)
+    values, actions = _solve_finite([problem.operator] * steps, beta)
     return Solution(problem, tuple(values), tuple(actions), False)
 
 
 def _hopeless(mdp, beta, threshold):
-    """Whether value iteration from zero provably cannot reach `threshold`
-    in _MAX_SWEEPS sweeps: with every pair cost >= m > 0, the update after
-    sweep j is at least beta**(j - 1) * m, less at most eps * (longest row
-    + 2) * max cost * n**2 of rounding, n = min(sweeps, 1 / (1 - beta))."""
+    """Whether value iteration from zero on `mdp` provably cannot reach
+    `threshold` in _MAX_SWEEPS sweeps: with every pair cost >= m > 0, the
+    update after sweep j is at least beta**(j - 1) * m, less at most eps *
+    (longest_row + 2) * max cost * n**2 of rounding, n = min(sweeps, 1 /
+    (1 - beta))."""
     m, n = float(mdp.cost.min()), min(_MAX_SWEEPS, 1.0 / (1.0 - beta))
     slack = np.finfo(float).eps * (mdp.longest_row + 2) * float(mdp.cost.max()) * n * n
     # the factor 2 also covers row masses off 1 by the 1e-12 tolerance
@@ -525,15 +471,15 @@ def eta_kernel(model, mu, theta, cap=DEFAULT_ENUMERATION_CAP):
 class MeasureMDP:
     """The lifted MDP: enumerated measures, per-measure joint actions, and
     the stage cost and exact transition row of every (measure, joint
-    action) pair, stored flat in `sparse` when first asked for.
+    action) pair, stored in the _DenseMDP `operator` when first asked for.
 
     `joint_actions` holds every joint action once, as an int64 (pairs, X,
     U) array of counts: measure i's joint actions are its rows act_off[i]
     up to act_off[i + 1], in the order of enumerate_joint_actions, so the
-    pair numbering is that of `sparse`.  Every joint action is a
-    composition of the population over the X*U cells, so the rows hold at
-    most num_compositions(N, X*U) times the number of measures entries;
-    that count is held to the cap before any joint action is made.
+    pair numbering is that of `operator`.  Every joint action is a distinct
+    composition of the population over the X*U cells, so the (pairs,
+    measures) rows hold num_compositions(N, X*U) times the number of
+    measures entries; that count is held to the cap before any is made.
     """
 
     def __init__(self, model, population, cap=DEFAULT_ENUMERATION_CAP):
@@ -555,30 +501,35 @@ class MeasureMDP:
         self.act_off = np.cumsum([0] + [len(b) for b in blocks[:-1]])
 
     @cached_property
-    def sparse(self):
-        """The flat MDP, built when a solver first asks for it: the model
+    def operator(self):
+        """The _DenseMDP, built when a solver first asks for it: the model
         is evaluated once for all measures, the split factors of every
         (measure, state) pair come from _split_factors, one convolve per
         (action, agents, draws of that action) over all pairs, and each
-        measure's rows are its states' factors convolved by _lifted_rows."""
+        measure's rows, written in place, are its states' factors convolved
+        by _lifted_rows."""
         N, X = self.population, self.model.num_states
         conv = _Convolver(X)
         counts = composition_array(N, X)
         mus = counts / N
         tens, cmats = self.model.kernel_tensor_at(mus), self.model.cost_matrix_at(mus)
         factors = _split_factors(conv, tens, counts)
-        ends = [*self.act_off[1:], len(self.joint_actions)]
-        blocks = (_lifted_rows(conv, c, self.joint_actions[a:b], cmat, f)
-                  for c, a, b, cmat, f in zip(counts, self.act_off, ends, cmats, factors))
-        return _pack(blocks, self.max_entries)
+        pairs = len(self.joint_actions)
+        cost, rows = np.empty(pairs), np.empty((pairs, len(counts)))
+        for c, a, b, cmat, f in zip(counts, self.act_off, [*self.act_off[1:], pairs], cmats,
+                                    factors):
+            cost[a:b], rows[a:b] = _lifted_rows(conv, c, self.joint_actions[a:b], cmat, f)
+        return _DenseMDP(cost, self.act_off, rows)
 
     @cached_property
     def transitions(self):
         """Per measure, the (successor ordinals, probabilities) row of each
-        joint action, as views into `sparse`."""
-        m = self.sparse
-        rows = list(zip(np.split(m.idx, m.row_off[1:]), np.split(m.prob, m.row_off[1:])))
-        return [rows[a:b] for a, b in zip(m.act_off, [*m.act_off[1:], len(rows)])]
+        joint action over its support, the entries > 0 of `operator`."""
+        rows = self.operator.rows
+        pair, succ = np.nonzero(rows > 0.0)
+        cut = np.searchsorted(pair, np.arange(1, len(rows)))
+        per_pair = list(zip(np.split(succ, cut), np.split(rows[pair, succ], cut)))
+        return [per_pair[a:b] for a, b in zip(self.act_off, [*self.act_off[1:], len(rows)])]
 
     def __len__(self):
         return len(self.states)
@@ -655,14 +606,15 @@ def _split_factors(conv, tens, counts):
 
 
 def bellman_backup(mdp, values, beta=None):
-    """One Bellman backup; returns (new values, argmin action per state).
+    """One Bellman backup of mdp.operator; returns (new values, argmin
+    action per state).
 
     Ties go to the smallest action ordinal.
     """
     b = _resolve_beta(mdp.model, beta, allow_one=True)
-    flat = mdp.sparse
-    q, best = _backup(flat, np.asarray(values, dtype=float), b)
-    return best, _greedy(flat, q, best)
+    op = mdp.operator
+    q, best = _backup(op, np.asarray(values, dtype=float), b)
+    return best, _greedy(op, q, best)
 
 
 # ---- action realization ----
@@ -767,13 +719,25 @@ class PolicyKernel:
 def policy_kernels(sol):
     """The kernels a RestrictedMDP or MkvMDP solution chooses, in the
     convention of _per_stage: one PolicyKernel when stationary, one kernel
-    per stage otherwise."""
+    per stage otherwise, the same object for stages with equal choices."""
     problem = sol.problem
     if isinstance(problem, MeasureMDP):
         raise TypeError("a lifted solution chooses joint actions, not shared kernels")
-    kernels = [PolicyKernel(problem.state_grid, problem.policy_set.kernels[c])
-               for c in sol.choices]
+    kernels = _shared_kernels(problem.state_grid,
+                              (problem.policy_set.kernels[c] for c in sol.choices))
     return kernels[0] if sol.stationary else kernels
+
+
+def _shared_kernels(grid, tables):
+    """One PolicyKernel per table on `grid`, one object for equal tables, so
+    that evaluations and rollouts prepare each distinct kernel once."""
+    made, kernels = {}, []
+    for table in tables:
+        key = np.ascontiguousarray(table).tobytes()
+        if key not in made:
+            made[key] = PolicyKernel(grid, table)
+        kernels.append(made[key])
+    return kernels
 
 
 def _check_steps(steps):
@@ -816,8 +780,8 @@ def _stage_tables(tables, stationary, steps, what="policy tables"):
 
 
 def _kernel_stage_data(model, counts, kernels, cap=DEFAULT_ENUMERATION_CAP):
-    """_SparseMDP over the measures of `counts`, the (M, X) rows of
-    composition_array(N, X), whose actions at measure i are the K shared
+    """(M * K, M) _DenseMDP over the measures of `counts`, the (M, X) rows
+    of composition_array(N, X), whose actions at measure i are the K shared
     kernels kernels[i], an (M, K, X, U) array of action rows.
 
     All agents draw actions independently from the kernel, so the expected
@@ -825,23 +789,20 @@ def _kernel_stage_data(model, counts, kernels, cap=DEFAULT_ENUMERATION_CAP):
     state's factor is one multinomial of the mixed law k[x] @ T[x]; a
     kernel's row is the convolution of those factors.  The model is
     evaluated once for all measures, and one _Convolver folds them all.
-    The rows hold at most pairs times measures entries, which is held to
-    the cap.
+    The rows hold M * K * M entries, which is held to the cap.
     """
     M, K = kernels.shape[:2]
-    bound = M * K * M
-    _check_cap("shared-kernel transition rows", bound, cap)
+    _check_cap("shared-kernel transition rows", M * K * M, cap)
     pop = int(counts[0].sum())
     mus = counts / pop
     conv = _Convolver(model.num_states)
-
-    def block(c, tens, cmat, ks):
+    cost, rows = np.empty((M, K)), np.empty((M, K, M))
+    for i, (c, tens, cmat, ks) in enumerate(zip(counts, model.kernel_tensor_at(mus),
+                                                model.cost_matrix_at(mus), kernels)):
         occupied = [(x, n) for x, n in enumerate(c.tolist()) if n]
-        return (sum((n / pop) * (ks[:, x] @ cmat[x]) for x, n in occupied),
-                conv.fold((conv.multinomial(ks[:, x] @ tens[x], n), n) for x, n in occupied))
-
-    return _pack(map(block, counts, model.kernel_tensor_at(mus), model.cost_matrix_at(mus),
-                     kernels), bound)
+        cost[i] = sum((n / pop) * (ks[:, x] @ cmat[x]) for x, n in occupied)
+        rows[i] = conv.fold((conv.multinomial(ks[:, x] @ tens[x], n), n) for x, n in occupied)
+    return _DenseMDP(cost.ravel(), np.arange(M) * K, rows.reshape(M * K, M))
 
 
 @dataclass(frozen=True)
@@ -855,7 +816,7 @@ class RestrictedMDP:
     states: tuple
     state_grid: SimplexGrid
     policy_set: object
-    sparse: _SparseMDP
+    operator: _DenseMDP
 
 
 def solve_symmetric_restricted(model, population, horizon, policies,
@@ -889,12 +850,11 @@ def evaluate_symmetric_policy_exact(model, population, pi, horizon,
     beta, steps = _horizon(model, horizon, len(counts), cap)
     kernels = _per_stage(pi, steps)
     mus = counts / population
-    data = {}  # one MDP per distinct kernel object, as its evaluation reads it
+    data = {}  # one MDP per distinct kernel object
     for k in kernels:
         if id(k) not in data:
-            rows = k.table[k.grid.project_many(mus)[:, None]]
-            mdp = _kernel_stage_data(model, counts, rows, cap)
-            data[id(k)] = mdp if steps is None else _for_sweeps(mdp)
+            data[id(k)] = _kernel_stage_data(model, counts,
+                                             k.table[k.grid.project_many(mus)[:, None]], cap)
     stages = [data[id(k)] for k in kernels]
     if steps is None:
         return _policy_values(stages[0], 0, beta)  # each state's one action

@@ -12,10 +12,11 @@ flow back onto the grid.  `lifted.solve` solves it, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .lifted import _SparseMDP, _check_steps, _per_stage
+from .lifted import _check_steps, _per_stage, _SuccessorMDP
 from .measures import DEFAULT_ENUMERATION_CAP, EmpiricalStateMeasure, policy_grid, simplex_grid
 from .model import MARGINAL_TOL, MarginalMismatchError
 
@@ -58,15 +59,11 @@ class MkvMDP:
         grid = self.state_grid
         return [EmpiricalStateMeasure(c, grid.mesh) for c in grid.counts]
 
-    @property
-    def sparse(self):
-        """The same MDP as a _SparseMDP: kernels are the actions of every
-        grid point, and each row is one successor of probability 1."""
+    @cached_property
+    def operator(self):
+        """The MDP as a _SuccessorMDP, made once; the kernels are every point's actions."""
         G, P = self.stage_cost.shape
-        return _SparseMDP(
-            self.stage_cost.ravel(), np.arange(G) * P, np.arange(G * P),
-            self.successor.ravel(), np.ones(G * P),
-        )
+        return _SuccessorMDP(self.stage_cost.ravel(), np.arange(G) * P, self.successor.ravel())
 
 
 def build_mkv_mdp(model, mesh, policy_mesh, cap=DEFAULT_ENUMERATION_CAP):

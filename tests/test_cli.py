@@ -338,6 +338,9 @@ def test_saved_solutions_read_back_as_solved(seed, num_states, num_actions, agen
         if lifted.stationary:
             kernels, limit = [kernels], [limit]
         assert len(kernels) == len(limit)
+        # stages with equal tables share one kernel
+        ids, tables = [id(k) for k in kernels], [k.table.tobytes() for k in kernels]
+        assert [ids.index(i) for i in ids] == [tables.index(t) for t in tables]
         for got, want in zip(kernels, limit):
             assert np.array_equal(got.grid.points, want.grid.points)
             assert np.array_equal(got.table, want.table)

@@ -28,7 +28,14 @@ from mfteams import (
     solve_symmetric_restricted,
 )
 from mfteams import lifted
-from mfteams.lifted import _backup, _greedy, _kernel_stage_data, _SparseMDP, eta_kernel
+from mfteams.lifted import (
+    _backup,
+    _DenseMDP,
+    _greedy,
+    _kernel_stage_data,
+    _SuccessorMDP,
+    eta_kernel,
+)
 from mfteams.measures import (
     EmpiricalJointMeasure,
     EmpiricalStateMeasure,
@@ -184,13 +191,13 @@ def _model_with_zeros(rng, X, U):
 
 
 def _check_pairs(mdp, counts, refs):
-    """Every pair of the _SparseMDP `mdp` against its (cost, dict law)
-    reference: the support is the reference's nonzero outcomes."""
-    ends = np.append(mdp.row_off, mdp.idx.size)
-    assert mdp.cost.size == len(refs)
+    """Every pair of the _DenseMDP `mdp` against its (cost, dict law)
+    reference: the entries > 0 are the reference's nonzero outcomes, and
+    every other entry is 0."""
+    assert mdp.cost.size == len(refs) == len(mdp.rows)
+    assert (mdp.rows >= 0.0).all()
     for pair, (cost, law) in enumerate(refs):
-        span = slice(ends[pair], ends[pair + 1])
-        row = {counts[j]: p for j, p in zip(mdp.idx[span].tolist(), mdp.prob[span].tolist())}
+        row = {counts[j]: p for j, p in enumerate(mdp.rows[pair].tolist()) if p > 0.0}
         assert set(row) == {c for c, p in law.items() if p != 0.0}
         assert max(abs(p - law[c]) for c, p in row.items()) <= 1e-14
         assert abs(math.fsum(row.values()) - 1.0) <= 1e-12
@@ -214,7 +221,9 @@ def test_array_rows_match_the_dict_convolution(seed, num_states, num_actions, po
         cmat = model.cost_matrix_at(state.as_distribution())
         refs += [(float((cmat * theta.as_distribution()).sum()), eta_kernel(model, state, theta))
                  for theta in enumerate_joint_actions(state, num_actions)]
-    _check_pairs(mdp.sparse, counts, refs)
+    _check_pairs(mdp.operator, counts, refs)
+    # the cap bounds the dense rows exactly
+    assert mdp.operator.rows.size == mdp.max_entries
 
     kernels = {c: _rows_with_zeros(rng, (3, num_states, num_actions)) for c in counts}
     refs = []
@@ -225,8 +234,18 @@ def test_array_rows_match_the_dict_convolution(seed, num_states, num_actions, po
         refs += [(sum((c / population) * float(k[x] @ cmat[x]) for x, c in occupied),
                   multinomial_count_distribution([(k[x] @ tens[x], c) for x, c in occupied]))
                  for k in kernels[state.counts]]
-    _check_pairs(_kernel_stage_data(model, composition_array(population, num_states),
-                                    np.array([kernels[c] for c in counts])), counts, refs)
+    restricted = _kernel_stage_data(model, composition_array(population, num_states),
+                                    np.array([kernels[c] for c in counts]))
+    _check_pairs(restricted, counts, refs)
+    assert restricted.rows.size == len(counts) * 3 * len(counts)
+
+
+def _stacked(blocks):
+    """_DenseMDP of the (pair costs, dense rows) block of every state, in
+    state order."""
+    costs, rows = zip(*blocks)
+    return _DenseMDP(np.concatenate(costs), np.cumsum([0, *map(len, costs[:-1])]),
+                     np.concatenate(rows))
 
 
 def _kernel_rows_per_measure(model, states, kernels):
@@ -242,7 +261,7 @@ def _kernel_rows_per_measure(model, states, kernels):
         blocks.append((sum((n / pop) * (ks[:, x] @ cmat[x]) for x, n in occupied),
                        conv.fold((conv.multinomial(ks[:, x] @ tens[x], n), n)
                                  for x, n in occupied)))
-    return lifted._pack(blocks, len(states) * kernels.shape[1] * len(states))
+    return _stacked(blocks)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -284,6 +303,27 @@ def test_exact_evaluation_projects_once_per_distinct_kernel(counterexample, monk
     assert values[0] == pytest.approx(1.25, abs=1e-12)
 
 
+def test_stages_with_equal_choices_share_one_kernel(weakly_coupled, monkeypatch):
+    sol = solve(build_mkv_mdp(weakly_coupled, 16, 8), FiniteHorizon(200))
+    distinct = {choices.tobytes(): stage for stage, choices in enumerate(sol.choices)}
+    assert 1 < len(distinct) < 200
+    kernels = policy_kernels(sol)
+    ids = [id(k) for k in kernels]
+    assert len(set(ids)) == len(distinct)
+    assert all(kernels[distinct[c.tobytes()]] is k for c, k in zip(sol.choices, kernels))
+    built = []
+    stage_data = lifted._kernel_stage_data
+    monkeypatch.setattr(lifted, "_kernel_stage_data",
+                        lambda *args: built.append(1) or stage_data(*args))
+    values = evaluate_symmetric_policy_exact(weakly_coupled, 16, sol, FiniteHorizon(200))
+    assert len(built) == len(distinct)
+    monkeypatch.undo()
+    # one kernel object per stage gives the same values
+    unshared = [PolicyKernel(k.grid, k.table) for k in kernels]
+    np.testing.assert_array_equal(
+        values, evaluate_symmetric_policy_exact(weakly_coupled, 16, unshared, FiniteHorizon(200)))
+
+
 def _per_split_factors(conv, laws, splits):
     """The loop the batched build replaced: per split of n agents over the
     actions, fold Multinomial(split[u], laws[u]) over the actions u."""
@@ -317,7 +357,7 @@ def test_batched_build_matches_the_per_split_loop(seed, num_states, num_actions,
         for s, theta, tens, cmat in zip(mdp.states, thetas, model.kernel_tensor_at(mus),
                                         model.cost_matrix_at(mus))
     ]
-    for got, want in zip(mdp.sparse, lifted._pack(blocks, mdp.max_entries)):
+    for got, want in zip(mdp.operator, _stacked(blocks)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -438,11 +478,12 @@ def reference_q(costs, sizes, rows, values, beta):
     return out
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), num_states=st.integers(1, 6), discounted=st.booleans())
-def test_flat_backup_matches_per_row_reference(seed, num_states, discounted):
-    rng = np.random.default_rng(seed)
-    beta = float(rng.uniform(0.01, 1.0)) if discounted else 0.0
+def random_dense_mdp(rng, num_states):
+    """A random _DenseMDP whose states have 1-4 actions, some of them exact
+    copies of an earlier action of the same state, each row summed by
+    np.add.at from (index, probability) entries that repeat indices; also
+    its costs, actions per state and rows as lists, and, per pair, the
+    first pair with the same cost and row."""
     costs, rows, sizes, first = [], [], [], []
     for _ in range(num_states):
         sizes.append(int(rng.integers(1, 5)))
@@ -454,18 +495,26 @@ def test_flat_backup_matches_per_row_reference(seed, num_states, discounted):
                 rows.append(rows[src])
                 first.append(first[src])
                 continue
-            nnz = int(rng.integers(1, 6))
+            nnz = int(rng.integers(1, 2 * num_states + 1))
             first.append(len(costs))
             costs.append(float(rng.normal()))
             rows.append((rng.integers(num_states, size=nnz), rng.dirichlet(np.ones(nnz))))
+    dense = np.zeros((len(rows), num_states))
+    for pair, (idx, probs) in enumerate(rows):
+        np.add.at(dense[pair], idx, probs)
+    mdp = _DenseMDP(np.array(costs), np.cumsum([0, *sizes[:-1]]), dense)
+    return mdp, costs, sizes, rows, first
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_states=st.integers(1, 70), discounted=st.booleans())
+@example(seed=3, num_states=129, discounted=True)
+@example(seed=4, num_states=257, discounted=True)
+def test_flat_backup_matches_per_row_reference(seed, num_states, discounted):
+    rng = np.random.default_rng(seed)
+    beta = float(rng.uniform(0.01, 1.0)) if discounted else 0.0
+    mdp, costs, sizes, rows, first = random_dense_mdp(rng, num_states)
     values = rng.normal(size=num_states)
-    mdp = _SparseMDP(
-        np.array(costs),
-        np.cumsum([0, *sizes[:-1]]),
-        np.cumsum([0, *(idx.size for idx, _ in rows[:-1])]),
-        np.concatenate([idx for idx, _ in rows]),
-        np.concatenate([probs for _, probs in rows]),
-    )
     q, best = _backup(mdp, values, beta)
     act = _greedy(mdp, q, best)
     ref = reference_q(costs, sizes, rows, values, beta)
@@ -478,32 +527,14 @@ def test_flat_backup_matches_per_row_reference(seed, num_states, discounted):
         assert first[pair] == pair, "a later duplicate action won the tie"
 
 
-def random_csr_mdp(rng, num_states):
-    """A random _SparseMDP whose states have 1-4 actions, some of them exact
-    copies of an earlier action of the same state, and whose rows repeat
-    indices; also, per pair, the first pair with the same cost and row."""
-    costs, rows, sizes, first = [], [], [], []
-    for _ in range(num_states):
-        sizes.append(int(rng.integers(1, 5)))
-        for a in range(sizes[-1]):
-            if a and rng.random() < 0.3:
-                src = len(costs) - int(rng.integers(1, a + 1))
-                costs.append(costs[src])
-                rows.append(rows[src])
-                first.append(first[src])
-                continue
-            nnz = int(rng.integers(1, 2 * num_states + 1))
-            first.append(len(costs))
-            costs.append(float(rng.normal()))
-            rows.append((rng.integers(num_states, size=nnz), rng.dirichlet(np.ones(nnz))))
-    mdp = _SparseMDP(
-        np.array(costs),
-        np.cumsum([0, *sizes[:-1]]),
-        np.cumsum([0, *(idx.size for idx, _ in rows[:-1])]),
-        np.concatenate([idx for idx, _ in rows]),
-        np.concatenate([probs for _, probs in rows]),
-    )
-    return mdp, first
+def csr_backup(act_off, costs, rows, values, beta):
+    """The backup over CSR rows: each row's (index, probability) entries,
+    repeats included, gathered against `values` and summed by reduceat."""
+    indptr = np.cumsum([0, *(idx.size for idx, _ in rows[:-1])])
+    idx = np.concatenate([idx for idx, _ in rows])
+    probs = np.concatenate([probs for _, probs in rows])
+    q = np.asarray(costs) + beta * np.add.reduceat(probs * values[idx], indptr)
+    return q, np.minimum.reduceat(q, act_off)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -513,16 +544,15 @@ def random_csr_mdp(rng, num_states):
 def test_dense_backup_matches_the_csr_backup(seed, num_states, discounted):
     rng = np.random.default_rng(seed)
     beta = float(rng.uniform(0.01, 1.0)) if discounted else 0.0
-    mdp, first = random_csr_mdp(rng, num_states)
-    dense = lifted._DenseMDP(mdp.cost, mdp.act_off, mdp.dense_rows())
-    assert dense.rows.shape == (mdp.cost.size, num_states)
+    mdp, costs, _, rows, first = random_dense_mdp(rng, num_states)
+    assert mdp.rows.shape == (len(costs), num_states)
     values = rng.normal(size=num_states)
     q, best = _backup(mdp, values, beta)
-    dense_q, dense_best = _backup(dense, values, beta)
-    np.testing.assert_allclose(dense_q, q, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(dense_best, best, rtol=0.0, atol=1e-12)
-    act = _greedy(dense, dense_q, dense_best)
-    np.testing.assert_array_equal(act, _greedy(mdp, q, best))
+    csr_q, csr_best = csr_backup(mdp.act_off, costs, rows, values, beta)
+    np.testing.assert_allclose(q, csr_q, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(best, csr_best, rtol=0.0, atol=1e-12)
+    act = _greedy(mdp, q, best)
+    np.testing.assert_array_equal(act, _greedy(mdp, csr_q, csr_best))
     pairs = mdp.act_off + act
     assert all(first[pair] == pair for pair in pairs), "a later duplicate action won the tie"
 
@@ -535,78 +565,50 @@ def test_dense_backup_sums_identical_rows_identically():
         for actions in (1, 2, 3):
             pairs = actions * num_states
             row = rng.dirichlet(np.ones(num_states))
-            mdp = _SparseMDP(np.full(pairs, 0.5), np.arange(0, pairs, actions),
-                             np.arange(0, pairs * num_states, num_states),
-                             np.tile(np.arange(num_states), pairs), np.tile(row, pairs))
-            dense = lifted._for_sweeps(mdp)
-            assert isinstance(dense, lifted._DenseMDP)
-            q, best = _backup(dense, rng.normal(size=num_states), 0.9)
+            mdp = _DenseMDP(np.full(pairs, 0.5), np.arange(0, pairs, actions),
+                            np.tile(row, (pairs, 1)))
+            q, best = _backup(mdp, rng.normal(size=num_states), 0.9)
             assert np.unique(q).size == 1, (num_states, actions)
-            assert not _greedy(dense, q, best).any()
+            assert not _greedy(mdp, q, best).any()
 
 
-def test_dense_sweeps_match_csr_sweeps(monkeypatch):
+def test_policy_iteration_backs_up_less_than_value_iteration(monkeypatch):
     rng = np.random.default_rng(79)
     model = make_random_model(rng, 2, 3, coupled=True)
-    mdp = build_measure_mdp(model, 6)
-    kernel = PolicyKernel(simplex_grid(4, 2), rng.dirichlet(np.ones(3), size=(5, 2)))
-    runs = {
-        "lifted finite": lambda: solve(mdp, FiniteHorizon(4)),
-        "exact evaluation": lambda: evaluate_symmetric_policy_exact(
-            model, 6, kernel, FiniteHorizon(3)),
+    problems = {
+        "lifted": build_measure_mdp(model, 6),
+        "restricted": solve_symmetric_restricted(
+            model, 6, DiscountedHorizon(beta=0.9), policy_grid(3, 2, 3)).problem,
     }
-    # discounted solves run policy iteration; SweepsOnly forces value iteration
-    discounted = {
-        "lifted discounted": lambda: solve(mdp, DiscountedHorizon(beta=0.9)),
-        "restricted": lambda: solve_symmetric_restricted(
-            model, 6, DiscountedHorizon(beta=0.9), policy_grid(3, 2, 3)),
-    }
-
-    def outcome(run, for_sweeps):
-        made = []
-
-        def recording(m):
-            made.append(for_sweeps(m))
-            return made[-1]
-
+    for name, problem in problems.items():
         calls = count_backups(monkeypatch)
-        monkeypatch.setattr(lifted, "_for_sweeps", recording)
-        out = run()
+        values, choices = lifted._solve_discounted(problem.operator, 0.9, 1e-8)
+        backups = len(calls)
+        # SweepsOnly forces value iteration from zero on the same rows
+        vi_values, vi_choices = lifted._solve_discounted(SweepsOnly(*problem.operator), 0.9, 1e-8)
         monkeypatch.undo()
-        if isinstance(out, lifted.Solution):
-            return out.values, out.choices, len(calls), made
-        return (out,), (), len(calls), made
-
-    for name, run in runs.items():
-        values, choices, sweeps, made = outcome(run, lifted._for_sweeps)
-        csr_values, csr_choices, csr_sweeps, csr_made = outcome(run, lambda m: m)
-        assert [type(m) for m in made + csr_made] == [lifted._DenseMDP, _SparseMDP], name
-        assert sweeps == csr_sweeps, name
-        for got, want in zip(choices, csr_choices, strict=True):
-            np.testing.assert_array_equal(got, want, err_msg=name)
-        for got, want in zip(values, csr_values, strict=True):
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=name)
-    for name, run in discounted.items():
-        values, choices, backups, made = outcome(run, lifted._for_sweeps)
-        csr_values, csr_choices, sweeps, csr_made = outcome(run, SweepsOnly._make)
-        assert [type(m) for m in made + csr_made] == [lifted._DenseMDP, SweepsOnly], name
-        assert backups < sweeps, name
-        np.testing.assert_array_equal(choices[0], csr_choices[0], err_msg=name)
-        np.testing.assert_allclose(values[0], csr_values[0], rtol=0.0, atol=0.5e-8, err_msg=name)
+        assert backups < len(calls) - backups, name
+        np.testing.assert_array_equal(choices, vi_choices, err_msg=name)
+        np.testing.assert_allclose(values, vi_values, rtol=0.0, atol=0.5e-8, err_msg=name)
 
 
-def test_limit_and_sparse_lifted_rows_stay_csr(counterexample, weakly_coupled):
-    lifted_rows = build_measure_mdp(counterexample, 8).sparse
-    assert lifted_rows.cost.size * lifted_rows.act_off.size == 1485
-    assert lifted_rows.idx.size == 165
-    limit = build_mkv_mdp(weakly_coupled, 32, 16).sparse
-    for mdp in (lifted_rows, limit):
-        assert lifted._for_sweeps(mdp) is mdp
-    # dense rows exactly when pairs * states <= 2 * nnz: one successor per row
-    # is dense on 2 states and stays CSR on 3
-    for n, kind in ((2, lifted._DenseMDP), (3, _SparseMDP)):
-        mdp = _SparseMDP(np.ones(n), np.arange(n), np.arange(n), np.arange(n), np.ones(n))
-        assert type(lifted._for_sweeps(mdp)) is kind
+def test_each_problem_builds_its_operator_once(counterexample, weakly_coupled):
+    # one successor per row: the lifted rows are dense all the same, and
+    # hold exactly the entries the cap counts
+    mdp = build_measure_mdp(counterexample, 8)
+    op = mdp.operator
+    assert mdp.operator is op and isinstance(op, _DenseMDP)
+    assert op.rows.size == mdp.max_entries == 1485
+    assert sum(idx.size for rows in mdp.transitions for idx, _ in rows) == 165
+    # the limit gathers one successor per pair; its one-hot rows sum to the same
+    mkv = build_mkv_mdp(weakly_coupled, 32, 16)
+    op = mkv.operator
+    assert mkv.operator is op and isinstance(op, _SuccessorMDP)
+    assert op.footprint == op.cost.size == 33 * 289 and op.longest_row == 1
+    values = np.random.default_rng(89).normal(size=33)
+    rows = op.dense_rows(np.arange(op.cost.size))
+    assert np.array_equal(op.expect(values), rows @ values)
+    assert np.array_equal(rows.argmax(axis=1), op.successor) and (rows.sum(axis=1) == 1.0).all()
 
 
 def test_discounted_rejects_beta_one(counterexample):
@@ -632,9 +634,9 @@ def test_finite_solves_need_a_stage_and_fit_the_cap(counterexample, monkeypatch)
     assert calls == []
 
 
-class SweepsOnly(_SparseMDP):
-    """CSR rows whose policies are too large to evaluate exactly, so that
-    _solve_discounted runs value iteration from zero."""
+class SweepsOnly(_DenseMDP):
+    """Dense rows whose policies count as too large to evaluate exactly, so
+    that _solve_discounted runs value iteration from zero."""
 
     footprint = 0
 
@@ -699,29 +701,35 @@ def test_refusal_never_preempts_a_converging_solve(monkeypatch):
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), num_states=st.sampled_from([2, 3]),
        num_actions=st.sampled_from([2, 3]), population=st.integers(1, 3),
-       beta=st.floats(0.5, 0.999))
-@example(seed=5, num_states=3, num_actions=3, population=4, beta=0.999)
+       beta=st.floats(0.5, 0.999), limit=st.booleans())
+@example(seed=5, num_states=3, num_actions=3, population=4, beta=0.999, limit=False)
 # value iteration's own rounding leaves it 5.2e-9 from the exact fixed point here
-@example(seed=0, num_states=2, num_actions=2, population=1, beta=0.999)
-def test_policy_iteration_matches_value_iteration_on_csr(seed, num_states, num_actions,
-                                                         population, beta):
+@example(seed=0, num_states=2, num_actions=2, population=1, beta=0.999, limit=False)
+def test_policy_iteration_matches_value_iteration(seed, num_states, num_actions, population,
+                                                  beta, limit):
+    # the lifted rows, or a limit grid with at least as many kernels as
+    # points, whose value iteration reads the same successors as one-hot rows
     epsilon = 1e-8
     threshold = epsilon * (1.0 - beta) / (2.0 * beta)
     model = make_random_model(np.random.default_rng(seed), num_states, num_actions, coupled=True)
-    rows = build_measure_mdp(model, population).sparse
-    dense = lifted._for_sweeps(rows)
-    assert isinstance(dense, lifted._DenseMDP)
-    values, choices = lifted._solve_discounted(dense, beta, epsilon)
-    vi_values, vi_choices = lifted._solve_discounted(SweepsOnly(*rows), beta, epsilon)
-    q, best = _backup(dense, values, beta)
+    if limit:
+        op = build_mkv_mdp(model, population + 1, 2).operator
+        rows = SweepsOnly(op.cost, op.act_off, op.dense_rows(np.arange(op.cost.size)))
+    else:
+        op = build_measure_mdp(model, population).operator
+        rows = SweepsOnly(*op)
+    assert op.act_off.size ** 2 <= op.footprint  # policy iteration runs
+    values, choices = lifted._solve_discounted(op, beta, epsilon)
+    vi_values, vi_choices = lifted._solve_discounted(rows, beta, epsilon)
+    q, best = _backup(op, values, beta)
     # each value-iteration sweep rounds by less than eps * (n + 2) * (|c| + |v|)
     # (see _solve_discounted), which adds up to 1 / (1 - beta) times that
-    scale = max(float(np.abs(dense.cost).max()) + float(np.abs(values).max()), 1.0)
-    drift = np.finfo(float).eps * (dense.longest_row + 2) * scale / (1.0 - beta)
+    scale = max(float(np.abs(op.cost).max()) + float(np.abs(values).max()), 1.0)
+    drift = np.finfo(float).eps * (rows.longest_row + 2) * scale / (1.0 - beta)
     assert np.abs(values - vi_values).max() <= epsilon / 2 + drift
     assert np.abs(best - values).max() <= threshold
     for i in np.flatnonzero(choices != vi_choices):
-        pairs = dense.act_off[i] + np.array([choices[i], vi_choices[i]])
+        pairs = op.act_off[i] + np.array([choices[i], vi_choices[i]])
         assert q[pairs[1]] - q[pairs[0]] <= 1e-12 * max(1.0, abs(best[i])), (i, pairs)
         event("policy and value iteration broke a tie differently")
 
@@ -734,7 +742,7 @@ def test_policy_iteration_needs_a_handful_of_backups_at_beta_near_one(monkeypatc
     sol = solve(mdp, DiscountedHorizon(beta=0.999))
     assert len(calls) <= 6
     # the values are one backup of the chosen policy's exact values
-    dense = lifted._for_sweeps(mdp.sparse)
+    dense = mdp.operator
     exact = lifted._policy_values(dense, sol.choices[0], 0.999)
     np.testing.assert_array_equal(_backup(dense, exact, 0.999)[1], sol.values[0])
     _, best = _backup(dense, sol.values[0], 0.999)
@@ -749,8 +757,7 @@ def test_exact_ties_never_switch_the_policy(monkeypatch):
     rng = np.random.default_rng(3)
     states, actions, beta = 40, 3, 0.999999
     rows = rng.dirichlet(np.ones(states), size=states * actions)
-    mdp = lifted._DenseMDP(np.full(states * actions, 0.7), np.arange(0, states * actions, actions),
-                           rows)
+    mdp = _DenseMDP(np.full(states * actions, 0.7), np.arange(0, states * actions, actions), rows)
     q, best = _backup(mdp, lifted._policy_values(mdp, 0, beta), beta)
     assert (q != np.repeat(best, actions)).any()  # rounding breaks some ties
     calls = count_backups(monkeypatch)
@@ -778,7 +785,7 @@ def test_value_iteration_crosses_the_roundoff_floor(weakly_coupled, monkeypatch,
     sol = solve(mdp, DiscountedHorizon(beta=beta))
     assert len(calls) <= 12
     monkeypatch.undo()
-    dense = lifted._for_sweeps(mdp.sparse)
+    dense = mdp.operator
     _, best = _backup(dense, sol.values[0], beta)
     assert np.abs(best - sol.values[0]).max() <= 1e-8 * (1 - beta) / (2 * beta)
     exact = lifted._policy_values(dense, sol.choices[0], beta)

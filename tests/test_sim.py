@@ -527,7 +527,7 @@ def test_lifted_rollout_leaves_the_rows_unbuilt(weakly_coupled):
         population=6, horizon=FiniteHorizon(3),
         policy=Solution(mdp, values=None, choices=(first,), stationary=True),
         replications=20, seed=2))
-    assert "sparse" not in vars(mdp)
+    assert "operator" not in vars(mdp)
 
 
 def test_lifted_rollout_builds_no_transition_rows(weakly_coupled, monkeypatch):
