@@ -30,11 +30,11 @@ space: agents share one per-state action kernel chosen per current
 measure, drawn independently.  Every problem is built straight into the
 operator its backups read, dense rows or, for the limit, one successor
 per pair; `solve` solves them alike and returns one `Solution` record.  A
-discounted solve runs Howard policy iteration wherever one policy's
-(states, states) rows take no more memory than a backup reads, then value
-iteration, which alone runs on limit grids with fewer kernels than
-points; it certifies its values within epsilon/2 by value iteration's
-stopping threshold or raises ConvergenceError.
+discounted solve is Howard policy iteration on every problem, each policy
+evaluated by its operator's `policy_values`: one linear solve over dense
+rows, pointer doubling along the limit's successors.  It certifies its
+values within epsilon/2 by value iteration's stopping threshold or raises
+ConvergenceError.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ import numpy as np
 from .measures import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
-    Ordinals,
     SimplexGrid,
     _check_cap,
     composition_array,
@@ -103,8 +102,8 @@ def _horizon(model, horizon, states=0, cap=None):
 
 class ConvergenceError(RuntimeError):
     """A discounted solve did not reach its stopping threshold: not within
-    its backup limit, or not by policy iteration where _hopeless shows that
-    value-iteration sweeps from zero could not."""
+    its backup limit, or not by the time its policy was stable where
+    _hopeless shows that value-iteration sweeps from zero could not."""
 
 
 class _DenseMDP(NamedTuple):
@@ -115,8 +114,7 @@ class _DenseMDP(NamedTuple):
     act_off[i] up to act_off[i + 1], and a pair's offset from act_off[i] is
     its action ordinal.  Row a is pair a's next-state law over the state
     ordinals.  The lifted, restricted and exact-evaluation problems are
-    built straight into this layout; the cap bounds rows.size, and the
-    rows are all that a backup reads (`footprint`, in 8-byte words).
+    built straight into this layout, and the cap bounds rows.size.
     """
 
     cost: np.ndarray
@@ -129,16 +127,16 @@ class _DenseMDP(NamedTuple):
         identical values, so exact duplicate actions still tie."""
         return np.einsum("as,s->a", self.rows, values)
 
-    def dense_rows(self, pairs):
-        return self.rows[pairs]
+    def policy_values(self, policy, beta):
+        """Exact discounted values of the stationary policy that takes action
+        ordinal policy[i] in state i: the solution of (I - beta P) v = c over
+        its pairs' costs c and (states, states) rows P."""
+        pairs = self.act_off + policy
+        return np.linalg.solve(np.eye(pairs.size) - beta * self.rows[pairs], self.cost[pairs])
 
     @property
     def longest_row(self):
         return self.rows.shape[1]
-
-    @property
-    def footprint(self):
-        return self.rows.size
 
 
 class _SuccessorMDP(NamedTuple):
@@ -154,13 +152,19 @@ class _SuccessorMDP(NamedTuple):
     def expect(self, values):
         return values[self.successor]
 
-    def dense_rows(self, pairs):
-        """The (len(pairs), states) one-hot rows of `pairs`."""
-        return np.eye(self.act_off.size)[self.successor[pairs]]
-
-    @property
-    def footprint(self):
-        return self.successor.size
+    def policy_values(self, policy, beta):
+        """Exact discounted values of the stationary policy that takes action
+        ordinal policy[i] in state i, v(i) = sum_k beta**k c(s^k(i)) along
+        its successors s, by pointer doubling in O(states) memory: after r
+        rounds acc sums the first 2**r terms, jump is s^(2**r) and scale is
+        beta**(2**r), and the rounds stop once scale underflows to 0 (14
+        rounds at beta = 0.95, about 64 at most for any beta < 1)."""
+        pairs = self.act_off + policy
+        acc, jump, scale = self.cost[pairs], self.successor[pairs], beta
+        while scale:
+            acc = acc + scale * acc[jump]
+            jump, scale = jump[jump], scale * scale
+        return acc
 
 
 def _multinomial_coefficients(n, parts):
@@ -291,43 +295,38 @@ def _solve_finite(stages, beta):
 
 
 def _solve_discounted(mdp, beta, epsilon):
-    """Successive approximation until the sup-norm update |T v - v| is at
-    most epsilon*(1-beta)/(2*beta), so the returned values T v are within
-    epsilon/2 of the fixed point and their greedy actions are
+    """Howard policy iteration (Puterman 1994, section 6.4) inside value
+    iteration's stop rule: it returns T v once the sup-norm update
+    |T v - v| is at most epsilon*(1-beta)/(2*beta), so the returned values
+    are within epsilon/2 of the fixed point and their greedy actions are
     epsilon-optimal; ties go to the smallest action ordinal.
 
-    It starts with Howard policy iteration (Puterman 1994, section 6.4)
-    when one policy's (states, states) rows take no more words than every
-    backup reads (`footprint`), as dense rows always do: v is first the exact
-    values of the greedy policy of the stage cost, and after each backup
-    the policy switches a state to its greedy action where its current
-    action's Q exceeds the minimum by more than the rounding of the two,
-    and v becomes the new policy's exact values.  The computed Q of a pair
-    is c + beta * (row . v) over at most n = longest_row terms, whose sum
-    is off by at most gamma_n * |v|max with gamma_n = n*u/(1 - n*u) and
-    u = eps/2 (Higham 2002, section 3.1; a row's mass is 1 within 1e-12),
-    and the product and the sum each add at most u times their size, so
-    each computed Q is off by less than eps * (n + 2) * (|c|max + |v|max)
-    and a difference of two by less than twice that: rounding alone never
+    v is first the exact values of the greedy policy of the stage cost,
+    from the operator's `policy_values`, and after each backup the policy
+    switches a state to its greedy action where its current action's Q
+    exceeds the minimum by more than the rounding of the two, and v becomes
+    the new policy's exact values.  The computed Q of a pair is c + beta *
+    (row . v) over at most n = longest_row terms, whose sum is off by at
+    most gamma_n * |v|max with gamma_n = n*u/(1 - n*u) and u = eps/2
+    (Higham 2002, section 3.1; a row's mass is 1 within 1e-12), and the
+    product and the sum each add at most u times their size, so each
+    computed Q is off by less than eps * (n + 2) * (|c|max + |v|max) and a
+    difference of two by less than twice that: rounding alone never
     switches an action.  Once no state switches, it is value iteration: v
     becomes T v.  Near beta = 1 rounding keeps even the optimal policy's
     exact values from meeting the threshold, and a few sweeps from them
-    do.  When a policy's rows are too large, as on a limit grid with fewer
-    kernels than points, it is value iteration from zero.
+    do.
 
     Raises ConvergenceError when _MAX_SWEEPS backups do not suffice, and
-    makes no sweep where _hopeless shows that sweeps from zero cannot.
+    makes no sweep after a stable policy where _hopeless holds.
     """
     threshold = epsilon * (1.0 - beta) / (2.0 * beta)
     may_sweep = not _hopeless(mdp, beta, threshold)
-    n = mdp.act_off.size
-    policy, values, backups = None, np.zeros(n), 0
-    if n * n <= mdp.footprint:
-        q, best = _backup(mdp, None, beta)
-        policy = _greedy(mdp, q, best)
-        values, backups = _policy_values(mdp, policy, beta), 1
-        rounding = 2.0 * np.finfo(float).eps * (mdp.longest_row + 2)
-        cost_max = float(np.abs(mdp.cost).max())
+    q, best = _backup(mdp, None, beta)
+    policy = _greedy(mdp, q, best)
+    values, backups = mdp.policy_values(policy, beta), 1
+    rounding = 2.0 * np.finfo(float).eps * (mdp.longest_row + 2)
+    cost_max = float(np.abs(mdp.cost).max())
     while backups < _MAX_SWEEPS and (policy is not None or may_sweep):
         q, new = _backup(mdp, values, beta)
         backups += 1
@@ -338,7 +337,7 @@ def _solve_discounted(mdp, beta, epsilon):
             switch = q[mdp.act_off + policy] - new > slack
             if switch.any():
                 policy = np.where(switch, _greedy(mdp, q, new), policy)
-                new = _policy_values(mdp, policy, beta)
+                new = mdp.policy_values(policy, beta)
             else:
                 policy = None
         values = new
@@ -370,10 +369,10 @@ class Solution:
 
 def solve(problem, horizon, cap=DEFAULT_ENUMERATION_CAP):
     """Solve `problem` under `horizon`: backward recursion over its steps,
-    or, when discounted, policy iteration and value iteration
-    (_solve_discounted).  `problem` is a MeasureMDP, a RestrictedMDP or an
-    MkvMDP: it has a `model`, its `states` and the `operator` every backup
-    reads, a _DenseMDP or, for the limit, a _SuccessorMDP.  A finite
+    or, when discounted, policy iteration within value iteration's stop
+    rule (_solve_discounted).  `problem` is a MeasureMDP, a RestrictedMDP
+    or an MkvMDP: it has a `model`, its `states` and the `operator` every
+    backup reads, a _DenseMDP or, for the limit, a _SuccessorMDP.  A finite
     horizon too long for the cap is refused before the rows are built.
     """
     beta, steps = _horizon(problem.model, horizon, len(problem.states), cap)
@@ -389,19 +388,12 @@ def _hopeless(mdp, beta, threshold):
     `threshold` in _MAX_SWEEPS sweeps: with every pair cost >= m > 0, the
     update after sweep j is at least beta**(j - 1) * m, less at most eps *
     (longest_row + 2) * max cost * n**2 of rounding, n = min(sweeps, 1 /
-    (1 - beta))."""
+    (1 - beta)).  After a stable policy, _solve_discounted makes no
+    value-iteration sweep where this holds."""
     m, n = float(mdp.cost.min()), min(_MAX_SWEEPS, 1.0 / (1.0 - beta))
     slack = np.finfo(float).eps * (mdp.longest_row + 2) * float(mdp.cost.max()) * n * n
     # the factor 2 also covers row masses off 1 by the 1e-12 tolerance
     return m > 0.0 and m * beta ** (_MAX_SWEEPS - 1) > 2.0 * (threshold + slack)
-
-
-def _policy_values(mdp, policy, beta):
-    """Exact discounted values of the stationary policy that takes action
-    ordinal policy[i] in state i: the solution of (I - beta P) v = c over
-    its pairs' costs c and (states, states) rows P."""
-    pairs = mdp.act_off + policy
-    return np.linalg.solve(np.eye(pairs.size) - beta * mdp.dense_rows(pairs), mdp.cost[pairs])
 
 
 def multinomial_pmf_table(law, trials):
@@ -489,7 +481,6 @@ class MeasureMDP:
         X, U = model.num_states, model.num_actions
         self.max_entries = num_compositions(population, X * U) * len(self.states)
         _check_cap("lifted transition rows", self.max_entries, cap)
-        self.index = Ordinals(population, X)
         # a measure's joint actions cross the action splits of its states, state 0 slowest
         splits = [composition_array(n, U) for n in range(population + 1)]
         blocks = []
@@ -857,6 +848,6 @@ def evaluate_symmetric_policy_exact(model, population, pi, horizon,
                                              k.table[k.grid.project_many(mus)[:, None]], cap)
     stages = [data[id(k)] for k in kernels]
     if steps is None:
-        return _policy_values(stages[0], 0, beta)  # each state's one action
+        return stages[0].policy_values(0, beta)  # each state's one action
     values, _ = _solve_finite(stages, beta)
     return values[0]

@@ -89,22 +89,6 @@ def rank_compositions(counts):
     return rank
 
 
-class Ordinals:
-    """Ordinals over the compositions of `total` into `parts` coordinates,
-    computed by rank_compositions: ordinals[counts] is the ordinal of one
-    count vector, and a KeyError when it is not such a composition."""
-
-    def __init__(self, total, parts):
-        self.total = total
-        self.parts = parts
-
-    def __getitem__(self, counts):
-        c = np.asarray(counts)
-        if c.shape != (self.parts,) or (c < 0).any() or c.sum() != self.total:
-            raise KeyError(counts)
-        return int(rank_compositions(c))
-
-
 def _check_cap(what, size, cap):
     if cap is not None and size > cap:
         raise EnumerationCapError(what, size, cap)
@@ -217,9 +201,6 @@ class SimplexGrid:
 
     def point(self, ordinal):
         return self.points[ordinal]
-
-    def ordinal_of(self, counts):
-        return Ordinals(self.mesh, self.cardinality)[counts]
 
     def project(self, mu):
         """`project_many` of the single measure mu, which fits one block."""

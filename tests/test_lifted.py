@@ -408,7 +408,7 @@ def test_two_agent_two_stage_values(counterexample):
     np.testing.assert_allclose(sol.values[0], [0.5, 0.0, 0.5], atol=1e-12)
     np.testing.assert_allclose(sol.values[1], [0.5, 0.0, 0.5], atol=1e-12)
     assert not sol.stationary
-    i = mdp.index[(0, 2)]
+    i = rank_compositions((0, 2))
     theta = enumerate_joint_actions(mdp.states[i], 2)[sol.choices[0][i]]
     assert theta.counts == ((0, 0), (1, 1))
 
@@ -583,11 +583,9 @@ def test_policy_iteration_backs_up_less_than_value_iteration(monkeypatch):
     for name, problem in problems.items():
         calls = count_backups(monkeypatch)
         values, choices = lifted._solve_discounted(problem.operator, 0.9, 1e-8)
-        backups = len(calls)
-        # SweepsOnly forces value iteration from zero on the same rows
-        vi_values, vi_choices = lifted._solve_discounted(SweepsOnly(*problem.operator), 0.9, 1e-8)
         monkeypatch.undo()
-        assert backups < len(calls) - backups, name
+        vi_values, vi_choices, sweeps = value_iteration(problem.operator, 0.9, 1e-8)
+        assert len(calls) < sweeps, name
         np.testing.assert_array_equal(choices, vi_choices, err_msg=name)
         np.testing.assert_allclose(values, vi_values, rtol=0.0, atol=0.5e-8, err_msg=name)
 
@@ -604,11 +602,9 @@ def test_each_problem_builds_its_operator_once(counterexample, weakly_coupled):
     mkv = build_mkv_mdp(weakly_coupled, 32, 16)
     op = mkv.operator
     assert mkv.operator is op and isinstance(op, _SuccessorMDP)
-    assert op.footprint == op.cost.size == 33 * 289 and op.longest_row == 1
+    assert op.cost.size == op.successor.size == 33 * 289 and op.longest_row == 1
     values = np.random.default_rng(89).normal(size=33)
-    rows = op.dense_rows(np.arange(op.cost.size))
-    assert np.array_equal(op.expect(values), rows @ values)
-    assert np.array_equal(rows.argmax(axis=1), op.successor) and (rows.sum(axis=1) == 1.0).all()
+    assert np.array_equal(op.expect(values), np.eye(33)[op.successor] @ values)
 
 
 def test_discounted_rejects_beta_one(counterexample):
@@ -634,11 +630,18 @@ def test_finite_solves_need_a_stage_and_fit_the_cap(counterexample, monkeypatch)
     assert calls == []
 
 
-class SweepsOnly(_DenseMDP):
-    """Dense rows whose policies count as too large to evaluate exactly, so
-    that _solve_discounted runs value iteration from zero."""
-
-    footprint = 0
+def value_iteration(mdp, beta, epsilon):
+    """Value iteration from zero to the stop rule of _solve_discounted, the
+    reference its policy iteration is checked against: (values, choices,
+    sweeps)."""
+    threshold = epsilon * (1.0 - beta) / (2.0 * beta)
+    values = np.zeros(mdp.act_off.size)
+    for sweeps in range(1, lifted._MAX_SWEEPS + 1):
+        q, new = _backup(mdp, values, beta)
+        if np.abs(new - values).max() <= threshold:
+            return new, _greedy(mdp, q, new), sweeps
+        values = new
+    raise ConvergenceError(f"value iteration needs more than {lifted._MAX_SWEEPS} sweeps")
 
 
 def count_backups(monkeypatch):
@@ -653,85 +656,124 @@ def count_backups(monkeypatch):
 
 
 def test_hopeless_discounted_solve_fails_before_the_first_sweep(monkeypatch):
-    # Costs are at least 0.1, so every update exceeds 0.099 for 10^6 sweeps.
-    # On 153 grid points and 27 kernels the solve is value iteration from
-    # zero and makes no backup; on 6 points, policy iteration alone.
+    # Costs are at least 0.1, so every update exceeds 0.099 for 10^6 sweeps
+    # from zero, and rounding keeps even the stable policy's exact values
+    # above the threshold.  On 153 and on 6 grid points policy iteration
+    # runs until its policy is stable and makes no value-iteration sweep.
     model = make_random_model(np.random.default_rng(71), 3, 3, coupled=True)
     for mesh in (16, 2):
         mkv = build_mkv_mdp(model, mesh, 1)
         calls = count_backups(monkeypatch)
-        evaluations = count_policy_values(monkeypatch)
+        evaluations = count_evaluations(monkeypatch)
         with pytest.raises(ConvergenceError, match="needs more than 1000000 sweeps"):
             solve(mkv, DiscountedHorizon(beta=0.99999999))
-        assert len(calls) == (0 if mesh == 16 else len(evaluations) + 1)
+        assert len(calls) == len(evaluations) + 1
         monkeypatch.undo()
 
 
-def count_policy_values(monkeypatch):
+def count_evaluations(monkeypatch):
     calls = []
-    evaluate = lifted._policy_values
+    for operator in (_DenseMDP, _SuccessorMDP):
 
-    def counting(*args):
-        calls.append(1)
-        return evaluate(*args)
+        def counting(self, *args, evaluate=operator.policy_values):
+            calls.append(1)
+            return evaluate(self, *args)
 
-    monkeypatch.setattr(lifted, "_policy_values", counting)
+        monkeypatch.setattr(operator, "policy_values", counting)
     return calls
 
 
 def test_refusal_never_preempts_a_converging_solve(monkeypatch):
-    # 17 grid points and 4 kernels: value iteration from zero, which _hopeless guards
+    # With _MAX_SWEEPS at the backups a solve needs, _hopeless holds for
+    # these positive costs, yet the solve ends as before: it gates only the
+    # sweeps after a stable policy.  One backup fewer is refused at the limit.
     rng = np.random.default_rng(73)
-    for beta in (0.5, 0.9, 0.99):
-        mdp = build_mkv_mdp(make_random_model(rng, 2, 2, coupled=True), 16, 1)
+    problems = [(build_mkv_mdp(make_random_model(rng, 2, 2, coupled=True), 16, 1), beta)
+                for beta in (0.5, 0.9, 0.99)]
+    # 561 grid points and 27 kernels, where the policy switches twice
+    problems.append((build_mkv_mdp(make_random_model(np.random.default_rng(5), 3, 2,
+                                                     coupled=True), 32, 2), 0.95))
+    for mdp, beta in problems:
         calls = count_backups(monkeypatch)
         table = solve(mdp, DiscountedHorizon(beta=beta)).values[0]
-        sweeps = len(calls)
-        monkeypatch.setattr(lifted, "_MAX_SWEEPS", sweeps)
+        backups = len(calls)
+        monkeypatch.setattr(lifted, "_MAX_SWEEPS", backups)
+        assert lifted._hopeless(mdp.operator, beta, 1e-8 * (1 - beta) / (2 * beta))
         again = solve(mdp, DiscountedHorizon(beta=beta)).values[0]
         np.testing.assert_array_equal(again, table)
         del calls[:]
-        monkeypatch.setattr(lifted, "_MAX_SWEEPS", sweeps // 2)
-        with pytest.raises(ConvergenceError):
+        monkeypatch.setattr(lifted, "_MAX_SWEEPS", backups - 1)
+        with pytest.raises(ConvergenceError, match=f"more than {backups - 1} sweeps"):
             solve(mdp, DiscountedHorizon(beta=beta))
-        assert calls == []  # refused before the first sweep
+        assert len(calls) == backups - 1
         monkeypatch.undo()
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), num_states=st.sampled_from([2, 3]),
        num_actions=st.sampled_from([2, 3]), population=st.integers(1, 3),
+       mesh=st.integers(1, 16), policy_mesh=st.integers(1, 2),
        beta=st.floats(0.5, 0.999), limit=st.booleans())
-@example(seed=5, num_states=3, num_actions=3, population=4, beta=0.999, limit=False)
+@example(seed=5, num_states=3, num_actions=3, population=4, mesh=1, policy_mesh=1, beta=0.999,
+         limit=False)
 # value iteration's own rounding leaves it 5.2e-9 from the exact fixed point here
-@example(seed=0, num_states=2, num_actions=2, population=1, beta=0.999, limit=False)
+@example(seed=0, num_states=2, num_actions=2, population=1, mesh=1, policy_mesh=1, beta=0.999,
+         limit=False)
+# 561 grid points and 27 kernels: value iteration sweeps 437 times
+@example(seed=5, num_states=3, num_actions=2, population=1, mesh=32, policy_mesh=2, beta=0.95,
+         limit=True)
 def test_policy_iteration_matches_value_iteration(seed, num_states, num_actions, population,
-                                                  beta, limit):
-    # the lifted rows, or a limit grid with at least as many kernels as
-    # points, whose value iteration reads the same successors as one-hot rows
+                                                  mesh, policy_mesh, beta, limit):
+    # the lifted rows, or a limit grid, often with fewer kernels than points
     epsilon = 1e-8
     threshold = epsilon * (1.0 - beta) / (2.0 * beta)
     model = make_random_model(np.random.default_rng(seed), num_states, num_actions, coupled=True)
     if limit:
-        op = build_mkv_mdp(model, population + 1, 2).operator
-        rows = SweepsOnly(op.cost, op.act_off, op.dense_rows(np.arange(op.cost.size)))
+        op = build_mkv_mdp(model, mesh, policy_mesh).operator
+        if op.cost.size < op.act_off.size ** 2:
+            event("a limit grid with fewer kernels than points")
     else:
         op = build_measure_mdp(model, population).operator
-        rows = SweepsOnly(*op)
-    assert op.act_off.size ** 2 <= op.footprint  # policy iteration runs
     values, choices = lifted._solve_discounted(op, beta, epsilon)
-    vi_values, vi_choices = lifted._solve_discounted(rows, beta, epsilon)
+    vi_values, vi_choices, _ = value_iteration(op, beta, epsilon)
     q, best = _backup(op, values, beta)
     # each value-iteration sweep rounds by less than eps * (n + 2) * (|c| + |v|)
     # (see _solve_discounted), which adds up to 1 / (1 - beta) times that
     scale = max(float(np.abs(op.cost).max()) + float(np.abs(values).max()), 1.0)
-    drift = np.finfo(float).eps * (rows.longest_row + 2) * scale / (1.0 - beta)
+    drift = np.finfo(float).eps * (op.longest_row + 2) * scale / (1.0 - beta)
     assert np.abs(values - vi_values).max() <= epsilon / 2 + drift
     assert np.abs(best - values).max() <= threshold
     for i in np.flatnonzero(choices != vi_choices):
         pairs = op.act_off[i] + np.array([choices[i], vi_choices[i]])
         assert q[pairs[1]] - q[pairs[0]] <= 1e-12 * max(1.0, abs(best[i])), (i, pairs)
         event("policy and value iteration broke a tie differently")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_states=st.sampled_from([2, 3]),
+       num_actions=st.sampled_from([2, 3]), mesh=st.integers(1, 12),
+       policy_mesh=st.integers(1, 2), beta=st.floats(0.5, 0.99999))
+@example(seed=7, num_states=3, num_actions=3, mesh=12, policy_mesh=1, beta=0.99999)
+def test_successor_doubling_matches_the_one_hot_solve(seed, num_states, num_actions, mesh,
+                                                      policy_mesh, beta):
+    rng = np.random.default_rng(seed)
+    model = make_random_model(rng, num_states, num_actions, coupled=True)
+    op = build_mkv_mdp(model, mesh, policy_mesh).operator
+    n = op.act_off.size
+    policy = rng.integers(0, np.diff(op.act_off, append=op.cost.size))
+    values = op.policy_values(policy, beta)
+    pairs = op.act_off + policy
+    solved = np.linalg.solve(np.eye(n) - beta * np.eye(n)[op.successor[pairs]], op.cost[pairs])
+    eps, top = np.finfo(float).eps, float(np.abs(solved).max())
+    # I - beta P has sup-norm condition number at most (1 + beta) / (1 - beta),
+    # and each evaluation is off by at most about that times eps * |v|max
+    assert np.abs(values - solved).max() <= 2 * (1 + beta) / (1 - beta) * eps * top
+    # each doubling round rounds one product and one sum per entry
+    rounds, scale = 0, beta
+    while scale:
+        rounds, scale = rounds + 1, scale * scale
+    residual = op.cost[pairs] + beta * values[op.successor[pairs]] - values
+    assert np.abs(residual).max() <= rounds * eps * top
 
 
 def test_policy_iteration_needs_a_handful_of_backups_at_beta_near_one(monkeypatch):
@@ -743,7 +785,7 @@ def test_policy_iteration_needs_a_handful_of_backups_at_beta_near_one(monkeypatc
     assert len(calls) <= 6
     # the values are one backup of the chosen policy's exact values
     dense = mdp.operator
-    exact = lifted._policy_values(dense, sol.choices[0], 0.999)
+    exact = dense.policy_values(sol.choices[0], 0.999)
     np.testing.assert_array_equal(_backup(dense, exact, 0.999)[1], sol.values[0])
     _, best = _backup(dense, sol.values[0], 0.999)
     assert np.abs(best - sol.values[0]).max() <= 1e-8 * 0.001 / (2 * 0.999)
@@ -758,10 +800,10 @@ def test_exact_ties_never_switch_the_policy(monkeypatch):
     states, actions, beta = 40, 3, 0.999999
     rows = rng.dirichlet(np.ones(states), size=states * actions)
     mdp = _DenseMDP(np.full(states * actions, 0.7), np.arange(0, states * actions, actions), rows)
-    q, best = _backup(mdp, lifted._policy_values(mdp, 0, beta), beta)
+    q, best = _backup(mdp, mdp.policy_values(0, beta), beta)
     assert (q != np.repeat(best, actions)).any()  # rounding breaks some ties
     calls = count_backups(monkeypatch)
-    evaluations = count_policy_values(monkeypatch)
+    evaluations = count_evaluations(monkeypatch)
     with pytest.raises(ConvergenceError):
         lifted._solve_discounted(mdp, beta, 1e-8)
     assert len(evaluations) == 1 and len(calls) == 2
@@ -788,7 +830,7 @@ def test_value_iteration_crosses_the_roundoff_floor(weakly_coupled, monkeypatch,
     dense = mdp.operator
     _, best = _backup(dense, sol.values[0], beta)
     assert np.abs(best - sol.values[0]).max() <= 1e-8 * (1 - beta) / (2 * beta)
-    exact = lifted._policy_values(dense, sol.choices[0], beta)
+    exact = dense.policy_values(sol.choices[0], beta)
     assert np.abs(exact - sol.values[0]).max() <= 0.5e-8
 
 

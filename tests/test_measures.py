@@ -8,7 +8,6 @@ from mfteams.measures import (
     EmpiricalJointMeasure,
     EmpiricalStateMeasure,
     EnumerationCapError,
-    Ordinals,
     canonical_assignment,
     composition_array,
     compositions,
@@ -45,14 +44,6 @@ def test_composition_array_holds_the_compositions_in_order(total, parts):
     assert combos.dtype == np.int64
     assert combos.shape == (num_compositions(total, parts), parts)
     assert combos.tolist() == [list(c) for c in compositions(total, parts)]
-
-
-def test_ordinals_refuse_vectors_off_the_enumeration():
-    ordinals = Ordinals(3, 2)
-    assert [ordinals[c] for c in compositions(3, 2)] == [0, 1, 2, 3]
-    for bad in [(1, 1), (4, -1), (3, 0, 0), (3,)]:
-        with pytest.raises(KeyError):
-            ordinals[bad]
 
 
 def test_compositions_order_and_count():
@@ -148,7 +139,7 @@ def test_enumeration_cap():
 def test_grid_points_mesh_two():
     grid = simplex_grid(2, 2)
     np.testing.assert_array_equal(grid.points, [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
-    assert grid.ordinal_of((1, 1)) == 1
+    assert rank_compositions((1, 1)) == 1
 
 
 def test_grid_mesh_one_is_vertices():
@@ -161,7 +152,7 @@ def test_grid_mesh_one_is_vertices():
 def test_ordinal_round_trip():
     grid = simplex_grid(3, 3)
     for g in range(len(grid)):
-        assert grid.ordinal_of(grid.counts[g]) == g
+        assert rank_compositions(grid.counts[g]) == g
 
 
 def test_projection_is_nearest_point():

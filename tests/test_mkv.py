@@ -13,7 +13,7 @@ from mfteams import (
     policy_kernels,
     solve,
 )
-from mfteams.measures import simplex_grid
+from mfteams.measures import rank_compositions, simplex_grid
 
 from conftest import make_random_model
 
@@ -166,7 +166,7 @@ def test_mkv_finite_matches_exhaustive_two_stage(counterexample, weakly_coupled)
 def test_mkv_counterexample_value(counterexample):
     mkv = build_mkv_mdp(counterexample, 2, 2)
     sol = solve(mkv, FiniteHorizon(2))
-    g0 = mkv.state_grid.ordinal_of((0, 2))
+    g0 = rank_compositions((0, 2))
     assert sol.values[0][g0] == pytest.approx(0.5, abs=1e-12)
     pi = policy_kernels(sol)[0]
     np.testing.assert_allclose(pi.rows_for([0.0, 1.0])[1], [0.5, 0.5], atol=1e-12)

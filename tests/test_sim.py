@@ -182,7 +182,7 @@ def test_one_step_count_law_matches_exact(seed, num_states, num_actions, populat
 
     def lifted_law(counts):
         # the cell counts are the chosen theta
-        i = mdp.index[counts]
+        i = rank_compositions(counts)
         return eta_kernel(model, mdp.states[i], acts[i][table[i]])
 
     # two start states interleaved, so replications that mix show up
