@@ -10,7 +10,9 @@ which agent sits where, which is what makes the lift well defined.
 
 The rows are built as arrays, not dictionaries, and in batches, so the
 work grows with the number of distinct agent counts rather than with the
-number of measures and splits.  The agents of one state contribute one
+number of measures and splits.  The joint actions are made in one pass:
+the compositions of N over the X*U cells, grouped by their state
+marginal.  The agents of one state contribute one
 factor per action split of that state: the law of their next counts, a
 dense vector over the compositions of their number, indexed by rank
 (`rank_compositions`).  The model is evaluated once for all measures, and
@@ -21,7 +23,10 @@ actions 0..u-1 and k draws of action u, so each (u, m, k) is one convolve
 over every (measure, state) pair holding enough agents.  A joint
 action's row is the convolution of its states' factors, computed for all
 joint actions of a measure at once with a (rank a, rank b) -> rank(a + b)
-table and one weighted np.bincount per state.  `multinomial_pmf_table`,
+table and one weighted np.bincount per state.  The rank is additive in
+tail sums, so that table comes from two tail-sum vectors, and one
+_Convolver per build keeps every composition table the build reads.
+`multinomial_pmf_table`,
 `multinomial_count_distribution` and `eta_kernel` compute the same laws
 as dictionaries and stay as the reference the tests compare against.
 
@@ -185,28 +190,56 @@ def _multinomial_coefficients(n, parts):
 
 
 class _Convolver:
-    """Dense laws of count vectors over `parts` coordinates.
+    """Dense laws of count vectors over `parts` coordinates, and the
+    size-only tables of one build.
 
     A law of count vectors with total n is an array over compositions(n,
     parts), indexed by rank.  The rank table of (a, b) holds the rank of
     the sum of every pair of compositions of a and of b, so the law of a
     sum of independent count vectors is one weighted np.bincount over it.
     Every convolution of a build is one convolve: the split factors, the
-    fold across states and the shared-kernel rows.  The compositions and
-    coefficients are kept per total; the rank tables are made per call,
-    since the (a, b) pairs of one measure's states seldom recur at another
-    and a kept table would only hold memory for the rest of a build that
-    one convolver serves.
+    fold across states and the shared-kernel rows.  A build makes one
+    convolver and reads every composition table from it: the compositions
+    are kept per (total, parts), the split tables of _split_factors among
+    them, and the tail sums and coefficients per total, so each is made
+    once per build and dropped with it.  The rank tables are made per call
+    from two tail-sum vectors, since the (a, b) pairs of one measure's
+    states seldom recur at another.
     """
 
     def __init__(self, parts):
         self.parts = parts
-        self._comps, self._coefs = {}, {}
+        self._comps, self._tails, self._coefs = {}, {}, {}
 
-    def comps(self, n):
-        if n not in self._comps:
-            self._comps[n] = composition_array(n, self.parts)
-        return self._comps[n]
+    def comps(self, n, parts=None):
+        """composition_array(n, parts), parts defaulting to the convolver's."""
+        key = (n, self.parts if parts is None else parts)
+        if key not in self._comps:
+            self._comps[key] = composition_array(*key)
+        return self._comps[key]
+
+    def _tail_sums(self, n):
+        """(parts - 1, K) array whose row i holds, for every composition of
+        n, the sum of its entries after entry i."""
+        if n not in self._tails:
+            c = self.comps(n)
+            self._tails[n] = np.cumsum(c[:, :0:-1], axis=1)[:, ::-1].T.copy()
+        return self._tails[n]
+
+    def rank_table(self, a, b):
+        """rank_compositions(comps(a)[:, None] + comps(b)[None]) without
+        forming the sums: the tail sums of a sum are the sums of its terms'
+        tail sums, and each term C(t + j - 1, j) of the rank is made as
+        rank_compositions makes it, in exact integers."""
+        ta, tb = self._tail_sums(a), self._tail_sums(b)
+        table = np.zeros((ta.shape[1], tb.shape[1]), dtype=np.int64)
+        for i in range(self.parts - 1):
+            t = ta[i, :, None] + tb[i]
+            term = t  # C(t, 1)
+            for j in range(2, self.parts - i):
+                term = term * (t + j - 1) // j
+            table += term
+        return table
 
     def multinomial(self, laws, n):
         """Multinomial(n, law) over compositions(n, parts) for every row of
@@ -241,7 +274,7 @@ class _Convolver:
         """Law of the sum of independent count vectors of totals a and b
         with laws f[..., :] and g[..., :], for the leading axes of f and g
         broadcast against each other; a law over compositions(a + b)."""
-        table = rank_compositions(self.comps(a)[:, None, :] + self.comps(b)[None, :, :])
+        table = self.rank_table(a, b)
         w = f[..., :, None] * g[..., None, :]
         lead = w.shape[:-2]
         size = num_compositions(a + b, self.parts)
@@ -472,6 +505,8 @@ class MeasureMDP:
     composition of the population over the X*U cells, so the (pairs,
     measures) rows hold num_compositions(N, X*U) times the number of
     measures entries; that count is held to the cap before any is made.
+    The joint actions are those compositions in one pass, sorted stably by
+    the rank of their state marginal, and act_off counts them per rank.
     """
 
     def __init__(self, model, population, cap=DEFAULT_ENUMERATION_CAP):
@@ -481,15 +516,14 @@ class MeasureMDP:
         X, U = model.num_states, model.num_actions
         self.max_entries = num_compositions(population, X * U) * len(self.states)
         _check_cap("lifted transition rows", self.max_entries, cap)
-        # a measure's joint actions cross the action splits of its states, state 0 slowest
-        splits = [composition_array(n, U) for n in range(population + 1)]
-        blocks = []
-        for counts in composition_array(population, X).tolist():
-            per_state = [splits[n] for n in counts]
-            pick = np.indices([len(s) for s in per_state]).reshape(X, -1)
-            blocks.append(np.stack([s[p] for s, p in zip(per_state, pick)], axis=1))
-        self.joint_actions = np.concatenate(blocks)
-        self.act_off = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+        # the compositions of N over the X*U cells, in decreasing lexicographic
+        # order, grouped stably by the rank of their state marginal: within a
+        # measure that order crosses the action splits of its states, state 0 slowest
+        joint = composition_array(population, X * U).reshape(-1, X, U)
+        ranks = rank_compositions(np.einsum("axu->ax", joint))
+        self.joint_actions = joint[np.argsort(ranks, kind="stable")]
+        sizes = np.bincount(ranks, minlength=len(self.states))
+        self.act_off = np.cumsum(sizes) - sizes
 
     @cached_property
     def operator(self):
@@ -498,10 +532,11 @@ class MeasureMDP:
         (measure, state) pair come from _split_factors, one convolve per
         (action, agents, draws of that action) over all pairs, and each
         measure's rows, written in place, are its states' factors convolved
-        by _lifted_rows."""
+        by _lifted_rows.  One _Convolver serves the whole build and is
+        dropped with it."""
         N, X = self.population, self.model.num_states
         conv = _Convolver(X)
-        counts = composition_array(N, X)
+        counts = conv.comps(N)
         mus = counts / N
         tens, cmats = self.model.kernel_tensor_at(mus), self.model.cost_matrix_at(mus)
         factors = _split_factors(conv, tens, counts)
@@ -587,7 +622,7 @@ def _split_factors(conv, tens, counts):
                                   for k in range(m + 1)], axis=1)
             # the splits come grouped by their last part, each group in composition order
             nxt.append(np.empty_like(cat))
-            nxt[-1][:, np.argsort(composition_array(m, u + 1)[:, -1], kind="stable")] = cat
+            nxt[-1][:, np.argsort(conv.comps(m, u + 1)[:, -1], kind="stable")] = cat
         level = nxt
     out = [[None] * X for _ in range(M)]
     for p, pair in enumerate(pairs.tolist()):
@@ -779,20 +814,33 @@ def _kernel_stage_data(model, counts, kernels, cap=DEFAULT_ENUMERATION_CAP):
     stage cost mixes the kernel into the running cost, and each occupied
     state's factor is one multinomial of the mixed law k[x] @ T[x]; a
     kernel's row is the convolution of those factors.  The model is
-    evaluated once for all measures, and one _Convolver folds them all.
-    The rows hold M * K * M entries, which is held to the cap.
+    evaluated once for all measures, the mixed laws are one stacked matmul,
+    one multinomial per agent count covers every (measure, state) pair
+    holding that many, and one _Convolver folds them all.  The rows hold
+    M * K * M entries, which is held to the cap.
     """
-    M, K = kernels.shape[:2]
+    M, K, X = kernels.shape[:3]
     _check_cap("shared-kernel transition rows", M * K * M, cap)
     pop = int(counts[0].sum())
     mus = counts / pop
-    conv = _Convolver(model.num_states)
+    conv = _Convolver(X)
+    tens = model.kernel_tensor_at(mus)
+    # mixed[i*X + x] is kernels[i][:, x] @ tens[i][x]: matmul runs its loop per
+    # (K, U) @ (U, X) block with the same strides, so the laws are those products bit for bit
+    mixed = np.matmul(kernels.transpose(0, 2, 1, 3), tens).reshape(M * X, K, X)
+    agents = counts.ravel()
+    factors = [None] * (M * X)
+    held_counts = np.flatnonzero(np.bincount(agents))  # np.unique would import numpy.ma, 1.5 MB
+    for m in held_counts[held_counts > 0].tolist():
+        held = np.flatnonzero(agents == m)
+        pmfs = conv.multinomial(mixed[held].reshape(-1, X), m).reshape(len(held), K, -1)
+        for pair, pmf in zip(held.tolist(), pmfs):
+            factors[pair] = pmf
     cost, rows = np.empty((M, K)), np.empty((M, K, M))
-    for i, (c, tens, cmat, ks) in enumerate(zip(counts, model.kernel_tensor_at(mus),
-                                                model.cost_matrix_at(mus), kernels)):
+    for i, (c, cmat, ks) in enumerate(zip(counts, model.cost_matrix_at(mus), kernels)):
         occupied = [(x, n) for x, n in enumerate(c.tolist()) if n]
         cost[i] = sum((n / pop) * (ks[:, x] @ cmat[x]) for x, n in occupied)
-        rows[i] = conv.fold((conv.multinomial(ks[:, x] @ tens[x], n), n) for x, n in occupied)
+        rows[i] = conv.fold((factors[i * X + x], n) for x, n in occupied)
     return _DenseMDP(cost.ravel(), np.arange(M) * K, rows.reshape(M * K, M))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -53,18 +53,23 @@ def composition_array(total, parts):
     """The count vectors of `compositions(total, parts)` as an int64 array,
     one per row in the same order, so row i has rank i.
 
-    Stars and bars: a vector is the gaps between parts - 1 bars among
-    total + parts - 1 slots, and bar positions in increasing lexicographic
-    order give the vectors in increasing lexicographic order.
+    Built column by column from the right.  `rest` holds the compositions
+    of every total up to `total` into the parts after the first, listed by
+    increasing total; the compositions of t with one more part in front
+    are the rows of `rest` with sum s <= t, in order, behind a first part
+    t - s.  A larger first part comes first, so t = total gives the result.
     """
     if parts < 1:
         raise ValueError("parts must be >= 1")
-    slots = total + parts - 1
-    size = num_compositions(total, parts)
-    bars = np.fromiter(chain.from_iterable(combinations(range(slots), parts - 1)),
-                       dtype=np.int64, count=size * (parts - 1)).reshape(size, parts - 1)
-    edges = np.hstack([np.full((size, 1), -1), bars[::-1], np.full((size, 1), slots)])
-    return np.diff(edges, axis=1) - 1
+    totals = np.arange(total + 1, dtype=np.int64)
+    sums, rest = np.zeros(1, dtype=np.int64), []  # one composition into no parts, of 0
+    for _ in range(parts - 1):
+        upto = np.searchsorted(sums, totals, side="right")  # rows of `rest` with sum <= t
+        pick = np.arange(upto.sum()) - np.repeat(np.cumsum(upto) - upto, upto)
+        t = np.repeat(totals, upto)
+        rest = [t - sums[pick]] + [c[pick] for c in rest]
+        sums = t
+    return np.stack([total - sums] + rest, axis=1)
 
 
 def rank_compositions(counts):

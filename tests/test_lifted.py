@@ -336,6 +336,8 @@ def _per_split_factors(conv, laws, splits):
 @given(seed=st.integers(0, 2**32 - 1), num_states=st.sampled_from([2, 3]),
        num_actions=st.sampled_from([2, 3]), population=st.integers(1, 6))
 @example(seed=7, num_states=3, num_actions=3, population=6)
+@example(seed=11, num_states=4, num_actions=2, population=5)
+@example(seed=12, num_states=2, num_actions=4, population=5)
 def test_batched_build_matches_the_per_split_loop(seed, num_states, num_actions, population):
     rng = np.random.default_rng(seed)
     model = _model_with_zeros(rng, num_states, num_actions)
@@ -359,6 +361,43 @@ def test_batched_build_matches_the_per_split_loop(seed, num_states, num_actions,
     ]
     for got, want in zip(mdp.operator, _stacked(blocks)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(parts=st.integers(1, 5), a=st.integers(0, 10), b=st.integers(0, 10))
+@example(parts=1, a=0, b=0)
+@example(parts=1, a=10, b=3)
+@example(parts=5, a=0, b=10)
+@example(parts=5, a=10, b=10)
+def test_rank_table_from_tail_sums_matches_rank_compositions(parts, a, b):
+    conv = lifted._Convolver(parts)
+    got = conv.rank_table(a, b)
+    want = rank_compositions(conv.comps(a)[:, None] + conv.comps(b)[None])
+    assert got.dtype == np.int64 and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("num_states, num_actions", [(2, 2), (3, 3), (2, 3), (3, 2)])
+def test_a_build_makes_each_composition_table_once(monkeypatch, num_states, num_actions):
+    # counts the tables lifted.py asks for; with one action the joint-action
+    # table (N, X * U) would be the measures' table (N, X), so U >= 2 here
+    model = make_random_model(np.random.default_rng(num_states * num_actions), num_states,
+                              num_actions, coupled=True)
+    counts = composition_array(5, num_states)
+    kernels = policy_grid(2, num_states, num_actions).kernels
+    made = {}
+
+    def counted(total, parts):
+        made[total, parts] = made.get((total, parts), 0) + 1
+        return composition_array(total, parts)
+
+    monkeypatch.setattr(lifted, "composition_array", counted)
+    for build in (lambda: build_measure_mdp(model, 5).operator,
+                  lambda: _kernel_stage_data(model, counts, np.broadcast_to(
+                      kernels, (len(counts),) + kernels.shape))):
+        made.clear()
+        build()
+        assert made and max(made.values()) == 1, made
 
 
 @pytest.mark.parametrize("num_states", [1, 2, 3])
