@@ -7,7 +7,7 @@ byte-reproducible from the manifest.  Floats are written with 17
 significant digits.
 
 Exit codes: 0 success, 1 I/O or parse failure, 2 validation, cap,
-non-convergence or out-of-memory failure, 3 self-test failure.
+non-convergence or out-of-memory failure, 3 self-test or gap-bound failure.
 """
 
 from __future__ import annotations
@@ -473,6 +473,9 @@ def main(argv=None):
             OverflowError, MemoryError) as err:
         print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 2
+    except RuntimeError as err:  # a computed value broke a bound it must hold
+        print(f"error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

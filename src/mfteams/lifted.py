@@ -57,6 +57,7 @@ from .measures import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     SimplexGrid,
+    _add_rank_terms,
     _check_cap,
     composition_array,
     compositions,
@@ -229,17 +230,11 @@ class _Convolver:
     def rank_table(self, a, b):
         """rank_compositions(comps(a)[:, None] + comps(b)[None]) without
         forming the sums: the tail sums of a sum are the sums of its terms'
-        tail sums, and each term C(t + j - 1, j) of the rank is made as
-        rank_compositions makes it, in exact integers."""
+        tail sums, and the rank's terms are added by _add_rank_terms, as
+        rank_compositions adds them."""
         ta, tb = self._tail_sums(a), self._tail_sums(b)
-        table = np.zeros((ta.shape[1], tb.shape[1]), dtype=np.int64)
-        for i in range(self.parts - 1):
-            t = ta[i, :, None] + tb[i]
-            term = t  # C(t, 1)
-            for j in range(2, self.parts - i):
-                term = term * (t + j - 1) // j
-            table += term
-        return table
+        return _add_rank_terms(np.zeros((ta.shape[1], tb.shape[1]), dtype=np.int64),
+                              (ta[i, :, None] + tb[i] for i in range(self.parts - 1)), self.parts)
 
     def multinomial(self, laws, n):
         """Multinomial(n, law) over compositions(n, parts) for every row of

@@ -85,11 +85,18 @@ def rank_compositions(counts):
     counts = np.asarray(counts, dtype=np.int64)
     parts = counts.shape[-1]
     tails = np.cumsum(counts[..., :0:-1], axis=-1)[..., ::-1]
-    rank = np.zeros(counts.shape[:-1], dtype=np.int64)
-    for i in range(parts - 1):
-        term = tails[..., i]  # C(t_i, 1)
+    return _add_rank_terms(np.zeros(counts.shape[:-1], dtype=np.int64),
+                          (tails[..., i] for i in range(parts - 1)), parts)
+
+
+def _add_rank_terms(rank, tails, parts):
+    """Add to the int64 array `rank` the terms C(t_i + k_i - 1, k_i), k_i =
+    parts - 1 - i, of rank_compositions in exact integers, for the tail
+    sums t_i that `tails` yields one array at a time.  Returns `rank`."""
+    for i, t in enumerate(tails):
+        term = t  # C(t_i, 1)
         for j in range(2, parts - i):
-            term = term * (tails[..., i] + j - 1) // j  # C(t_i + j - 1, j), exactly
+            term = term * (t + j - 1) // j  # C(t_i + j - 1, j), exactly
         rank += term
     return rank
 

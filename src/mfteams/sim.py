@@ -2,9 +2,10 @@
 
 Covers Monte Carlo simulation under lifted or shared-kernel policies,
 propagation-of-chaos gap estimation against the deterministic limit flow,
-an exact small-population check that (own state, own action, empirical
-measure) is a controlled Markov summary under shared kernels, and the
-exact optimality-gap table for limit-derived policies.  Rollouts run on
+an exact check, over arrays of every population history up to the
+enumeration cap, that (own state, own action, empirical measure) is a
+controlled Markov summary under shared kernels, and the exact
+optimality-gap table for limit-derived policies.  Rollouts run on
 the count chain: per step, (state, action) cell counts per state, then
 next-state counts per cell, for all replications at once and at a cost
 independent of the population size.
@@ -50,6 +51,7 @@ from .measures import (
     round_to_counts,
 )
 from .mkv import build_mkv_mdp, flow_trajectory
+from .model import DiscountedHorizon
 
 
 def _stream(seed, *key):
@@ -353,121 +355,71 @@ def verify_markov_mf(model, population, pi, t_max=2):
     """Exact check that (own state, own action, empirical measure) is a
     controlled Markov summary of an agent's history.
 
-    Builds the joint chain over all population state and action profiles by
-    brute force, then compares, for every agent and every positive-
-    probability private history (own states, own actions, measure path),
-    the conditional law of (next own state, next measure) against the law
-    conditioned on the current summary alone.  Returns the maximum
-    total-variation deviation over transitions at times t < t_max.
+    Each positive-probability history of the population's state and action
+    profiles is one row: its current state profile, its probability and,
+    per agent, an int64 key of its private history (own states, own
+    actions, measure ordinals), extended in mixed radix at each step.  At
+    each time t < t_max, for every agent, the law of (next own state, next
+    measure) given each private history is compared in total variation
+    with its law given the current summary alone, each law one np.bincount
+    over np.unique groups.  Returns the largest deviation per step.
 
     Under a shared kernel the deviation is zero up to roundoff; an
     agent-indexed kernel list (the intended negative control) generally
-    breaks it once ambiguity about which other agent is where carries
-    information.
+    breaks it.  A check whose last step has more than
+    DEFAULT_ENUMERATION_CAP outcomes, (|X| |U|)^(N t_max) |X|^N, is refused
+    with a ValueError before anything is enumerated.
     """
     _check_sizes([population])
     N = population
     X, U = model.num_states, model.num_actions
-    if N > 4 or X > 3 or U > 3:
-        raise ValueError("exact history enumeration is limited to N <= 4, |X|,|U| <= 3")
-    if t_max < 1:
+    if _check_integer("t_max", t_max) < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    if isinstance(pi, PolicyKernel):
-        agent_kernels = [pi] * N
-    else:
-        agent_kernels = list(pi)
-        if len(agent_kernels) != N:
-            raise ValueError(f"need one kernel per agent, got {len(agent_kernels)}")
+    cap, bits = DEFAULT_ENUMERATION_CAP, DEFAULT_ENUMERATION_CAP.bit_length()
+    if (X * U) ** min(N * t_max, bits) * X ** min(N, bits) > cap:  # exact, as 2**bits > cap
+        raise ValueError(f"the Markov check of {N} agents over {t_max} steps needs "
+                         f"{X * U}^{N * t_max} * {X}^{N} outcomes, above the cap of {cap}")
+    kernels = [pi] * N if isinstance(pi, PolicyKernel) else list(pi)
+    if len(kernels) != N:
+        raise ValueError(f"need one kernel per agent, got {len(kernels)}")
 
-    state_profiles = list(product(range(X), repeat=N))
-    action_profiles = list(product(range(U), repeat=N))
+    states = np.array(list(product(range(X), repeat=N)))  # (S, N) state profiles
+    actions = np.array(list(product(range(U), repeat=N)))  # (A, N) action profiles
+    counts = (states[:, :, None] == np.arange(X)).sum(axis=1)
+    mus = counts / N
+    # own[s, i]: a dense id of agent i's (own state, measure ordinal) at profile s
+    ids, own = np.unique(states * num_compositions(N, X) + rank_compositions(counts)[:, None],
+                         return_inverse=True)
+    own, n = own.reshape(states.shape), len(ids)
+    tens, at = model.kernel_tensor_at(mus), np.arange(len(states))[:, None]
+    act_law = step_law = 1.0  # products over agents, indexed [s, a] and [s, a, s']
+    for i, k in enumerate(kernels):
+        act_law = act_law * k.table[k.grid.project_many(mus), states[:, i]][:, actions[:, i]]
+        step_law = step_law * tens[at, states[:, i, None], actions[:, i]][:, :, states[:, i]]
 
-    def measure_of(profile):
-        counts = [0] * X
-        for x in profile:
-            counts[x] += 1
-        return tuple(counts)
-
-    # paths: (prob, states history, actions history), histories as tuples
-    # of profiles.
-    paths = []
-    for s in state_profiles:
-        p = 1.0
-        for x in s:
-            p *= float(model.initial_dist[x])
-        if p > 0.0:
-            paths.append((p, (s,), ()))
-
+    init = np.prod(model.initial_dist[states], axis=1)
+    s = np.flatnonzero(init)
+    p, key = init[s], own[s]
     per_step = []
-    for t in range(t_max):
-        # attach actions at time t
-        expanded = []
-        for prob, s_hist, a_hist in paths:
-            s = s_hist[-1]
-            mu_counts = measure_of(s)
-            mu = np.asarray(mu_counts, dtype=float) / N
-            rows = [agent_kernels[i].rows_for(mu)[s[i]] for i in range(N)]
-            for a in action_profiles:
-                pa = prob
-                for i in range(N):
-                    pa *= float(rows[i][a[i]])
-                    if pa == 0.0:
-                        break
-                if pa > 0.0:
-                    expanded.append((pa, s_hist, a_hist + (a,)))
-        # transition laws and grouping
-        priv_laws = {}
-        priv_mass = {}
-        priv_to_coarse = {}
-        coarse_laws = {}
-        coarse_mass = {}
-        next_paths = []
-        for prob, s_hist, a_hist in expanded:
-            s, a = s_hist[-1], a_hist[-1]
-            mu_counts = measure_of(s)
-            mu = np.asarray(mu_counts, dtype=float) / N
-            tens = model.kernel_tensor_at(mu)
-            laws = [tens[s[i], a[i]] for i in range(N)]
-            step_law = {}
-            for s_next in state_profiles:
-                ps = 1.0
-                for i in range(N):
-                    ps *= float(laws[i][s_next[i]])
-                    if ps == 0.0:
-                        break
-                if ps == 0.0:
-                    continue
-                next_paths.append((prob * ps, s_hist + (s_next,), a_hist))
-                step_law[s_next] = ps
-            mu_path = tuple(measure_of(p) for p in s_hist)
-            for i in range(N):
-                law_i = {}
-                for s_next, ps in step_law.items():
-                    key = (s_next[i], measure_of(s_next))
-                    law_i[key] = law_i.get(key, 0.0) + ps
-                priv = (i, tuple(p[i] for p in s_hist), tuple(a[i] for a in a_hist), mu_path)
-                coarse = (i, s[i], a[i], mu_counts, t)
-                priv_to_coarse[priv] = coarse
-                for store, mass, key in (
-                    (priv_laws, priv_mass, priv),
-                    (coarse_laws, coarse_mass, coarse),
-                ):
-                    mass[key] = mass.get(key, 0.0) + prob
-                    bucket = store.setdefault(key, {})
-                    for k, ps in law_i.items():
-                        bucket[k] = bucket.get(k, 0.0) + prob * ps
+    for _ in range(t_max):
+        row, a = np.nonzero(act_law[s])
+        s, p = s[row], p[row] * act_law[s[row], a]
+        key, summary = key[row] * U + actions[a], own[s] * U + actions[a]
+        row, nxt = np.nonzero(step_law[s, a])
+        q = p[row] * step_law[s[row], a[row], nxt]
         dev = 0.0
-        for priv, bucket in priv_laws.items():
-            coarse = priv_to_coarse[priv]
-            cb = coarse_laws[coarse]
-            pm, cm = priv_mass[priv], coarse_mass[coarse]
-            keys = set(bucket) | set(cb)
-            tv = 0.5 * sum(
-                abs(bucket.get(k, 0.0) / pm - cb.get(k, 0.0) / cm) for k in keys
-            )
-            dev = max(dev, tv)
-        per_step.append(dev)
-        paths = next_paths
+        for i in range(N):
+            laws = []
+            for group in (key[:, i], summary[:, i]):
+                _, first, inv = np.unique(group, return_index=True, return_inverse=True)
+                mass = np.bincount(inv, weights=p)
+                law = np.bincount(inv[row] * n + own[nxt, i], weights=q, minlength=len(mass) * n)
+                laws.append((first, inv, law.reshape(-1, n) / mass[:, None]))
+            (first, key[:, i], private), (_, coarse, summary_law) = laws  # keys renumbered
+            dev = max(dev, 0.5 * np.abs(private - summary_law[coarse[first]]).sum(axis=1).max())
+        per_step.append(float(dev))
+        if len(per_step) < t_max:  # the last step's outcomes are never extended
+            s, p, key = nxt, q, key[row] * n + own[nxt]
     return MarkovCheckReport(max_deviation=max(per_step), per_step=tuple(per_step))
 
 
@@ -492,9 +444,12 @@ def epsilon_gap(model, populations, horizon, mesh, policy_mesh,
     deployed value from exact evaluation of the extracted kernels on the
     measure chain, both at the count vector nearest N times the initial
     distribution.  Populations whose enumeration exceeds the cap are
-    reported as skipped.
+    reported as skipped.  A gap below -1e-9 is a fault and raises
+    RuntimeError; a discounted solve is certified only to within epsilon / 2,
+    so there the bound is -(epsilon / 2 + 1e-9).
     """
     _check_sizes(populations)
+    slack = 1e-9 + (horizon.epsilon / 2 if isinstance(horizon, DiscountedHorizon) else 0.0)
     kernels = policy_kernels(solve(build_mkv_mdp(model, mesh, policy_mesh, cap=cap), horizon, cap))
     rows = []
     for population in populations:
@@ -509,7 +464,7 @@ def epsilon_gap(model, populations, horizon, mesh, policy_mesh,
             evaluate_symmetric_policy_exact(model, population, kernels, horizon, cap=cap)[i0]
         )
         gap = j_pi - j_opt
-        if gap < -1e-9:
+        if gap < -slack:
             raise RuntimeError(
                 f"restricted policy beat the exchangeable optimum by {-gap} at N={population}"
             )

@@ -14,6 +14,7 @@ from mfteams import (
     FiniteHorizon,
     build_measure_mdp,
     build_mkv_mdp,
+    evaluate_symmetric_policy_exact,
     load_model,
     policy_kernels,
     save_model,
@@ -694,6 +695,30 @@ def test_gap_table_counterexample(capsys, tmp_path):
     assert fields[0] == "2"
     assert float(fields[3]) == pytest.approx(0.25, abs=1e-9)
     assert "eps=0.25" in text
+
+
+def test_gap_table_with_a_loose_eps_keeps_the_certified_gap(capsys, tmp_path):
+    # each discounted solve is certified only to within eps / 2 = 5, so the
+    # limit policy may read as better than the exchangeable optimum
+    out = tmp_path / "gap"
+    code, _, err = run(
+        capsys, "gap-table", "weakly_coupled", "--agents", "2", "--discount", "0.9",
+        "--eps", "10", "--mesh", "4", "--policy-mesh", "2", "--out", str(out),
+    )
+    assert code == 0 and err == ""
+    eps_n = float((out / "gap.csv").read_text().splitlines()[1].split(",")[3])
+    assert -5.0 - 1e-9 <= eps_n < 0.0
+
+
+def test_gap_below_its_bound_exits_3_with_one_error_line(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("mfteams.sim.evaluate_symmetric_policy_exact",
+                        lambda *args, **kw: evaluate_symmetric_policy_exact(*args, **kw) - 1.0)
+    code, _, err = run(
+        capsys, "gap-table", "counterexample", "--agents", "2", "--horizon", "2",
+        "--mesh", "2", "--policy-mesh", "2", "--out", str(tmp_path / "gap"),
+    )
+    assert code == 3
+    assert err == "error: restricted policy beat the exchangeable optimum by 0.75 at N=2\n"
 
 
 def test_manifest_params_are_the_parsed_options(capsys, tmp_path):

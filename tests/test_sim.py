@@ -1,10 +1,11 @@
 import json
+import re
 from collections import Counter
 from math import comb, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from mfteams import (
@@ -31,6 +32,7 @@ from mfteams import (
 )
 from mfteams import lifted
 from mfteams.measures import (
+    DEFAULT_ENUMERATION_CAP,
     SimplexGrid,
     enumerate_joint_actions,
     num_compositions,
@@ -688,6 +690,67 @@ def test_markov_check_refuses_an_empty_or_fractional_team(counterexample, monkey
     monkeypatch.setattr("mfteams.sim.product", lambda *args, **kw: pytest.fail("enumerated"))
     with pytest.raises(ValueError, match=f"^{message}$"):
         verify_markov_mf(counterexample, population, uniform_kernel())
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.sampled_from([2, 3]),
+    num_actions=st.sampled_from([2, 3]),
+    population=st.integers(1, 3),
+    t_max=st.integers(1, 2),
+)
+def test_markov_summary_holds_for_random_shared_kernels(seed, num_states, num_actions,
+                                                        population, t_max):
+    outcomes = (num_states * num_actions) ** (population * t_max) * num_states**population
+    assume(outcomes <= DEFAULT_ENUMERATION_CAP)
+    rng = np.random.default_rng(seed)
+    model = make_random_model(rng, num_states, num_actions, coupled=True)
+    grid = simplex_grid(2, num_states)
+    kernel = PolicyKernel(grid, rng.dirichlet(np.ones(num_actions), size=(len(grid), num_states)))
+    report = verify_markov_mf(model, population, kernel, t_max=t_max)
+    assert report.max_deviation <= 1e-12
+    assert len(report.per_step) == t_max
+    # one kernel per agent, all the same, is the shared kernel
+    copies = verify_markov_mf(model, population, [kernel] * population, t_max=t_max)
+    assert copies.per_step == report.per_step
+
+
+@pytest.mark.parametrize("t_max, per_step", [
+    # computed by the enumeration over nested dictionaries that this check replaced
+    (2, (0.0, 0.43293866743799625)),
+    (3, (0.0, 0.43293866743799625, 0.3183143523440141)),
+])
+def test_agent_indexed_deviations_are_pinned(weakly_coupled, t_max, per_step):
+    grid = simplex_grid(1, 2)
+    follow = PolicyKernel.constant(np.eye(2), grid)
+    oppose = PolicyKernel.constant(np.eye(2)[::-1].copy(), grid)
+    uniform = PolicyKernel.constant(np.full((2, 2), 0.5), grid)
+    report = verify_markov_mf(weakly_coupled, 3, [follow, oppose, uniform], t_max=t_max)
+    assert report.per_step == pytest.approx(per_step, rel=0.0, abs=1e-12)
+    assert report.max_deviation == max(report.per_step)
+
+
+@pytest.mark.parametrize("population, t_max, cap, count", [
+    (2, 6, DEFAULT_ENUMERATION_CAP, "4^12 * 2^2"),
+    (10**18, 1, DEFAULT_ENUMERATION_CAP, f"4^{10**18} * 2^{10**18}"),
+    (2, 10**18, DEFAULT_ENUMERATION_CAP, f"4^{2 * 10**18} * 2^2"),
+    (2, 2, 64, "4^4 * 2^2"),
+])
+def test_markov_check_beyond_the_cap_is_refused_before_enumerating(
+        counterexample, monkeypatch, population, t_max, cap, count):
+    monkeypatch.setattr("mfteams.sim.DEFAULT_ENUMERATION_CAP", cap)
+    monkeypatch.setattr("mfteams.sim.product", lambda *args, **kw: pytest.fail("enumerated"))
+    message = (f"the Markov check of {population} agents over {t_max} steps needs {count} "
+               f"outcomes, above the cap of {cap}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify_markov_mf(counterexample, population, uniform_kernel(), t_max=t_max)
+
+
+def test_markov_check_at_the_cap_runs(counterexample, monkeypatch):
+    monkeypatch.setattr("mfteams.sim.DEFAULT_ENUMERATION_CAP", 64)  # 4^2 * 2^2 outcomes
+    report = verify_markov_mf(counterexample, 2, uniform_kernel(), t_max=1)
+    assert report.per_step == (0.0,)
 
 
 # ---- optimality gap ----
