@@ -800,6 +800,18 @@ def _stage_tables(tables, stationary, steps, what="policy tables"):
     return list(tables)
 
 
+def _mixed_laws(kernels, tens):
+    """The (S, X, K, X) next-state laws kernels[s, k, x] @ tens[s, x] of an
+    agent at state x under each of the K shared kernels of an (S, K, X, U)
+    stack, given the (S, X, U, X) kernel tensors at the same measures.
+
+    matmul runs its loop per (K, U) @ (U, X) block with the same strides,
+    so the laws are those products bit for bit, however many measures the
+    stack holds.
+    """
+    return np.matmul(kernels.transpose(0, 2, 1, 3), tens)
+
+
 def _kernel_stage_data(model, counts, kernels, cap=DEFAULT_ENUMERATION_CAP):
     """(M * K, M) _DenseMDP over the measures of `counts`, the (M, X) rows
     of composition_array(N, X), whose actions at measure i are the K shared
@@ -819,10 +831,7 @@ def _kernel_stage_data(model, counts, kernels, cap=DEFAULT_ENUMERATION_CAP):
     pop = int(counts[0].sum())
     mus = counts / pop
     conv = _Convolver(X)
-    tens = model.kernel_tensor_at(mus)
-    # mixed[i*X + x] is kernels[i][:, x] @ tens[i][x]: matmul runs its loop per
-    # (K, U) @ (U, X) block with the same strides, so the laws are those products bit for bit
-    mixed = np.matmul(kernels.transpose(0, 2, 1, 3), tens).reshape(M * X, K, X)
+    mixed = _mixed_laws(kernels, model.kernel_tensor_at(mus)).reshape(M * X, K, X)
     agents = counts.ravel()
     factors = [None] * (M * X)
     held_counts = np.flatnonzero(np.bincount(agents))  # np.unique would import numpy.ma, 1.5 MB

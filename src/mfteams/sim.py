@@ -6,17 +6,18 @@ an exact check, over arrays of every population history up to the
 enumeration cap, that (own state, own action, empirical measure) is a
 controlled Markov summary under shared kernels, and the exact
 optimality-gap table for limit-derived policies.  Rollouts run on
-the count chain: per step, (state, action) cell counts per state, then
-next-state counts per cell, for all replications at once and at a cost
-independent of the population size.
+the count chain, for all replications at once and at a cost independent
+of the population size: per step, one chain of conditional binomials
+draws the next-state counts of every group of agents that share one law,
+a lifted policy's (state, action) cells or, under shared kernels, the
+states with their mixed laws kappa(mu)(x, .) T(.|x, ., mu).
 
-What a step reads of the current measure (the stage costs, the next-state
-conditionals and where the policy's action rows sit) depends on the
-measure alone.  When a population's measures number at most replications
-times steps, and their laws fit under DEFAULT_ENUMERATION_CAP entries, a
-rollout computes them once per measure and gathers each step's rows by
-rank; otherwise it computes them for each step's measures.  The numbers
-are the same either way.
+What a step reads of the current measure (the group counts, costs and
+next-state conditionals) depends on the measure alone.  When a
+population's measures number at most replications times steps, and their
+laws fit under DEFAULT_ENUMERATION_CAP entries, a rollout computes them
+once per measure and gathers each step's rows by rank; otherwise it
+computes the same numbers for each step's measures.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .lifted import (
     Solution,
     _check_steps,
     _horizon,
+    _mixed_laws,
     _per_stage,
     _stage_tables,
     build_measure_mdp,
@@ -143,75 +146,73 @@ def _binomial_chain(rng, n, cond):
     return out
 
 
-@dataclass(frozen=True)
-class _CellSampler:
-    """A policy's draw of (R, X, U) cell counts for (R, X) state counts.
+class _Groups(NamedTuple):
+    """A policy's agents in groups that share one next-state law: a lifted
+    Solution's X * U (state, action) cells, or the X states under shared
+    kernels, moving by kappa(mu)(x, .) T(.|x, ., mu).  block[t] numbers
+    stage t's distinct table; a state holds per_state groups.  laws(counts,
+    mus, costs, tens, blocks) gives, from (S, X) counts, their measures and
+    the model there, each block's group counts (S, G), per-agent group
+    costs (S, G) and next-state _conditionals (S, G, X)."""
 
-    locate(counts, mus) gives, for each count vector of an (S, X) stack and
-    its measure, the (S, K) int64 indices its action laws are read at: the
-    vector's rank for a lifted Solution, and its nearest point on each of
-    the kernels' K distinct grids for shared kernels.  They depend on the
-    measure alone.  pick(t, where, counts, rng) draws stage t's cells given
-    the located indices `where` of the rows of counts; calling the sampler
-    locates and draws at once.
-    """
-
-    locate: object
-    pick: object
-
-    def __call__(self, t, counts, rng):
-        return self.pick(t, self.locate(counts, counts / counts[0].sum()), counts, rng)
+    block: list
+    per_state: int
+    laws: object
 
 
 def _cell_sampler(policy, steps):
-    """The _CellSampler of `policy` over `steps` stages.
+    """The _Groups of `policy` over `steps` stages.
 
-    A lifted Solution's cells are its chosen joint actions, looked up by
-    rank; a finite one must hold exactly one table per stage, as _per_stage
-    asks of kernel sequences and of the other solutions.
+    A lifted Solution's cell counts are its chosen joint actions, looked up
+    by rank; a finite one must hold exactly one table per stage, as
+    _per_stage asks of kernel sequences and of the other solutions.  Shared
+    kernels are read at their grid's nearest point, each grid projected
+    once, and a state costs the expected stage cost of its agents.
     """
     if isinstance(policy, Solution) and isinstance(policy.problem, MeasureMDP):
-        # The chosen joint action's counts are the cell counts: no draw.
         mdp = policy.problem
-        cells = _stage_tables([mdp.joint_actions[mdp.act_off + table] for table in policy.choices],
-                              policy.stationary, steps)
-        return _CellSampler(lambda counts, mus: rank_compositions(counts)[:, None],
-                            lambda t, where, counts, rng: cells[t][where[:, 0]])
+        cells = [mdp.joint_actions[mdp.act_off + table].reshape(len(table), -1)
+                 for table in policy.choices]
 
-    kernels = _per_stage(policy, steps)
-    conds, grids = {}, {}  # each distinct kernel's conditional action table; each grid's column
-    for k in kernels:
-        if id(k) not in conds:
-            conds[id(k)] = _conditionals(k.table)
-        grids.setdefault(id(k.grid), (len(grids), k.grid))
-    column = [grids[id(k.grid)][0] for k in kernels]
+        def laws(counts, mus, costs, tens, blocks):
+            rank, (S, X) = rank_compositions(counts), counts.shape
+            costs, conds = costs.reshape(S, -1), _conditionals(tens).reshape(S, -1, X)
+            return [(cells[b][rank], costs, conds) for b in blocks]
 
-    def locate(counts, mus):
-        return np.stack([grid.project_many(mus) for _, grid in grids.values()], axis=1)
+        return _Groups(_stage_tables(range(len(cells)), policy.stationary, steps),
+                       mdp.model.num_actions, laws)
 
-    def pick(t, where, counts, rng):
-        return _binomial_chain(rng, counts, conds[id(kernels[t])][where[:, column[t]]])
+    kernels, ids = _per_stage(policy, steps), {}
+    block = [ids.setdefault(id(k), len(ids)) for k in kernels]
+    kernels = dict(zip(block, kernels))
 
-    return _CellSampler(locate, pick)
+    def laws(counts, mus, costs, tens, blocks):
+        grids = {id(kernels[b].grid): kernels[b].grid for b in blocks}
+        at = {g: grid.project_many(mus) for g, grid in grids.items()}
+        rows = [kernels[b].table[at[id(kernels[b].grid)][:, None]] for b in blocks]
+        return [(counts, (r[:, 0] * costs).sum(-1), _conditionals(_mixed_laws(r, tens)[:, :, 0]))
+                for r in rows]
+
+    return _Groups(block, 1, laws)
 
 
-def _step_laws(model, sampler, counts, population):
-    """What a step reads of each count vector of the (S, X) stack `counts`:
-    the stage costs c[s, x, u], the _conditionals of the next-state laws
-    T(.|x, u, mu_s), and the sampler's located indices."""
+def _step_laws(model, groups, counts, population, blocks):
+    """Each listed block's laws of `groups` at the (S, X) counts, from one model evaluation."""
     mus = counts / population
-    return (model.cost_matrix_at(mus), _conditionals(model.kernel_tensor_at(mus)),
-            sampler.locate(counts, mus))
+    return groups.laws(counts, mus, model.cost_matrix_at(mus), model.kernel_tensor_at(mus), blocks)
 
 
-def _rollout(model, sampler, counts, steps, beta, rng):
+def _rollout(model, groups, counts, steps, beta, rng):
     """Advance populations with state counts `counts` (R, X) together.
 
-    The _step_laws of every measure of the population are computed once
-    and gathered by rank when those measures number at most R * steps and
-    their costs and conditionals fit under DEFAULT_ENUMERATION_CAP entries,
-    so the table never costs more evaluations than the steps would; each
-    step computes them for its R measures otherwise.
+    A step adds each replication's discounted population-average group
+    cost, E[stage cost | state counts] under shared kernels, and draws its
+    next state counts as one _binomial_chain over its groups, summed.  The
+    _step_laws of every measure, per distinct stage table, are computed
+    once and gathered by rank when the measures number at most R * steps
+    and the laws fit under DEFAULT_ENUMERATION_CAP entries, so the table
+    never costs more evaluations than the steps would; otherwise each step
+    computes its own stage's laws for its R measures.
 
     Returns (discounted population-average cost per replication, the
     (R, steps + 1, X) state-count trajectories).
@@ -219,27 +220,27 @@ def _rollout(model, sampler, counts, steps, beta, rng):
     population = int(counts[0].sum())
     reps, X = counts.shape
     measures = num_compositions(population, X)
-    entries = measures * X * model.num_actions * (X + 1)
+    blocks = range(len(set(groups.block)))
+    entries = measures * len(blocks) * X * groups.per_state * (X + 2)
     if measures <= reps * steps and entries <= DEFAULT_ENUMERATION_CAP:
-        table = _step_laws(model, sampler, composition_array(population, X), population)
+        table = _step_laws(model, groups, composition_array(population, X), population, blocks)
 
-        def laws(counts):
+        def laws(t, counts):
             rank = rank_compositions(counts)
-            return [law[rank] for law in table]
+            return [law[rank] for law in table[groups.block[t]]]
     else:
-        def laws(counts):
-            return _step_laws(model, sampler, counts, population)
+        def laws(t, counts):
+            return _step_laws(model, groups, counts, population, [groups.block[t]])[0]
 
     traj = [counts]
     cost = np.zeros(reps)
     disc = 1.0
     for t in range(steps):
-        stage_cost, next_conds, where = laws(counts)
-        cells = sampler.pick(t, where, counts, rng)
-        cost += disc * (cells * stage_cost).sum(axis=(1, 2)) / population
+        sizes, group_cost, conds = laws(t, counts)
+        cost += disc * (sizes * group_cost).sum(axis=1) / population
         disc *= beta
         # integer sums are exact in any order; einsum adds these small ones fastest
-        counts = np.einsum("rxuy->ry", _binomial_chain(rng, cells, next_conds))
+        counts = np.einsum("rgy->ry", _binomial_chain(rng, sizes, conds))
         traj.append(counts)
     return cost, np.stack(traj, axis=1)
 
@@ -260,7 +261,11 @@ def simulate_n_agents(model, config):
     truncation error, and their one kernel serves every step.  A finite
     horizon or a truncation longer than _MAX_STEPS is refused with a
     ValueError before any rollout.  All replications advance together on
-    the count chain, drawn from one RNG stream keyed by the seed.
+    the count chain, drawn from one RNG stream keyed by the seed.  Under
+    shared kernels no action is drawn: each step adds the expected stage
+    cost given the replication's state counts, so mean_cost is unbiased;
+    a lifted policy's cost is its realized one, its joint action being
+    chosen, not drawn.
     """
     policy = config.policy
     shared = not isinstance(policy, Solution)
@@ -351,6 +356,24 @@ class MarkovCheckReport:
     per_step: tuple
 
 
+def _group_sums(keys, *weights):
+    """np.unique's first indices and inverse of `keys`, and the sums of the
+    rows of each array of `weights` per key, in the order of np.unique.
+
+    Each group's rows are summed by np.add.reduceat over the rows sorted by
+    key, which adds a group of n rows pairwise: its rounding error is at
+    most about (log2(n) + 16) ulp of the sum of their magnitudes, where one
+    sequential sum may lose n ulp.
+    """
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    new = np.concatenate([[True], ordered[1:] != ordered[:-1]])
+    starts = np.flatnonzero(new)
+    inv = np.empty_like(order)
+    inv[order] = np.cumsum(new) - 1
+    return order[starts], inv, [np.add.reduceat(w[order], starts) for w in weights]
+
+
 def verify_markov_mf(model, population, pi, t_max=2):
     """Exact check that (own state, own action, empirical measure) is a
     controlled Markov summary of an agent's history.
@@ -361,12 +384,17 @@ def verify_markov_mf(model, population, pi, t_max=2):
     actions, measure ordinals), extended in mixed radix at each step.  At
     each time t < t_max, for every agent, the law of (next own state, next
     measure) given each private history is compared in total variation
-    with its law given the current summary alone, each law one np.bincount
-    over np.unique groups.  Returns the largest deviation per step.
+    with its law given the current summary alone.  Each law sums, per
+    group of rows, the rows' probabilities and their probabilities times
+    the agent's next (own state, measure) law given the row, pairwise
+    (_group_sums).  Returns the largest deviation per step.
 
-    Under a shared kernel the deviation is zero up to roundoff; an
-    agent-indexed kernel list (the intended negative control) generally
-    breaks it.  A check whose last step has more than
+    Under a shared kernel the deviation is zero up to roundoff: a law
+    entry of a group of n rows is off by at most about log2(n) + 16 ulp of
+    each of its two sums, plus |X|^N ulp from the next-profile sum, so the
+    deviation stays below about 5e-15 at the cap, where one sequential sum
+    could lose 5e-10.  An agent-indexed kernel list (the intended negative
+    control) generally breaks it.  A check whose last step has more than
     DEFAULT_ENUMERATION_CAP outcomes, (|X| |U|)^(N t_max) |X|^N, is refused
     with a ValueError before anything is enumerated.
     """
@@ -405,16 +433,19 @@ def verify_markov_mf(model, population, pi, t_max=2):
         row, a = np.nonzero(act_law[s])
         s, p = s[row], p[row] * act_law[s[row], a]
         key, summary = key[row] * U + actions[a], own[s] * U + actions[a]
-        row, nxt = np.nonzero(step_law[s, a])
-        q = p[row] * step_law[s[row], a[row], nxt]
+        step = step_law[s, a]
+        row, nxt = np.nonzero(step)
+        q = p[row] * step[row, nxt]
         dev = 0.0
         for i in range(N):
+            moves = np.zeros((len(p), n))  # each row's probability times agent i's next-id law
+            for nxt_profile, y in enumerate(own[:, i].tolist()):
+                moves[:, y] += step[:, nxt_profile]
+            moves *= p[:, None]
             laws = []
             for group in (key[:, i], summary[:, i]):
-                _, first, inv = np.unique(group, return_index=True, return_inverse=True)
-                mass = np.bincount(inv, weights=p)
-                law = np.bincount(inv[row] * n + own[nxt, i], weights=q, minlength=len(mass) * n)
-                laws.append((first, inv, law.reshape(-1, n) / mass[:, None]))
+                first, inv, (mass, law) = _group_sums(group, p, moves)
+                laws.append((first, inv, law / mass[:, None]))
             (first, key[:, i], private), (_, coarse, summary_law) = laws  # keys renumbered
             dev = max(dev, 0.5 * np.abs(private - summary_law[coarse[first]]).sum(axis=1).max())
         per_step.append(float(dev))

@@ -34,6 +34,7 @@ from mfteams import lifted
 from mfteams.measures import (
     DEFAULT_ENUMERATION_CAP,
     SimplexGrid,
+    composition_array,
     enumerate_joint_actions,
     num_compositions,
     policy_grid,
@@ -42,11 +43,11 @@ from mfteams.measures import (
 )
 from mfteams.model import EnvironmentModel
 from mfteams.sim import (
-    _binomial_chain,
     _cell_sampler,
     _conditionals,
     _multinomial,
     _rollout,
+    _step_laws,
     _stream,
 )
 
@@ -196,15 +197,62 @@ def test_one_step_count_law_matches_exact(seed, num_states, num_actions, populat
             _check_frequencies(traj[k::2, 1], law(counts))
 
 
+def _exact_stage_data(model, population, kernel):
+    """The exact-evaluation MDP of one shared kernel over every measure."""
+    counts = composition_array(population, model.num_states)
+    rows = kernel.table[kernel.grid.project_many(counts / population)][:, None]
+    return counts, lifted._kernel_stage_data(model, counts, rows)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.sampled_from([2, 3]),
+    num_actions=st.sampled_from([2, 3]),
+    population=st.integers(1, 4),
+    steps=st.integers(2, 3),
+)
+def test_shared_count_law_after_several_steps_matches_exact(seed, num_states, num_actions,
+                                                            population, steps):
+    # the counts at step t from a fixed start follow e_start P_1 ... P_t, with P_k the
+    # exact-evaluation rows of stage k's kernel
+    rng = np.random.default_rng(seed)
+    model = make_random_model(rng, num_states, num_actions, coupled=True)
+    kernels = _random_policy(rng, model, "stages", population, steps)
+    start = rng.integers(num_compositions(population, num_states))
+    law = np.eye(num_compositions(population, num_states))[start]
+    for k in kernels:
+        counts, data = _exact_stage_data(model, population, k)
+        law = law @ data.rows
+    _, traj = _rollout(model, _cell_sampler(kernels, steps), np.tile(counts[start], (2000, 1)),
+                       steps, 1.0, rng)
+    _check_frequencies(traj[:, steps], dict(zip(map(tuple, counts.tolist()), law)))
+
+
+@pytest.mark.parametrize("replications", [40, 10])  # 21 measures: tabulated, then per step
+def test_shared_rollout_cost_is_the_expected_stage_cost(replications):
+    rng = np.random.default_rng(12)
+    model = make_random_model(rng, 3, 3, coupled=True)  # costs depend on the action
+    grid = simplex_grid(2, 3)
+    kernel = PolicyKernel(grid, rng.dirichlet(np.ones(3), size=(len(grid), 3)))
+    counts, data = _exact_stage_data(model, 5, kernel)
+    start = np.array([2, 1, 2])
+    cost, _ = _rollout(model, _cell_sampler(kernel, 1), np.tile(start, (replications, 1)), 1,
+                       1.0, rng)
+    exact = data.cost[rank_compositions(start)]
+    assert (cost == cost[0]).all()
+    assert abs(cost[0] - exact) <= 1e-15 * exact
+
+
 def test_lifted_cell_counts_equal_theta(weakly_coupled):
     mdp = build_measure_mdp(weakly_coupled, 3)
     sol = solve(mdp, FiniteHorizon(2))
-    draw = _cell_sampler(sol, 2)
+    groups = _cell_sampler(sol, 2)
     order = [1, 0, 3, 2, 1, 0]  # repeated and out of enumeration order
     counts = np.array([mdp.states[i].counts for i in order])
     for t in range(2):
-        cells = draw(t, counts, None)
-        for row, i in zip(cells, order):
+        (cells, _, _), = _step_laws(weakly_coupled, groups, counts, 3, [groups.block[t]])
+        for row, i in zip(cells.reshape(len(order), 2, 2), order):
             theta = enumerate_joint_actions(mdp.states[i], 2)[sol.choices[t][i]]
             assert row.tolist() == [list(r) for r in theta.counts]
 
@@ -222,35 +270,22 @@ def test_rollout_runs_at_a_billion_agents(counterexample):
 
 
 def _reference_sampler(policy, steps):
-    """The cell sampler as it was before the step laws were tabulated per
-    measure: shared kernels project every replication's measure."""
-    if isinstance(policy, Solution) and isinstance(policy.problem, lifted.MeasureMDP):
-        mdp = policy.problem
-        acts = [enumerate_joint_actions(s, mdp.model.num_actions) for s in mdp.states]
-        cells = lifted._stage_tables(
-            [np.array([acts[i][a].counts for i, a in enumerate(table)])
-             for table in policy.choices], policy.stationary, steps)
+    """The lifted cell sampler as it was before the step laws were
+    tabulated per measure."""
+    mdp = policy.problem
+    acts = [enumerate_joint_actions(s, mdp.model.num_actions) for s in mdp.states]
+    cells = lifted._stage_tables(
+        [np.array([acts[i][a].counts for i, a in enumerate(table)])
+         for table in policy.choices], policy.stationary, steps)
 
-        def draw(t, counts, rng):
-            return cells[t][rank_compositions(counts)]
-
-    else:
-        kernels = lifted._per_stage(policy, steps)
-        conds = {}
-        for k in kernels:
-            if id(k) not in conds:
-                conds[id(k)] = _conditionals(k.table)
-
-        def draw(t, counts, rng):
-            k = kernels[t]
-            cond = conds[id(k)][k.grid.project_many(counts / counts[0].sum())]
-            return _binomial_chain(rng, counts, cond)
+    def draw(t, counts, rng):
+        return cells[t][rank_compositions(counts)]
 
     return draw
 
 
 def _reference_rollout(model, draw_cells, counts, steps, beta, rng):
-    """The rollout as it was before the step laws were tabulated per
+    """The lifted rollout as it was before the step laws were tabulated per
     measure: every step evaluates the costs and the kernel tensor at every
     replication's measure."""
     population = int(counts[0].sum())
@@ -263,6 +298,27 @@ def _reference_rollout(model, draw_cells, counts, steps, beta, rng):
         cost += disc * (cells * model.cost_matrix_at(mus)).sum(axis=(1, 2)) / population
         disc *= beta
         counts = _multinomial(rng, cells, model.kernel_tensor_at(mus)).sum(axis=(1, 2))
+        traj.append(counts)
+    return cost, np.stack(traj, axis=1)
+
+
+def _reference_mixed_rollout(model, policy, counts, steps, beta, rng):
+    """The shared-kernel rollout as a per-step loop: every step projects
+    every replication's measure, moves the agents at each state x by the
+    mixed law kappa(mu)(x, .) T(.|x, ., mu) and adds the expected stage
+    cost."""
+    population = int(counts[0].sum())
+    traj = [counts]
+    cost = np.zeros(len(counts))
+    disc = 1.0
+    for k in lifted._per_stage(policy, steps):
+        mus = counts / population
+        rows = k.table[k.grid.project_many(mus)]
+        expected = (rows * model.cost_matrix_at(mus)).sum(axis=2)
+        cost += disc * (counts * expected).sum(axis=1) / population
+        disc *= beta
+        mixed = lifted._mixed_laws(rows[:, None], model.kernel_tensor_at(mus))[:, :, 0]
+        counts = _multinomial(rng, counts, mixed).sum(axis=1)
         traj.append(counts)
     return cost, np.stack(traj, axis=1)
 
@@ -313,8 +369,11 @@ def test_rollout_matches_the_per_step_loop(seed, num_states, num_actions, popula
     start = _multinomial(rng, np.full(replications, population), model.initial_dist)
     new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     cost, traj = _rollout(model, _cell_sampler(policy, steps), start, steps, beta, new_rng)
-    ref_cost, ref_traj = _reference_rollout(model, _reference_sampler(policy, steps), start, steps,
-                                            beta, old_rng)
+    if kind == "lifted":
+        ref_cost, ref_traj = _reference_rollout(model, _reference_sampler(policy, steps), start,
+                                                steps, beta, old_rng)
+    else:
+        ref_cost, ref_traj = _reference_mixed_rollout(model, policy, start, steps, beta, old_rng)
     assert cost.tobytes() == ref_cost.tobytes()
     assert traj.dtype == ref_traj.dtype and np.array_equal(traj, ref_traj)
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
@@ -330,8 +389,7 @@ def test_chaos_gap_matches_the_per_step_loop_on_both_sides_of_the_table(weakly_c
     for row, population in zip(rows, populations):
         rng = _stream(seed, population)
         start = _multinomial(rng, np.full(replications, population), weakly_coupled.initial_dist)
-        _, traj = _reference_rollout(weakly_coupled, _reference_sampler(kernels, steps), start,
-                                     steps, 1.0, rng)
+        _, traj = _reference_mixed_rollout(weakly_coupled, kernels, start, steps, 1.0, rng)
         gaps = np.abs(traj / population - flow).sum(axis=2)
         assert row.mean_max_gap == float(gaps.max(axis=1).mean())
         assert row.per_step_mean.tobytes() == gaps.mean(axis=0).tobytes()
@@ -714,6 +772,14 @@ def test_markov_summary_holds_for_random_shared_kernels(seed, num_states, num_ac
     # one kernel per agent, all the same, is the shared kernel
     copies = verify_markov_mf(model, population, [kernel] * population, t_max=t_max)
     assert copies.per_step == report.per_step
+
+
+@pytest.mark.parametrize("population, t_max", [(2, 5), (1, 10)])
+def test_markov_roundoff_stays_at_a_few_ulps_near_the_cap(weakly_coupled, population, t_max):
+    # each group's laws summed in sequence read 1.2e-13 and 3.7e-13 here
+    uniform = PolicyKernel.constant(np.full((2, 2), 0.5), simplex_grid(1, 2))
+    report = verify_markov_mf(weakly_coupled, population, uniform, t_max=t_max)
+    assert report.max_deviation <= 1e-15
 
 
 @pytest.mark.parametrize("t_max, per_step", [
