@@ -37,9 +37,11 @@ operator its backups read, dense rows or, for the limit, one successor
 per pair; `solve` solves them alike and returns one `Solution` record.  A
 discounted solve is Howard policy iteration on every problem, each policy
 evaluated by its operator's `policy_values`: one linear solve over dense
-rows, pointer doubling along the limit's successors.  It certifies its
-values within epsilon/2 by value iteration's stopping threshold or raises
-ConvergenceError.
+rows, pointer doubling along the limit's successors.  It stops on value
+iteration's threshold, which bounds the values within epsilon/2 only
+while the threshold is above one sweep's rounding (every solve at
+beta = 0.95 of the benchmark), not near beta = 1 (ROADMAP.md, item 1);
+it raises ConvergenceError when _MAX_SWEEPS backups miss the threshold.
 """
 
 from __future__ import annotations
@@ -325,9 +327,11 @@ def _solve_finite(stages, beta):
 def _solve_discounted(mdp, beta, epsilon):
     """Howard policy iteration (Puterman 1994, section 6.4) inside value
     iteration's stop rule: it returns T v once the sup-norm update
-    |T v - v| is at most epsilon*(1-beta)/(2*beta), so the returned values
-    are within epsilon/2 of the fixed point and their greedy actions are
-    epsilon-optimal; ties go to the smallest action ordinal.
+    |T v - v| is at most epsilon*(1-beta)/(2*beta); ties go to the
+    smallest action ordinal.  In exact arithmetic the returned values are
+    then within epsilon/2 of the fixed point and their greedy actions are
+    epsilon-optimal.  In floating point that holds while the threshold is
+    above one sweep's rounding, about an ulp of |v|max, as at beta = 0.95.
 
     v is first the exact values of the greedy policy of the stage cost,
     from the operator's `policy_values`, and after each backup the policy
@@ -341,9 +345,11 @@ def _solve_discounted(mdp, beta, epsilon):
     computed Q is off by less than eps * (n + 2) * (|c|max + |v|max) and a
     difference of two by less than twice that: rounding alone never
     switches an action.  Once no state switches, it is value iteration: v
-    becomes T v.  Near beta = 1 rounding keeps even the optimal policy's
-    exact values from meeting the threshold, and a few sweeps from them
-    do.
+    becomes T v.  Near beta = 1 the threshold lies below an ulp of
+    |v|max: the update cycles at an ulp or two and the solve stops only
+    when a sweep lands exactly on a float fixed point (weakly_coupled,
+    N=16, beta 0.99999: 4.55e-13, 4.55e-13, 9.09e-13, 4.55e-13, 0 against
+    5.0e-14), and the values can miss epsilon/2 (ROADMAP.md, item 1).
 
     Raises ConvergenceError when _MAX_SWEEPS backups do not suffice, and
     makes no sweep after a stable policy where _hopeless holds.
@@ -782,8 +788,9 @@ def _per_stage(pi, steps):
     if isinstance(pi, PolicyKernel):
         return [pi] * (1 if steps is None else steps)
     kernels = list(pi) if isinstance(pi, (list, tuple)) else [pi]
-    if not all(isinstance(k, PolicyKernel) for k in kernels):
-        raise TypeError(f"expected shared kernels, got {pi!r}")
+    bad = next((k for k in kernels if not isinstance(k, PolicyKernel)), None)
+    if bad is not None:
+        raise TypeError(f"expected shared kernels, got a {type(bad).__name__}")
     return _stage_tables(kernels, False, steps, what)
 
 

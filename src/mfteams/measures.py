@@ -204,8 +204,9 @@ class SimplexGrid:
         _check_cap("simplex grid", size, cap)
         self.mesh = mesh
         self.cardinality = cardinality
-        self.counts = list(compositions(mesh, cardinality))
-        self.points = np.asarray(self.counts, dtype=float) / mesh
+        counts = composition_array(mesh, cardinality)
+        self.counts = [tuple(c) for c in counts.tolist()]
+        self.points = counts / mesh
         self._columns = np.ascontiguousarray(self.points.T)  # coordinate x of every point
 
     def __len__(self):
@@ -221,7 +222,9 @@ class SimplexGrid:
 
     def project_many(self, mus):
         """Ordinal of the L1-nearest grid point to every row of an
-        (R, cardinality) array; ties go to the smallest ordinal.
+        (R, cardinality) array: the smallest ordinal among the points at
+        the least L1 distance, that distance summed left to right over the
+        coordinates (`_l1_distances`).
 
         Rows are processed in blocks so the distance array stays near
         _PROJECT_BLOCK / cardinality entries whatever R is.
@@ -235,39 +238,16 @@ class SimplexGrid:
         return out
 
 
-def _l1_distances(columns, mus, lo=0, hi=None):
-    """(R, G) array of sum_{lo <= x < hi} |columns[x, g] - mus[r, x]|,
-    accumulated one coordinate at a time; hi defaults to every coordinate.
-
-    The terms are added in the order numpy's pairwise summation adds a
-    contiguous axis, so the result equals np.abs(points - mus[:, None])
-    .sum(-1) bit for bit: left to right below 8 terms, eight strided
-    partial sums up to 128 terms, and two halves (the first a multiple of
-    8 long) above that.
-    """
-    hi = len(columns) if hi is None else hi
-    n = hi - lo
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _l1_distances(columns, mus, lo, lo + half) + _l1_distances(columns, mus, lo + half, hi)
-
-    def term(x, out=None):
-        d = np.subtract(columns[x], mus[:, x, None], out=out)
-        return np.abs(d, out=d)
-
-    head = term(lo)
-    scratch = np.empty_like(head)
-    if n < 8:
-        rest = range(lo + 1, hi)
-    else:
-        r = [head] + [term(lo + j) for j in range(1, 8)]
-        for i in range(8, n - n % 8):
-            r[i % 8] += term(lo + i, scratch)
-        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        rest = range(hi - n % 8, hi)
-    for x in rest:
-        head += term(x, scratch)
-    return head
+def _l1_distances(columns, mus):
+    """(R, G) array of sum_x |columns[x, g] - mus[r, x]|, the L1 distance
+    from every row of mus to every grid point, added one coordinate at a
+    time from left to right."""
+    out = np.abs(columns[0] - mus[:, 0, None])
+    scratch = np.empty_like(out)
+    for x in range(1, len(columns)):
+        d = np.subtract(columns[x], mus[:, x, None], out=scratch)
+        out += np.abs(d, out=d)
+    return out
 
 
 def simplex_grid(mesh, cardinality, cap=DEFAULT_ENUMERATION_CAP):
@@ -292,13 +272,10 @@ class GriddedPolicySet:
         self.mesh = mesh
         self.num_states = num_states
         self.num_actions = num_actions
-        row_points = np.asarray(list(compositions(mesh, num_actions)), dtype=float) / mesh
-        self.kernels = np.asarray(
-            [
-                [row_points[i] for i in combo]
-                for combo in product(range(rows), repeat=num_states)
-            ]
-        )
+        row_points = composition_array(mesh, num_actions) / mesh
+        # one row ordinal per state for every kernel, state 0 varying slowest
+        ordinals = np.indices((rows,) * num_states).reshape(num_states, -1).T
+        self.kernels = row_points[ordinals]
 
     def __len__(self):
         return len(self.kernels)
@@ -321,7 +298,5 @@ def round_to_counts(dist, population):
     base = np.floor(scaled).astype(int)
     short = population - int(base.sum())
     frac = scaled - base
-    order = np.argsort(-frac, kind="stable")
-    for i in order[:short]:
-        base[i] += 1
+    base[np.argsort(-frac, kind="stable")[:short]] += 1
     return tuple(int(c) for c in base)

@@ -20,6 +20,7 @@ simplex grid instead (a partial check by design).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,7 +110,12 @@ def _as_tensor(name, value, shape):
 
 @dataclass(frozen=True)
 class EnvironmentModel:
-    """A validated team model.  Construction runs all invariant checks."""
+    """A validated team model.  Construction runs all invariant checks.
+
+    The sizes must be ints and the discount a real number; no field is
+    coerced from another type.  kernel_coupling, cost_linear and cost_quad
+    may be None, which reads as zeros.
+    """
 
     num_states: int
     num_actions: int
@@ -125,20 +131,21 @@ class EnvironmentModel:
 
     def __post_init__(self):
         X, U = self.num_states, self.num_actions
-        if not (isinstance(X, int) and X >= 1):
-            raise ModelValidationError("num_states", f"must be a positive int, got {X!r}")
-        if not (isinstance(U, int) and U >= 1):
-            raise ModelValidationError("num_actions", f"must be a positive int, got {U!r}")
+        for name, size in (("num_states", X), ("num_actions", U)):
+            if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+                raise ModelValidationError(name, f"must be a positive integer, got {size!r}")
         _set = object.__setattr__
-        _set(self, "kernel_base", _as_tensor("kernel_base", self.kernel_base, (X, U, X)))
-        _set(self, "kernel_coupling",
-             _as_tensor("kernel_coupling", self.kernel_coupling, (X, U, X, X)))
-        _set(self, "cost_const", _as_tensor("cost_const", self.cost_const, (X, U)))
-        _set(self, "cost_linear", _as_tensor("cost_linear", self.cost_linear, (X, U, X)))
-        _set(self, "cost_quad", _as_tensor("cost_quad", self.cost_quad, (X, U, X, X)))
-        if not (0.0 < float(self.discount) <= 1.0):
-            raise ModelValidationError("discount", f"must lie in (0, 1], got {self.discount}")
-        _set(self, "discount", float(self.discount))
+        for name, shape in (("kernel_base", (X, U, X)), ("kernel_coupling", (X, U, X, X)),
+                            ("cost_const", (X, U)), ("cost_linear", (X, U, X)),
+                            ("cost_quad", (X, U, X, X))):
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_KEYS:  # an absent term is zero
+                value = np.zeros(shape)
+            _set(self, name, _as_tensor(name, value, shape))
+        d = self.discount
+        if isinstance(d, bool) or not isinstance(d, numbers.Real) or not 0.0 < d <= 1.0:
+            raise ModelValidationError("discount", f"must be a number in (0, 1], got {d!r}")
+        _set(self, "discount", float(d))
         init = np.asarray(self.initial_dist, dtype=float)
         try:
             init = as_simplex(init, what="initial_dist")
@@ -240,7 +247,8 @@ _OPTIONAL_KEYS = {"kernel_coupling", "cost_linear", "cost_quad", "name", "descri
 
 
 def model_from_config(cfg):
-    """Build a validated EnvironmentModel from a parsed config dict."""
+    """Build a validated EnvironmentModel from a parsed config dict, its
+    values passed as they are: an absent or null optional term is zero."""
     if not isinstance(cfg, dict):
         raise ModelValidationError("config", f"expected an object, got {type(cfg).__name__}")
     missing = _REQUIRED_KEYS - cfg.keys()
@@ -249,24 +257,14 @@ def model_from_config(cfg):
     unknown = cfg.keys() - _REQUIRED_KEYS - _OPTIONAL_KEYS
     if unknown:
         raise ModelValidationError(sorted(unknown)[0], "unknown key")
-    try:
-        X = int(cfg["num_states"])
-        U = int(cfg["num_actions"])
-    except (TypeError, ValueError) as err:
-        raise ModelValidationError("num_states", f"not an integer: {err}") from err
-    zeros = {
-        "kernel_coupling": np.zeros((X, U, X, X)),
-        "cost_linear": np.zeros((X, U, X)),
-        "cost_quad": np.zeros((X, U, X, X)),
-    }
     return EnvironmentModel(
-        num_states=X,
-        num_actions=U,
+        num_states=cfg["num_states"],
+        num_actions=cfg["num_actions"],
         kernel_base=cfg["kernel_base"],
-        kernel_coupling=cfg.get("kernel_coupling", zeros["kernel_coupling"]),
+        kernel_coupling=cfg.get("kernel_coupling"),
         cost_const=cfg["cost_const"],
-        cost_linear=cfg.get("cost_linear", zeros["cost_linear"]),
-        cost_quad=cfg.get("cost_quad", zeros["cost_quad"]),
+        cost_linear=cfg.get("cost_linear"),
+        cost_quad=cfg.get("cost_quad"),
         discount=cfg["discount"],
         initial_dist=cfg["initial_dist"],
         name=cfg.get("name", ""),

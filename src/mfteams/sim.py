@@ -160,6 +160,12 @@ class _Groups(NamedTuple):
     laws: object
 
 
+def _lifted(policy):
+    """Whether `policy` is a lifted Solution, choosing joint actions; every
+    other policy, kernel-choosing Solutions included, is shared kernels."""
+    return isinstance(policy, Solution) and isinstance(policy.problem, MeasureMDP)
+
+
 def _cell_sampler(policy, steps):
     """The _Groups of `policy` over `steps` stages.
 
@@ -169,7 +175,7 @@ def _cell_sampler(policy, steps):
     kernels are read at their grid's nearest point, each grid projected
     once, and a state costs the expected stage cost of its agents.
     """
-    if isinstance(policy, Solution) and isinstance(policy.problem, MeasureMDP):
+    if _lifted(policy):
         mdp = policy.problem
         cells = [mdp.joint_actions[mdp.act_off + table].reshape(len(table), -1)
                  for table in policy.choices]
@@ -268,7 +274,7 @@ def simulate_n_agents(model, config):
     chosen, not drawn.
     """
     policy = config.policy
-    shared = not isinstance(policy, Solution)
+    shared = not _lifted(policy)
     beta, steps = _horizon(model, config.horizon)
     trunc = 0.0
     if steps is None:
@@ -476,8 +482,9 @@ def epsilon_gap(model, populations, horizon, mesh, policy_mesh,
     measure chain, both at the count vector nearest N times the initial
     distribution.  Populations whose enumeration exceeds the cap are
     reported as skipped.  A gap below -1e-9 is a fault and raises
-    RuntimeError; a discounted solve is certified only to within epsilon / 2,
-    so there the bound is -(epsilon / 2 + 1e-9).
+    RuntimeError.  A discounted solve's values are within epsilon / 2 at
+    best, so there the bound is -(epsilon / 2 + 1e-9); near beta = 1 they
+    can miss even that (ROADMAP.md, item 1).
     """
     _check_sizes(populations)
     slack = 1e-9 + (horizon.epsilon / 2 if isinstance(horizon, DiscountedHorizon) else 0.0)

@@ -20,6 +20,7 @@ from mfteams import (
     save_model,
     solve,
 )
+from mfteams import cli
 from mfteams.cli import _lifted_policy_from_dir, _read_mf_policy, main
 from mfteams.models import bundled_path
 
@@ -59,6 +60,21 @@ def test_counterexample_finer_action_mesh(capsys):
     assert tag == "symmetric_mesh_4"
     # the mesh-4 kernel grid contains the mesh-2 optimum
     assert 0.5 - 1e-12 <= float(value) <= 0.75 + 1e-12
+
+
+def test_counterexample_json_finer_action_mesh(capsys):
+    code, out, _ = run(capsys, "counterexample", "--json", "--mesh-u", "4")
+    assert code == 0
+    payload = json.loads(out)
+    assert 0.5 - 1e-12 <= payload["symmetric_restricted_mesh_4"] <= 0.75 + 1e-12
+
+
+def test_counterexample_self_test_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_counterexample_values", lambda mesh_u: (0.5, {2: 0.625}))
+    code, out, err = run(capsys, "counterexample")
+    assert code == 3
+    assert out.splitlines()[0] == "0.5 0.625 0.125"
+    assert err == "self-test failed: expected 0.5 and 0.75\n"
 
 
 # ---- solve-n ----
@@ -116,6 +132,39 @@ def test_solve_n_invalid_model(capsys, tmp_path):
                        "--horizon", "2", "--out", str(tmp_path / "o"))
     assert code == 2
     assert "kernel_base" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_states", 2.9), ("num_states", "2"), ("num_actions", 2.0), ("num_actions", "x"),
+    ("discount", "0.95"), ("discount", True),
+])
+def test_solve_n_refuses_a_model_field_of_the_wrong_type(capsys, tmp_path, field, value):
+    cfg = json.loads(Path(bundled_path("weakly_coupled")).read_text())
+    cfg[field] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "solve-n", str(path), "-N", "2", "--horizon", "1",
+                       "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda cfg: {**cfg, "cost_const": [[float("nan"), 1.0], [1.0, 1.0]]},
+     "cost_const: contains non-finite entries"),
+    (lambda cfg: {**cfg, "initial_dist": [0.5, 0.25, 0.25]},
+     "initial_dist: expected shape (2,), got (3,)"),
+    (lambda cfg: [cfg], "config: expected an object, got list"),
+])
+def test_solve_n_refuses_a_malformed_model_in_one_line(capsys, tmp_path, edit, fragment):
+    cfg = json.loads(Path(bundled_path("weakly_coupled")).read_text())
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(edit(cfg)))  # a NaN is written as the JSON extension NaN
+    code, _, err = run(capsys, "solve-n", str(path), "-N", "2", "--horizon", "1",
+                       "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err == f"error: {fragment}\n"
 
 
 NAN_START_RUNS = {

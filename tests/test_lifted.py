@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import permutations, product
 
 import numpy as np
@@ -18,6 +19,7 @@ from mfteams import (
     build_mkv_mdp,
     evaluate_symmetric_policy_exact,
     exact_action_distribution,
+    flow_trajectory,
     model_from_config,
     multinomial_count_distribution,
     multinomial_pmf_table,
@@ -42,6 +44,7 @@ from mfteams.measures import (
     SimplexGrid,
     canonical_assignment,
     composition_array,
+    compositions,
     enumerate_empirical,
     enumerate_joint_actions,
     policy_grid,
@@ -1128,3 +1131,48 @@ def test_constant_policy_kernel_ignores_measure():
     pi = PolicyKernel.constant(rows, grid)
     for mu in ([1.0, 0.0], [0.3, 0.7], [0.0, 1.0]):
         np.testing.assert_array_equal(pi.rows_for(mu), rows)
+
+
+# ---- refusals ----
+
+
+def _uniform_kernel(model):
+    return PolicyKernel.constant(np.full((model.num_states, model.num_actions), 0.5),
+                                 simplex_grid(2, model.num_states))
+
+
+LIBRARY_REFUSALS = {
+    "unknown horizon": (lambda m: solve(build_measure_mdp(m, 2), "x"),
+                        TypeError, "unsupported horizon 'x'"),
+    "finite discount above one": (
+        lambda m: solve(build_measure_mdp(m, 2), FiniteHorizon(2, beta=1.5)),
+        ValueError, "finite-horizon discount must lie in (0, 1], got 1.5"),
+    "flow through a non-kernel": (
+        lambda m: flow_trajectory(m, m.initial_dist, [_uniform_kernel(m), "x"], 2),
+        TypeError, "expected shared kernels, got a str"),
+    "kernel table off its grid": (
+        lambda m: PolicyKernel(simplex_grid(2, 2), np.full((2, 2, 2), 0.5)),
+        ValueError, "table shape (2, 2, 2) does not cover the 3-point grid"),
+    "empty simplex grid": (lambda m: simplex_grid(0, 2), ValueError, "mesh must be >= 1"),
+    "empty policy grid": (lambda m: policy_grid(0, 2, 2), ValueError, "mesh must be >= 1"),
+    "composition array without parts": (lambda m: composition_array(3, 0),
+                                        ValueError, "parts must be >= 1"),
+    "compositions without parts": (lambda m: list(compositions(3, 0)),
+                                   ValueError, "parts must be >= 1"),
+    "joint counts off the population": (
+        lambda m: EmpiricalJointMeasure(((1, 0), (0, 1)), 3),
+        ValueError, "joint counts sum to 2, expected 3"),
+    "action law off the marginal": (
+        lambda m: exact_action_distribution([0, 1], EmpiricalJointMeasure(((2, 0), (0, 0)), 2)),
+        MarginalMismatchError, "state histogram does not match theta marginal"),
+    "count support above the cap": (
+        lambda m: multinomial_count_distribution([([0.5, 0.5], 2)], cap=2),
+        EnumerationCapError, "count distribution support needs 3 entries, above the cap of 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(LIBRARY_REFUSALS))
+def test_library_refusals_name_their_fault(counterexample, case):
+    call, error, fragment = LIBRARY_REFUSALS[case]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(counterexample)

@@ -192,9 +192,15 @@ def test_project_many_matches_project_row_by_row():
         assert grid.project_many(mus).tolist() == expected
 
 
+def _left_to_right_l1(points, mus):
+    """(R, G) L1 distances with the coordinates summed strictly left to right."""
+    return np.add.accumulate(np.abs(points - mus[:, None]), axis=-1)[..., -1]
+
+
 def _broadcast_projection(grid, mus):
-    """The projection formula that project_many replaced."""
-    return np.abs(grid.points - mus[:, None]).sum(-1).argmin(-1)
+    """The projection rule by broadcasting: the first point at the least
+    left-to-right L1 distance."""
+    return _left_to_right_l1(grid.points, mus).argmin(-1)
 
 
 def _projection_rows(grid, rng, size):
@@ -216,11 +222,13 @@ def _projection_rows(grid, rng, size):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(cardinality=st.integers(2, 9), mesh=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+@given(cardinality=st.integers(2, 12), mesh=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_project_many_matches_the_broadcast_formula(cardinality, mesh, seed):
     grid = simplex_grid(mesh, cardinality)
     mus = _projection_rows(grid, np.random.default_rng(seed), 8)
-    np.testing.assert_array_equal(grid.project_many(mus), _broadcast_projection(grid, mus))
+    want = _broadcast_projection(grid, mus)
+    np.testing.assert_array_equal(grid.project_many(mus), want)
+    assert [grid.project(mu) for mu in mus] == want.tolist()
 
 
 def test_project_many_matches_the_broadcast_formula_across_blocks():
@@ -233,11 +241,13 @@ def test_project_many_matches_the_broadcast_formula_across_blocks():
 
 @pytest.mark.parametrize("cardinality", [2, 7, 8, 9, 16, 23, 128, 129, 136, 300])
 def test_column_distances_keep_numpys_summation_order(cardinality):
+    """The column distances equal numpy's sequential sum, np.add.accumulate
+    over the coordinates, bit for bit at every cardinality."""
     rng = np.random.default_rng(cardinality)
     points = rng.dirichlet(np.ones(cardinality), size=6)
     mus = rng.dirichlet(np.full(cardinality, 0.3), size=5)
     got = measures._l1_distances(np.ascontiguousarray(points.T), mus)
-    want = np.abs(points - mus[:, None]).sum(-1)
+    want = _left_to_right_l1(points, mus)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 

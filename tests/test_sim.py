@@ -571,6 +571,20 @@ def test_discounted_limit_kernels_drive_finite_rollouts_and_flows(weakly_coupled
     assert simulate_n_agents(weakly_coupled, config).steps == 3
 
 
+@pytest.mark.parametrize("horizon", [FiniteHorizon(3), DiscountedHorizon(beta=0.9)])
+def test_a_kernel_choosing_solution_rolls_out_as_its_kernels(weakly_coupled, horizon):
+    # the same shared-kernel rollout, chaos series included, either way it is given
+    sol = solve(build_mkv_mdp(weakly_coupled, 8, 2), horizon)
+
+    def report(policy):
+        return simulate_n_agents(weakly_coupled, SimConfig(
+            population=16, horizon=horizon, policy=policy, replications=20, seed=1)).to_dict()
+
+    got = report(sol)
+    assert got["chaos_series"] is not None
+    assert got == report(policy_kernels(sol))
+
+
 def test_restricted_solution_kernels_sit_on_its_measures(weakly_coupled):
     sol = solve_symmetric_restricted(weakly_coupled, 5, FiniteHorizon(2), policy_grid(2, 2, 2))
     kernels = sol.problem.policy_set.kernels
