@@ -90,16 +90,47 @@ def flow_trajectory(model, mu0, pi, steps):
     projected.  Each step's measure is clipped at zero and
     renormalized: rows carrying mass affine in sum(mu) would otherwise
     amplify a roundoff mass excess geometrically over long horizons.
+
+    From the first stage s from which every remaining kernel is the same
+    object, each step is one pure function of the row before it, so once
+    row b equals an earlier row a bit for bit, the flow from a on has
+    period b - a and the remaining rows are copied from rows a..b-1: byte
+    for byte what the full iteration computes, NaN payloads and signed
+    zeros included.  Each new row from s on is compared with one
+    checkpoint row, moved to the current step whenever the steps since s
+    reach a power of two (Brent's cycle test): one row of extra memory,
+    and a flow whose first row to repeat one from s on is row r stops
+    computing by row s + 3 (r - s).
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     _check_steps(steps)
     kernels = _per_stage(pi, steps)
+    start = _tail_start(kernels)
     mu = np.asarray(mu0, dtype=float)
     out = np.empty((steps + 1, mu.size))
     out[0] = mu
     for t in range(steps):
+        if t == start:
+            mark, seen = t, out[t].tobytes()
         mu = out[t]
         nxt = np.clip(_push_forward(model, mu, mu[:, None] * kernels[t].rows_for(mu)), 0.0, None)
         out[t + 1] = nxt / nxt.sum()
+        if t >= start:
+            row = out[t + 1].tobytes()
+            if row == seen:
+                left, period = steps - t, t + 1 - mark
+                out[t + 1:] = np.tile(out[mark:t + 1], (-(-left // period), 1))[:left]
+                break
+            if not (t + 1 - start) & (t - start):  # t + 1 - start is a power of two
+                mark, seen = t + 1, row
     return out
+
+
+def _tail_start(kernels):
+    """The first stage from which every kernel is the last stage's object."""
+    last = kernels[-1] if kernels else None
+    for i, kernel in enumerate(reversed(kernels)):
+        if kernel is not last:
+            return len(kernels) - i
+    return 0

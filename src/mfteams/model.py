@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,13 +109,25 @@ def _as_tensor(name, value, shape):
     return arr
 
 
+def _as_size(name, value):
+    """A model size as a Python int: any integer type but bool, at least 1."""
+    try:
+        size = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        size = None
+    if size is None or size < 1:
+        raise ModelValidationError(name, f"must be a positive integer, got {value!r}")
+    return size
+
+
 @dataclass(frozen=True)
 class EnvironmentModel:
     """A validated team model.  Construction runs all invariant checks.
 
-    The sizes must be ints and the discount a real number; no field is
-    coerced from another type.  kernel_coupling, cost_linear and cost_quad
-    may be None, which reads as zeros.
+    The sizes must be integers of any type but bool, stored as Python
+    ints, and the discount a real number but not a bool, stored as a
+    float; a size of 2.0 or "2" is refused, not coerced.  kernel_coupling,
+    cost_linear and cost_quad may be None, which reads as zeros.
     """
 
     num_states: int
@@ -130,11 +143,10 @@ class EnvironmentModel:
     description: str = ""
 
     def __post_init__(self):
-        X, U = self.num_states, self.num_actions
-        for name, size in (("num_states", X), ("num_actions", U)):
-            if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-                raise ModelValidationError(name, f"must be a positive integer, got {size!r}")
         _set = object.__setattr__
+        X, U = (_as_size(name, getattr(self, name)) for name in ("num_states", "num_actions"))
+        _set(self, "num_states", X)
+        _set(self, "num_actions", U)
         for name, shape in (("kernel_base", (X, U, X)), ("kernel_coupling", (X, U, X, X)),
                             ("cost_const", (X, U)), ("cost_linear", (X, U, X)),
                             ("cost_quad", (X, U, X, X))):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfteams import (
     DiscountedHorizon,
@@ -14,6 +16,7 @@ from mfteams import (
     solve,
 )
 from mfteams.measures import rank_compositions, simplex_grid
+from mfteams.mkv import _push_forward
 
 from conftest import make_random_model
 
@@ -119,6 +122,93 @@ def test_flow_trajectory_kernel_count_mismatch(decoupled):
     kernel = PolicyKernel.constant(np.array([[1.0, 0.0], [1.0, 0.0]]), simplex_grid(1, 2))
     with pytest.raises(ValueError):
         flow_trajectory(decoupled, decoupled.initial_dist, [kernel, kernel], 3)
+
+
+def _reference_flow(model, mu0, kernels):
+    """The flow as one plain step per kernel, with no revisit test."""
+    mu = np.asarray(mu0, dtype=float)
+    out = np.empty((len(kernels) + 1, mu.size))
+    out[0] = mu
+    for t, kernel in enumerate(kernels):
+        mu = out[t]
+        nxt = np.clip(_push_forward(model, mu, mu[:, None] * kernel.rows_for(mu)), 0.0, None)
+        out[t + 1] = nxt / nxt.sum()
+    return out
+
+
+def _random_kernel(rng, num_states, num_actions, mesh):
+    grid = simplex_grid(mesh, num_states)
+    return PolicyKernel(grid, rng.dirichlet(np.ones(num_actions), size=(len(grid), num_states)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_states=st.sampled_from([2, 3]),
+       num_actions=st.sampled_from([2, 3]), mesh=st.integers(1, 32), steps=st.integers(0, 400),
+       kind=st.sampled_from(["stationary", "head", "alternating", "copies"]))
+def test_flow_matches_the_per_step_loop(seed, num_states, num_actions, mesh, steps, kind):
+    rng = np.random.default_rng(seed)
+    model = make_random_model(rng, num_states, num_actions, coupled=True)
+    kernel, other, third = (_random_kernel(rng, num_states, num_actions, mesh) for _ in range(3))
+    if kind == "stationary":
+        pi = kernel
+        kernels = [kernel] * steps
+    elif kind == "head":  # distinct kernels up to a random stage, then one object
+        head = int(rng.integers(0, steps + 1))
+        kernels = [(other, third)[i] for i in rng.integers(0, 2, head)] + [kernel] * (steps - head)
+        pi = kernels
+    elif kind == "alternating":
+        kernels = pi = [(kernel, other)[t % 2] for t in range(steps)]
+    else:  # equal tables in distinct objects, which may skip the revisit test
+        kernels = pi = [PolicyKernel(kernel.grid, kernel.table) for _ in range(steps)]
+    got = flow_trajectory(model, model.initial_dist, pi, steps)
+    assert got.tobytes() == _reference_flow(model, model.initial_dist, kernels).tobytes()
+
+
+def test_flow_revisiting_a_row_under_changing_kernels_is_not_filled_early(counterexample):
+    # the next state is the action: "stay" keeps [0, 1], "leave" moves to [1, 0]
+    grid = simplex_grid(1, 2)
+    stay = PolicyKernel.constant([[0.0, 1.0], [0.0, 1.0]], grid)
+    leave = PolicyKernel.constant([[1.0, 0.0], [1.0, 0.0]], grid)
+    kernels = [stay, leave] * 10
+    ref = _reference_flow(counterexample, counterexample.initial_dist, kernels)
+    assert ref[1].tobytes() == ref[0].tobytes() != ref[2].tobytes()
+    got = flow_trajectory(counterexample, counterexample.initial_dist, kernels, len(kernels))
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_flow_from_a_massless_measure_repeats_its_nan_rows(weakly_coupled):
+    kernel = PolicyKernel.constant(np.full((2, 2), 0.5), simplex_grid(4, 2))
+    with np.errstate(invalid="ignore"):
+        got = flow_trajectory(weakly_coupled, [0.0, 0.0], kernel, 50)
+        ref = _reference_flow(weakly_coupled, [0.0, 0.0], [kernel] * 50)
+    assert np.isnan(got[1:]).all()
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_long_stationary_flow_stops_at_its_first_revisit(weakly_coupled, monkeypatch):
+    kernel = policy_kernels(solve(build_mkv_mdp(weakly_coupled, 32, 16),
+                                  DiscountedHorizon(beta=0.95)))
+    mu0 = weakly_coupled.initial_dist
+    ref = _reference_flow(weakly_coupled, mu0, [kernel] * 400)
+    seen = {}
+    for revisit, row in enumerate(ref):
+        if seen.setdefault(row.tobytes(), revisit) != revisit:
+            break
+    else:
+        pytest.fail("the reference flow repeats no row in 400 steps")
+    first = seen[row.tobytes()]
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return _push_forward(*args)
+
+    monkeypatch.setattr("mfteams.mkv._push_forward", counting)
+    got = flow_trajectory(weakly_coupled, mu0, kernel, 100_000)
+    assert len(calls) <= 2 * revisit + 1
+    assert got[:401].tobytes() == ref.tobytes()
+    cycle = first + (np.arange(first, 100_001) - first) % (revisit - first)
+    assert got[first:].tobytes() == got[cycle].tobytes()
 
 
 # ---- quantized MDP ----

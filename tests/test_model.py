@@ -17,6 +17,7 @@ from mfteams import (
 )
 from mfteams.measures import simplex_grid
 from mfteams.model import COST_CHECK_MESH
+from mfteams.models import bundled_path
 
 from conftest import make_random_model
 
@@ -251,6 +252,21 @@ def test_vertex_validity_certifies_grid(counterexample, decoupled, weakly_couple
 
 def test_max_stage_cost(counterexample):
     assert counterexample.max_stage_cost() == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("size", [np.int64(2), np.int32(2), np.uint8(2)])
+def test_model_sizes_of_any_integer_type_are_stored_as_ints(size):
+    base = load_model(bundled_path("weakly_coupled"))
+    model = dataclasses.replace(base, num_states=size)
+    assert type(model.num_states) is int and model.num_states == 2
+    assert json.dumps(model.to_config()) == json.dumps(base.to_config())
+
+
+@pytest.mark.parametrize("size", [True, np.True_, 2.0, np.float64(2.0), "2", 0, np.int64(0), -1])
+def test_model_sizes_refuse_bools_floats_and_values_below_one(size):
+    base = load_model(bundled_path("weakly_coupled"))
+    with pytest.raises(ModelValidationError, match="num_states: must be a positive integer"):
+        dataclasses.replace(base, num_states=size)
 
 
 # ---- serialization ----
