@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
-_PROJECT_BLOCK = 1 << 20  # (row, point, coordinate) terms per block of SimplexGrid.project_many
 
 
 class EnumerationCapError(Exception):
@@ -216,7 +215,7 @@ class SimplexGrid:
         return self.points[ordinal]
 
     def project(self, mu):
-        """`project_many` of the single measure mu, which fits one block."""
+        """`project_many` of the single measure mu, by a scan of every point."""
         mu = np.asarray(mu, dtype=float).reshape(1, -1)
         return int(_l1_distances(self._columns, mu).argmin())
 
@@ -226,16 +225,94 @@ class SimplexGrid:
         the least L1 distance, that distance summed left to right over the
         coordinates (`_l1_distances`).
 
-        Rows are processed in blocks so the distance array stays near
-        _PROJECT_BLOCK / cardinality entries whatever R is.
+        A row inside the window below is projected by its candidates, any
+        other row (off the simplex, negative or not finite) by a scan of
+        every point; both follow the rule above, so the choice does not
+        change an answer.  With m the mesh, X the cardinality, t_x = m mu_x
+        and t'_x its float product, the candidates of a row are the points
+        with k_x in {floor(t'_x), floor(t'_x) + 1} for every x.  They share
+        the floor vector, so in ordinal order they are its 0/1 offsets in
+        decreasing lexicographic order.  A row has no more candidates than
+        the grid has points: with r <= m units left by the floor vector,
+        C(X, r) <= C(m + X - 1, m).
+
+        The window: mu >= 0 and |s' - 1| <= 1/(2m) - 6 X^2 u in float, with
+        s' the float row sum and u = 2^-53.  Inside it every point outside
+        the candidates, having some |k_x - t'_x| >= 1, is strictly farther
+        in float than a candidate with every |k_x - t'_x| < 1, so the scan's
+        first minimum is a candidate.  Let s = sum_x mu_x (< 2 in
+        the window), d = sum_x t_x - m, eps = max_x |t_x - t'_x| <= 2 u m,
+        and E(k) = sum_x |k_x/m - mu_x| exactly, D(k) its float value.
+          1. A point k with some |k_x - t'_x| >= 1 has |k_x - t_x| >= 1 - eps.
+             Say k_x <= t_x - 1 + eps; the excess sum_y (k_y - t_y)^+ equals
+             sum_y (t_y - k_y)^+ - d >= 1 - eps - |d|, spread over the other
+             X - 1 coordinates, so some y has k_y - t_y >= a = (1 - eps - |d|)
+             / (X - 1).  Moving one unit from y (k_y > t_y >= 0, so k_y >= 1)
+             to x lowers m E by at least 2 (a - eps): x's term falls by at
+             least 1 - 2 eps, y's rises by at most 1 - 2 min(a, 1).  The case
+             k_x >= t_x + 1 - eps is symmetric.  Hence the exact minimizer
+             k* has every |k*_x - t'_x| < 1, and E(k) >= E(k*) + 2 (a - eps) / m.
+          2. |D - E| <= eta = (3X + 2) u: each |fl(k_x/m) - mu_x| is within
+             u (k_x/m + |k_x/m - mu_x|) + u^2 k_x/m of the exact term, the
+             left to right sum of X terms adds at most (X - 1) u (1 + O(X u))
+             times their sum, and E <= 1 + s < 3.
+          3. |d| <= m |s' - 1| + 2 X u m, since any order of summing X terms
+             is within (X - 1) u (1 + O(X u)) s of s.  So X eps + |d| +
+             (X - 1) m eta <= m (|s' - 1| + (3X^2 + 3X - 2) u) < 1 (the float
+             test is within a few ulps of m (|s' - 1| + 6 X^2 u) <= 1/2), that is
+             a - eps > m eta, and D(k) >= E(k) - eta > E(k*) + eta >= D(k*).
+        Each row is ranked once (`rank_compositions`), for its winner.
         """
         mus = np.asarray(mus, dtype=float)
-        out = np.empty(len(mus), dtype=np.int64)
-        block = max(1, _PROJECT_BLOCK // self.points.size)
-        for start in range(0, len(mus), block):
-            chunk = mus[start : start + block]
-            out[start : start + block] = _l1_distances(self._columns, chunk).argmin(axis=1)
+        m, X = self.mesh, self.cardinality
+        if mus.ndim != 2 or mus.shape[1] != X:
+            raise ValueError(f"need rows of {X} coordinates, got an array of shape {mus.shape}")
+        columns = np.ascontiguousarray(mus.T)  # coordinate x of every row
+        with np.errstate(invalid="ignore", over="ignore"):  # rows off the window may be inf or nan
+            inside = (columns >= 0).all(axis=0) & (
+                np.abs(columns.sum(axis=0) - 1.0) <= 0.5 / m - 6 * X * X * 2.0**-53)
+            counts = _nearest_candidates(columns, m, inside)
+        far = np.flatnonzero(~inside)
+        counts[:, far] = 0  # rows off the window take the scan below
+        out = rank_compositions(counts.T)
+        if far.size:
+            out[far] = _l1_distances(self._columns, mus[far]).argmin(axis=1)
         return out
+
+
+def _nearest_candidates(columns, mesh, inside):
+    """The count vector, one per column and held in floats, of the first
+    candidate of `SimplexGrid.project_many` at the least float L1 distance
+    from each column of the (X, R) array `columns` where `inside` holds.
+
+    Rows are grouped by the number of units their floor vector leaves to
+    place; each group walks the combinations of that many coordinates in
+    lexicographic order, which is decreasing lexicographic order of the
+    offsets, and keeps a candidate only when it is strictly nearer.
+    """
+    X, R = columns.shape
+    floor = np.floor(mesh * columns)
+    short = mesh - floor.sum(axis=0)
+    best = np.full(R, np.inf)
+    won = np.zeros((X, R), dtype=bool)  # the winner's offsets
+    terms = np.empty((X, R))  # |(floor_x + up_x) / mesh - mu_x|, summed left to right
+    for units in range(X + 1):
+        group = inside & (short == units)
+        if not group.any():
+            continue
+        for ups in combinations(range(X), units):
+            up = np.array([[x in ups] for x in range(X)])
+            np.add(floor, up, out=terms)
+            terms /= mesh
+            terms -= columns
+            dist = np.abs(terms, out=terms)[0]
+            for x in range(1, X):
+                dist += terms[x]
+            nearer = group & (dist < best)
+            np.copyto(best, dist, where=nearer)
+            np.copyto(won, up, where=nearer)
+    floor += won
+    return floor
 
 
 def _l1_distances(columns, mus):

@@ -17,7 +17,14 @@ from functools import cached_property
 import numpy as np
 
 from .lifted import _check_steps, _per_stage, _SuccessorMDP
-from .measures import DEFAULT_ENUMERATION_CAP, EmpiricalStateMeasure, policy_grid, simplex_grid
+from .measures import (
+    DEFAULT_ENUMERATION_CAP,
+    EmpiricalStateMeasure,
+    _check_cap,
+    num_compositions,
+    policy_grid,
+    simplex_grid,
+)
 from .model import MARGINAL_TOL, MarginalMismatchError
 
 
@@ -67,15 +74,38 @@ class MkvMDP:
 
 
 def build_mkv_mdp(model, mesh, policy_mesh, cap=DEFAULT_ENUMERATION_CAP):
-    state_grid = simplex_grid(mesh, model.num_states, cap=cap)
-    policies = policy_grid(policy_mesh, model.num_states, model.num_actions, cap=cap)
-    G, P = len(state_grid), len(policies)
-    cost = np.empty((G, P))
-    succ = np.empty((G, P), dtype=np.int64)
-    for g, mu in enumerate(state_grid.points):
-        theta = mu[:, None] * policies.kernels  # one joint measure per kernel
-        cost[g] = (model.cost_matrix_at(mu) * theta).sum(axis=(1, 2))
-        succ[g] = state_grid.project_many(_push_forward(model, mu, theta))
+    """The quantized limit MDP on the mesh-`mesh` simplex grid with the
+    kernels of `policy_grid(policy_mesh, X, U)`.
+
+    Grid point g under kernel p plays the joint measure theta = mu_g[:, None]
+    * kernel_p: its stage cost is sum(c(mu_g) * theta) and its successor the
+    grid point `project_many` gives its push-forward (`mean_field_flow`).
+    Every pair is built in one batch with the arithmetic of one point: the
+    model is evaluated once on the stack of grid points, each push-forward
+    is summed over (x, u) from zero, left to right, as the einsum of
+    `_push_forward` sums it, and each cost over one point's (kernels, X, U)
+    layout, so the tables are byte-identical to a loop over points.  The
+    G P X pushed floats are checked against `cap` before anything is built;
+    the joint measures the costs are summed from take U times as many.
+    """
+    X, U = model.num_states, model.num_actions
+    if min(mesh, policy_mesh) < 1:
+        raise ValueError("mesh must be >= 1")
+    _check_cap("limit MDP push-forward",
+               num_compositions(mesh, X) * num_compositions(policy_mesh, U) ** X * X, cap)
+    state_grid = simplex_grid(mesh, X, cap=cap)
+    policies = policy_grid(policy_mesh, X, U, cap=cap)
+    mus, kernels = state_grid.points, policies.kernels
+    tensor = model.kernel_tensor_at(mus)
+    pushed = np.zeros((X, len(mus), len(kernels)))  # coordinate y of every push-forward
+    for x, u in np.ndindex(X, U):
+        theta = mus[:, x, None] * kernels[:, x, u]  # theta[g, p] at (x, u)
+        for y in range(X):
+            pushed[y] += theta * tensor[:, x, u, y, None]
+    succ = state_grid.project_many(pushed.reshape(X, -1).T).reshape(len(mus), len(kernels))
+    del pushed
+    theta = mus[:, None, :, None] * kernels
+    cost = np.multiply(theta, model.cost_matrix_at(mus)[:, None], out=theta).sum(axis=(2, 3))
     cost.setflags(write=False)
     succ.setflags(write=False)
     return MkvMDP(model, state_grid, policies, cost, succ)

@@ -195,6 +195,16 @@ def test_solve_n_cap_exceeded(capsys, tmp_path):
     assert "cap" in err
 
 
+def test_solve_mf_refuses_a_limit_build_above_the_cap(capsys, tmp_path):
+    # a 101-point grid and 961 kernels each fit the cap; their 194,122 pushed entries do not
+    code, out, err = run(capsys, "solve-mf", "weakly_coupled", "--horizon", "1", "--mesh", "100",
+                         "--policy-mesh", "30", "--cap", "1000", "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: limit MDP push-forward needs 194122 entries, above the cap of 1000\n"
+    assert not (tmp_path / "o").exists()
+
+
 # ---- solve-mf and downstream consumers ----
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,22 +223,81 @@ def _projection_rows(grid, rng, size):
     ])
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(cardinality=st.integers(2, 12), mesh=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-def test_project_many_matches_the_broadcast_formula(cardinality, mesh, seed):
-    grid = simplex_grid(mesh, cardinality)
-    mus = _projection_rows(grid, np.random.default_rng(seed), 8)
-    want = _broadcast_projection(grid, mus)
-    np.testing.assert_array_equal(grid.project_many(mus), want)
-    assert [grid.project(mu) for mu in mus] == want.tolist()
-
-
-def test_project_many_matches_the_broadcast_formula_across_blocks():
+def test_project_many_matches_the_broadcast_formula_on_a_large_stack():
     grid = simplex_grid(8, 9)
     mus = _projection_rows(grid, np.random.default_rng(29), 10)
-    block = measures._PROJECT_BLOCK // grid.points.size
-    assert len(mus) > 2 * block
+    assert len(mus) > 2 * ((1 << 20) // grid.points.size)  # more rows than one old block
     np.testing.assert_array_equal(grid.project_many(mus), _broadcast_projection(grid, mus))
+
+
+def _near_rows(grid, rng, size):
+    """Rows where the candidates' rounding is tight: grid points and
+    midpoints moved by 1-2 ulps per coordinate, rows with some mesh * mu_x
+    within an ulp of an integer, rows summing to 1 within a few ulps and
+    push-forwards of random stochastic matrices; and rows scaled off the
+    simplex."""
+    X, mesh = grid.cardinality, grid.mesh
+    counts = np.array(grid.counts)[rng.integers(len(grid), size=(2, size))]
+    exact = np.concatenate([counts[0] / mesh, (counts[0] + counts[1]) / (2 * mesh)])
+    ulps = rng.integers(-2, 3, size=exact.shape)
+    nudged = exact + ulps * np.spacing(exact)
+    ulp_off = np.nextafter(counts[0] / mesh, rng.choice([-1.0, 2.0], size=(size, X)))
+    at_integer = np.where(rng.random((size, X)) < 0.5, ulp_off, counts[0] / mesh)
+    drawn = rng.dirichlet(np.full(X, 0.5), size=size)
+    off_one = drawn * (1.0 + rng.integers(-4, 5, size=(size, 1)) * 2.0**-52)
+    pushed = drawn @ rng.dirichlet(np.ones(X), size=X)
+    off_simplex = drawn * rng.uniform(0.0, 2.0, size=(size, 1))
+    return np.concatenate([nudged, at_integer, off_one, pushed, off_simplex])
+
+
+def _max_mesh(cardinality, points=5000):
+    """The largest mesh up to 64 whose grid has at most `points` points."""
+    return max(m for m in range(1, 65) if num_compositions(m, cardinality) <= points)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 12))
+def test_project_many_matches_the_broadcast_formula(data, seed, rows):
+    """At every cardinality 2-12, the candidate walk, the scan and `project`
+    answer like the broadcast reference, bit for bit: random rows and exact
+    ties, rows within ulps of grid points and of integers of mesh * mu,
+    rows summing to 1 within ulps, rows off the simplex, and empty stacks."""
+    rng = np.random.default_rng(seed)
+    for cardinality in range(2, 13):
+        mesh = data.draw(st.integers(1, _max_mesh(cardinality)), label=f"mesh at {cardinality}")
+        grid = simplex_grid(mesh, cardinality)
+        mus = np.concatenate([_projection_rows(grid, rng, rows), _near_rows(grid, rng, rows)])
+        want = _broadcast_projection(grid, mus)
+        got = grid.project_many(mus)
+        assert got.dtype == np.int64 and got.shape == (len(mus),)
+        np.testing.assert_array_equal(got, want)
+        assert [grid.project(mu) for mu in mus] == want.tolist()
+
+
+def test_project_many_keeps_the_scan_on_rows_off_the_simplex():
+    """Rows outside the candidates' window (off the simplex, negative or
+    not finite) take the scan: the same ordinals as the broadcast rule, a
+    NaN row to 0, with no warning."""
+    grid = simplex_grid(4, 2)
+    mus = np.array([[0.6, 0.6], [0.0, 0.0], [np.nan, np.nan], [np.nan, 0.5], [np.inf, 0.0],
+                    [-0.1, 1.1], [0.3, 0.3], [1.2, -0.2], [0.9, 0.9], [0.2, 0.1], [0.5, 0.5 + 2**-4]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = grid.project_many(mus)
+    assert got[:4].tolist() == [2, 0, 0, 0]
+    finite = np.isfinite(mus).all(axis=1)
+    np.testing.assert_array_equal(got[finite], _broadcast_projection(grid, mus[finite]))
+    assert got.tolist() == [grid.project(mu) for mu in mus]
+    # floors summing past the mesh: no floor/ceil candidate exists
+    grid = simplex_grid(2, 3)
+    mus = np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.25], [0.4, 0.3, 0.1]])
+    np.testing.assert_array_equal(grid.project_many(mus), _broadcast_projection(grid, mus))
+
+
+@pytest.mark.parametrize("mus", [[[0.5, 0.3, 0.2]], [[1.0]], [0.5, 0.5], np.empty(0)])
+def test_project_many_refuses_rows_of_another_width(mus):
+    with pytest.raises(ValueError, match="need rows of 2 coordinates"):
+        simplex_grid(4, 2).project_many(mus)
 
 
 @pytest.mark.parametrize("cardinality", [2, 7, 8, 9, 16, 23, 128, 129, 136, 300])

@@ -15,7 +15,7 @@ from mfteams import (
     policy_kernels,
     solve,
 )
-from mfteams.measures import rank_compositions, simplex_grid
+from mfteams.measures import EnumerationCapError, rank_compositions, simplex_grid
 from mfteams.mkv import _push_forward
 
 from conftest import make_random_model
@@ -344,3 +344,44 @@ def test_batched_build_matches_per_pair_loop():
                 np.testing.assert_allclose(mkv.stage_cost, cost, rtol=0, atol=1e-15)
                 ties += n
     assert ties > 100
+
+
+def per_point_mkv_tables(model, grid, policies):
+    """Stage costs and successors one grid point at a time, the kernels of
+    a point as one stack, each successor by a scan of every grid point."""
+    cost = np.empty((len(grid), len(policies)))
+    succ = np.empty(cost.shape, dtype=np.int64)
+    for g, mu in enumerate(grid.points):
+        theta = mu[:, None] * policies.kernels
+        cost[g] = (model.cost_matrix_at(mu) * theta).sum(axis=(1, 2))
+        succ[g] = [grid.project(row) for row in _push_forward(model, mu, theta)]
+    return cost, succ
+
+
+@pytest.mark.parametrize("num_states, num_actions", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_batched_build_matches_the_per_point_loop_byte_for_byte(num_states, num_actions):
+    rng = np.random.default_rng(71 + 10 * num_states + num_actions)
+    models = [make_random_model(rng, num_states, num_actions, coupled=True),
+              dyadic_model(rng, num_states, num_actions)]
+    for model in models:
+        for mesh, policy_mesh in ((7, 2), (4, 3), (12, 1)):
+            mkv = build_mkv_mdp(model, mesh, policy_mesh)
+            cost, succ = per_point_mkv_tables(model, mkv.state_grid, mkv.policy_set)
+            assert mkv.stage_cost.tobytes() == cost.tobytes()
+            assert mkv.successor.tobytes() == succ.tobytes()
+
+
+def test_limit_build_refuses_a_push_forward_above_the_cap(weakly_coupled, counterexample,
+                                                          monkeypatch):
+    """G * P * X pushed entries are checked before a grid is built: 101
+    points times 961 kernels times 2 states, each factor under the cap."""
+    monkeypatch.setattr("mfteams.mkv.simplex_grid", lambda *a, **k: pytest.fail("built a grid"))
+    with pytest.raises(EnumerationCapError,
+                       match="^limit MDP push-forward needs 194122 entries, above the cap of 1000$"):
+        build_mkv_mdp(weakly_coupled, 100, 30, cap=1000)
+    monkeypatch.undo()
+    with pytest.raises(EnumerationCapError, match="needs 54 entries, above the cap of 53$"):
+        build_mkv_mdp(counterexample, 2, 2, cap=53)
+    assert build_mkv_mdp(counterexample, 2, 2, cap=54).stage_cost.shape == (3, 9)
+    with pytest.raises(ValueError, match="mesh must be >= 1"):
+        build_mkv_mdp(counterexample, 2, -5)
