@@ -37,11 +37,13 @@ operator its backups read, dense rows or, for the limit, one successor
 per pair; `solve` solves them alike and returns one `Solution` record.  A
 discounted solve is Howard policy iteration on every problem, each policy
 evaluated by its operator's `policy_values`: one linear solve over dense
-rows, pointer doubling along the limit's successors.  It stops on value
-iteration's threshold, which bounds the values within epsilon/2 only
-while the threshold is above one sweep's rounding (every solve at
-beta = 0.95 of the benchmark), not near beta = 1 (ROADMAP.md, item 1);
-it raises ConvergenceError when _MAX_SWEEPS backups miss the threshold.
+rows, pointer doubling along the limit's successors.  It ends once no
+state switches action, or earlier once the Bellman residual is below
+epsilon*(1-beta)/(2*beta), and raises ConvergenceError when _MAX_ROUNDS
+rounds do neither.  In exact arithmetic its values are within epsilon/2 of
+the optimum; in floating point they are off by the rounding of the policy
+solve as well, which can exceed epsilon/2 near beta = 1 (ROADMAP.md, item
+1).
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from .model import (
     as_simplex,
 )
 
-_MAX_SWEEPS = 1_000_000
+_MAX_ROUNDS = 1_000_000  # policy evaluations of one discounted solve
 _MAX_STEPS = 100_000  # longest rollout or flow, in steps
 _FLOAT_MAX = sys.float_info.max
 
@@ -109,9 +111,8 @@ def _horizon(model, horizon, states=0, cap=None):
 
 
 class ConvergenceError(RuntimeError):
-    """A discounted solve did not reach its stopping threshold: not within
-    its backup limit, or not by the time its policy was stable where
-    _hopeless shows that value-iteration sweeps from zero could not."""
+    """A discounted solve still switched actions after _MAX_ROUNDS policy
+    evaluations, its Bellman residual above the stopping threshold."""
 
 
 class _DenseMDP(NamedTuple):
@@ -325,58 +326,50 @@ def _solve_finite(stages, beta):
 
 
 def _solve_discounted(mdp, beta, epsilon):
-    """Howard policy iteration (Puterman 1994, section 6.4) inside value
-    iteration's stop rule: it returns T v once the sup-norm update
-    |T v - v| is at most epsilon*(1-beta)/(2*beta); ties go to the
-    smallest action ordinal.  In exact arithmetic the returned values are
-    then within epsilon/2 of the fixed point and their greedy actions are
-    epsilon-optimal.  In floating point that holds while the threshold is
-    above one sweep's rounding, about an ulp of |v|max, as at beta = 0.95.
-
-    v is first the exact values of the greedy policy of the stage cost,
-    from the operator's `policy_values`, and after each backup the policy
+    """Howard policy iteration (Puterman 1994, section 6.4), ties to the
+    smallest action ordinal.  v starts as the exact values of the greedy
+    policy of the stage cost, from the operator's `policy_values`.  Each
+    round backs v up and returns T v with the policy once no state
+    switches, or T v with its greedy actions once the sup-norm residual
+    |T v - v| is at most epsilon*(1-beta)/(2*beta); otherwise the policy
     switches a state to its greedy action where its current action's Q
     exceeds the minimum by more than the rounding of the two, and v becomes
-    the new policy's exact values.  The computed Q of a pair is c + beta *
-    (row . v) over at most n = longest_row terms, whose sum is off by at
-    most gamma_n * |v|max with gamma_n = n*u/(1 - n*u) and u = eps/2
-    (Higham 2002, section 3.1; a row's mass is 1 within 1e-12), and the
-    product and the sum each add at most u times their size, so each
-    computed Q is off by less than eps * (n + 2) * (|c|max + |v|max) and a
-    difference of two by less than twice that: rounding alone never
-    switches an action.  Once no state switches, it is value iteration: v
-    becomes T v.  Near beta = 1 the threshold lies below an ulp of
-    |v|max: the update cycles at an ulp or two and the solve stops only
-    when a sweep lands exactly on a float fixed point (weakly_coupled,
-    N=16, beta 0.99999: 4.55e-13, 4.55e-13, 9.09e-13, 4.55e-13, 0 against
-    5.0e-14), and the values can miss epsilon/2 (ROADMAP.md, item 1).
+    the new policy's exact values.
 
-    Raises ConvergenceError when _MAX_SWEEPS backups do not suffice, and
-    makes no sweep after a stable policy where _hopeless holds.
+    The computed Q of a pair is c + beta * (row . v) over at most n =
+    longest_row terms, whose sum is off by at most gamma_n * |v|max with
+    gamma_n = n*u/(1 - n*u) and u = eps/2 (Higham 2002, section 3.1; a
+    row's mass is 1 within 1e-12), and the product and the sum each add at
+    most u times their size, so each computed Q is off by less than eps *
+    (n + 2) * (|c|max + |v|max) and a difference of two by less than twice
+    that: rounding alone never switches an action.
+
+    In exact arithmetic, with no slack, a stable policy is optimal, and
+    either exit leaves T v within epsilon/2 of the optimum.  In floating
+    point T v is also off by rounding: the policy solve's, up to about
+    (1+beta)/(1-beta) * eps * |v|max, and the slack's, at most slack /
+    (1-beta).  Near beta = 1 that can exceed epsilon/2 (weakly_coupled,
+    N=16, beta 0.99999: 6.3e-9 against 5e-9; ROADMAP.md, item 1).
+
+    Raises ConvergenceError when _MAX_ROUNDS policies still switch.
     """
     threshold = epsilon * (1.0 - beta) / (2.0 * beta)
-    may_sweep = not _hopeless(mdp, beta, threshold)
     q, best = _backup(mdp, None, beta)
     policy = _greedy(mdp, q, best)
-    values, backups = mdp.policy_values(policy, beta), 1
     rounding = 2.0 * np.finfo(float).eps * (mdp.longest_row + 2)
     cost_max = float(np.abs(mdp.cost).max())
-    while backups < _MAX_SWEEPS and (policy is not None or may_sweep):
+    for _ in range(_MAX_ROUNDS):
+        values = mdp.policy_values(policy, beta)
         q, new = _backup(mdp, values, beta)
-        backups += 1
         if float(np.abs(new - values).max()) <= threshold:
             return new, _greedy(mdp, q, new)
-        if policy is not None:
-            slack = rounding * (cost_max + float(np.abs(values).max()))
-            switch = q[mdp.act_off + policy] - new > slack
-            if switch.any():
-                policy = np.where(switch, _greedy(mdp, q, new), policy)
-                new = mdp.policy_values(policy, beta)
-            else:
-                policy = None
-        values = new
+        slack = rounding * (cost_max + float(np.abs(values).max()))
+        switch = q[mdp.act_off + policy] - new > slack
+        if not switch.any():
+            return new, policy
+        policy = np.where(switch, _greedy(mdp, q, new), policy)
     raise ConvergenceError(
-        f"the discounted solve needs more than {_MAX_SWEEPS} sweeps "
+        f"the discounted solve needs more than {_MAX_ROUNDS} policy-iteration rounds "
         f"(beta={beta}, epsilon={epsilon})"
     )
 
@@ -403,11 +396,11 @@ class Solution:
 
 def solve(problem, horizon, cap=DEFAULT_ENUMERATION_CAP):
     """Solve `problem` under `horizon`: backward recursion over its steps,
-    or, when discounted, policy iteration within value iteration's stop
-    rule (_solve_discounted).  `problem` is a MeasureMDP, a RestrictedMDP
-    or an MkvMDP: it has a `model`, its `states` and the `operator` every
-    backup reads, a _DenseMDP or, for the limit, a _SuccessorMDP.  A finite
-    horizon too long for the cap is refused before the rows are built.
+    or, when discounted, policy iteration (_solve_discounted).  `problem`
+    is a MeasureMDP, a RestrictedMDP or an MkvMDP: it has a `model`, its
+    `states` and the `operator` every backup reads, a _DenseMDP or, for the
+    limit, a _SuccessorMDP.  A finite horizon too long for the cap is
+    refused before the rows are built.
     """
     beta, steps = _horizon(problem.model, horizon, len(problem.states), cap)
     if steps is None:
@@ -415,19 +408,6 @@ def solve(problem, horizon, cap=DEFAULT_ENUMERATION_CAP):
         return Solution(problem, (values,), (actions,), True)
     values, actions = _solve_finite([problem.operator] * steps, beta)
     return Solution(problem, tuple(values), tuple(actions), False)
-
-
-def _hopeless(mdp, beta, threshold):
-    """Whether value iteration from zero on `mdp` provably cannot reach
-    `threshold` in _MAX_SWEEPS sweeps: with every pair cost >= m > 0, the
-    update after sweep j is at least beta**(j - 1) * m, less at most eps *
-    (longest_row + 2) * max cost * n**2 of rounding, n = min(sweeps, 1 /
-    (1 - beta)).  After a stable policy, _solve_discounted makes no
-    value-iteration sweep where this holds."""
-    m, n = float(mdp.cost.min()), min(_MAX_SWEEPS, 1.0 / (1.0 - beta))
-    slack = np.finfo(float).eps * (mdp.longest_row + 2) * float(mdp.cost.max()) * n * n
-    # the factor 2 also covers row masses off 1 by the 1e-12 tolerance
-    return m > 0.0 and m * beta ** (_MAX_SWEEPS - 1) > 2.0 * (threshold + slack)
 
 
 def multinomial_pmf_table(law, trials):

@@ -216,8 +216,16 @@ class SimplexGrid:
 
     def project(self, mu):
         """`project_many` of the single measure mu, by a scan of every point."""
-        mu = np.asarray(mu, dtype=float).reshape(1, -1)
+        mu = self._rows(np.asarray(mu, dtype=float)[None])
         return int(_l1_distances(self._columns, mu).argmin())
+
+    def _rows(self, mus):
+        """mus as a float array, refused unless it is (R, cardinality)."""
+        mus = np.asarray(mus, dtype=float)
+        if mus.ndim != 2 or mus.shape[1] != self.cardinality:
+            raise ValueError(f"need rows of {self.cardinality} coordinates, "
+                             f"got an array of shape {mus.shape}")
+        return mus
 
     def project_many(self, mus):
         """Ordinal of the L1-nearest grid point to every row of an
@@ -263,10 +271,8 @@ class SimplexGrid:
              a - eps > m eta, and D(k) >= E(k) - eta > E(k*) + eta >= D(k*).
         Each row is ranked once (`rank_compositions`), for its winner.
         """
-        mus = np.asarray(mus, dtype=float)
+        mus = self._rows(mus)
         m, X = self.mesh, self.cardinality
-        if mus.ndim != 2 or mus.shape[1] != X:
-            raise ValueError(f"need rows of {X} coordinates, got an array of shape {mus.shape}")
         columns = np.ascontiguousarray(mus.T)  # coordinate x of every row
         with np.errstate(invalid="ignore", over="ignore"):  # rows off the window may be inf or nan
             inside = (columns >= 0).all(axis=0) & (

@@ -482,9 +482,10 @@ def epsilon_gap(model, populations, horizon, mesh, policy_mesh,
     measure chain, both at the count vector nearest N times the initial
     distribution.  Populations whose enumeration exceeds the cap are
     reported as skipped.  A gap below -1e-9 is a fault and raises
-    RuntimeError.  A discounted solve's values are within epsilon / 2 at
-    best, so there the bound is -(epsilon / 2 + 1e-9); near beta = 1 they
-    can miss even that (ROADMAP.md, item 1).
+    RuntimeError.  A discounted solve's values are within epsilon / 2 in
+    exact arithmetic, so there the bound is -(epsilon / 2 + 1e-9); in
+    floating point they are also off by the rounding of the policy solve,
+    which near beta = 1 can exceed epsilon / 2 (ROADMAP.md, item 1).
     """
     _check_sizes(populations)
     slack = 1e-9 + (horizon.epsilon / 2 if isinstance(horizon, DiscountedHorizon) else 0.0)

@@ -674,15 +674,15 @@ def test_repeated_simulate_writes_identical_bytes(capsys, tmp_path):
 
 
 def test_non_convergence_exits_2_without_traceback(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr("mfteams.lifted._MAX_SWEEPS", 3)
-    # policy iteration needs 4 backups on this grid: 3 policies, then the stop
+    monkeypatch.setattr("mfteams.lifted._MAX_ROUNDS", 2)
+    # policy iteration evaluates 3 policies on this grid
     code, _, err = run(
         capsys, "solve-mf", "weakly_coupled", "--discount", "0.999", "--mesh", "32",
         "--policy-mesh", "16", "--out", str(tmp_path / "o"),
     )
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "3 sweeps" in err and "beta=0.999" in err and "epsilon=1e-08" in err
+    assert "2 policy-iteration rounds" in err and "beta=0.999" in err and "epsilon=1e-08" in err
 
 
 def test_overflow_exits_2_without_traceback(capsys, tmp_path):

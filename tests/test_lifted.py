@@ -673,17 +673,17 @@ def test_finite_solves_need_a_stage_and_fit_the_cap(counterexample, monkeypatch)
 
 
 def value_iteration(mdp, beta, epsilon):
-    """Value iteration from zero to the stop rule of _solve_discounted, the
-    reference its policy iteration is checked against: (values, choices,
-    sweeps)."""
+    """Value iteration from zero to the residual threshold of
+    _solve_discounted, the reference its policy iteration is checked
+    against: (values, choices, sweeps)."""
     threshold = epsilon * (1.0 - beta) / (2.0 * beta)
     values = np.zeros(mdp.act_off.size)
-    for sweeps in range(1, lifted._MAX_SWEEPS + 1):
+    for sweeps in range(1, 10**6 + 1):
         q, new = _backup(mdp, values, beta)
         if np.abs(new - values).max() <= threshold:
             return new, _greedy(mdp, q, new), sweeps
         values = new
-    raise ConvergenceError(f"value iteration needs more than {lifted._MAX_SWEEPS} sweeps")
+    raise ConvergenceError("value iteration needs more than 10^6 sweeps")
 
 
 def count_backups(monkeypatch):
@@ -697,20 +697,23 @@ def count_backups(monkeypatch):
     return calls
 
 
-def test_hopeless_discounted_solve_fails_before_the_first_sweep(monkeypatch):
-    # Costs are at least 0.1, so every update exceeds 0.099 for 10^6 sweeps
-    # from zero, and rounding keeps even the stable policy's exact values
-    # above the threshold.  On 153 and on 6 grid points policy iteration
-    # runs until its policy is stable and makes no value-iteration sweep.
+def test_stable_policy_ends_a_limit_solve_below_the_roundoff_floor(monkeypatch):
+    # Costs are at least 0.1, so every update of value iteration from zero
+    # exceeds 0.099 for 10^6 sweeps, and rounding keeps even the stable
+    # policy's exact values 3e-8 from their backup, against a threshold of
+    # 5e-17: the solve ends on its stable policy, on 153 and on 6 points.
     model = make_random_model(np.random.default_rng(71), 3, 3, coupled=True)
+    beta = 0.99999999
     for mesh in (16, 2):
         mkv = build_mkv_mdp(model, mesh, 1)
         calls = count_backups(monkeypatch)
         evaluations = count_evaluations(monkeypatch)
-        with pytest.raises(ConvergenceError, match="needs more than 1000000 sweeps"):
-            solve(mkv, DiscountedHorizon(beta=0.99999999))
-        assert len(calls) == len(evaluations) + 1
+        sol = solve(mkv, DiscountedHorizon(beta=beta))
+        assert len(calls) == len(evaluations) + 1 <= 6, mesh
         monkeypatch.undo()
+        op = mkv.operator
+        exact = op.policy_values(sol.choices[0], beta)
+        np.testing.assert_array_equal(_backup(op, exact, beta)[1], sol.values[0])
 
 
 def count_evaluations(monkeypatch):
@@ -726,9 +729,8 @@ def count_evaluations(monkeypatch):
 
 
 def test_refusal_never_preempts_a_converging_solve(monkeypatch):
-    # With _MAX_SWEEPS at the backups a solve needs, _hopeless holds for
-    # these positive costs, yet the solve ends as before: it gates only the
-    # sweeps after a stable policy.  One backup fewer is refused at the limit.
+    # With _MAX_ROUNDS at the policies a solve evaluates, it ends as
+    # before; one round fewer is refused at the limit.
     rng = np.random.default_rng(73)
     problems = [(build_mkv_mdp(make_random_model(rng, 2, 2, coupled=True), 16, 1), beta)
                 for beta in (0.5, 0.9, 0.99)]
@@ -736,18 +738,19 @@ def test_refusal_never_preempts_a_converging_solve(monkeypatch):
     problems.append((build_mkv_mdp(make_random_model(np.random.default_rng(5), 3, 2,
                                                      coupled=True), 32, 2), 0.95))
     for mdp, beta in problems:
-        calls = count_backups(monkeypatch)
+        evaluations = count_evaluations(monkeypatch)
         table = solve(mdp, DiscountedHorizon(beta=beta)).values[0]
-        backups = len(calls)
-        monkeypatch.setattr(lifted, "_MAX_SWEEPS", backups)
-        assert lifted._hopeless(mdp.operator, beta, 1e-8 * (1 - beta) / (2 * beta))
+        rounds = len(evaluations)
+        monkeypatch.setattr(lifted, "_MAX_ROUNDS", rounds)
         again = solve(mdp, DiscountedHorizon(beta=beta)).values[0]
         np.testing.assert_array_equal(again, table)
-        del calls[:]
-        monkeypatch.setattr(lifted, "_MAX_SWEEPS", backups - 1)
-        with pytest.raises(ConvergenceError, match=f"more than {backups - 1} sweeps"):
+        del evaluations[:]
+        calls = count_backups(monkeypatch)
+        monkeypatch.setattr(lifted, "_MAX_ROUNDS", rounds - 1)
+        with pytest.raises(ConvergenceError,
+                           match=f"more than {rounds - 1} policy-iteration rounds"):
             solve(mdp, DiscountedHorizon(beta=beta))
-        assert len(calls) == backups - 1
+        assert len(evaluations) == rounds - 1 and len(calls) == rounds
         monkeypatch.undo()
 
 
@@ -836,8 +839,8 @@ def test_policy_iteration_needs_a_handful_of_backups_at_beta_near_one(monkeypatc
 def test_exact_ties_never_switch_the_policy(monkeypatch):
     # Equal costs tie every Q-value in exact arithmetic; the computed ones
     # differ by rounding, which must not switch an action.  At this beta
-    # rounding keeps the update above the threshold and _hopeless rules out
-    # the sweeps, so the solve ends on the first policy.
+    # rounding keeps the update above the threshold, so the solve ends on
+    # the first policy, stable.
     rng = np.random.default_rng(3)
     states, actions, beta = 40, 3, 0.999999
     rows = rng.dirichlet(np.ones(states), size=states * actions)
@@ -846,34 +849,61 @@ def test_exact_ties_never_switch_the_policy(monkeypatch):
     assert (q != np.repeat(best, actions)).any()  # rounding breaks some ties
     calls = count_backups(monkeypatch)
     evaluations = count_evaluations(monkeypatch)
-    with pytest.raises(ConvergenceError):
-        lifted._solve_discounted(mdp, beta, 1e-8)
+    values, choices = lifted._solve_discounted(mdp, beta, 1e-8)
     assert len(evaluations) == 1 and len(calls) == 2
+    monkeypatch.undo()
+    assert not choices.any()
+    threshold = 1e-8 * (1 - beta) / (2 * beta)
+    assert np.abs(_backup(mdp, values, beta)[1] - values).max() > threshold
 
 
 @pytest.mark.parametrize("case, population, beta", [
     ("weakly_coupled", 16, 0.99999),
     ("random", 6, 0.9999),
 ])
-def test_value_iteration_crosses_the_roundoff_floor(weakly_coupled, monkeypatch, case,
-                                                    population, beta):
-    # near beta = 1 the update of exactly evaluated values is about
-    # eps * |v|max, above epsilon*(1-beta)/(2*beta); a few value-iteration
-    # sweeps from them reach the threshold, where sweeps from zero need
-    # 10^5 or more
+def test_stable_policy_ends_a_lifted_solve_below_the_roundoff_floor(
+        weakly_coupled, monkeypatch, case, population, beta):
+    # near beta = 1 the residual of exactly evaluated values is about
+    # eps * |v|max, above epsilon*(1-beta)/(2*beta), where value iteration
+    # from zero sweeps 10^5 times or more; the stable policy ends the solve
     model = weakly_coupled
     if case == "random":
         model = make_random_model(np.random.default_rng(21), 3, 3, coupled=True)
     mdp = build_measure_mdp(model, population)
     calls = count_backups(monkeypatch)
     sol = solve(mdp, DiscountedHorizon(beta=beta))
-    assert len(calls) <= 12
+    assert len(calls) <= 6
     monkeypatch.undo()
     dense = mdp.operator
-    _, best = _backup(dense, sol.values[0], beta)
-    assert np.abs(best - sol.values[0]).max() <= 1e-8 * (1 - beta) / (2 * beta)
     exact = dense.policy_values(sol.choices[0], beta)
-    assert np.abs(exact - sol.values[0]).max() <= 0.5e-8
+    np.testing.assert_array_equal(_backup(dense, exact, beta)[1], sol.values[0])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_states=st.sampled_from([2, 3]),
+       num_actions=st.sampled_from([2, 3]), size=st.integers(1, 8),
+       beta=st.floats(0.9999, 0.999999), limit=st.booleans())
+# the stable policy's residual, 5.5e-12, is 3 ulps of its values and 11
+# times the threshold
+@example(seed=8, num_states=3, num_actions=3, size=7, beta=0.9999, limit=False)
+def test_policy_iteration_returns_within_a_few_rounds_near_beta_one(
+        seed, num_states, num_actions, size, beta, limit):
+    # lifted rows over (size + 1) // 2 <= 4 agents, or a limit grid of mesh
+    # size <= 8 with mesh-2 kernels
+    model = make_random_model(np.random.default_rng(seed), num_states, num_actions, coupled=True)
+    if limit:
+        op = build_mkv_mdp(model, size, 2).operator
+    else:
+        op = build_measure_mdp(model, (size + 1) // 2).operator
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = count_backups(monkeypatch)
+        values, choices = lifted._solve_discounted(op, beta, 1e-8)
+    # policy iteration's own rounds: a mesh-7 limit grid (seed 3052, X=U=3)
+    # takes 7 backups at every beta from 0.99 on
+    assert len(calls) <= 10
+    # the values are one backup of the chosen policy's exact values
+    exact = op.policy_values(choices, beta)
+    np.testing.assert_array_equal(_backup(op, exact, beta)[1], values)
 
 
 def test_a_long_finite_horizon_is_refused_before_the_rows_are_built(weakly_coupled,

@@ -300,6 +300,12 @@ def test_project_many_refuses_rows_of_another_width(mus):
         simplex_grid(4, 2).project_many(mus)
 
 
+@pytest.mark.parametrize("mu", [[0.5, 0.3, 0.2], [1.0], [[0.5, 0.5]], []])
+def test_project_refuses_a_measure_of_another_width(mu):
+    with pytest.raises(ValueError, match="need rows of 2 coordinates"):
+        simplex_grid(4, 2).project(mu)
+
+
 @pytest.mark.parametrize("cardinality", [2, 7, 8, 9, 16, 23, 128, 129, 136, 300])
 def test_column_distances_keep_numpys_summation_order(cardinality):
     """The column distances equal numpy's sequential sum, np.add.accumulate
