@@ -40,10 +40,10 @@ evaluated by its operator's `policy_values`: one linear solve over dense
 rows, pointer doubling along the limit's successors.  It ends once no
 state switches action, or earlier once the Bellman residual is below
 epsilon*(1-beta)/(2*beta), and raises ConvergenceError when _MAX_ROUNDS
-rounds do neither.  In exact arithmetic its values are within epsilon/2 of
-the optimum; in floating point they are off by the rounding of the policy
-solve as well, which can exceed epsilon/2 near beta = 1 (ROADMAP.md, item
-1).
+rounds do neither.  In exact arithmetic, with no switch slack, its values
+are within epsilon/2 of the optimum; otherwise they are also off by the
+slack, at most slack/(1-beta), and by the rounding of the policy solve,
+which can exceed epsilon/2 near beta = 1 (ROADMAP.md, item 1).
 """
 
 from __future__ import annotations

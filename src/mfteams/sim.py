@@ -483,9 +483,10 @@ def epsilon_gap(model, populations, horizon, mesh, policy_mesh,
     distribution.  Populations whose enumeration exceeds the cap are
     reported as skipped.  A gap below -1e-9 is a fault and raises
     RuntimeError.  A discounted solve's values are within epsilon / 2 in
-    exact arithmetic, so there the bound is -(epsilon / 2 + 1e-9); in
-    floating point they are also off by the rounding of the policy solve,
-    which near beta = 1 can exceed epsilon / 2 (ROADMAP.md, item 1).
+    exact arithmetic with no switch slack, so there the bound is
+    -(epsilon / 2 + 1e-9); otherwise they are also off by the slack, at
+    most slack / (1 - beta), and by the rounding of the policy solve, which
+    near beta = 1 can exceed epsilon / 2 (ROADMAP.md, item 1).
     """
     _check_sizes(populations)
     slack = 1e-9 + (horizon.epsilon / 2 if isinstance(horizon, DiscountedHorizon) else 0.0)

@@ -711,9 +711,19 @@ def test_stable_policy_ends_a_limit_solve_below_the_roundoff_floor(monkeypatch):
         sol = solve(mkv, DiscountedHorizon(beta=beta))
         assert len(calls) == len(evaluations) + 1 <= 6, mesh
         monkeypatch.undo()
-        op = mkv.operator
-        exact = op.policy_values(sol.choices[0], beta)
-        np.testing.assert_array_equal(_backup(op, exact, beta)[1], sol.values[0])
+        assert_one_backup_of_a_near_fixed_point(mkv.operator, sol.choices[0], sol.values[0],
+                                                beta)
+
+
+def assert_one_backup_of_a_near_fixed_point(op, choices, values, beta):
+    # The values are one backup of the chosen policy's exact values, and
+    # that backup moves them by a few ulps at most (6.4 on 5,760 random
+    # solves at beta >= 0.9999), so no state's action improves on the
+    # policy by more: a stable exit that fires early breaks this bound.
+    exact = op.policy_values(choices, beta)
+    np.testing.assert_array_equal(_backup(op, exact, beta)[1], values)
+    assert np.abs(values - exact).max() <= 16 * np.finfo(float).eps * np.abs(exact).max()
+    return exact
 
 
 def count_evaluations(monkeypatch):
@@ -874,9 +884,9 @@ def test_stable_policy_ends_a_lifted_solve_below_the_roundoff_floor(
     sol = solve(mdp, DiscountedHorizon(beta=beta))
     assert len(calls) <= 6
     monkeypatch.undo()
-    dense = mdp.operator
-    exact = dense.policy_values(sol.choices[0], beta)
-    np.testing.assert_array_equal(_backup(dense, exact, beta)[1], sol.values[0])
+    exact = assert_one_backup_of_a_near_fixed_point(mdp.operator, sol.choices[0],
+                                                    sol.values[0], beta)
+    assert np.abs(exact - sol.values[0]).max() <= 0.5e-8
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -901,9 +911,7 @@ def test_policy_iteration_returns_within_a_few_rounds_near_beta_one(
     # policy iteration's own rounds: a mesh-7 limit grid (seed 3052, X=U=3)
     # takes 7 backups at every beta from 0.99 on
     assert len(calls) <= 10
-    # the values are one backup of the chosen policy's exact values
-    exact = op.policy_values(choices, beta)
-    np.testing.assert_array_equal(_backup(op, exact, beta)[1], values)
+    assert_one_backup_of_a_near_fixed_point(op, choices, values, beta)
 
 
 def test_a_long_finite_horizon_is_refused_before_the_rows_are_built(weakly_coupled,
