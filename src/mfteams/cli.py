@@ -128,11 +128,9 @@ def _solved_manifest(directory, command, model_path):
     return manifest
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path, header, lines):
+    """Write the CSV file of `header` and `lines`, each line already joined."""
+    path.write_text("\n".join([",".join(header), *lines]) + "\n")
 
 
 def _headers(command, model):
@@ -150,19 +148,21 @@ def _headers(command, model):
 def _write_solution(args, argv, sol, points, policy_rows):
     """Write the manifest, values.csv and policy.csv of the solve-n or
     solve-mf run `args`.  Ordinal i of stage `stationary` or 0..T-1 has the
-    values.csv row (stage, i, cells, value, choice) with cells points[i], and
-    a policy.csv row (stage, i, row) per row of policy_rows(i, cells, choice)."""
+    values.csv line (stage, i, cells, value, choice) with cells points[i]
+    joined, and a policy.csv line (stage, i, row) per joined row that
+    policy_rows(i, cells, choice) yields."""
     out = _write_manifest(args, argv)
     vheader, pheader = _headers(args.command, sol.problem.model)
-    cells = [[_fmt(v) for v in point] for point in points]
+    cells = [",".join(map(_fmt, point)) for point in points]
     labels = ["stationary"] if sol.stationary else range(len(sol.values))
-    vrows, prows = [], []
+    vlines, plines = [], []
     for stage, values, choices in zip(labels, sol.values, sol.choices):
-        for i, (point, value, choice) in enumerate(zip(cells, values, choices.tolist())):
-            vrows.append([str(stage), str(i)] + point + [_fmt(value), str(choice)])
-            prows.extend([str(stage), str(i)] + row for row in policy_rows(i, point, choice))
-    _write_csv(out / "values.csv", vheader, vrows)
-    _write_csv(out / "policy.csv", pheader, prows)
+        for i, (point, value, choice) in enumerate(zip(cells, values.tolist(), choices.tolist())):
+            key = f"{stage},{i},"
+            vlines.append(f"{key}{point},{_fmt(value)},{choice}")
+            plines.extend(key + row for row in policy_rows(i, point, choice))
+    _write_csv(out / "values.csv", vheader, vlines)
+    _write_csv(out / "policy.csv", pheader, plines)
 
 
 def _checked_stages(path, header, keys, points, tol=1e-12, choices=None):
@@ -230,7 +230,7 @@ def _cmd_solve_n(args, argv):
     mdp = build_measure_mdp(model, args.agents, cap=args.cap)
     sol = solve(mdp, _horizon_from_args(args), args.cap)
     _write_solution(args, argv, sol, [state.counts for state in mdp.states], lambda i, _, a: [
-        [str(a)] + [str(c) for c in mdp.joint_actions[mdp.act_off[i] + a].ravel().tolist()]])
+        ",".join(map(str, [a, *mdp.joint_actions[mdp.act_off[i] + a].ravel().tolist()]))])
     counts0 = round_to_counts(model.initial_dist, args.agents)
     i0 = rank_compositions(counts0)
     print(f"mu0_counts {counts0}")
@@ -245,10 +245,10 @@ def _cmd_solve_mf(args, argv):
     model = load_model(args.model)
     mkv = build_mkv_mdp(model, args.mesh, args.policy_mesh, cap=args.cap)
     sol = solve(mkv, _horizon_from_args(args), args.cap)
-    kernel_rows = functools.cache(lambda choice: [  # a chosen kernel's (state, action law) rows
-        [str(x)] + [_fmt(p) for p in row] for x, row in enumerate(mkv.policy_set.kernel(choice))])
+    kernel_rows = functools.cache(lambda choice: [  # a chosen kernel's (state, action law) lines
+        ",".join([str(x), *map(_fmt, row)]) for x, row in enumerate(mkv.policy_set.kernel(choice))])
     _write_solution(args, argv, sol, mkv.state_grid.points,
-                    lambda g, mu, choice: [mu + row for row in kernel_rows(choice)])
+                    lambda g, mu, choice: (f"{mu},{row}" for row in kernel_rows(choice)))
     g0 = mkv.state_grid.project(model.initial_dist)
     print(f"mu0_ordinal {g0}")
     print(f"value {_fmt(sol.values[0][g0])}")
@@ -324,17 +324,17 @@ def _cmd_gap_table(args, argv):
                        args.policy_mesh, cap=args.cap)
     out = _write_manifest(args, argv)
     header = ["N", "J_opt", "J_policy", "eps_N", "status"]
-    csv_rows = []
+    lines = []
     for r in rows:
         if r.status == "ok":
-            csv_rows.append([str(r.population), _fmt(r.optimal_value),
-                             _fmt(r.policy_value), _fmt(r.gap), "ok"])
+            lines.append(f"{r.population},{_fmt(r.optimal_value)},"
+                         f"{_fmt(r.policy_value)},{_fmt(r.gap)},ok")
             print(f"N={r.population} J_opt={_fmt(r.optimal_value)} "
                   f"J_policy={_fmt(r.policy_value)} eps={_fmt(r.gap)}")
         else:
-            csv_rows.append([str(r.population), "", "", "", r.status])
+            lines.append(f"{r.population},,,,{r.status}")
             print(f"N={r.population} {r.status}")
-    _write_csv(out / "gap.csv", header, csv_rows)
+    _write_csv(out / "gap.csv", header, lines)
     return 0
 
 
@@ -385,8 +385,8 @@ def _cmd_flow(args, argv):
     traj = flow_trajectory(model, model.initial_dist, pi, args.steps)
     out = _write_manifest(args, argv)
     header = ["t"] + [f"mu_{x}" for x in range(model.num_states)]
-    rows = [[str(t)] + [_fmt(v) for v in traj[t]] for t in range(args.steps + 1)]
-    _write_csv(out / "trajectory.csv", header, rows)
+    lines = [",".join([str(t), *map(_fmt, row)]) for t, row in enumerate(traj)]
+    _write_csv(out / "trajectory.csv", header, lines)
     print(f"final {' '.join(_fmt(v) for v in traj[-1])}")
     return 0
 
@@ -394,7 +394,9 @@ def _cmd_flow(args, argv):
 # ---- parser ----
 
 
+@functools.cache
 def _build_parser():
+    """The parser of every subcommand, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="mfteams",
         description="Exact solvers and simulators for mean-field team problems.",

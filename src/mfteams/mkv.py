@@ -80,13 +80,15 @@ def build_mkv_mdp(model, mesh, policy_mesh, cap=DEFAULT_ENUMERATION_CAP):
     Grid point g under kernel p plays the joint measure theta = mu_g[:, None]
     * kernel_p: its stage cost is sum(c(mu_g) * theta) and its successor the
     grid point `project_many` gives its push-forward (`mean_field_flow`).
-    Every pair is built in one batch with the arithmetic of one point: the
-    model is evaluated once on the stack of grid points, each push-forward
-    is summed over (x, u) from zero, left to right, as the einsum of
-    `_push_forward` sums it, and each cost over one point's (kernels, X, U)
-    layout, so the tables are byte-identical to a loop over points.  The
-    G P X pushed floats are checked against `cap` before anything is built;
-    the joint measures the costs are summed from take U times as many.
+    The pairs are built in blocks of grid points with the arithmetic of one
+    point: the model is evaluated once on a block's stack of points, each
+    push-forward is summed over (x, u) from zero, left to right, as the
+    einsum of `_push_forward` sums it, and each cost over one point's
+    (kernels, X, U) layout, so the tables are byte-identical to a loop over
+    points.  The G P X pushed floats are checked against `cap` before
+    anything is built.  A block holds max(1, cap // (P X U)) points, so its
+    pushed floats and the joint measures its costs are summed from take at
+    most `cap` floats each (one point's more, if it alone exceeds `cap`).
     """
     X, U = model.num_states, model.num_actions
     if min(mesh, policy_mesh) < 1:
@@ -95,17 +97,22 @@ def build_mkv_mdp(model, mesh, policy_mesh, cap=DEFAULT_ENUMERATION_CAP):
                num_compositions(mesh, X) * num_compositions(policy_mesh, U) ** X * X, cap)
     state_grid = simplex_grid(mesh, X, cap=cap)
     policies = policy_grid(policy_mesh, X, U, cap=cap)
-    mus, kernels = state_grid.points, policies.kernels
-    tensor = model.kernel_tensor_at(mus)
-    pushed = np.zeros((X, len(mus), len(kernels)))  # coordinate y of every push-forward
-    for x, u in np.ndindex(X, U):
-        theta = mus[:, x, None] * kernels[:, x, u]  # theta[g, p] at (x, u)
-        for y in range(X):
-            pushed[y] += theta * tensor[:, x, u, y, None]
-    succ = state_grid.project_many(pushed.reshape(X, -1).T).reshape(len(mus), len(kernels))
-    del pushed
-    theta = mus[:, None, :, None] * kernels
-    cost = np.multiply(theta, model.cost_matrix_at(mus)[:, None], out=theta).sum(axis=(2, 3))
+    kernels, (G, P) = policies.kernels, (len(state_grid), len(policies))
+    cost, succ = np.empty((G, P)), np.empty((G, P), dtype=np.int64)
+    block = max(1, cap // (P * X * U))
+    for lo in range(0, G, block):
+        mus = state_grid.points[lo:lo + block]
+        tensor = model.kernel_tensor_at(mus)
+        pushed = np.zeros((X, len(mus), P))  # coordinate y of every push-forward
+        for x, u in np.ndindex(X, U):
+            theta = mus[:, x, None] * kernels[:, x, u]  # theta[g, p] at (x, u)
+            for y in range(X):
+                pushed[y] += theta * tensor[:, x, u, y, None]
+        succ[lo:lo + block] = state_grid.project_many(pushed.reshape(X, -1).T).reshape(-1, P)
+        del pushed
+        theta = mus[:, None, :, None] * kernels
+        np.multiply(theta, model.cost_matrix_at(mus)[:, None], out=theta).sum(
+            axis=(2, 3), out=cost[lo:lo + block])
     cost.setflags(write=False)
     succ.setflags(write=False)
     return MkvMDP(model, state_grid, policies, cost, succ)

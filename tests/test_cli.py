@@ -406,6 +406,83 @@ def test_saved_solutions_read_back_as_solved(seed, num_states, num_actions, agen
             assert np.array_equal(got.table, want.table)
 
 
+def write_solution_by_lists(out, command, sol, points, policy_rows):
+    """values.csv and policy.csv as the writer wrote them with one list of
+    cells per row, joined only at the end; the reference for the writer of
+    joined lines.  policy_rows(i, cells, choice) gives lists of cells."""
+
+    def write_csv(path, header, rows):
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(row))
+        path.write_text("\n".join(lines) + "\n")
+
+    vheader, pheader = cli._headers(command, sol.problem.model)
+    cells = [[cli._fmt(v) for v in point] for point in points]
+    labels = ["stationary"] if sol.stationary else range(len(sol.values))
+    vrows, prows = [], []
+    for stage, values, choices in zip(labels, sol.values, sol.choices):
+        for i, (point, value, choice) in enumerate(zip(cells, values, choices.tolist())):
+            vrows.append([str(stage), str(i)] + point + [cli._fmt(value), str(choice)])
+            prows.extend([str(stage), str(i)] + row for row in policy_rows(i, point, choice))
+    out.mkdir()
+    write_csv(out / "values.csv", vheader, vrows)
+    write_csv(out / "policy.csv", pheader, prows)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_states=st.sampled_from([2, 3]),
+       num_actions=st.sampled_from([2, 3]), agents=st.integers(1, 3), mesh=st.integers(1, 4),
+       policy_mesh=st.integers(1, 3), horizon=st.sampled_from(["1", "3", "0.5", "0.9"]))
+def test_saved_solutions_are_the_bytes_of_the_list_writer(seed, num_states, num_actions, agents,
+                                                          mesh, policy_mesh, horizon):
+    discounted = "." in horizon
+    flag = "--discount" if discounted else "--horizon"
+    objective = DiscountedHorizon(float(horizon)) if discounted else FiniteHorizon(int(horizon))
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "model.json"
+        save_model(make_random_model(rng, num_states, num_actions, coupled=True), path)
+        model = load_model(path)
+        mdp = build_measure_mdp(model, agents)
+        mkv = build_mkv_mdp(model, mesh, policy_mesh)
+        references = {
+            "solve-n": (["-N", str(agents)], solve(mdp, objective),
+                        [state.counts for state in mdp.states], lambda i, _, a: [
+                            [str(a)] + [str(c) for c in
+                                        mdp.joint_actions[mdp.act_off[i] + a].ravel().tolist()]]),
+            "solve-mf": (["--mesh", str(mesh), "--policy-mesh", str(policy_mesh)],
+                         solve(mkv, objective), mkv.state_grid.points, lambda g, mu, choice: [
+                             mu + [str(x)] + [cli._fmt(p) for p in row]
+                             for x, row in enumerate(mkv.policy_set.kernel(choice))]),
+        }
+        for command, (flags, sol, points, policy_rows) in references.items():
+            assert main([command, str(path), *flags, flag, horizon,
+                         "--out", str(tmp / command)]) == 0
+            write_solution_by_lists(tmp / f"{command}-lists", command, sol, points, policy_rows)
+            for name in ("values.csv", "policy.csv"):
+                written = (tmp / command / name).read_bytes()
+                assert written == (tmp / f"{command}-lists" / name).read_bytes()
+
+
+def test_in_process_runs_share_the_parser_and_nothing_else(capsys, tmp_path):
+    cli._build_parser()
+    misses = cli._build_parser.cache_info().misses
+    code, _, _ = run(capsys, "solve-mf", "counterexample", "--horizon", "1", "--mesh", "4",
+                     "--out", str(tmp_path / "mesh4"))
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-n"])
+    assert exc.value.code == 2
+    code, _, _ = run(capsys, "solve-mf", "counterexample", "--horizon", "1",
+                     "--out", str(tmp_path / "default"))
+    assert code == 0
+    for out, mesh in (("mesh4", 4), ("default", 8)):
+        assert json.loads((tmp_path / out / "manifest.json").read_text())["params"]["mesh"] == mesh
+    assert cli._build_parser.cache_info().misses == misses
+
+
 def test_flow_refuses_negative_steps(capsys, tmp_path):
     policy = solve_mf_counterexample(capsys, tmp_path / "mf")
     code, _, err = run(capsys, "flow", "counterexample", "--policy-file", str(policy),

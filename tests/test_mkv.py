@@ -15,7 +15,7 @@ from mfteams import (
     policy_kernels,
     solve,
 )
-from mfteams.measures import EnumerationCapError, rank_compositions, simplex_grid
+from mfteams.measures import EnumerationCapError, SimplexGrid, rank_compositions, simplex_grid
 from mfteams.mkv import _push_forward
 
 from conftest import make_random_model
@@ -369,6 +369,28 @@ def test_batched_build_matches_the_per_point_loop_byte_for_byte(num_states, num_
             cost, succ = per_point_mkv_tables(model, mkv.state_grid, mkv.policy_set)
             assert mkv.stage_cost.tobytes() == cost.tobytes()
             assert mkv.successor.tobytes() == succ.tobytes()
+
+
+@pytest.mark.parametrize("num_states", [2, 3])
+def test_a_build_in_blocks_matches_one_block_byte_for_byte(num_states, monkeypatch):
+    """At the least cap the build accepts, G P X, a block holds G // U
+    points: at least three blocks when U = 3."""
+    rng = np.random.default_rng(83 + num_states)
+    for model in (make_random_model(rng, num_states, 3, coupled=True),
+                  dyadic_model(rng, num_states, 3)):
+        for mesh, policy_mesh in ((7, 2), (12, 1)):
+            blocks = []
+            project_many = SimplexGrid.project_many
+            monkeypatch.setattr(SimplexGrid, "project_many",
+                                lambda self, mus: blocks.append(len(mus)) or project_many(self, mus))
+            whole = build_mkv_mdp(model, mesh, policy_mesh)
+            G, P = whole.stage_cost.shape
+            assert len(blocks) == 1
+            blocked = build_mkv_mdp(model, mesh, policy_mesh, cap=G * P * num_states)
+            assert len(blocks) >= 4 and sum(blocks[1:]) == G * P
+            monkeypatch.undo()
+            assert blocked.stage_cost.tobytes() == whole.stage_cost.tobytes()
+            assert blocked.successor.tobytes() == whole.successor.tobytes()
 
 
 def test_limit_build_refuses_a_push_forward_above_the_cap(weakly_coupled, counterexample,
