@@ -12,20 +12,24 @@ The rows are built as arrays, not dictionaries, and in batches, so the
 work grows with the number of distinct agent counts rather than with the
 number of measures and splits.  The joint actions are made in one pass:
 the compositions of N over the X*U cells, grouped by their state
-marginal.  The agents of one state contribute one
-factor per action split of that state: the law of their next counts, a
-dense vector over the compositions of their number, indexed by rank
-(`rank_compositions`).  The model is evaluated once for all measures, and
-one multinomial per number of draws covers every (measure, state, action)
-law.  The factors come from a prefix recursion over the actions: the
-splits of m agents over actions 0..u are those of m - k agents over
-actions 0..u-1 and k draws of action u, so each (u, m, k) is one convolve
-over every (measure, state) pair holding enough agents.  A joint
-action's row is the convolution of its states' factors, computed for all
-joint actions of a measure at once with a (rank a, rank b) -> rank(a + b)
-table and one weighted np.bincount per state.  The rank is additive in
-tail sums, so that table comes from two tail-sum vectors, and one
-_Convolver per build keeps every composition table the build reads.
+marginal.  The agents of one state contribute one factor per action
+split of that state: the law of their next counts, a dense vector over
+the compositions of their number, indexed by rank (`rank_compositions`).
+Every build works in one composition order.  The compositions of n <= N
+are the first rows of those of N with entry 0 lowered by N - n, and a
+rank reads only the sums after entry 0, so one _Convolver per build on
+(X, N) keeps one composition table, one rank table of tail-sum sums,
+whose top-left blocks give the rank of a + b for compositions a and b of
+any two totals, and the multinomial coefficients of the totals the build
+asks for.  The model is evaluated once for all measures, and one
+multinomial call, over rows of (law, total), covers every (measure,
+state, action) law.  The factors come from a prefix recursion over the
+actions: the splits of m agents over actions 0..u are those of m - k
+agents over actions 0..u-1 and k draws of action u, so each (u, m) is one
+weighted np.bincount over every (measure, state) pair holding enough
+agents, its bins placing each split at its rank.  A joint action's row
+is the convolution of its states' factors, computed for all joint
+actions of a measure at once, one weighted np.bincount per state.
 `multinomial_pmf_table`,
 `multinomial_count_distribution` and `eta_kernel` compute the same laws
 as dictionaries and stay as the reference the tests compare against.
@@ -82,6 +86,7 @@ from .model import (
 _MAX_ROUNDS = 1_000_000  # policy evaluations of one discounted solve
 _MAX_STEPS = 100_000  # longest rollout or flow, in steps
 _FLOAT_MAX = sys.float_info.max
+_CHUNK = 1 << 12  # entries per pass of _Convolver.multinomial
 
 
 def _resolve_beta(model, beta, allow_one):
@@ -194,85 +199,123 @@ def _multinomial_coefficients(n, parts):
 
 
 class _Convolver:
-    """Dense laws of count vectors over `parts` coordinates, and the
-    size-only tables of one build.
+    """Dense laws of count vectors over `parts` coordinates with totals up
+    to `total`, and the size-only tables of one build on (parts, total).
 
     A law of count vectors with total n is an array over compositions(n,
-    parts), indexed by rank.  The rank table of (a, b) holds the rank of
-    the sum of every pair of compositions of a and of b, so the law of a
-    sum of independent count vectors is one weighted np.bincount over it.
-    Every convolution of a build is one convolve: the split factors, the
-    fold across states and the shared-kernel rows.  A build makes one
-    convolver and reads every composition table from it: the compositions
-    are kept per (total, parts), the split tables of _split_factors among
-    them, and the tail sums and coefficients per total, so each is made
-    once per build and dropped with it.  The rank tables are made per call
-    from two tail-sum vectors, since the (a, b) pairs of one measure's
-    states seldom recur at another.
+    parts), indexed by rank.  Those compositions are the first sizes[n] =
+    num_compositions(n, parts) rows of `table`, composition_array(total,
+    parts), with entry 0 lowered by total - n, and a rank reads only the
+    sums after entry 0, which the lowering leaves alone.  So one table
+    serves every total of a build.  The rank table of (a, b), the rank of
+    the sum of every pair of compositions of a and of b, is the top-left
+    block of one table of tail-sum sums, made at the first convolve, and
+    the law of a sum of independent count vectors is one weighted
+    np.bincount over it.  Every convolution of a build goes through the
+    build's convolver: the split factors, the fold across states and the
+    shared-kernel rows.  The exact multinomial coefficients of each total
+    asked for are made once, as floats.  All of it is dropped with the
+    build, and a convolver that never convolves makes no rank table.
     """
 
-    def __init__(self, parts):
-        self.parts = parts
-        self._comps, self._tails, self._coefs = {}, {}, {}
+    def __init__(self, parts, total):
+        self.parts, self.total = parts, total
+        self.table = composition_array(total, parts)
+        # sizes[n] = num_compositions(n, parts): the rows whose entries after the first sum to <= n
+        self.sizes = np.searchsorted(total - self.table[:, 0], np.arange(total + 1), side="right")
+        self._ranks, self._logs = None, {}
+        self._coefs, self._first = np.empty(0), np.full(total + 1, -1)
 
-    def comps(self, n, parts=None):
-        """composition_array(n, parts), parts defaulting to the convolver's."""
-        key = (n, self.parts if parts is None else parts)
-        if key not in self._comps:
-            self._comps[key] = composition_array(*key)
-        return self._comps[key]
-
-    def _tail_sums(self, n):
-        """(parts - 1, K) array whose row i holds, for every composition of
-        n, the sum of its entries after entry i."""
-        if n not in self._tails:
-            c = self.comps(n)
-            self._tails[n] = np.cumsum(c[:, :0:-1], axis=1)[:, ::-1].T.copy()
-        return self._tails[n]
+    def comps(self, n):
+        """composition_array(n, parts), n <= total, from `table`."""
+        c = self.table[: self.sizes[n]].copy()
+        c[:, 0] -= self.total - n
+        return c
 
     def rank_table(self, a, b):
         """rank_compositions(comps(a)[:, None] + comps(b)[None]) without
         forming the sums: the tail sums of a sum are the sums of its terms'
         tail sums, and the rank's terms are added by _add_rank_terms, as
-        rank_compositions adds them."""
-        ta, tb = self._tail_sums(a), self._tail_sums(b)
-        return _add_rank_terms(np.zeros((ta.shape[1], tb.shape[1]), dtype=np.int64),
-                              (ta[i, :, None] + tb[i] for i in range(self.parts - 1)), self.parts)
+        rank_compositions adds them.  The ranks of the sums of every two
+        rows of `table` are made once; (a, b) reads their top-left block."""
+        if self._ranks is None:
+            tails = np.cumsum(self.table[:, :0:-1], axis=1)[:, ::-1].T
+            size = len(self.table)
+            self._ranks = _add_rank_terms(np.zeros((size, size), dtype=np.int64),
+                                         (t[:, None] + t for t in tails), self.parts)
+        return self._ranks[: self.sizes[a], : self.sizes[b]]
 
-    def multinomial(self, laws, n):
-        """Multinomial(n, law) over compositions(n, parts) for every row of
-        the (L, parts) array `laws`, as an (L, K) array, each entry computed
-        as multinomial_pmf_table computes it: the exact coefficient times
-        the product of powers, or in log space when the coefficient exceeds
-        the float range."""
-        c = self.comps(n)
-        if n not in self._coefs:
-            exact = _multinomial_coefficients(n, self.parts)
-            big = np.array([v > _FLOAT_MAX for v in exact])
-            self._coefs[n] = (np.array([0.0 if b else float(v) for v, b in zip(exact, big)]),
-                              np.array([math.log(v) for v in exact]) if big.any() else None,
-                              big)
-        coef, log_coef, big = self._coefs[n]
-        laws = np.clip(np.asarray(laws, dtype=float), 0.0, None)[:, None, :]
-        powers = laws**c  # 0.0**k is 0 for k > 0: a zero-probability category gets 0
-        prob = powers[..., 0]
-        for j in range(1, self.parts):
-            prob = prob * powers[..., j]
-        out = coef * prob
-        if big.any():
+    def multinomial(self, laws, totals):
+        """Multinomial(totals[r], laws[r]) over compositions(totals[r], parts)
+        for every row r of the (L, parts) array `laws`, the L laws
+        concatenated in row order.  `totals` holds one total up to `total`
+        per row, or is one total for every row, and then the laws come as an
+        (L, K) array.  Each entry is computed as multinomial_pmf_table
+        computes it: the exact coefficient times the product of powers, or
+        in log space when the coefficient exceeds the float range.  The
+        rows are done in passes of about _CHUNK entries, which bounds the
+        temporaries whatever the totals."""
+        laws = np.clip(np.asarray(laws, dtype=float), 0.0, None)
+        each = np.broadcast_to(np.asarray(totals, dtype=np.int64), len(laws))
+        sizes = self.sizes[each]
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        out = np.empty(int(ends[-1]) if len(ends) else 0)
+        wanted = sorted(set(each.tolist()))
+        self._add_coefficients(wanted)
+        r = 0
+        while r < len(laws):  # rows r..stop-1, entries lo..hi-1 of out
+            stop = max(r + 1, int(np.searchsorted(ends, starts[r] + _CHUNK, side="right")))
+            lo, hi, k = starts[r], ends[stop - 1], sizes[r:stop]
+            j = np.arange(hi - lo) - np.repeat(starts[r:stop] - lo, k)  # each entry's ordinal
+            c = np.take(self.table, j, axis=0)
+            c[:, 0] -= np.repeat(self.total - each[r:stop], k)  # the compositions of its total
+            powers = np.repeat(laws[r:stop], k, axis=0)
+            np.power(powers, c, out=powers)  # 0.0**k is 0 for k > 0: a zero-probability part gets 0
+            prob = out[lo:hi]
+            prob[:] = powers[:, 0]
+            for x in range(1, self.parts):
+                prob *= powers[:, x]
+            prob *= self._coefs.take(j + np.repeat(self._first[each[r:stop]], k))
+            r = stop
+        for n in wanted:
+            if n not in self._logs:
+                continue
+            big, log_coef = self._logs[n]
+            rows = np.flatnonzero(each == n)
+            c = self.comps(n)[big]
             with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.where(c > 0, c * np.log(laws), 0.0)  # 0 * log 0 counts as 0
+                terms = np.where(c > 0, c * np.log(laws[rows, None]), 0.0)  # 0 * log 0 counts as 0
             log_prob = terms[..., 0]
-            for j in range(1, self.parts):
-                log_prob = log_prob + terms[..., j]
-            out[:, big] = np.exp(log_coef[big] + log_prob[:, big])
-        return out
+            for x in range(1, self.parts):
+                log_prob = log_prob + terms[..., x]
+            out[starts[rows, None] + big] = np.exp(log_coef + log_prob)
+        return out.reshape(len(laws), self.sizes[totals]) if np.ndim(totals) == 0 else out
+
+    def _add_coefficients(self, totals):
+        """Add the coefficients of the sorted `totals` not made yet to the
+        flat float array _coefs, total n's from _first[n] on: the exact
+        integers of _multinomial_coefficients rounded to the nearest float,
+        or 0.0 beyond the float range, where _logs[n] holds the entries'
+        indices and logarithms.  One total at a time, so that few Python
+        integers live at once."""
+        new, made = [n for n in totals if self._first[n] < 0], []
+        for n in new:
+            exact = np.array(_multinomial_coefficients(n, self.parts), dtype=object)
+            big = np.flatnonzero(exact > _FLOAT_MAX)
+            if big.size:
+                self._logs[n] = (big, np.array([math.log(v) for v in exact[big]]))
+            exact[big] = 0
+            made.append(exact.astype(float))
+        sizes = self.sizes[new]
+        self._first[new] = len(self._coefs) + np.cumsum(sizes) - sizes
+        self._coefs = np.concatenate([self._coefs, *made])
 
     def convolve(self, f, a, g, b):
         """Law of the sum of independent count vectors of totals a and b
         with laws f[..., :] and g[..., :], for the leading axes of f and g
         broadcast against each other; a law over compositions(a + b)."""
-        table = self.rank_table(a, b)
+        table = np.ascontiguousarray(self.rank_table(a, b))  # so that adding the offsets runs flat
         w = f[..., :, None] * g[..., None, :]
         lead = w.shape[:-2]
         size = num_compositions(a + b, self.parts)
@@ -280,6 +323,28 @@ class _Convolver:
         out = np.bincount((table + offset).ravel(), w.ravel(),
                           minlength=offset.size * size)
         return out.reshape(lead + (size,))
+
+    def convolve_many(self, blocks, n, slots):
+        """Laws over compositions(n) of many sums at once, as a (P, slots,
+        K) array.  Each block (f, a, g, b, at), with b = n - a, f a (P, S,
+        K(a)) and g a (P, K(b)) array, puts the law of the sum of
+        independent count vectors with laws f[p, s] and g[p] in slot at[s]
+        of row p, as convolve(f, a, g[:, None], b) would.  One np.bincount
+        serves every block, and it sums each slot's products in convolve's
+        order, since each slot takes them from one block."""
+        size = num_compositions(n, self.parts)
+        rows = len(blocks[0][0])
+        spans = [f.size * g.shape[1] for f, _, g, _, _ in blocks]
+        w, bins = np.empty(sum(spans)), np.empty(sum(spans), dtype=np.int64)
+        base = (slots * size * np.arange(rows)).reshape(-1, 1, 1, 1)
+        lo = 0
+        for (f, a, g, b, at), span in zip(blocks, spans):
+            shape = f.shape + g.shape[1:]
+            np.multiply(f[..., None], g[:, None, None], out=w[lo:lo + span].reshape(shape))
+            np.add(base, self.rank_table(a, b) + size * at[:, None, None],
+                   out=bins[lo:lo + span].reshape(shape))
+            lo += span
+        return np.bincount(bins, w, minlength=rows * slots * size).reshape(rows, slots, size)
 
     def fold(self, factors):
         """Law of the sum of independent count vectors given as (laws,
@@ -510,14 +575,15 @@ class MeasureMDP:
     def operator(self):
         """The _DenseMDP, built when a solver first asks for it: the model
         is evaluated once for all measures, the split factors of every
-        (measure, state) pair come from _split_factors, one convolve per
-        (action, agents, draws of that action) over all pairs, and each
-        measure's rows, written in place, are its states' factors convolved
-        by _lifted_rows.  One _Convolver serves the whole build and is
-        dropped with it."""
+        (measure, state) pair come from _split_factors, one multinomial
+        call and one convolve_many per (action, agents) over all pairs, and
+        each measure's rows, written in place, are its states' factors
+        convolved by _lifted_rows.  One _Convolver on (X, N) serves the
+        whole build, its composition table being the measures' counts, and
+        is dropped with it."""
         N, X = self.population, self.model.num_states
-        conv = _Convolver(X)
-        counts = conv.comps(N)
+        conv = _Convolver(X, N)
+        counts = conv.table
         mus = counts / N
         tens, cmats = self.model.kernel_tensor_at(mus), self.model.cost_matrix_at(mus)
         factors = _split_factors(conv, tens, counts)
@@ -574,15 +640,19 @@ def _split_factors(conv, tens, counts):
     convolution over actions u of Multinomial(split[u], tens[i, x, u]);
     None when the state is empty.
 
-    A prefix recursion over the actions: the laws of the splits of m
-    agents over actions 0..u are those of m - k agents over actions
-    0..u-1, each convolved with the pmf of k draws of action u.  With the
-    occupied pairs sorted by agent count, most first, those holding at
-    least m agents are a prefix and those holding exactly m a slice, so
-    each (u, m, k) is one convolve over the pairs holding at least m, or
-    exactly m at the last action.  The 0-draw pmf is [1.0], so a zero part
-    passes a law through exactly, and the nonzero parts are convolved left
-    to right, as fold does.
+    Every pmf comes from one multinomial call: with the occupied pairs
+    sorted by agent count, most first, those holding at least m agents are
+    a prefix, and each has a row per action with total m.  The factors
+    come from a prefix recursion over the actions: the laws of the splits
+    of m agents over actions 0..u are those of m - k agents over actions
+    0..u-1, each convolved with the pmf of k draws of action u.  Each
+    (u, m) is one convolve_many over the pairs holding at least m, or
+    exactly m at the last action, with one block per k.  A split (s, k)
+    has the tail sums of s plus k, then k, and its rank among the splits
+    of m over actions 0..u, its slot, reads only those, so block k's
+    slots are those of the splits of N - k cut to the splits of m - k.
+    The 0-draw pmf is [1.0], so a zero part passes a law through exactly,
+    and the nonzero parts are convolved left to right, as fold does.
     """
     M, X, U, _ = tens.shape
     n = counts.ravel()
@@ -590,21 +660,28 @@ def _split_factors(conv, tens, counts):
     N = int(n[pairs[0]])
     held = [int(np.count_nonzero(n[pairs] >= m)) for m in range(N + 2)]  # the first held[m] pairs
     laws = tens.reshape(M * X, U, -1)[pairs]
-    pmfs = [conv.multinomial(laws[: held[m]].reshape(-1, conv.parts), m).reshape(held[m], U, -1)
-            for m in range(N + 1)]
+    rows = np.concatenate([laws[: held[m]] for m in range(N + 1)]).reshape(-1, conv.parts)
+    pmfs = conv.multinomial(rows, np.repeat(np.arange(N + 1), np.multiply(held[:-1], U)))
+    ends = np.cumsum([held[m] * U * conv.sizes[m] for m in range(N + 1)])
+    pmfs = [p.reshape(h, U, -1) for p, h in zip(np.split(pmfs, ends[:-1]), held)]
     level, first = [p[:, :1] for p in pmfs], [0] * (N + 1)  # level[m] starts at pair first[m]
+    tails = np.zeros((0, 1), dtype=np.int64)  # tail sums of the splits of N over actions 0..u-1
     for u in range(1, U):
+        splits = [num_compositions(m, u) for m in range(N + 1)]  # of m agents over actions 0..u-1
+        # block k: the splits of N - k over actions 0..u-1, each followed by k draws of action u
+        sizes = splits[::-1]
+        draws = np.repeat(np.arange(N + 1), sizes)
+        grouped = np.vstack([np.concatenate([tails[:, :s] for s in sizes], axis=1) + draws, draws])
+        slots = _add_rank_terms(np.zeros(len(draws), dtype=np.int64), grouped, u + 1)
+        tails = np.empty_like(grouped)
+        tails[:, slots] = grouped
+        slots = np.split(slots, np.cumsum(sizes)[:-1])
         if u == U - 1:
             first = held[1:]
-        nxt = []
-        for m, lo in enumerate(first):
-            cat = np.concatenate([conv.convolve(level[m - k][lo : held[m]], m - k,
-                                                pmfs[k][lo : held[m], u, None], k)
-                                  for k in range(m + 1)], axis=1)
-            # the splits come grouped by their last part, each group in composition order
-            nxt.append(np.empty_like(cat))
-            nxt[-1][:, np.argsort(conv.comps(m, u + 1)[:, -1], kind="stable")] = cat
-        level = nxt
+        level = [conv.convolve_many([(level[m - k][lo:held[m]], m - k, pmfs[k][lo:held[m], u], k,
+                                      slots[k][: splits[m - k]]) for k in range(m + 1)],
+                                    m, sum(splits[: m + 1]))
+                 for m, lo in enumerate(first)]
     out = [[None] * X for _ in range(M)]
     for p, pair in enumerate(pairs.tolist()):
         m = n[pair]
@@ -809,24 +886,24 @@ def _kernel_stage_data(model, counts, kernels, cap=DEFAULT_ENUMERATION_CAP):
     state's factor is one multinomial of the mixed law k[x] @ T[x]; a
     kernel's row is the convolution of those factors.  The model is
     evaluated once for all measures, the mixed laws are one stacked matmul,
-    one multinomial per agent count covers every (measure, state) pair
-    holding that many, and one _Convolver folds them all.  The rows hold
-    M * K * M entries, which is held to the cap.
+    one multinomial call covers every occupied (measure, state) pair, each
+    row with that pair's agent count as its total, and one _Convolver on
+    (X, N) folds them all.  The rows hold M * K * M entries, which is held
+    to the cap.
     """
     M, K, X = kernels.shape[:3]
     _check_cap("shared-kernel transition rows", M * K * M, cap)
     pop = int(counts[0].sum())
     mus = counts / pop
-    conv = _Convolver(X)
+    conv = _Convolver(X, pop)
     mixed = _mixed_laws(kernels, model.kernel_tensor_at(mus)).reshape(M * X, K, X)
     agents = counts.ravel()
+    held = np.flatnonzero(agents)
+    pmfs = conv.multinomial(mixed[held].reshape(-1, X), np.repeat(agents[held], K))
     factors = [None] * (M * X)
-    held_counts = np.flatnonzero(np.bincount(agents))  # np.unique would import numpy.ma, 1.5 MB
-    for m in held_counts[held_counts > 0].tolist():
-        held = np.flatnonzero(agents == m)
-        pmfs = conv.multinomial(mixed[held].reshape(-1, X), m).reshape(len(held), K, -1)
-        for pair, pmf in zip(held.tolist(), pmfs):
-            factors[pair] = pmf
+    for pair, pmf in zip(held.tolist(),
+                         np.split(pmfs, np.cumsum(K * conv.sizes[agents[held]])[:-1])):
+        factors[pair] = pmf.reshape(K, -1)
     cost, rows = np.empty((M, K)), np.empty((M, K, M))
     for i, (c, cmat, ks) in enumerate(zip(counts, model.cost_matrix_at(mus), kernels)):
         occupied = [(x, n) for x, n in enumerate(c.tolist()) if n]

@@ -98,7 +98,6 @@ def build_mkv_mdp(model, mesh, policy_mesh, cap=DEFAULT_ENUMERATION_CAP):
     state_grid = simplex_grid(mesh, X, cap=cap)
     policies = policy_grid(policy_mesh, X, U, cap=cap)
     kernels, (G, P) = policies.kernels, (len(state_grid), len(policies))
-    cost, succ = np.empty((G, P)), np.empty((G, P), dtype=np.int64)
     block = max(1, cap // (P * X * U))
     for lo in range(0, G, block):
         mus = state_grid.points[lo:lo + block]
@@ -108,8 +107,11 @@ def build_mkv_mdp(model, mesh, policy_mesh, cap=DEFAULT_ENUMERATION_CAP):
             theta = mus[:, x, None] * kernels[:, x, u]  # theta[g, p] at (x, u)
             for y in range(X):
                 pushed[y] += theta * tensor[:, x, u, y, None]
-        succ[lo:lo + block] = state_grid.project_many(pushed.reshape(X, -1).T).reshape(-1, P)
+        nearest = state_grid.project_many(pushed.reshape(X, -1).T).reshape(-1, P)
         del pushed
+        if lo == 0:  # allocated after the first projection, so they do not add to its peak
+            cost, succ = np.empty((G, P)), np.empty((G, P), dtype=np.int64)
+        succ[lo:lo + block] = nearest
         theta = mus[:, None, :, None] * kernels
         np.multiply(theta, model.cost_matrix_at(mus)[:, None], out=theta).sum(
             axis=(2, 3), out=cost[lo:lo + block])

@@ -259,7 +259,7 @@ def _kernel_rows_per_measure(model, states, kernels):
     blocks = []
     for state, tens, cmat, ks in zip(states, model.kernel_tensor_at(mus),
                                      model.cost_matrix_at(mus), kernels):
-        conv = lifted._Convolver(model.num_states)
+        conv = lifted._Convolver(model.num_states, pop)
         occupied = [(x, n) for x, n in enumerate(state.counts) if n]
         blocks.append((sum((n / pop) * (ks[:, x] @ cmat[x]) for x, n in occupied),
                        conv.fold((conv.multinomial(ks[:, x] @ tens[x], n), n)
@@ -352,7 +352,7 @@ def test_batched_build_matches_the_per_split_loop(seed, num_states, num_actions,
     np.testing.assert_array_equal(np.diff(mdp.act_off, append=len(mdp.joint_actions)),
                                   [len(a) for a in acts])
 
-    conv = lifted._Convolver(num_states)
+    conv = lifted._Convolver(num_states, population)
     splits = [composition_array(n, num_actions) for n in range(population + 1)]
     mus = np.array([s.as_distribution() for s in mdp.states])
     blocks = [
@@ -373,7 +373,7 @@ def test_batched_build_matches_the_per_split_loop(seed, num_states, num_actions,
 @example(parts=5, a=0, b=10)
 @example(parts=5, a=10, b=10)
 def test_rank_table_from_tail_sums_matches_rank_compositions(parts, a, b):
-    conv = lifted._Convolver(parts)
+    conv = lifted._Convolver(parts, max(a, b))
     got = conv.rank_table(a, b)
     want = rank_compositions(conv.comps(a)[:, None] + conv.comps(b)[None])
     assert got.dtype == np.int64 and got.shape == want.shape
@@ -409,7 +409,7 @@ def test_split_folds_over_more_actions_match_the_loop(num_states):
     # skips zero parts between its convolves; with one it never convolves
     rng = np.random.default_rng(num_states)
     for num_actions in (4, 5, 1):
-        conv = lifted._Convolver(num_states)
+        conv = lifted._Convolver(num_states, 5)
         for n in range(1, 6):
             laws = _rows_with_zeros(rng, (3, num_actions, num_states))
             got = [f for f, in lifted._split_factors(conv, laws[:, None], np.full((3, 1), n))]
@@ -421,7 +421,7 @@ def test_split_folds_over_more_actions_match_the_loop(num_states):
 def test_factor_beyond_the_float_range_keeps_zero_categories():
     # C(1030, 515) passes the float range, so the central outcomes with no
     # draw in the zero-probability category are computed in log space
-    conv = lifted._Convolver(3)
+    conv = lifted._Convolver(3, 1030)
     pmf = conv.multinomial(np.array([[0.5, 0.5, 0.0]]), 1030)[0]
     comps = conv.comps(1030)
     free = comps[:, 2] == 0

@@ -48,6 +48,26 @@ def test_composition_array_holds_the_compositions_in_order(total, parts):
     assert combos.tolist() == [list(c) for c in compositions(total, parts)]
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data(), parts=st.integers(1, 4), total=st.integers(0, 12))
+def test_a_smaller_total_is_a_prefix_with_entry_0_lowered(data, parts, total):
+    # one composition table of the largest total serves every smaller one
+    n = data.draw(st.integers(0, total))
+    prefix = composition_array(total, parts)[: num_compositions(n, parts)].copy()
+    prefix[:, 0] -= total - n
+    np.testing.assert_array_equal(composition_array(n, parts), prefix)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data(), parts=st.integers(1, 4), total=st.integers(0, 12))
+def test_rank_ignores_entry_0(data, parts, total):
+    counts = composition_array(total, parts)
+    shift = data.draw(st.integers(-total, 12))
+    raised = counts.copy()
+    raised[:, 0] += shift  # may leave the compositions; the rank reads only tail sums
+    np.testing.assert_array_equal(rank_compositions(raised), rank_compositions(counts))
+
+
 def test_compositions_order_and_count():
     combos = list(compositions(4, 3))
     assert len(combos) == num_compositions(4, 3) == 15
