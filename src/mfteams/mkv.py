@@ -142,8 +142,6 @@ def flow_trajectory(model, mu0, pi, steps):
     computing by row s + 3 (r - s).
     """
     steps = check_steps(steps)
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     kernels = per_stage(pi, steps)
     check_kernel_rows(model, kernels)
     start = _tail_start(kernels)

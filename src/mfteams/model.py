@@ -71,12 +71,24 @@ def as_simplex(vec, tol=SIMPLEX_TOL, what="distribution"):
     return v
 
 
+def is_real(value):
+    """Whether `value` is a real number of any type but bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_integer(name, value):
     """`value` as a Python int; any integer type but bool, else a ValueError."""
     try:
         return operator.index(None if isinstance(value, (bool, np.bool_)) else value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_beta(beta):
+    """Refuse a horizon's beta unless None, which defers to the model's
+    discount, or a real number but not a bool; a solve checks its range."""
+    if beta is not None and not is_real(beta):
+        raise ValueError(f"beta must be a number or None, got {beta!r}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +106,7 @@ class FiniteHorizon:
         object.__setattr__(self, "steps", check_integer("steps", self.steps))
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        _check_beta(self.beta)
 
 
 @dataclass(frozen=True)
@@ -104,7 +117,8 @@ class DiscountedHorizon:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if isinstance(self.epsilon, (bool, np.bool_)) or not 0 < self.epsilon < np.inf:
+        _check_beta(self.beta)
+        if not is_real(self.epsilon) or not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
@@ -165,7 +179,7 @@ class EnvironmentModel:
                 value = np.zeros(shape)
             _set(self, name, _as_tensor(name, value, shape))
         d = self.discount
-        if isinstance(d, bool) or not isinstance(d, numbers.Real) or not 0.0 < d <= 1.0:
+        if not is_real(d) or not 0.0 < d <= 1.0:
             raise ModelValidationError("discount", f"must be a number in (0, 1], got {d!r}")
         _set(self, "discount", float(d))
         init = np.asarray(self.initial_dist, dtype=float)

@@ -39,7 +39,7 @@ from .measures import (
     round_to_counts,
 )
 from .mkv import build_mkv_mdp, flow_trajectory
-from .model import DiscountedHorizon, check_integer
+from .model import DiscountedHorizon, check_integer, is_real
 from .solver import (
     MAX_STEPS,
     PolicyKernel,
@@ -84,7 +84,7 @@ class SimConfig:
 
     def __post_init__(self):
         _check_sizes([self.population], self.replications)
-        if not 0 < self.truncation_error < math.inf:
+        if not is_real(self.truncation_error) or not 0 < self.truncation_error < math.inf:
             raise ValueError(
                 f"truncation_error must be finite and > 0, got {self.truncation_error}")
 

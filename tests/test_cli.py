@@ -736,18 +736,100 @@ def test_simulate_has_no_eps_option(capsys, tmp_path):
     assert "unrecognized arguments: --eps" in capsys.readouterr().err
 
 
-def test_repeated_simulate_writes_identical_bytes(capsys, tmp_path):
-    reports = []
+@pytest.fixture(scope="module")
+def random_x3(tmp_path_factory):
+    # any X=U=3 model builds the same 561-point, 216-kernel limit MDP at mesh 32/2
+    path = tmp_path_factory.mktemp("models") / "random_x3.json"
+    save_model(make_random_model(np.random.default_rng(1), 3, 3, coupled=True), path)
+    return path
+
+
+def _argv(line, **paths):
+    return [arg.format(**paths) for arg in line.split()]
+
+
+# Each case: the runs that set it up, the run made twice, into {tmp}/first and
+# {tmp}/second, and the files the two write byte for byte the same.
+RERUNS = {
+    "solve-mf-decoupled": (
+        [], "solve-mf decoupled --discount 0.9 --mesh 4 --policy-mesh 2",
+        ["values.csv", "policy.csv"]),
+    "simulate-lifted-dir": (
+        ["solve-n decoupled -N 4 --horizon 3 --out {tmp}/n4"],
+        "simulate decoupled -N 4 --horizon 3 --lifted-dir {tmp}/n4 --replications 20 --seed 5",
+        ["report.json"]),
+    "simulate-policy-file": (
+        ["solve-mf decoupled --discount 0.9 --mesh 4 --policy-mesh 2 --out {tmp}/mf"],
+        "simulate decoupled -N 4 --horizon 3 --policy-file {tmp}/mf/policy.csv "
+        "--replications 20 --seed 5",
+        ["report.json"]),
+    "simulate-uniform-kernel": (
+        [], "simulate weakly_coupled -N 6 --horizon 4 --uniform-kernel --replications 300 --seed 12",
+        ["report.json"]),
+    # a discounted shared-kernel rollout gathers its laws from a per-measure
+    # table over hundreds of steps (129 measures, 20 x 318 steps)
+    "simulate-318-steps": (
+        ["solve-mf weakly_coupled --discount 0.95 --mesh 32 --policy-mesh 16 --out {tmp}/mf32"],
+        "simulate weakly_coupled -N 128 --discount 0.95 --policy-file {tmp}/mf32/policy.csv "
+        "--replications 20 --seed 5",
+        ["report.json"]),
+    # a flow at the step limit stops computing at its first exact revisit and
+    # copies the cycle
+    "flow-100000-steps": (
+        ["solve-mf weakly_coupled --discount 0.95 --mesh 32 --policy-mesh 16 --out {tmp}/mf32"],
+        "flow weakly_coupled --policy-file {tmp}/mf32/policy.csv --steps 100000",
+        ["trajectory.csv"]),
+    "gap-table": (
+        [], "gap-table decoupled --agents 2,4 --horizon 2 --mesh 4 --policy-mesh 2", ["gap.csv"]),
+    "solve-n-dense-rows": (
+        [], "solve-n weakly_coupled -N 16 --discount 0.95", ["values.csv", "policy.csv"]),
+    # a discounted lifted solve runs policy iteration
+    "solve-n-policy-iteration": (
+        [], "solve-n weakly_coupled -N 40 --discount 0.999", ["values.csv"]),
+    # a limit grid with fewer kernels than points evaluates each policy by
+    # pointer doubling
+    "solve-mf-pointer-doubling": (
+        [], "solve-mf weakly_coupled --discount 0.95 --mesh 64 --policy-mesh 1",
+        ["values.csv", "policy.csv"]),
+    # an X=3 limit build projects every push-forward through its floor/ceil
+    # candidates
+    "solve-mf-x3": (
+        [], "solve-mf {x3} --discount 0.95 --mesh 32 --policy-mesh 2",
+        ["values.csv", "policy.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", RERUNS)
+def test_reruns_write_identical_bytes(tmp_path, random_x3, case):
+    setup, rerun, files = RERUNS[case]
+    for line in setup:
+        assert main(_argv(line, tmp=tmp_path)) == 0
+    argv = _argv(rerun, tmp=tmp_path, x3=random_x3)
     for name in ("first", "second"):
-        out = tmp_path / name
-        code, _, _ = run(
-            capsys, "simulate", "weakly_coupled", "-N", "6", "--horizon", "4",
-            "--uniform-kernel", "--replications", "300", "--seed", "12",
-            "--out", str(out),
-        )
-        assert code == 0
-        reports.append((out / "report.json").read_bytes())
-    assert reports[0] == reports[1]
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+    for name in files:
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
+
+
+# runs that must exit 0, each in order
+CLEAN_RUNS = {
+    # near beta = 1 a limit solve ends at its first stable policy
+    "solve-mf-near-beta-one": [
+        "solve-mf weakly_coupled --discount 0.99999 --mesh 64 --policy-mesh 1 --out {tmp}/o"],
+    # lifted rows are dense even with one successor each: the largest such
+    # problem under the default cap (4.93 M entries)
+    "solve-n-counterexample-72": ["solve-n counterexample -N 72 --horizon 3 --out {tmp}/o"],
+    "simulate-dense-lifted-dir": [
+        "solve-n weakly_coupled -N 16 --discount 0.95 --out {tmp}/n",
+        "simulate weakly_coupled -N 16 --discount 0.95 --lifted-dir {tmp}/n --replications 20 "
+        "--seed 5 --out {tmp}/o"],
+}
+
+
+@pytest.mark.parametrize("case", CLEAN_RUNS)
+def test_runs_exit_0(tmp_path, case):
+    for line in CLEAN_RUNS[case]:
+        assert main(_argv(line, tmp=tmp_path)) == 0
 
 
 def test_non_convergence_exits_2_without_traceback(capsys, tmp_path, monkeypatch):

@@ -864,6 +864,7 @@ def test_exact_ties_never_switch_the_policy(monkeypatch):
 @pytest.mark.parametrize("case, population, beta", [
     ("weakly_coupled", 16, 0.99999),
     ("random", 6, 0.9999),
+    ("random", 10, 0.9999),
 ])
 def test_stable_policy_ends_a_lifted_solve_below_the_roundoff_floor(
         weakly_coupled, monkeypatch, case, population, beta):

@@ -168,6 +168,11 @@ def test_horizon_validation():
     with pytest.raises(ValueError, match="epsilon must be finite and > 0, got True"):
         DiscountedHorizon(epsilon=True)
     assert type(FiniteHorizon(np.int64(3)).steps) is int
+    # a discount is a real number, as the model's is, and a bool is not one
+    for beta in (True, np.True_, "0.9"):
+        for horizon in (lambda b: FiniteHorizon(2, b), DiscountedHorizon):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'beta must be a number or None, got {beta!r}')}$"):
+                horizon(beta)
 
 
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf"), -1.0])

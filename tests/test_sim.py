@@ -525,6 +525,8 @@ def test_rollouts_and_flows_refuse_steps_beyond_the_limit(counterexample, monkey
                                                     policy=k, replications=10, seed=1))
     with pytest.raises(ValueError, match=limit):
         chaos_gap(counterexample, [2], k, steps=10**14, replications=10, seed=1)
+    with pytest.raises(ValueError, match="^steps must be >= 0, got -1$"):
+        chaos_gap(counterexample, [2], k, steps=-1, replications=10, seed=1)
     with pytest.raises(ValueError, match=limit):
         flow_trajectory(counterexample, counterexample.initial_dist, k, 10**14)
     assert stages == []
@@ -720,6 +722,13 @@ def test_non_integer_populations_and_replications_are_refused(weakly_coupled, mo
     name, call = NON_INTEGER_SIZES[case]
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
         call(weakly_coupled)
+
+
+@pytest.mark.parametrize("truncation_error", [True, np.True_])
+def test_sim_config_refuses_a_bool_truncation_error(truncation_error):
+    with pytest.raises(ValueError, match="^truncation_error must be finite and > 0, got True$"):
+        SimConfig(population=2, horizon=DiscountedHorizon(), policy=uniform_kernel(),
+                  replications=3, seed=1, truncation_error=truncation_error)
 
 
 KERNEL_ENTRY_POINTS = {
