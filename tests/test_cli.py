@@ -700,6 +700,18 @@ def test_simulate_population_beyond_int64_exits_2(capsys, tmp_path):
     assert "int64" in err
 
 
+@pytest.mark.parametrize("seed", [-1, 2**63])
+def test_simulate_seed_outside_the_stream_range_exits_2(capsys, tmp_path, seed):
+    code, _, err = run(
+        capsys, "simulate", "weakly_coupled", "-N", "50", "--horizon", "4",
+        "--uniform-kernel", "--replications", "7", "--seed", str(seed),
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert err == f"error: seed must be in [0, 2**63), got {seed}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "0", "-1"])
 def test_simulate_refuses_a_bad_truncation_error(capsys, tmp_path, value):
     start = time.perf_counter()

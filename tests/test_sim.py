@@ -346,7 +346,7 @@ def _random_policy(rng, model, kind, population, steps):
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    num_states=st.sampled_from([2, 3]),
+    num_states=st.sampled_from([2, 3, 4]),  # 4 states: three conditional columns
     num_actions=st.sampled_from([2, 3]),
     population=st.integers(1, 12),
     replications=st.sampled_from([1, 2, 5, 30]),
@@ -395,9 +395,9 @@ def test_chaos_gap_matches_the_per_step_loop_on_both_sides_of_the_table(weakly_c
         assert row.per_step_mean.tobytes() == gaps.mean(axis=0).tobytes()
 
 
-@pytest.mark.parametrize("kind", ["lifted", "shared"])
-def test_rollout_evaluates_the_model_once_per_measure_not_per_step(weakly_coupled, monkeypatch,
-                                                                   kind):
+def _count_rollout_calls(monkeypatch):
+    """A Counter of the model evaluations and grid projections made inside
+    _rollout from now on."""
     calls = Counter()
     in_rollout = []
 
@@ -420,6 +420,13 @@ def test_rollout_evaluates_the_model_once_per_measure_not_per_step(weakly_couple
             in_rollout.pop()
 
     monkeypatch.setattr("mfteams.sim._rollout", rollout)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["lifted", "shared"])
+def test_rollout_evaluates_the_model_once_per_measure_not_per_step(weakly_coupled, monkeypatch,
+                                                                   kind):
+    calls = _count_rollout_calls(monkeypatch)
     rng = np.random.default_rng(8)
     policy = _random_policy(rng, weakly_coupled, kind, 16, None)
     per_steps = []
@@ -435,6 +442,25 @@ def test_rollout_evaluates_the_model_once_per_measure_not_per_step(weakly_couple
     if kind == "shared":
         expected["project_many"] = 1
     assert per_steps == [expected, expected]
+
+
+# the 17 measures of N=16 hold G * X + 1 entries each: 4 cells x 2 states + 1 for a
+# lifted policy, 2 states x 2 states + 1 for a shared kernel
+@pytest.mark.parametrize("kind, entries", [("lifted", 17 * 9), ("shared", 17 * 5)])
+def test_rollout_tabulates_only_a_table_within_the_cap(weakly_coupled, monkeypatch, kind,
+                                                       entries):
+    calls = _count_rollout_calls(monkeypatch)
+    policy = _random_policy(np.random.default_rng(8), weakly_coupled, kind, 16, None)
+    per_cap, reports = [], []
+    for cap in (entries - 1, entries):
+        monkeypatch.setattr("mfteams.sim.DEFAULT_ENUMERATION_CAP", cap)
+        calls.clear()
+        reports.append(json.dumps(simulate_n_agents(weakly_coupled, SimConfig(
+            population=16, horizon=FiniteHorizon(30), policy=policy,
+            replications=20, seed=3)).to_dict()))
+        per_cap.append(set(calls.values()))
+    assert per_cap == [{30}, {1}]  # every step below the cap, once at it
+    assert reports[0] == reports[1]
 
 
 # ---- simulate ----
@@ -689,6 +715,27 @@ def test_chaos_gap_refuses_bad_populations_and_replications_before_any_rollout(
             ([2**63], 5, "exceeds the int64 range"), ([4], 0, "replications must be >= 1")):
         with pytest.raises(ValueError, match=message):
             chaos_gap(weakly_coupled, populations, uniform_kernel(), 3, replications, 1)
+
+
+@pytest.mark.parametrize("seed", [-1, -3, 2**63, 2**63 + 5])
+def test_seeds_outside_the_stream_range_are_refused_before_any_rollout(weakly_coupled,
+                                                                        monkeypatch, seed):
+    # masked to 63 bits, -1 would draw what 2**63 - 1 draws, and 2**63 + 5 what 5 draws
+    monkeypatch.setattr("mfteams.sim._rollout", lambda *args: pytest.fail("rolled out"))
+    message = rf"^seed must be in \[0, 2\*\*63\), got {seed}$"
+    with pytest.raises(ValueError, match=message):
+        SimConfig(population=4, horizon=FiniteHorizon(3), policy=uniform_kernel(),
+                  replications=5, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        chaos_gap(weakly_coupled, [4], uniform_kernel(), 3, 5, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**63 - 1])
+def test_seeds_in_range_keep_their_streams(seed):
+    expected = np.random.default_rng(np.random.SeedSequence([seed, 4])).integers(2**62, size=3)
+    np.testing.assert_array_equal(_stream(seed, 4).integers(2**62, size=3), expected)
+    SimConfig(population=4, horizon=FiniteHorizon(3), policy=uniform_kernel(),
+              replications=5, seed=seed)
 
 
 NON_INTEGER_SIZES = {
