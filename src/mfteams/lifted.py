@@ -70,14 +70,13 @@ from .solver import (
     DenseMDP,
     PolicyKernel,  # noqa: F401 -- still importable as lifted.PolicyKernel
     backup,
-    check_kernel_rows,
     greedy,
     mixed_laws,
-    per_stage,
     resolve_beta,
     resolve_horizon,
     solve,
     solve_finite,
+    stages,
 )
 
 _FLOAT_MAX = sys.float_info.max
@@ -620,24 +619,19 @@ def evaluate_symmetric_policy_exact(model, population, pi, horizon,
     """Exact expected cost of fixed shared kernels on the measure chain.
 
     `pi` is a PolicyKernel, a sequence of them or a kernel-choosing
-    Solution, mapped to stages by per_stage.  Kernels are looked up at the
-    grid point nearest the current measure, one project_many over every
-    measure per distinct kernel.  Returns values over the empirical-measure
-    enumeration; no Monte Carlo is involved (the discounted case solves
-    the policy's linear system directly).
+    Solution, mapped to stages by `stages`.  Each distinct kernel is looked
+    up at the grid point nearest every measure, one project_many, and built
+    into one MDP, which every stage of its block reads.  Returns values
+    over the empirical-measure enumeration; no Monte Carlo is involved (the
+    discounted case solves the policy's linear system directly).
     """
     counts = empirical_counts(population, model.num_states, cap)
     beta, steps = resolve_horizon(model, horizon, len(counts), cap)
-    kernels = per_stage(pi, steps)
-    check_kernel_rows(model, kernels)
+    kernels, block = stages(model, pi, steps)
     mus = counts / population
-    data = {}  # one MDP per distinct kernel object
-    for k in kernels:
-        if id(k) not in data:
-            data[id(k)] = _kernel_stage_data(model, counts,
-                                             k.table[k.grid.project_many(mus)[:, None]], cap)
-    stages = [data[id(k)] for k in kernels]
+    data = [_kernel_stage_data(model, counts, k.table[k.grid.project_many(mus)[:, None]], cap)
+            for k in kernels]
     if steps is None:
-        return stages[0].policy_values(0, beta)  # each state's one action
-    values, _ = solve_finite(stages, beta)
+        return data[0].policy_values(0, beta)  # each state's one action
+    values, _ = solve_finite([data[b] for b in block], beta)
     return values[0]

@@ -11,6 +11,7 @@ are broken toward the smallest ordinal.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -100,6 +101,14 @@ def _add_rank_terms(rank, tails, parts):
     return rank
 
 
+def check_integer(name, value):
+    """`value` as a Python int; any integer type but bool, else a ValueError."""
+    try:
+        return operator.index(None if isinstance(value, (bool, np.bool_)) else value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_cap(what, size, cap):
     if cap is not None and size > cap:
         raise EnumerationCapError(what, size, cap)
@@ -151,7 +160,7 @@ def empirical_counts(population, cardinality, cap=DEFAULT_ENUMERATION_CAP):
     """The count vectors of every empirical measure of `population` agents
     over `cardinality` states, as the rows of composition_array; an empty
     population or more measures than the cap are refused."""
-    if population < 1:
+    if check_integer("population", population) < 1:
         raise ValueError("population must be >= 1")
     _check_cap("empirical measure enumeration", num_compositions(population, cardinality), cap)
     return composition_array(population, cardinality)
@@ -197,6 +206,7 @@ class SimplexGrid:
     """Uniform grid on the probability simplex with mesh 1/mesh."""
 
     def __init__(self, mesh, cardinality, cap=DEFAULT_ENUMERATION_CAP):
+        mesh = check_integer("mesh", mesh)
         if mesh < 1:
             raise ValueError("mesh must be >= 1")
         size = num_compositions(mesh, cardinality)
@@ -347,6 +357,7 @@ class GriddedPolicySet:
     """
 
     def __init__(self, mesh, num_states, num_actions, cap=DEFAULT_ENUMERATION_CAP):
+        mesh = check_integer("mesh", mesh)
         if mesh < 1:
             raise ValueError("mesh must be >= 1")
         rows = num_compositions(mesh, num_actions)

@@ -20,12 +20,13 @@ from .measures import (
     DEFAULT_ENUMERATION_CAP,
     EmpiricalStateMeasure,
     _check_cap,
+    check_integer,
     num_compositions,
     policy_grid,
     simplex_grid,
 )
 from .model import MARGINAL_TOL, MarginalMismatchError
-from .solver import SuccessorMDP, check_kernel_rows, check_steps, per_stage
+from .solver import SuccessorMDP, check_steps, stages
 
 
 def mean_field_flow(model, mu, theta):
@@ -91,6 +92,7 @@ def build_mkv_mdp(model, mesh, policy_mesh, cap=DEFAULT_ENUMERATION_CAP):
     most `cap` floats each (one point's more, if it alone exceeds `cap`).
     """
     X, U = model.num_states, model.num_actions
+    mesh, policy_mesh = check_integer("mesh", mesh), check_integer("policy_mesh", policy_mesh)
     if min(mesh, policy_mesh) < 1:
         raise ValueError("mesh must be >= 1")
     _check_cap("limit MDP push-forward",
@@ -124,35 +126,35 @@ def flow_trajectory(model, mu0, pi, steps):
     """Exact limit flow mu_0..mu_steps under shared kernels.
 
     `pi` is a PolicyKernel, one kernel per step or a kernel-choosing
-    Solution, mapped to steps by per_stage; the kernel lookup at the grid
+    Solution, mapped to steps by `stages`; the kernel lookup at the grid
     point nearest mu is the only quantized element, the flow itself is not
     projected.  Each step's measure is clipped at zero and
     renormalized: rows carrying mass affine in sum(mu) would otherwise
     amplify a roundoff mass excess geometrically over long horizons.
 
-    From the first stage s from which every remaining kernel is the same
-    object, each step is one pure function of the row before it, so once
-    row b equals an earlier row a bit for bit, the flow from a on has
-    period b - a and the remaining rows are copied from rows a..b-1: byte
-    for byte what the full iteration computes, NaN payloads and signed
-    zeros included.  Each new row from s on is compared with one
-    checkpoint row, moved to the current step whenever the steps since s
-    reach a power of two (Brent's cycle test): one row of extra memory,
-    and a flow whose first row to repeat one from s on is row r stops
-    computing by row s + 3 (r - s).
+    From the first stage s from which every remaining stage has one block,
+    that is one kernel object, each step is one pure function of the row
+    before it, so once row b equals an earlier row a bit for bit, the flow
+    from a on has period b - a and the remaining rows are copied from rows
+    a..b-1: byte for byte what the full iteration computes, NaN payloads
+    and signed zeros included.  Equal tables held in distinct objects are
+    distinct blocks, so they are stepped one by one.  Each new row from s
+    on is compared with one checkpoint row, moved to the current step
+    whenever the steps since s reach a power of two (Brent's cycle test):
+    one row of extra memory, and a flow whose first row to repeat one from
+    s on is row r stops computing by row s + 3 (r - s).
     """
     steps = check_steps(steps)
-    kernels = per_stage(pi, steps)
-    check_kernel_rows(model, kernels)
-    start = _tail_start(kernels)
+    kernels, block = stages(model, pi, steps)
+    start = max((t + 1 for t, b in enumerate(block) if b != block[-1]), default=0)
     mu = np.asarray(mu0, dtype=float)
     out = np.empty((steps + 1, mu.size))
     out[0] = mu
-    for t in range(steps):
+    for t, b in enumerate(block):
         if t == start:
             mark, seen = t, out[t].tobytes()
         mu = out[t]
-        nxt = np.clip(_push_forward(model, mu, mu[:, None] * kernels[t].rows_for(mu)), 0.0, None)
+        nxt = np.clip(_push_forward(model, mu, mu[:, None] * kernels[b].rows_for(mu)), 0.0, None)
         out[t + 1] = nxt / nxt.sum()
         if t >= start:
             row = out[t + 1].tobytes()
@@ -163,12 +165,3 @@ def flow_trajectory(model, mu0, pi, steps):
             if not (t + 1 - start) & (t - start):  # t + 1 - start is a power of two
                 mark, seen = t + 1, row
     return out
-
-
-def _tail_start(kernels):
-    """The first stage from which every kernel is the last stage's object."""
-    last = kernels[-1] if kernels else None
-    for i, kernel in enumerate(reversed(kernels)):
-        if kernel is not last:
-            return len(kernels) - i
-    return 0

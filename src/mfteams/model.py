@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import json
 import numbers
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .measures import simplex_grid
+from .measures import check_integer, simplex_grid
 
 SIMPLEX_TOL = 1e-12
 MARGINAL_TOL = 1e-10
@@ -74,14 +73,6 @@ def as_simplex(vec, tol=SIMPLEX_TOL, what="distribution"):
 def is_real(value):
     """Whether `value` is a real number of any type but bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def check_integer(name, value):
-    """`value` as a Python int; any integer type but bool, else a ValueError."""
-    try:
-        return operator.index(None if isinstance(value, (bool, np.bool_)) else value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_beta(beta):
@@ -136,10 +127,10 @@ def _as_tensor(name, value, shape):
 def _as_size(name, value):
     """A model size as a Python int: any integer type but bool, at least 1."""
     try:
-        size = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
-    except TypeError:
-        size = None
-    if size is None or size < 1:
+        size = check_integer(name, value)
+    except ValueError:
+        size = 0
+    if size < 1:
         raise ModelValidationError(name, f"must be a positive integer, got {value!r}")
     return size
 

@@ -34,25 +34,25 @@ from .lifted import MeasureMDP, build_measure_mdp, evaluate_symmetric_policy_exa
 from .measures import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
+    check_integer,
     composition_array,
     num_compositions,
     rank_compositions,
     round_to_counts,
 )
 from .mkv import build_mkv_mdp, flow_trajectory
-from .model import DiscountedHorizon, check_integer, is_real
+from .model import DiscountedHorizon, is_real
 from .solver import (
     MAX_STEPS,
     PolicyKernel,
     Solution,
-    check_kernel_rows,
     check_steps,
     mixed_laws,
-    per_stage,
     policy_kernels,
     resolve_horizon,
     solve,
     stage_tables,
+    stages,
 )
 
 
@@ -163,14 +163,15 @@ def _lifted(policy):
     return isinstance(policy, Solution) and isinstance(policy.problem, MeasureMDP)
 
 
-def _cell_sampler(policy, steps):
-    """The _Groups of `policy` over `steps` stages.
+def _cell_sampler(model, policy, steps):
+    """The _Groups of `policy` over `steps` stages of `model`.
 
     A lifted Solution's cell counts are its chosen joint actions, looked up
     by rank; a finite one must hold exactly one table per stage, as
-    per_stage asks of kernel sequences and of the other solutions.  Shared
-    kernels are read at their grid's nearest point, each grid projected
-    once, and a state costs the expected stage cost of its agents.
+    `stages` asks of kernel sequences and of the other solutions.  Shared
+    kernels come from `stages`, whose block numbers are the groups' blocks;
+    each is read at its grid's nearest point, each grid projected once, and
+    a state costs the expected stage cost of its agents.
     """
     if _lifted(policy):
         mdp = policy.problem
@@ -185,9 +186,7 @@ def _cell_sampler(policy, steps):
         return _Groups(stage_tables(range(len(cells)), policy.stationary, steps),
                        mdp.model.num_actions, laws)
 
-    kernels, ids = per_stage(policy, steps), {}
-    block = [ids.setdefault(id(k), len(ids)) for k in kernels]
-    kernels = dict(zip(block, kernels))
+    kernels, block = stages(model, policy, steps)
 
     def laws(counts, mus, costs, tens, blocks):
         grids = {id(kernels[b].grid): kernels[b].grid for b in blocks}
@@ -272,15 +271,23 @@ def simulate_n_agents(model, config):
     shared kernels no action is drawn: each step adds the expected stage
     cost given the replication's state counts, so mean_cost is unbiased;
     a lifted policy's cost is its realized one, its joint action being
-    chosen, not drawn.
+    chosen, not drawn.  A lifted policy solved for another population or
+    another (states, actions) is refused with a ValueError.
     """
     policy = config.policy
     shared = not _lifted(policy)
+    if not shared:
+        mdp = policy.problem
+        solved = (mdp.population, mdp.model.num_states, mdp.model.num_actions)
+        asked = (config.population, model.num_states, model.num_actions)
+        if solved != asked:
+            raise ValueError(f"the lifted policy was solved for (agents, states, actions) "
+                             f"{solved}, not {asked}")
     beta, steps = resolve_horizon(model, config.horizon)
     trunc = 0.0
     if steps is None:
         if shared:
-            policy, = per_stage(policy, None)
+            (policy,), _ = stages(model, policy, None)
         tail = model.max_stage_cost() / (1.0 - beta)
         steps = 1
         while tail * beta**steps > config.truncation_error:
@@ -292,10 +299,7 @@ def simulate_n_agents(model, config):
             steps += 1
         trunc = tail * beta**steps
     check_steps(steps)
-    if shared:
-        policy = per_stage(policy, steps)
-        check_kernel_rows(model, policy)
-    sampler = _cell_sampler(policy, steps)
+    sampler = _cell_sampler(model, policy, steps)
     rng = _stream(config.seed)
     start = np.full(config.replications, config.population)
     costs, traj = _rollout(model, sampler, _multinomial(rng, start, model.initial_dist),
@@ -340,10 +344,8 @@ def chaos_gap(model, populations, pi, steps, replications, seed):
     """
     _check_sizes(populations, replications, seed)
     steps = check_steps(steps)
-    kernels = per_stage(pi, steps)
-    check_kernel_rows(model, kernels)
-    sampler = _cell_sampler(kernels, steps)
-    flow = flow_trajectory(model, model.initial_dist, kernels, steps)
+    flow = flow_trajectory(model, model.initial_dist, pi, steps)
+    sampler = _cell_sampler(model, pi, steps)
     rows = []
     for population in populations:
         rng = _stream(seed, population)
@@ -421,7 +423,7 @@ def verify_markov_mf(model, population, pi, t_max=2):
     kernels = [pi] * N if isinstance(pi, PolicyKernel) else list(pi)
     if len(kernels) != N:
         raise ValueError(f"need one kernel per agent, got {len(kernels)}")
-    check_kernel_rows(model, kernels)
+    stages(model, kernels, N)  # refuses kernels of another shape
 
     states = np.array(list(product(range(X), repeat=N)))  # (S, N) state profiles
     actions = np.array(list(product(range(U), repeat=N)))  # (A, N) action profiles

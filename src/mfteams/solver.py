@@ -27,10 +27,13 @@ are within epsilon/2 of the optimum; otherwise they are also off by the
 slack, at most slack/(1-beta), and by the rounding of the policy solve,
 which can exceed epsilon/2 near beta = 1 (ROADMAP.md, item 1).
 
-One stage rule (`per_stage`) maps a policy to the kernel of each stage for
-every evaluation, rollout and flow: a bare PolicyKernel serves every stage,
-a sequence gives exactly one kernel per stage (exactly one for a discounted
-horizon), and a kernel-choosing Solution gives its `policy_kernels`.
+One stage rule (`stages`) maps a policy to stages for every evaluation,
+rollout and flow: a bare PolicyKernel serves every stage, a sequence gives
+exactly one kernel per stage (exactly one for a discounted horizon), and a
+kernel-choosing Solution gives its `policy_kernels`.  It returns the
+distinct kernels, each checked once against the model's (states, actions),
+and the index of each stage's kernel among them, so no caller dedupes
+kernels or checks their shape itself.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measures import DEFAULT_ENUMERATION_CAP, SimplexGrid, _check_cap
-from .model import SIMPLEX_TOL, DiscountedHorizon, FiniteHorizon, as_simplex, check_integer
+from .measures import DEFAULT_ENUMERATION_CAP, SimplexGrid, _check_cap, check_integer
+from .model import SIMPLEX_TOL, DiscountedHorizon, FiniteHorizon, as_simplex
 
 _MAX_ROUNDS = 1_000_000  # policy evaluations of one discounted solve
 MAX_STEPS = 100_000  # longest rollout or flow, in steps
@@ -296,7 +299,7 @@ class PolicyKernel:
 
 def policy_kernels(sol):
     """The kernels a RestrictedMDP or MkvMDP solution chooses, in the
-    convention of per_stage: one PolicyKernel when stationary, one kernel
+    convention of `stages`: one PolicyKernel when stationary, one kernel
     per stage otherwise, the same object for stages with equal choices.  A
     lifted solution's problem has no policy set and is refused."""
     problem = sol.problem
@@ -330,34 +333,36 @@ def check_steps(steps):
     return steps
 
 
-def per_stage(pi, steps):
-    """The kernel of each of `steps` stages; steps=None, for a discounted
-    horizon, gives the one kernel in a list.
+def stages(model, pi, steps):
+    """(kernels, block) of `pi` over `steps` stages: the distinct kernels,
+    by identity in the order of first use, and block[t], the index of stage
+    t's kernel among them; steps=None, for a discounted horizon, gives one
+    stage.
 
     A bare PolicyKernel serves every stage.  A sequence must give exactly
     one kernel per stage, and exactly one kernel for a discounted horizon.
-    A kernel-choosing Solution gives its policy_kernels.
+    A kernel-choosing Solution gives its policy_kernels.  Each distinct
+    kernel is refused unless its action rows at a grid point are
+    (model.num_states, model.num_actions).
     """
     what = "kernels"
     if isinstance(pi, Solution):
         pi, what = policy_kernels(pi), "policy tables"
-    if isinstance(pi, PolicyKernel):
-        return [pi] * (1 if steps is None else steps)
-    kernels = list(pi) if isinstance(pi, (list, tuple)) else [pi]
-    bad = next((k for k in kernels if not isinstance(k, PolicyKernel)), None)
-    if bad is not None:
-        raise TypeError(f"expected shared kernels, got a {type(bad).__name__}")
-    return stage_tables(kernels, False, steps, what)
-
-
-def check_kernel_rows(model, kernels):
-    """Refuse shared kernels whose action rows at a grid point are not
-    (model.num_states, model.num_actions), each distinct kernel once."""
+    stationary = isinstance(pi, PolicyKernel)
+    given = [pi] if stationary or not isinstance(pi, (list, tuple)) else list(pi)
+    bad = [type(k).__name__ for k in given if not isinstance(k, PolicyKernel)]
+    if bad:
+        raise TypeError(f"expected shared kernels, got a {bad[0]}")
+    per = stage_tables(given, stationary, steps, what)
+    kernels = list({id(k): k for k in per}.values())  # distinct, in the order of first use
+    index = {id(k): b for b, k in enumerate(kernels)}
+    block = [index[id(k)] for k in per]
     want = (model.num_states, model.num_actions)
-    for kernel in {id(k): k for k in kernels}.values():
+    for kernel in kernels:
         if kernel.table.shape[1:] != want:
             raise ValueError(f"kernel rows of shape {kernel.table.shape[1:]} do not match the "
                              f"model's (states, actions) {want}")
+    return kernels, block
 
 
 def stage_tables(tables, stationary, steps, what="policy tables"):
@@ -368,8 +373,8 @@ def stage_tables(tables, stationary, steps, what="policy tables"):
     if stationary:
         return [tables[0]] * n
     if len(tables) != n:
-        stages = "a discounted horizon" if steps is None else f"{steps} stages"
-        raise ValueError(f"got {len(tables)} {what} for {stages}")
+        span = "a discounted horizon" if steps is None else f"{steps} stages"
+        raise ValueError(f"got {len(tables)} {what} for {span}")
     return list(tables)
 
 

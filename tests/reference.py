@@ -7,6 +7,11 @@ list per total, one rank table per convolve, one multinomial call per agent
 count.  `lifted_operator` is the body of `MeasureMDP.operator` at the time.
 `tests/test_reference.py` checks that the package builds the same floats,
 bit for bit.
+
+Also the stage rule as it was before `solver.stages` returned each policy's
+distinct kernels: `per_stage`, `check_kernel_rows` and the flow's
+`_tail_start`, verbatim, which `tests/test_reference.py` checks `stages`
+against object for object.
 """
 
 from __future__ import annotations
@@ -23,7 +28,14 @@ from mfteams.measures import (
     composition_array,
     num_compositions,
 )
-from mfteams.solver import DenseMDP, mixed_laws
+from mfteams.solver import (
+    DenseMDP,
+    PolicyKernel,
+    Solution,
+    mixed_laws,
+    policy_kernels,
+    stage_tables,
+)
 
 
 def _multinomial_coefficients(n, parts):
@@ -260,3 +272,45 @@ def lifted_operator(mdp):
                                 factors):
         cost[a:b], rows[a:b] = _lifted_rows(conv, c, self.joint_actions[a:b], cmat, f)
     return DenseMDP(cost, self.act_off, rows)
+
+
+# ---- the stage rule ----
+
+
+def per_stage(pi, steps):
+    """The kernel of each of `steps` stages; steps=None, for a discounted
+    horizon, gives the one kernel in a list.
+
+    A bare PolicyKernel serves every stage.  A sequence must give exactly
+    one kernel per stage, and exactly one kernel for a discounted horizon.
+    A kernel-choosing Solution gives its policy_kernels.
+    """
+    what = "kernels"
+    if isinstance(pi, Solution):
+        pi, what = policy_kernels(pi), "policy tables"
+    if isinstance(pi, PolicyKernel):
+        return [pi] * (1 if steps is None else steps)
+    kernels = list(pi) if isinstance(pi, (list, tuple)) else [pi]
+    bad = next((k for k in kernels if not isinstance(k, PolicyKernel)), None)
+    if bad is not None:
+        raise TypeError(f"expected shared kernels, got a {type(bad).__name__}")
+    return stage_tables(kernels, False, steps, what)
+
+
+def check_kernel_rows(model, kernels):
+    """Refuse shared kernels whose action rows at a grid point are not
+    (model.num_states, model.num_actions), each distinct kernel once."""
+    want = (model.num_states, model.num_actions)
+    for kernel in {id(k): k for k in kernels}.values():
+        if kernel.table.shape[1:] != want:
+            raise ValueError(f"kernel rows of shape {kernel.table.shape[1:]} do not match the "
+                             f"model's (states, actions) {want}")
+
+
+def _tail_start(kernels):
+    """The first stage from which every kernel is the last stage's object."""
+    last = kernels[-1] if kernels else None
+    for i, kernel in enumerate(reversed(kernels)):
+        if kernel is not last:
+            return len(kernels) - i
+    return 0

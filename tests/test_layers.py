@@ -1,5 +1,6 @@
 """The import layering of the package: the limit view does not depend on
-the N-agent module, and no module imports the solver's private names."""
+the N-agent module, no module imports the solver's private names, and
+`solver.stages` is the one stage rule."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,21 @@ def test_mkv_skips_lifted_and_no_module_imports_a_private_solver_name():
                if module == "solver" and name and name.startswith("_")]
     assert private == []
     assert "solver" in {m for m, _ in _imports(PACKAGE / "mkv.py")}
+
+
+def test_no_module_defines_or_imports_a_second_stage_rule():
+    # solver.stages maps every policy to stages and checks its kernels' shape
+    retired = {"per_stage", "check_kernel_rows"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [n for a in node.names for n in (a.name.rpartition(".")[2], a.asname)]
+            else:
+                continue
+            found += [(path.name, name) for name in names if name in retired]
+    assert found == []

@@ -1,15 +1,20 @@
 """The lifted, restricted and exact-evaluation builds against the reference
-builds in `reference.py`, float for float."""
+builds in `reference.py`, float for float, and the stage rule against the
+reference stage rule, object for object."""
+
+import functools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from mfteams import lifted
-from mfteams.lifted import _kernel_stage_data, build_measure_mdp
-from mfteams.measures import composition_array
+from mfteams import DiscountedHorizon, FiniteHorizon, PolicyKernel, lifted, solver
+from mfteams.lifted import _kernel_stage_data, build_measure_mdp, solve_symmetric_restricted
+from mfteams.measures import composition_array, policy_grid, simplex_grid
+from mfteams.mkv import build_mkv_mdp
+from mfteams.models import load_bundled
 
 from conftest import make_random_model
 from test_lifted import _model_with_zeros, _rows_with_zeros
@@ -58,3 +63,92 @@ def test_multinomials_beyond_the_float_range_match_the_reference(laws, totals):
                            for law, n in zip(rows, np.tile(totals, len(laws)).tolist())])
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
+
+
+# ---- the stage rule ----
+
+
+@functools.cache
+def _stage_rule_inputs():
+    """Per model, (2, 2) and (2, 3), the model and the kernels of its
+    shape, the last an equal table in a distinct object; and the
+    Solutions of the (2, 2) model, kernel-choosing ones stationary and
+    staged, and a lifted one, which chooses no kernels."""
+    model = load_bundled("weakly_coupled")
+    rng, grid = np.random.default_rng(4), simplex_grid(2, 2)
+    inputs = []
+    for m in (model, make_random_model(np.random.default_rng(3), 2, 3)):
+        a, b = (PolicyKernel(grid, rng.dirichlet(np.ones(m.num_actions), size=(len(grid), 2)))
+                for _ in "ab")
+        inputs.append((m, [a, b, PolicyKernel(a.grid, a.table)]))
+    mkv = build_mkv_mdp(model, 4, 2)
+    solutions = [solver.solve(mkv, DiscountedHorizon(beta=0.9))]
+    solutions += [solver.solve(mkv, FiniteHorizon(n)) for n in (1, 3, 5)]
+    solutions.append(solve_symmetric_restricted(model, 3, FiniteHorizon(4), policy_grid(1, 2, 2)))
+    solutions.append(solver.solve(build_measure_mdp(model, 2), FiniteHorizon(2)))
+    return inputs, solutions
+
+
+def _outcome(call):
+    """(result, None), or (None, (type, message)) of a TypeError or ValueError."""
+    try:
+        return call(), None
+    except (TypeError, ValueError) as err:
+        return None, (type(err), str(err))
+
+
+def _reference_stages(model, pi, steps):
+    kernels = reference.per_stage(pi, steps)
+    reference.check_kernel_rows(model, kernels)
+    return kernels
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["bare", "list", "tuple", "solution"]),
+       discounted=st.booleans(), wide=st.booleans(), fits=st.integers(0, 3))
+def test_stages_match_the_reference_stage_rule(data, kind, discounted, wide, fits):
+    # fits > 0 mostly gives as many stages as the policy has, all of the model's shape
+    inputs, solutions = _stage_rule_inputs()
+    (model, kernels), (_, other) = inputs[wide], inputs[not wide]
+    pool = kernels if fits else kernels + other[:1]
+    if kind == "solution":
+        pi = data.draw(st.sampled_from(solutions), label="solution")
+        size = len(pi.choices)
+    else:
+        size = data.draw(st.integers(0, 6), label="size")
+    if discounted:
+        steps = None
+    elif kind == "solution" and not pi.stationary:
+        steps = size if fits else data.draw(st.integers(0, 6), label="steps")
+    else:
+        steps = data.draw(st.integers(0, 6), label="steps")
+    if kind == "bare":
+        pi = data.draw(st.sampled_from(pool), label="kernel")
+    elif kind != "solution":  # repeated objects, equal tables in distinct objects
+        size = (1 if steps is None else steps) if fits else size
+        pi = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size),
+                       label="kernels")
+        if pi and not fits and data.draw(st.booleans(), label="non-kernel"):
+            pi[data.draw(st.integers(0, len(pi) - 1))] = data.draw(
+                st.sampled_from(["x", None, np.ones(2)]))
+        pi = tuple(pi) if kind == "tuple" else pi
+    got, got_error = _outcome(lambda: solver.stages(model, pi, steps))
+    if kind in ("list", "tuple") and any(k is None for k in pi):  # the reference let None by
+        assert got_error == (TypeError, "expected shared kernels, got a NoneType")
+        return
+    want, want_error = _outcome(lambda: _reference_stages(model, pi, steps))
+    assert got_error == want_error
+    event("refused" if want is None else f"{len(got[0])} distinct kernels")
+    if want is None:
+        return
+    distinct, block = got
+    first = {}  # the reference's stages numbered by kernel object, in the order of first use
+    assert block == [first.setdefault(id(k), len(first)) for k in want]
+    assert len(distinct) == len(first)
+    if isinstance(pi, solver.Solution):  # policy_kernels makes new objects at each call
+        assert all(distinct[b].grid is k.grid and np.array_equal(distinct[b].table, k.table)
+                   for b, k in zip(block, want))
+    else:
+        assert all(distinct[b] is k for b, k in zip(block, want))
+    tail = min(t for t in range(len(block) + 1) if len(set(block[t:])) <= 1)
+    assert tail == reference._tail_start(want)

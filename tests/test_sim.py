@@ -192,7 +192,7 @@ def test_one_step_count_law_matches_exact(seed, num_states, num_actions, populat
     starts = [mdp.states[i].counts for i in rng.integers(len(mdp.states), size=2)]
     start = np.array(starts * 1000)
     for policy, law in ((shared, shared_law), (lifted, lifted_law)):
-        _, traj = _rollout(model, _cell_sampler(policy, 1), start, 1, 1.0, rng)
+        _, traj = _rollout(model, _cell_sampler(model, policy, 1), start, 1, 1.0, rng)
         for k, counts in enumerate(starts):
             _check_frequencies(traj[k::2, 1], law(counts))
 
@@ -224,8 +224,8 @@ def test_shared_count_law_after_several_steps_matches_exact(seed, num_states, nu
     for k in kernels:
         counts, data = _exact_stage_data(model, population, k)
         law = law @ data.rows
-    _, traj = _rollout(model, _cell_sampler(kernels, steps), np.tile(counts[start], (2000, 1)),
-                       steps, 1.0, rng)
+    _, traj = _rollout(model, _cell_sampler(model, kernels, steps),
+                       np.tile(counts[start], (2000, 1)), steps, 1.0, rng)
     _check_frequencies(traj[:, steps], dict(zip(map(tuple, counts.tolist()), law)))
 
 
@@ -237,7 +237,7 @@ def test_shared_rollout_cost_is_the_expected_stage_cost(replications):
     kernel = PolicyKernel(grid, rng.dirichlet(np.ones(3), size=(len(grid), 3)))
     counts, data = _exact_stage_data(model, 5, kernel)
     start = np.array([2, 1, 2])
-    cost, _ = _rollout(model, _cell_sampler(kernel, 1), np.tile(start, (replications, 1)), 1,
+    cost, _ = _rollout(model, _cell_sampler(model, kernel, 1), np.tile(start, (replications, 1)), 1,
                        1.0, rng)
     exact = data.cost[rank_compositions(start)]
     assert (cost == cost[0]).all()
@@ -247,7 +247,7 @@ def test_shared_rollout_cost_is_the_expected_stage_cost(replications):
 def test_lifted_cell_counts_equal_theta(weakly_coupled):
     mdp = build_measure_mdp(weakly_coupled, 3)
     sol = solve(mdp, FiniteHorizon(2))
-    groups = _cell_sampler(sol, 2)
+    groups = _cell_sampler(weakly_coupled, sol, 2)
     order = [1, 0, 3, 2, 1, 0]  # repeated and out of enumeration order
     counts = np.array([mdp.states[i].counts for i in order])
     for t in range(2):
@@ -311,7 +311,8 @@ def _reference_mixed_rollout(model, policy, counts, steps, beta, rng):
     traj = [counts]
     cost = np.zeros(len(counts))
     disc = 1.0
-    for k in solver.per_stage(policy, steps):
+    kernels, block = solver.stages(model, policy, steps)
+    for k in (kernels[b] for b in block):
         mus = counts / population
         rows = k.table[k.grid.project_many(mus)]
         expected = (rows * model.cost_matrix_at(mus)).sum(axis=2)
@@ -368,7 +369,7 @@ def test_rollout_matches_the_per_step_loop(seed, num_states, num_actions, popula
     event("measures tabulated" if tabulated else "laws evaluated per step")  # both occur
     start = _multinomial(rng, np.full(replications, population), model.initial_dist)
     new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    cost, traj = _rollout(model, _cell_sampler(policy, steps), start, steps, beta, new_rng)
+    cost, traj = _rollout(model, _cell_sampler(model, policy, steps), start, steps, beta, new_rng)
     if kind == "lifted":
         ref_cost, ref_traj = _reference_rollout(model, _reference_sampler(policy, steps), start,
                                                 steps, beta, old_rng)
@@ -543,8 +544,8 @@ def test_stage_kernel_list_rollout(counterexample):
 def test_rollouts_and_flows_refuse_steps_beyond_the_limit(counterexample, monkeypatch):
     # refused before a per-stage list of 10**14 kernels is made
     stages = []
-    monkeypatch.setattr("mfteams.sim.per_stage", lambda *args: stages.append(args))
-    monkeypatch.setattr("mfteams.mkv.per_stage", lambda *args: stages.append(args))
+    monkeypatch.setattr("mfteams.sim.stages", lambda *args: stages.append(args))
+    monkeypatch.setattr("mfteams.mkv.stages", lambda *args: stages.append(args))
     k, limit = uniform_kernel(), "above the rollout and flow limit of 100000"
     with pytest.raises(ValueError, match=limit):
         simulate_n_agents(counterexample, SimConfig(population=2, horizon=FiniteHorizon(10**14),
@@ -806,6 +807,42 @@ def test_kernels_of_the_wrong_shape_are_refused(weakly_coupled, monkeypatch, ent
     with pytest.raises(ValueError, match=message):
         KERNEL_ENTRY_POINTS[entry](weakly_coupled,
                                    PolicyKernel(grid, np.full((len(grid), *rows), 1 / rows[1])))
+
+
+BUILDER_SIZES = {
+    "simplex_grid mesh": ("mesh", lambda model, n: simplex_grid(n, 2)),
+    "policy_grid mesh": ("mesh", lambda model, n: policy_grid(n, 2, 2)),
+    "build_measure_mdp population": ("population", lambda model, n: build_measure_mdp(model, n)),
+    "build_mkv_mdp mesh": ("mesh", lambda model, n: build_mkv_mdp(model, n, 2)),
+    "build_mkv_mdp policy_mesh": ("policy_mesh", lambda model, n: build_mkv_mdp(model, 2, n)),
+    "solve_symmetric_restricted population": ("population", lambda model, n: (
+        solve_symmetric_restricted(model, n, FiniteHorizon(2), policy_grid(1, 2, 2)))),
+    "evaluate_symmetric_policy_exact population": ("population", lambda model, n: (
+        evaluate_symmetric_policy_exact(model, n, uniform_kernel(), FiniteHorizon(2)))),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, 2.5, 2.0])
+@pytest.mark.parametrize("case", BUILDER_SIZES)
+def test_builders_refuse_a_bool_or_non_integer_size(weakly_coupled, case, value):
+    # a bool was taken as 1 and a float ended in a bare TypeError
+    name, call = BUILDER_SIZES[case]
+    message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(weakly_coupled, value)
+
+
+@pytest.mark.parametrize("population, X", [(5, 2), (1, 2), (2, 2), (4, 2), (7, 2), (6, 3)])
+def test_lifted_policies_of_another_size_are_refused(weakly_coupled, monkeypatch, population, X):
+    # at 5 agents the N=6 cells ran, with measures of mass 1.2; the rest ended in IndexError
+    monkeypatch.setattr("mfteams.sim._rollout", lambda *args: pytest.fail("rolled out"))
+    sol6 = solve(build_measure_mdp(weakly_coupled, 6), FiniteHorizon(3))
+    model = weakly_coupled if X == 2 else make_random_model(np.random.default_rng(0), X, 2)
+    config = SimConfig(population=population, horizon=FiniteHorizon(3), policy=sol6,
+                       replications=10, seed=1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"solved for (agents, states, actions) (6, 2, 2), not ({population}, {X}, 2)")):
+        simulate_n_agents(model, config)
 
 
 def test_integer_sizes_of_any_integer_type_are_accepted():
