@@ -109,6 +109,14 @@ def check_integer(name, value):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def check_positive(name, value):
+    """`value` as a Python int; a ValueError naming it unless an integer (check_integer) >= 1."""
+    value = check_integer(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return value
+
+
 def _check_cap(what, size, cap):
     if cap is not None and size > cap:
         raise EnumerationCapError(what, size, cap)
@@ -160,8 +168,7 @@ def empirical_counts(population, cardinality, cap=DEFAULT_ENUMERATION_CAP):
     """The count vectors of every empirical measure of `population` agents
     over `cardinality` states, as the rows of composition_array; an empty
     population or more measures than the cap are refused."""
-    if check_integer("population", population) < 1:
-        raise ValueError("population must be >= 1")
+    check_positive("population", population)
     _check_cap("empirical measure enumeration", num_compositions(population, cardinality), cap)
     return composition_array(population, cardinality)
 
@@ -206,9 +213,7 @@ class SimplexGrid:
     """Uniform grid on the probability simplex with mesh 1/mesh."""
 
     def __init__(self, mesh, cardinality, cap=DEFAULT_ENUMERATION_CAP):
-        mesh = check_integer("mesh", mesh)
-        if mesh < 1:
-            raise ValueError("mesh must be >= 1")
+        mesh, cardinality = check_positive("mesh", mesh), check_positive("cardinality", cardinality)
         size = num_compositions(mesh, cardinality)
         _check_cap("simplex grid", size, cap)
         self.mesh = mesh
@@ -357,9 +362,9 @@ class GriddedPolicySet:
     """
 
     def __init__(self, mesh, num_states, num_actions, cap=DEFAULT_ENUMERATION_CAP):
-        mesh = check_integer("mesh", mesh)
-        if mesh < 1:
-            raise ValueError("mesh must be >= 1")
+        mesh = check_positive("mesh", mesh)
+        num_states = check_positive("num_states", num_states)
+        num_actions = check_positive("num_actions", num_actions)
         rows = num_compositions(mesh, num_actions)
         size = rows**num_states
         _check_cap("policy kernel grid", size, cap)

@@ -17,8 +17,13 @@ cost and the next-state conditionals as contiguous columns) depends on
 the measure alone.  When a population's measures number at most
 replications times steps, and their laws fit under DEFAULT_ENUMERATION_CAP
 entries, a rollout computes them once per measure and a step gathers its
-rows by rank; otherwise each step computes them.  A step then makes X - 1
-binomial calls and a few other numpy calls, about 35-65 us on 2 cores.
+rows by rank; otherwise each step computes them.  One rollout advances
+several populations in lockstep, each on its own RNG stream: those that
+do not tabulate share one evaluation per step over their stacked
+measures.  `chaos_gap` runs all its populations in one such rollout and
+evaluates no stage cost, since it reports none.  A step then makes X - 1
+binomial calls per population and a few other numpy calls, about 35-65 us
+on 2 cores.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .measures import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     check_integer,
+    check_positive,
     composition_array,
     num_compositions,
     rank_compositions,
@@ -66,12 +72,9 @@ def _check_sizes(populations, replications=1, seed=0):
     int64 range, a replication count that is not an integer or below 1, or
     a seed outside [0, 2**63), before anything is enumerated or drawn."""
     for population in populations:
-        if check_integer("population", population) < 1:
-            raise ValueError("population must be >= 1")
-        if population > np.iinfo(np.int64).max:
+        if check_positive("population", population) > np.iinfo(np.int64).max:
             raise ValueError(f"population {population} exceeds the int64 range")
-    if check_integer("replications", replications) < 1:
-        raise ValueError("replications must be >= 1")
+    check_positive("replications", replications)
     if not 0 <= check_integer("seed", seed) < 2**63:
         raise ValueError(f"seed must be in [0, 2**63), got {seed}")
 
@@ -149,8 +152,8 @@ class _Groups(NamedTuple):
     (state, action) cells, or the X states under shared kernels, moving by kappa(mu)(x, .)
     T(.|x, ., mu).  block[t] numbers stage t's distinct table; a state holds per_state groups.
     laws(counts, mus, costs, tens, blocks) gives, from (S, X) counts, their measures and the
-    model there, each block's group counts (S, G), per-agent group costs (S, G) and the
-    _columns (X - 1, S, G) of the groups' next-state laws."""
+    model there, each block's group counts (S, G), per-agent group costs (S, G), or None
+    where costs is None, and the _columns (X - 1, S, G) of the groups' next-state laws."""
 
     block: list
     per_state: int
@@ -167,11 +170,14 @@ def _cell_sampler(model, policy, steps):
     """The _Groups of `policy` over `steps` stages of `model`.
 
     A lifted Solution's cell counts are its chosen joint actions, looked up
-    by rank; a finite one must hold exactly one table per stage, as
-    `stages` asks of kernel sequences and of the other solutions.  Shared
-    kernels come from `stages`, whose block numbers are the groups' blocks;
-    each is read at its grid's nearest point, each grid projected once, and
-    a state costs the expected stage cost of its agents.
+    by rank, so its laws take the counts of one population; a finite one
+    must hold exactly one table per stage, as `stages` asks of kernel
+    sequences and of the other solutions.  Shared kernels come from
+    `stages`, whose block numbers are the groups' blocks; the listed
+    blocks' kernels are read at their grids' nearest points, each grid
+    projected once, and their mixed laws and columns come from one stacked
+    mixed_laws and one _columns; a state costs the expected stage cost of
+    its agents.
     """
     if _lifted(policy):
         mdp = policy.problem
@@ -180,7 +186,8 @@ def _cell_sampler(model, policy, steps):
 
         def laws(counts, mus, costs, tens, blocks):
             rank, (S, X) = rank_compositions(counts), counts.shape
-            costs, cols = costs.reshape(S, -1), _columns(tens.reshape(S, -1, X))
+            costs = None if costs is None else costs.reshape(S, -1)
+            cols = _columns(tens.reshape(S, -1, X))
             return [(cells[b][rank], costs, cols) for b in blocks]
 
         return _Groups(stage_tables(range(len(cells)), policy.stationary, steps),
@@ -191,64 +198,95 @@ def _cell_sampler(model, policy, steps):
     def laws(counts, mus, costs, tens, blocks):
         grids = {id(kernels[b].grid): kernels[b].grid for b in blocks}
         at = {g: grid.project_many(mus) for g, grid in grids.items()}
-        rows = [kernels[b].table[at[id(kernels[b].grid)][:, None]] for b in blocks]
-        return [(counts, (r[:, 0] * costs).sum(-1), _columns(mixed_laws(r, tens)[:, :, 0]))
-                for r in rows]
+        rows = np.stack([kernels[b].table[at[id(kernels[b].grid)]] for b in blocks], axis=1)
+        cols = _columns(mixed_laws(rows, tens).transpose(2, 0, 1, 3))  # (X - 1, blocks, S, X)
+        return [(counts, None if costs is None else (rows[:, i] * costs).sum(-1), cols[:, i])
+                for i in range(len(blocks))]
 
     return _Groups(block, 1, laws)
 
 
-def _step_laws(model, groups, counts, population, blocks):
+def _step_laws(model, groups, counts, population, blocks, costs=True):
     """Each listed block's group counts (S, G), stage costs sum_g size * cost (S,)
-    and next-state _columns (X - 1, S, G) at the (S, X) counts, from one model evaluation."""
+    and next-state _columns (X - 1, S, G) at the (S, X) counts, from one model evaluation.
+    `population` divides the counts into measures: one int, or one per row as an (S, 1)
+    array.  With costs=False the model's costs are not evaluated and each stage cost is None."""
     mus = counts / population
-    return [(sizes, (sizes * cost).sum(axis=1), cols) for sizes, cost, cols in groups.laws(
-        counts, mus, model.cost_matrix_at(mus), model.kernel_tensor_at(mus), blocks)]
+    return [(sizes, None if cost is None else (sizes * cost).sum(axis=1), cols)
+            for sizes, cost, cols in groups.laws(
+                counts, mus, model.cost_matrix_at(mus) if costs else None,
+                model.kernel_tensor_at(mus), blocks)]
 
 
-def _rollout(model, groups, counts, steps, beta, rng):
-    """Advance populations with state counts `counts` (R, X) together.
+def _rollout(model, groups, starts, steps, beta, rngs):
+    """Advance populations with state counts starts[i] (R_i, X) together,
+    population i drawing from rngs[i].
 
     A step adds each replication's discounted population-average stage
     cost, E[stage cost | state counts] under shared kernels, and draws its
-    next state counts as one _binomial_chain over its groups, summed.  The
-    _step_laws of every measure, per distinct stage table, are computed
-    once and gathered by rank when the measures number at most R * steps
-    and their G * X + 1 entries each fit under DEFAULT_ENUMERATION_CAP, so
-    the table never costs more evaluations than the steps would; otherwise
-    each step computes its own stage's laws for its R measures.  On a
-    2-core VM a step takes about 35 us for a lifted N = 16 policy (R = 50,
-    G = 4) and 65 us for a shared kernel at N = 128 (R = 100, G = 2), most
-    of it in the X - 1 binomial calls on contiguous columns.
+    next state counts as one _binomial_chain over its groups, summed, from
+    its population's stream in the order a rollout of that population alone
+    would.  Per population, the _step_laws of every measure, per distinct
+    stage table, are computed once and gathered by rank when the measures
+    number at most R_i * steps and their G * X + 1 entries each fit under
+    DEFAULT_ENUMERATION_CAP, so the table never costs more evaluations than
+    the steps would.  The other populations are stacked: each step
+    computes its stage's laws once for all their replications' measures,
+    each row's counts divided by its own population.  With beta=None no
+    stage cost is evaluated or summed.  Every population's (R_i, steps + 1,
+    X) trajectory is held until the end.  On a 2-core VM a step takes
+    about 35 us for a lifted N = 16 policy (R = 50, G = 4) and 65 us for a
+    shared kernel at N = 128 (R = 100, G = 2), most of it in the X - 1
+    binomial calls on contiguous columns.
 
-    Returns (discounted population-average cost per replication, the
-    (R, steps + 1, X) state-count trajectories).
+    Returns, per population, (discounted population-average cost per
+    replication, or None for beta=None, the (R_i, steps + 1, X)
+    state-count trajectories).
     """
-    (reps, X), population = counts.shape, int(counts[0].sum())
-    measures = num_compositions(population, X)
-    blocks = range(len(set(groups.block)))
-    entries = measures * len(blocks) * (X * groups.per_state * X + 1)
-    if measures <= reps * steps and entries <= DEFAULT_ENUMERATION_CAP:
-        table = _step_laws(model, groups, composition_array(population, X), population, blocks)
+    X, blocks, costs = model.num_states, range(len(set(groups.block))), beta is not None
+    populations = [int(counts[0].sum()) for counts in starts]
+    trajs, tables, stacked = [], [], []
+    for i, (counts, population) in enumerate(zip(starts, populations)):
+        trajs.append(np.empty((len(counts), steps + 1, X), dtype=np.int64))
+        trajs[i][:, 0] = counts
+        measures = num_compositions(population, X)
+        entries = measures * len(blocks) * (X * groups.per_state * X + 1)
+        if measures <= len(counts) * steps and entries <= DEFAULT_ENUMERATION_CAP:
+            tables.append(_step_laws(model, groups, composition_array(population, X),
+                                     population, blocks, costs))
+        else:
+            tables.append(None)
+            stacked.append(i)
+    reps = [len(starts[i]) for i in stacked]
+    divisor = np.repeat([populations[i] for i in stacked], reps)[:, None]
+    bounds = np.cumsum([0] + reps).tolist()
 
-        def laws(t, counts):
-            rank = rank_compositions(counts)
-            sizes, stage, cols = table[groups.block[t]]
-            return sizes.take(rank, 0), stage[rank], cols.take(rank, 1)
-    else:
-        def laws(t, counts):
-            return _step_laws(model, groups, counts, population, [groups.block[t]])[0]
+    def pick(stage, at):
+        return None if stage is None else stage[at]
 
-    traj = np.empty((reps, steps + 1, X), dtype=np.int64)
-    traj[:, 0] = counts
-    cost, disc = np.zeros(reps), 1.0
+    cost, disc = [np.zeros(len(counts)) if costs else None for counts in starts], 1.0
     for t in range(steps):
-        sizes, stage, cols = laws(t, traj[:, t])
-        cost += disc * stage / population  # disc * (stage / population) is 1 ulp off
-        disc *= beta
-        for j, draw in enumerate(_binomial_chain(rng, sizes, cols)):
-            draw.sum(axis=1, out=traj[:, t + 1, j])
-    return cost, traj
+        block = groups.block[t]
+        if stacked:
+            (sizes, stage, cols), = _step_laws(
+                model, groups, np.concatenate([trajs[i][:, t] for i in stacked]),
+                divisor, [block], costs)
+            shared = {i: (sizes[lo:hi], pick(stage, slice(lo, hi)), cols[:, lo:hi])
+                      for i, lo, hi in zip(stacked, bounds, bounds[1:])}
+        for i, table in enumerate(tables):
+            if table is None:
+                sizes, stage, cols = shared[i]
+            else:
+                rank = rank_compositions(trajs[i][:, t])
+                sizes, stage, cols = table[block]
+                sizes, stage, cols = sizes.take(rank, 0), pick(stage, rank), cols.take(rank, 1)
+            if costs:
+                cost[i] += disc * stage / populations[i]  # disc * (stage / N) is 1 ulp off
+            for j, draw in enumerate(_binomial_chain(rngs[i], sizes, cols)):
+                draw.sum(axis=1, out=trajs[i][:, t + 1, j])
+        if costs:
+            disc *= beta
+    return list(zip(cost, trajs))
 
 
 def _std_error(samples):
@@ -302,8 +340,8 @@ def simulate_n_agents(model, config):
     sampler = _cell_sampler(model, policy, steps)
     rng = _stream(config.seed)
     start = np.full(config.replications, config.population)
-    costs, traj = _rollout(model, sampler, _multinomial(rng, start, model.initial_dist),
-                           steps, beta, rng)
+    (costs, traj), = _rollout(model, sampler, [_multinomial(rng, start, model.initial_dist)],
+                              steps, beta, [rng])
     trajs = traj / config.population
     chaos = None
     if shared:
@@ -339,18 +377,20 @@ def chaos_gap(model, populations, pi, steps, replications, seed):
     """Estimate E[max_t ||mu^N_t - mu_t||_1] against the limit flow, per
     population size.  Initial states are i.i.d. from the model's initial
     distribution; the reference flow starts at that distribution exactly.
-    Each population's replications advance together on the count chain,
-    drawn from one RNG stream keyed by (seed, population).
+    Every population's replications advance together in one rollout on the
+    count chain, each population drawing from one RNG stream keyed by
+    (seed, population), and no stage cost is evaluated.
     """
     _check_sizes(populations, replications, seed)
     steps = check_steps(steps)
     flow = flow_trajectory(model, model.initial_dist, pi, steps)
     sampler = _cell_sampler(model, pi, steps)
+    rngs = [_stream(seed, population) for population in populations]
+    starts = [_multinomial(rng, np.full(replications, population), model.initial_dist)
+              for rng, population in zip(rngs, populations)]
     rows = []
-    for population in populations:
-        rng = _stream(seed, population)
-        counts = _multinomial(rng, np.full(replications, population), model.initial_dist)
-        _, traj = _rollout(model, sampler, counts, steps, 1.0, rng)
+    for population, (_, traj) in zip(populations,
+                                      _rollout(model, sampler, starts, steps, None, rngs)):
         all_gaps = np.abs(traj / population - flow).sum(axis=2)
         max_gaps = all_gaps.max(axis=1)
         rows.append(ChaosGapRow(
@@ -406,8 +446,9 @@ def verify_markov_mf(model, population, pi, t_max=2):
     entry of a group of n rows is off by at most about log2(n) + 16 ulp of
     each of its two sums, plus |X|^N ulp from the next-profile sum, so the
     deviation stays below about 5e-15 at the cap, where one sequential sum
-    could lose 5e-10.  An agent-indexed kernel list (the intended negative
-    control) generally breaks it.  A check whose last step has more than
+    could lose 5e-10.  An agent-indexed kernel list or tuple (the intended
+    negative control) generally breaks it; any other `pi` than one kernel or
+    such a list, a Solution included, is refused with a TypeError.  A check whose last step has more than
     DEFAULT_ENUMERATION_CAP outcomes, (|X| |U|)^(N t_max) |X|^N, is refused
     with a ValueError before anything is enumerated.
     """
@@ -420,7 +461,12 @@ def verify_markov_mf(model, population, pi, t_max=2):
     if (X * U) ** min(N * t_max, bits) * X ** min(N, bits) > cap:  # exact, as 2**bits > cap
         raise ValueError(f"the Markov check of {N} agents over {t_max} steps needs "
                          f"{X * U}^{N * t_max} * {X}^{N} outcomes, above the cap of {cap}")
-    kernels = [pi] * N if isinstance(pi, PolicyKernel) else list(pi)
+    kernels = [pi] * N if isinstance(pi, PolicyKernel) else pi
+    odd = [k for k in (kernels if isinstance(kernels, (list, tuple)) else [kernels])
+           if not isinstance(k, PolicyKernel)]
+    if odd:
+        raise TypeError(f"the Markov check takes one PolicyKernel or a list or tuple of one "
+                        f"per agent, got a {type(odd[0]).__name__}")
     if len(kernels) != N:
         raise ValueError(f"need one kernel per agent, got {len(kernels)}")
     stages(model, kernels, N)  # refuses kernels of another shape

@@ -1188,6 +1188,12 @@ LIBRARY_REFUSALS = {
         ValueError, "table shape (2, 2, 2) does not cover the 3-point grid"),
     "empty simplex grid": (lambda m: simplex_grid(0, 2), ValueError, "mesh must be >= 1"),
     "empty policy grid": (lambda m: policy_grid(0, 2, 2), ValueError, "mesh must be >= 1"),
+    "simplex grid without states": (lambda m: simplex_grid(2, 0), ValueError,
+                                    "cardinality must be >= 1"),
+    "policy grid without states": (lambda m: policy_grid(2, 0, 2), ValueError,
+                                   "num_states must be >= 1"),
+    "policy grid without actions": (lambda m: policy_grid(2, 2, -1), ValueError,
+                                    "num_actions must be >= 1"),
     "composition array without parts": (lambda m: composition_array(3, 0),
                                         ValueError, "parts must be >= 1"),
     "compositions without parts": (lambda m: list(compositions(3, 0)),

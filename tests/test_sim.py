@@ -192,7 +192,7 @@ def test_one_step_count_law_matches_exact(seed, num_states, num_actions, populat
     starts = [mdp.states[i].counts for i in rng.integers(len(mdp.states), size=2)]
     start = np.array(starts * 1000)
     for policy, law in ((shared, shared_law), (lifted, lifted_law)):
-        _, traj = _rollout(model, _cell_sampler(model, policy, 1), start, 1, 1.0, rng)
+        (_, traj), = _rollout(model, _cell_sampler(model, policy, 1), [start], 1, 1.0, [rng])
         for k, counts in enumerate(starts):
             _check_frequencies(traj[k::2, 1], law(counts))
 
@@ -224,8 +224,8 @@ def test_shared_count_law_after_several_steps_matches_exact(seed, num_states, nu
     for k in kernels:
         counts, data = _exact_stage_data(model, population, k)
         law = law @ data.rows
-    _, traj = _rollout(model, _cell_sampler(model, kernels, steps),
-                       np.tile(counts[start], (2000, 1)), steps, 1.0, rng)
+    (_, traj), = _rollout(model, _cell_sampler(model, kernels, steps),
+                          [np.tile(counts[start], (2000, 1))], steps, 1.0, [rng])
     _check_frequencies(traj[:, steps], dict(zip(map(tuple, counts.tolist()), law)))
 
 
@@ -237,8 +237,8 @@ def test_shared_rollout_cost_is_the_expected_stage_cost(replications):
     kernel = PolicyKernel(grid, rng.dirichlet(np.ones(3), size=(len(grid), 3)))
     counts, data = _exact_stage_data(model, 5, kernel)
     start = np.array([2, 1, 2])
-    cost, _ = _rollout(model, _cell_sampler(model, kernel, 1), np.tile(start, (replications, 1)), 1,
-                       1.0, rng)
+    (cost, _), = _rollout(model, _cell_sampler(model, kernel, 1),
+                          [np.tile(start, (replications, 1))], 1, 1.0, [rng])
     exact = data.cost[rank_compositions(start)]
     assert (cost == cost[0]).all()
     assert abs(cost[0] - exact) <= 1e-15 * exact
@@ -369,7 +369,8 @@ def test_rollout_matches_the_per_step_loop(seed, num_states, num_actions, popula
     event("measures tabulated" if tabulated else "laws evaluated per step")  # both occur
     start = _multinomial(rng, np.full(replications, population), model.initial_dist)
     new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    cost, traj = _rollout(model, _cell_sampler(model, policy, steps), start, steps, beta, new_rng)
+    (cost, traj), = _rollout(model, _cell_sampler(model, policy, steps), [start], steps, beta,
+                             [new_rng])
     if kind == "lifted":
         ref_cost, ref_traj = _reference_rollout(model, _reference_sampler(policy, steps), start,
                                                 steps, beta, old_rng)
@@ -380,11 +381,18 @@ def test_rollout_matches_the_per_step_loop(seed, num_states, num_actions, popula
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
-def test_chaos_gap_matches_the_per_step_loop_on_both_sides_of_the_table(weakly_coupled):
-    # 30 replications x 3 steps: populations up to 89 tabulate their measures,
-    # 300 and 5000 evaluate each step; every population shares one sampler
-    populations, steps, replications, seed = [1, 2, 8, 89, 90, 300, 5000], 3, 30, 17
-    kernels = _random_policy(np.random.default_rng(5), weakly_coupled, "stages", None, steps)
+# 30 replications x 3 steps: populations up to 89 tabulate their measures, and 90, 300 and
+# 5000 evaluate each step in one stack; at 30 x 40 steps of one kernel 1199 tabulates its
+# 1200 measures, and 1200 and 5000 are stacked
+@pytest.mark.parametrize("kind, steps, populations", [
+    ("stages", 3, [1, 2, 8, 89, 90, 300, 5000]),
+    ("shared", 40, [1, 2, 8, 1199, 1200, 5000]),
+], ids=["3 stage kernels", "one kernel over 40 steps"])
+def test_chaos_gap_matches_the_per_step_loop_on_both_sides_of_the_table(weakly_coupled, kind,
+                                                                        steps, populations):
+    # every population shares one sampler and one rollout
+    replications, seed = 30, 17
+    kernels = _random_policy(np.random.default_rng(5), weakly_coupled, kind, None, steps)
     rows = chaos_gap(weakly_coupled, populations, kernels, steps, replications, seed)
     flow = flow_trajectory(weakly_coupled, weakly_coupled.initial_dist, kernels, steps)
     for row, population in zip(rows, populations):
@@ -443,6 +451,17 @@ def test_rollout_evaluates_the_model_once_per_measure_not_per_step(weakly_couple
     if kind == "shared":
         expected["project_many"] = 1
     assert per_steps == [expected, expected]
+
+
+def test_chaos_gap_evaluates_no_cost_and_stacks_the_populations_it_does_not_tabulate(
+        weakly_coupled, monkeypatch):
+    # 200 replications x 5 steps: N = 2 and 8 tabulate their 3 and 9 measures once each,
+    # and N = 2048 and 4096 share one evaluation per step
+    calls = _count_rollout_calls(monkeypatch)
+    kernels = _random_policy(np.random.default_rng(9), weakly_coupled, "stages", None, 5)
+    rows = chaos_gap(weakly_coupled, [2, 8, 2048, 4096], kernels, 5, 200, 3)
+    assert [row.population for row in rows] == [2, 8, 2048, 4096]
+    assert (calls["cost_matrix_at"], calls["kernel_tensor_at"]) == (0, 2 + 5)
 
 
 # the 17 measures of N=16 hold G * X + 1 entries each: 4 cells x 2 states + 1 for a
@@ -811,7 +830,10 @@ def test_kernels_of_the_wrong_shape_are_refused(weakly_coupled, monkeypatch, ent
 
 BUILDER_SIZES = {
     "simplex_grid mesh": ("mesh", lambda model, n: simplex_grid(n, 2)),
+    "simplex_grid cardinality": ("cardinality", lambda model, n: simplex_grid(2, n)),
     "policy_grid mesh": ("mesh", lambda model, n: policy_grid(n, 2, 2)),
+    "policy_grid num_states": ("num_states", lambda model, n: policy_grid(2, n, 2)),
+    "policy_grid num_actions": ("num_actions", lambda model, n: policy_grid(2, 2, n)),
     "build_measure_mdp population": ("population", lambda model, n: build_measure_mdp(model, n)),
     "build_mkv_mdp mesh": ("mesh", lambda model, n: build_mkv_mdp(model, n, 2)),
     "build_mkv_mdp policy_mesh": ("policy_mesh", lambda model, n: build_mkv_mdp(model, 2, n)),
@@ -881,6 +903,18 @@ def test_markov_check_input_guards(counterexample):
     for t_max in (0, -1):
         with pytest.raises(ValueError, match=f"t_max must be >= 1, got {t_max}"):
             verify_markov_mf(counterexample, 2, uniform_kernel(), t_max=t_max)
+
+
+@pytest.mark.parametrize("solve_for", ["lifted", "limit"])
+def test_markov_check_refuses_a_solution(weakly_coupled, monkeypatch, solve_for):
+    # a Solution ended in "'Solution' object is not iterable"
+    problem = (build_measure_mdp(weakly_coupled, 2) if solve_for == "lifted"
+               else build_mkv_mdp(weakly_coupled, 4, 2))
+    sol = solve(problem, FiniteHorizon(2))
+    monkeypatch.setattr("mfteams.sim.product", lambda *args, **kw: pytest.fail("enumerated"))
+    with pytest.raises(TypeError, match="^the Markov check takes one PolicyKernel or a list or "
+                                        "tuple of one per agent, got a Solution$"):
+        verify_markov_mf(weakly_coupled, 2, sol)
 
 
 @pytest.mark.parametrize("population, message", [
