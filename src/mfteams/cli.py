@@ -110,14 +110,26 @@ def _write_manifest(args, argv):
     return out
 
 
+# the params that reading a saved run back uses, by the command that made it
+_READ_PARAMS = {"solve-mf": ("mesh", "cap"), "solve-n": ("agents", "cap")}
+
+
 def _solved_manifest(directory, command, model_path):
     """The manifest of the `command` run that wrote `directory`, refused
-    unless that run solved the model file at `model_path`."""
-    manifest = json.loads((Path(directory) / "manifest.json").read_text())
+    unless it is an object, that run solved the model file at `model_path`,
+    and its params hold every key of _READ_PARAMS[command]."""
+    path = Path(directory) / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
     if manifest.get("command") != command:
         raise ValueError(f"{directory} does not hold a {command} run")
     if manifest.get("model_sha256") != _sha256(model_path):
         raise ValueError(f"{directory} was solved for another model than {model_path}")
+    params = manifest.get("params")
+    for key in _READ_PARAMS[command]:
+        if not isinstance(params, dict) or key not in params:
+            raise ValueError(f"{path} has no params key {key!r}")
     return manifest
 
 

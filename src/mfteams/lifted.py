@@ -53,7 +53,6 @@ import numpy as np
 
 from .measures import (
     DEFAULT_ENUMERATION_CAP,
-    EnumerationCapError,
     SimplexGrid,
     _add_rank_terms,
     _check_cap,
@@ -306,8 +305,7 @@ def multinomial_count_distribution(cells, cap=DEFAULT_ENUMERATION_CAP):
                 key = tuple(b + a for b, a in zip(base, add))
                 new[key] = new.get(key, 0.0) + bp * ap
         dist = new
-        if cap is not None and len(dist) > cap:
-            raise EnumerationCapError("count distribution support", len(dist), cap)
+        _check_cap("count distribution support", len(dist), cap)
     return dist
 
 

@@ -20,7 +20,7 @@ from .measures import (
     DEFAULT_ENUMERATION_CAP,
     EmpiricalStateMeasure,
     _check_cap,
-    check_integer,
+    check_positive,
     num_compositions,
     policy_grid,
     simplex_grid,
@@ -60,10 +60,10 @@ class MkvMDP:
     stage_cost: np.ndarray
     successor: np.ndarray
 
-    @property
+    @cached_property
     def states(self):
-        """The grid points as measures of `mesh` agents, in ordinal order:
-        states[i].as_distribution() is grid point i."""
+        """The grid points as measures of `mesh` agents, in ordinal order,
+        made once: states[i].as_distribution() is grid point i."""
         grid = self.state_grid
         return [EmpiricalStateMeasure(c, grid.mesh) for c in grid.counts]
 
@@ -92,9 +92,7 @@ def build_mkv_mdp(model, mesh, policy_mesh, cap=DEFAULT_ENUMERATION_CAP):
     most `cap` floats each (one point's more, if it alone exceeds `cap`).
     """
     X, U = model.num_states, model.num_actions
-    mesh, policy_mesh = check_integer("mesh", mesh), check_integer("policy_mesh", policy_mesh)
-    if min(mesh, policy_mesh) < 1:
-        raise ValueError("mesh must be >= 1")
+    mesh, policy_mesh = check_positive("mesh", mesh), check_positive("policy_mesh", policy_mesh)
     _check_cap("limit MDP push-forward",
                num_compositions(mesh, X) * num_compositions(policy_mesh, U) ** X * X, cap)
     state_grid = simplex_grid(mesh, X, cap=cap)

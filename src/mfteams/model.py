@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -135,23 +135,25 @@ def _as_size(name, value):
     return size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EnvironmentModel:
     """A validated team model.  Construction runs all invariant checks.
 
-    The sizes must be integers of any type but bool, stored as Python
-    ints, and the discount a real number but not a bool, stored as a
-    float; a size of 2.0 or "2" is refused, not coerced.  kernel_coupling,
-    cost_linear and cost_quad may be None, which reads as zeros.
+    Every field is passed by keyword; the fields, in order, are the keys of
+    a model config (`to_config`, `model_from_config`).  The sizes must be
+    integers of any type but bool, stored as Python ints, and the discount
+    a real number but not a bool, stored as a float; a size of 2.0 or "2"
+    is refused, not coerced.  kernel_coupling, cost_linear and cost_quad
+    default to None, which reads as zeros.
     """
 
     num_states: int
     num_actions: int
     kernel_base: np.ndarray
-    kernel_coupling: np.ndarray
+    kernel_coupling: np.ndarray | None = None
     cost_const: np.ndarray
-    cost_linear: np.ndarray
-    cost_quad: np.ndarray
+    cost_linear: np.ndarray | None = None
+    cost_quad: np.ndarray | None = None
     discount: float
     initial_dist: np.ndarray
     name: str = ""
@@ -166,8 +168,8 @@ class EnvironmentModel:
                             ("cost_const", (X, U)), ("cost_linear", (X, U, X)),
                             ("cost_quad", (X, U, X, X))):
             value = getattr(self, name)
-            if value is None and name in _OPTIONAL_KEYS:  # an absent term is zero
-                value = np.zeros(shape)
+            if value is None and self.__dataclass_fields__[name].default is None:
+                value = np.zeros(shape)  # an absent term is zero
             _set(self, name, _as_tensor(name, value, shape))
         d = self.discount
         if not is_real(d) or not 0.0 < d <= 1.0:
@@ -250,53 +252,27 @@ class EnvironmentModel:
     # ---- serialization ----
 
     def to_config(self):
-        cfg = {
-            "num_states": self.num_states,
-            "num_actions": self.num_actions,
-            "kernel_base": self.kernel_base.tolist(),
-            "kernel_coupling": self.kernel_coupling.tolist(),
-            "cost_const": self.cost_const.tolist(),
-            "cost_linear": self.cost_linear.tolist(),
-            "cost_quad": self.cost_quad.tolist(),
-            "discount": self.discount,
-            "initial_dist": self.initial_dist.tolist(),
-            "name": self.name,
-        }
-        if self.description:
-            cfg["description"] = self.description
-        return cfg
-
-
-_REQUIRED_KEYS = {
-    "num_states", "num_actions", "kernel_base", "cost_const", "discount", "initial_dist",
-}
-_OPTIONAL_KEYS = {"kernel_coupling", "cost_linear", "cost_quad", "name", "description"}
+        """The model as a config dict: every field in order, arrays as
+        nested lists, and description only when it is not empty."""
+        return {f.name: v.tolist() if isinstance(v := getattr(self, f.name), np.ndarray) else v
+                for f in fields(self) if f.name != "description" or self.description}
 
 
 def model_from_config(cfg):
     """Build a validated EnvironmentModel from a parsed config dict, its
-    values passed as they are: an absent or null optional term is zero."""
+    values passed as they are by keyword: the keys are the model's fields,
+    those without a default required, and an absent or null optional term
+    is zero."""
     if not isinstance(cfg, dict):
         raise ModelValidationError("config", f"expected an object, got {type(cfg).__name__}")
-    missing = _REQUIRED_KEYS - cfg.keys()
+    keys = fields(EnvironmentModel)
+    missing = {f.name for f in keys if f.default is MISSING} - cfg.keys()
     if missing:
         raise ModelValidationError(sorted(missing)[0], "missing required key")
-    unknown = cfg.keys() - _REQUIRED_KEYS - _OPTIONAL_KEYS
+    unknown = cfg.keys() - {f.name for f in keys}
     if unknown:
         raise ModelValidationError(sorted(unknown)[0], "unknown key")
-    return EnvironmentModel(
-        num_states=cfg["num_states"],
-        num_actions=cfg["num_actions"],
-        kernel_base=cfg["kernel_base"],
-        kernel_coupling=cfg.get("kernel_coupling"),
-        cost_const=cfg["cost_const"],
-        cost_linear=cfg.get("cost_linear"),
-        cost_quad=cfg.get("cost_quad"),
-        discount=cfg["discount"],
-        initial_dist=cfg["initial_dist"],
-        name=cfg.get("name", ""),
-        description=cfg.get("description", ""),
-    )
+    return EnvironmentModel(**cfg)
 
 
 def load_model(path):

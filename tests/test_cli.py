@@ -652,6 +652,50 @@ def test_simulate_refuses_a_policy_file_of_another_model_or_command(capsys, tmp_
     assert "does not hold a solve-mf run" in err
 
 
+# Each case: an edit of a saved run's manifest, and what the refusal says.
+MALFORMED_MANIFESTS = {
+    "list": (lambda m: [m], "manifest.json does not hold a JSON object"),
+    "no-params": (lambda m: {k: v for k, v in m.items() if k != "params"},
+                  "manifest.json has no params key"),
+    "null-params": (lambda m: {**m, "params": None}, "manifest.json has no params key"),
+    "no-cap": (lambda m: {**m, "params": {k: v for k, v in m["params"].items() if k != "cap"}},
+               "manifest.json has no params key 'cap'"),
+    "cap-big": (lambda m: {**m, "params": {**m["params"], "cap": "big"}},
+                "cap must be an integer, got 'big'"),
+}
+
+# Each reader of a saved run: the run that saves it, the directory it is
+# saved to, and the run that reads it back.
+MANIFEST_READERS = {
+    "flow-policy-file": (
+        "solve-mf counterexample --discount 0.9 --mesh 2 --policy-mesh 2 --out {tmp}/saved",
+        "flow counterexample --policy-file {tmp}/saved/policy.csv --steps 3"),
+    "simulate-policy-file": (
+        "solve-mf counterexample --discount 0.9 --mesh 2 --policy-mesh 2 --out {tmp}/saved",
+        "simulate counterexample -N 2 --horizon 2 --policy-file {tmp}/saved/policy.csv "
+        "--replications 5 --seed 1"),
+    "simulate-lifted-dir": (
+        "solve-n counterexample -N 2 --horizon 2 --out {tmp}/saved",
+        "simulate counterexample -N 2 --horizon 2 --lifted-dir {tmp}/saved "
+        "--replications 5 --seed 1"),
+}
+
+
+@pytest.mark.parametrize("reader", MANIFEST_READERS)
+@pytest.mark.parametrize("case", MALFORMED_MANIFESTS)
+def test_malformed_manifest_exits_2_with_one_error_line(capsys, tmp_path, reader, case):
+    save, read = MANIFEST_READERS[reader]
+    edit, fragment = MALFORMED_MANIFESTS[case]
+    assert main(_argv(save, tmp=tmp_path)) == 0
+    manifest = tmp_path / "saved" / "manifest.json"
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    capsys.readouterr()
+    code, _, err = run(capsys, *_argv(read, tmp=tmp_path), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert fragment in err
+
+
 def test_flow_refuses_a_policy_file_of_another_model(capsys, tmp_path):
     policy = solve_mf_counterexample(capsys, tmp_path / "mf")
     code, _, err = run(capsys, "flow", "weakly_coupled", "--policy-file", str(policy),

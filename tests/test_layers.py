@@ -1,9 +1,12 @@
 """The import layering of the package: the limit view does not depend on
-the N-agent module, no module imports the solver's private names, and
-`solver.stages` is the one stage rule."""
+the N-agent module, no module imports the solver's private names,
+`solver.stages` is the one stage rule, and the model's fields are the one
+list of its config keys.  Every file parses as the oldest Python supported."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import mfteams
 
@@ -55,3 +58,21 @@ def test_no_module_defines_or_imports_a_second_stage_rule():
                 continue
             found += [(path.name, name) for name in names if name in retired]
     assert found == []
+
+
+def test_model_keys_are_listed_only_by_the_model_fields():
+    # EnvironmentModel's fields say which config keys exist and which are required
+    names = {node.id for node in ast.walk(ast.parse((PACKAGE / "model.py").read_text()))
+             if isinstance(node, ast.Name)}
+    assert names & {"_REQUIRED_KEYS", "_OPTIONAL_KEYS"} == set()
+
+
+def test_every_file_parses_as_python_3_10():
+    # requires-python is >= 3.10: newer syntax such as except* fails here, not only on 3.10
+    root = Path(__file__).parent.parent
+    paths = [p for d in ("src", "tests", "benchmarks") for p in sorted((root / d).rglob("*.py"))]
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

@@ -17,6 +17,7 @@ from mfteams import (
     bellman_backup,
     build_measure_mdp,
     build_mkv_mdp,
+    epsilon_gap,
     evaluate_symmetric_policy_exact,
     exact_action_distribution,
     flow_trajectory,
@@ -1058,6 +1059,29 @@ def test_cap_bounds_restricted_and_exact_evaluation_rows(counterexample):
     with pytest.raises(EnumerationCapError, match="rows needs 9 entries, above the cap of 8"):
         evaluate_symmetric_policy_exact(counterexample, 2, kernel, FiniteHorizon(2), cap=8)
     evaluate_symmetric_policy_exact(counterexample, 2, kernel, FiniteHorizon(2), cap=9)
+
+
+CAPPED_BUILDS = {
+    "build_measure_mdp": lambda m, cap: build_measure_mdp(m, 2, cap=cap),
+    "build_mkv_mdp": lambda m, cap: build_mkv_mdp(m, 2, 2, cap=cap),
+    "simplex_grid": lambda m, cap: simplex_grid(2, 2, cap=cap),
+    "policy_grid": lambda m, cap: policy_grid(2, 2, 2, cap=cap),
+    "solve_symmetric_restricted": lambda m, cap: solve_symmetric_restricted(
+        m, 2, FiniteHorizon(2), policy_grid(2, 2, 2), cap=cap),
+    "evaluate_symmetric_policy_exact": lambda m, cap: evaluate_symmetric_policy_exact(
+        m, 2, PolicyKernel.constant(np.full((2, 2), 0.5), simplex_grid(2, 2)), FiniteHorizon(2),
+        cap=cap),
+    "epsilon_gap": lambda m, cap: epsilon_gap(m, [2], FiniteHorizon(2), 2, 2, cap=cap),
+    "multinomial_count_distribution": lambda m, cap: multinomial_count_distribution(
+        [([0.5, 0.5], 2)], cap=cap),
+}
+
+
+@pytest.mark.parametrize("build", CAPPED_BUILDS)
+@pytest.mark.parametrize("cap", [True, 2.5, 1e6, "big"])
+def test_every_build_refuses_a_cap_that_is_not_an_integer(counterexample, build, cap):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'cap must be an integer, got {cap!r}')}$"):
+        CAPPED_BUILDS[build](counterexample, cap)
 
 
 def test_uniform_kernel_evaluation(counterexample):

@@ -407,3 +407,11 @@ def test_limit_build_refuses_a_push_forward_above_the_cap(weakly_coupled, counte
     assert build_mkv_mdp(counterexample, 2, 2, cap=54).stage_cost.shape == (3, 9)
     with pytest.raises(ValueError, match="mesh must be >= 1"):
         build_mkv_mdp(counterexample, 2, -5)
+
+
+def test_limit_build_names_the_mesh_it_refuses(counterexample):
+    for mesh, policy_mesh, name in ((0, 2, "mesh"), (2, -5, "policy_mesh"), (True, 2, "mesh")):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            build_mkv_mdp(counterexample, mesh, policy_mesh)
+    mkv = build_mkv_mdp(counterexample, 4, 2)
+    assert mkv.states is mkv.states  # the grid's measures are made once

@@ -300,6 +300,34 @@ def test_save_load_round_trip(tmp_path, decoupled):
     assert rebuilt.to_config() == decoupled.to_config()
 
 
+def test_config_keys_are_the_model_fields_in_order(weakly_coupled):
+    names = [f.name for f in dataclasses.fields(EnvironmentModel)]
+    assert names[-1] == "description" and weakly_coupled.description
+    assert list(weakly_coupled.to_config()) == names
+    assert list(dataclasses.replace(weakly_coupled, description="").to_config()) == names[:-1]
+
+
+def test_absent_null_and_zero_terms_build_one_model():
+    X = U = 2
+    zeros = {"kernel_coupling": np.zeros((X, U, X, X)), "cost_linear": np.zeros((X, U, X)),
+             "cost_quad": np.zeros((X, U, X, X))}
+    absent = model_from_config(small_config()).to_config()
+    assert model_from_config({**small_config(), **dict.fromkeys(zeros)}).to_config() == absent
+    explicit = {key: value.tolist() for key, value in zeros.items()}
+    assert model_from_config({**small_config(), **explicit}).to_config() == absent
+    assert EnvironmentModel(**{**small_config(), **zeros}).to_config() == absent
+
+
+def test_model_fields_are_keyword_only():
+    values = [model_from_config(small_config()).to_config()[f.name]
+              for f in dataclasses.fields(EnvironmentModel) if f.name != "description"]
+    with pytest.raises(TypeError):
+        EnvironmentModel(*values)
+    with pytest.raises(TypeError):
+        EnvironmentModel(2, 2, kernel_base=values[2], cost_const=values[4], discount=1.0,
+                         initial_dist=[0.0, 1.0])
+
+
 def test_load_model_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
