@@ -546,7 +546,7 @@ def exact_action_distribution(states, theta, max_population=8):
 # ---- symmetric kernels ----
 
 
-def _kernel_stage_data(model, counts, kernels, cap=DEFAULT_ENUMERATION_CAP):
+def _kernel_stage_data(model, counts, kernels):
     """(M * K, M) DenseMDP over the measures of `counts`, the (M, X) rows
     of composition_array(N, X), whose actions at measure i are the K shared
     kernels kernels[i], an (M, K, X, U) array of action rows.
@@ -558,11 +558,10 @@ def _kernel_stage_data(model, counts, kernels, cap=DEFAULT_ENUMERATION_CAP):
     evaluated once for all measures, the mixed laws are one stacked matmul,
     one multinomial call covers every occupied (measure, state) pair, each
     row with that pair's agent count as its total, and one _Convolver on
-    (X, N) folds them all.  The rows hold M * K * M entries, which is held
-    to the cap.
+    (X, N) folds them all.  The rows hold M * K * M entries, which the
+    caller holds to its cap with everything else it keeps.
     """
     M, K, X = kernels.shape[:3]
-    _check_cap("shared-kernel transition rows", M * K * M, cap)
     pop = int(counts[0].sum())
     mus = counts / pop
     conv = _Convolver(X, pop)
@@ -604,11 +603,12 @@ def solve_symmetric_restricted(model, population, horizon, policies,
     """
     states = enumerate_empirical(population, model.num_states, cap=cap)
     resolve_horizon(model, horizon, len(states), cap)  # refuse a horizon too long before any row
+    _check_cap("shared-kernel transition rows", len(states) ** 2 * len(policies.kernels), cap)
     counts = composition_array(population, model.num_states)
     kernels = np.broadcast_to(policies.kernels, (len(counts),) + policies.kernels.shape)
     problem = RestrictedMDP(
         model, tuple(states), simplex_grid(population, model.num_states, cap=cap), policies,
-        _kernel_stage_data(model, counts, kernels, cap))
+        _kernel_stage_data(model, counts, kernels))
     return solve(problem, horizon, cap)
 
 
@@ -619,15 +619,19 @@ def evaluate_symmetric_policy_exact(model, population, pi, horizon,
     `pi` is a PolicyKernel, a sequence of them or a kernel-choosing
     Solution, mapped to stages by `stages`.  Each distinct kernel is looked
     up at the grid point nearest every measure, one project_many, and built
-    into one MDP, which every stage of its block reads.  Returns values
+    into one MDP, which every stage of its block reads.  The backward
+    recursion holds every build at once, so their rows, distinct kernels
+    times measures times measures entries, are held to `cap` together
+    before any is made.  Returns values
     over the empirical-measure enumeration; no Monte Carlo is involved (the
     discounted case solves the policy's linear system directly).
     """
     counts = empirical_counts(population, model.num_states, cap)
     beta, steps = resolve_horizon(model, horizon, len(counts), cap)
     kernels, block = stages(model, pi, steps)
+    _check_cap("shared-kernel transition rows", len(kernels) * len(counts) ** 2, cap)
     mus = counts / population
-    data = [_kernel_stage_data(model, counts, k.table[k.grid.project_many(mus)[:, None]], cap)
+    data = [_kernel_stage_data(model, counts, k.table[k.grid.project_many(mus)[:, None]])
             for k in kernels]
     if steps is None:
         return data[0].policy_values(0, beta)  # each state's one action

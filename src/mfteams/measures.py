@@ -118,9 +118,9 @@ def check_positive(name, value):
 
 
 def _check_cap(what, size, cap):
-    """Refuse `size` above `cap`, None meaning no cap, and a cap that is
-    not an integer (check_integer)."""
-    if cap is not None and size > check_integer("cap", cap):
+    """Refuse `size` above `cap`, and a cap that is not an integer
+    (check_integer), None included: every bound is an integer."""
+    if size > check_integer("cap", cap):
         raise EnumerationCapError(what, size, cap)
 
 

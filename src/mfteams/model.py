@@ -144,7 +144,7 @@ class EnvironmentModel:
     integers of any type but bool, stored as Python ints, and the discount
     a real number but not a bool, stored as a float; a size of 2.0 or "2"
     is refused, not coerced.  kernel_coupling, cost_linear and cost_quad
-    default to None, which reads as zeros.
+    default to None, which reads as zeros; name and description must be str.
     """
 
     num_states: int
@@ -187,6 +187,9 @@ class EnvironmentModel:
         _set(self, "initial_dist", init)
         self._validate_kernel()
         self._validate_cost()
+        for name in ("name", "description"):
+            if not isinstance(value := getattr(self, name), str):
+                raise ModelValidationError(name, f"must be a string, got {value!r}")
 
     def _validate_kernel(self):
         A, B = self.kernel_base, self.kernel_coupling

@@ -16,14 +16,14 @@ What a step reads of the current measure (the group counts, their stage
 cost and the next-state conditionals as contiguous columns) depends on
 the measure alone.  When a population's measures number at most
 replications times steps, and their laws fit under DEFAULT_ENUMERATION_CAP
-entries, a rollout computes them once per measure and a step gathers its
-rows by rank; otherwise each step computes them.  One rollout advances
-several populations in lockstep, each on its own RNG stream: those that
-do not tabulate share one evaluation per step over their stacked
-measures.  `chaos_gap` runs all its populations in one such rollout and
-evaluates no stage cost, since it reports none.  A step then makes X - 1
-binomial calls per population and a few other numpy calls, about 35-65 us
-on 2 cores.
+entries together with the rollout's other tables, a rollout computes them
+once per measure and a step gathers its rows by rank; otherwise each step
+computes them.  One rollout advances several populations in lockstep, each
+on its own RNG stream: those that do not tabulate share one evaluation per
+step over their stacked measures.  `chaos_gap` runs all its populations
+in one such rollout and evaluates no stage cost, since it reports none.  A
+step then makes X - 1 binomial calls per population and a few other numpy
+calls, about 35-65 us on 2 cores.
 """
 
 from __future__ import annotations
@@ -228,9 +228,10 @@ def _rollout(model, groups, starts, steps, beta, rngs):
     its population's stream in the order a rollout of that population alone
     would.  Per population, the _step_laws of every measure, per distinct
     stage table, are computed once and gathered by rank when the measures
-    number at most R_i * steps and their G * X + 1 entries each fit under
-    DEFAULT_ENUMERATION_CAP, so the table never costs more evaluations than
-    the steps would.  The other populations are stacked: each step
+    number at most R_i * steps and their G * X + 1 entries each, added to
+    those of the tables already kept, fit under DEFAULT_ENUMERATION_CAP, so
+    a table never costs more evaluations than the steps would and all of
+    them share one budget.  The other populations are stacked: each step
     computes its stage's laws once for all their replications' measures,
     each row's counts divided by its own population.  With beta=None no
     stage cost is evaluated or summed.  Every population's (R_i, steps + 1,
@@ -245,13 +246,14 @@ def _rollout(model, groups, starts, steps, beta, rngs):
     """
     X, blocks, costs = model.num_states, range(len(set(groups.block))), beta is not None
     populations = [int(counts[0].sum()) for counts in starts]
-    trajs, tables, stacked = [], [], []
+    trajs, tables, stacked, held = [], [], [], 0
     for i, (counts, population) in enumerate(zip(starts, populations)):
         trajs.append(np.empty((len(counts), steps + 1, X), dtype=np.int64))
         trajs[i][:, 0] = counts
         measures = num_compositions(population, X)
         entries = measures * len(blocks) * (X * groups.per_state * X + 1)
-        if measures <= len(counts) * steps and entries <= DEFAULT_ENUMERATION_CAP:
+        if measures <= len(counts) * steps and held + entries <= DEFAULT_ENUMERATION_CAP:
+            held += entries
             tables.append(_step_laws(model, groups, composition_array(population, X),
                                      population, blocks, costs))
         else:
@@ -534,9 +536,9 @@ def epsilon_gap(model, populations, horizon, mesh, policy_mesh,
     For each N the exchangeable optimum comes from the lifted MDP and the
     deployed value from exact evaluation of the extracted kernels on the
     measure chain, both at the count vector nearest N times the initial
-    distribution.  Populations whose enumeration exceeds the cap are
-    reported as skipped.  A gap below -1e-9 is a fault and raises
-    RuntimeError.  A discounted solve's values are within epsilon / 2 in
+    distribution.  Populations whose lifted solve or exact evaluation the
+    cap refuses are reported as skipped.  A gap below -1e-9 is a fault and
+    raises RuntimeError.  A discounted solve's values are within epsilon / 2 in
     exact arithmetic with no switch slack, so there the bound is
     -(epsilon / 2 + 1e-9); otherwise they are also off by the slack, at
     most slack / (1 - beta), and by the rounding of the policy solve, which
@@ -549,14 +551,13 @@ def epsilon_gap(model, populations, horizon, mesh, policy_mesh,
     for population in populations:
         try:
             values = solve(build_measure_mdp(model, population, cap=cap), horizon, cap).values
+            i0 = rank_compositions(round_to_counts(model.initial_dist, population))
+            j_pi = float(
+                evaluate_symmetric_policy_exact(model, population, kernels, horizon, cap=cap)[i0])
         except EnumerationCapError as err:
             rows.append(GapRow(population, None, None, None, f"skipped: {err}"))
             continue
-        i0 = rank_compositions(round_to_counts(model.initial_dist, population))
         j_opt = float(values[0][i0])
-        j_pi = float(
-            evaluate_symmetric_policy_exact(model, population, kernels, horizon, cap=cap)[i0]
-        )
         gap = j_pi - j_opt
         if gap < -slack:
             raise RuntimeError(

@@ -61,13 +61,16 @@ def resolve_beta(model, beta, allow_one):
     return b
 
 
-def resolve_horizon(model, horizon, states=0, cap=None):
+def resolve_horizon(model, horizon, states=0, cap=DEFAULT_ENUMERATION_CAP):
     """(beta, steps) of `horizon`, steps None for a discounted one.
 
     A finite horizon whose value table over `states` states would hold more
-    than `cap` entries is refused before anything is built per stage.
+    than `cap` entries, an integer, is refused before anything is built per
+    stage.  A rollout, which keeps no table (states=0), passes no cap.  A
+    discounted horizon keeps no table either, but its cap must be an integer.
     """
     if isinstance(horizon, DiscountedHorizon):
+        check_integer("cap", cap)
         return resolve_beta(model, horizon.beta, allow_one=False), None
     if not isinstance(horizon, FiniteHorizon):
         raise TypeError(f"unsupported horizon {horizon!r}")

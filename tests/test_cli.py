@@ -136,7 +136,7 @@ def test_solve_n_invalid_model(capsys, tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("num_states", 2.9), ("num_states", "2"), ("num_actions", 2.0), ("num_actions", "x"),
-    ("discount", "0.95"), ("discount", True),
+    ("discount", "0.95"), ("discount", True), ("name", [1, 2]), ("description", 5),
 ])
 def test_solve_n_refuses_a_model_field_of_the_wrong_type(capsys, tmp_path, field, value):
     cfg = json.loads(Path(bundled_path("weakly_coupled")).read_text())
@@ -662,6 +662,8 @@ MALFORMED_MANIFESTS = {
                "manifest.json has no params key 'cap'"),
     "cap-big": (lambda m: {**m, "params": {**m["params"], "cap": "big"}},
                 "cap must be an integer, got 'big'"),
+    "cap-null": (lambda m: {**m, "params": {**m["params"], "cap": None}},
+                 "cap must be an integer, got None"),
 }
 
 # Each reader of a saved run: the run that saves it, the directory it is

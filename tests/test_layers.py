@@ -1,7 +1,8 @@
 """The import layering of the package: the limit view does not depend on
 the N-agent module, no module imports the solver's private names,
-`solver.stages` is the one stage rule, and the model's fields are the one
-list of its config keys.  Every file parses as the oldest Python supported."""
+`solver.stages` is the one stage rule, the model's fields are the one
+list of its config keys, and every enumeration cap is an integer.  Every
+file parses as the oldest Python supported."""
 
 import ast
 from pathlib import Path
@@ -65,6 +66,39 @@ def test_model_keys_are_listed_only_by_the_model_fields():
     names = {node.id for node in ast.walk(ast.parse((PACKAGE / "model.py").read_text()))
              if isinstance(node, ast.Name)}
     assert names & {"_REQUIRED_KEYS", "_OPTIONAL_KEYS"} == set()
+
+
+def _is_cap(node):
+    """Whether `node` reads a cap: `cap`, `x.cap` or `x["cap"]`."""
+    if isinstance(node, ast.Subscript):
+        node = node.slice
+        return isinstance(node, ast.Constant) and node.value == "cap"
+    return getattr(node, "id", None) == "cap" or getattr(node, "attr", None) == "cap"
+
+
+def test_every_cap_is_an_integer_checked_by_the_call_that_keeps_the_rows():
+    # no cap defaults to or is compared with None, and the callers of
+    # lifted._kernel_stage_data check the rows they keep, so it takes no cap
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = path.name, getattr(node, "lineno", None)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args
+                defaults = list(zip(params[len(params) - len(a.defaults):], a.defaults))
+                defaults += list(zip(a.kwonlyargs, a.kw_defaults))
+                found += [(*where, "cap=None") for arg, d in defaults if arg.arg == "cap"
+                          and isinstance(d, ast.Constant) and d.value is None]
+                if getattr(node, "name", None) == "_kernel_stage_data":
+                    found += [(*where, "cap parameter") for arg in params + a.kwonlyargs
+                              if arg.arg == "cap"]
+            elif isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(map(_is_cap, operands)) and any(
+                        isinstance(o, ast.Constant) and o.value is None for o in operands):
+                    found.append((*where, "cap compared with None"))
+    assert found == []
 
 
 def test_every_file_parses_as_python_3_10():

@@ -1061,6 +1061,20 @@ def test_cap_bounds_restricted_and_exact_evaluation_rows(counterexample):
     evaluate_symmetric_policy_exact(counterexample, 2, kernel, FiniteHorizon(2), cap=9)
 
 
+def test_exact_evaluation_holds_the_rows_of_all_its_stage_kernels_to_one_cap(counterexample):
+    # three distinct kernels, one per stage: the recursion holds 3 builds of 3 x 3 entries
+    grid = simplex_grid(2, 2)
+    kernels = [PolicyKernel.constant(np.array(rows), grid)
+               for rows in ([[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]],
+                            [[0.0, 1.0], [1.0, 0.0]])]
+    with pytest.raises(EnumerationCapError, match=re.escape(
+            "shared-kernel transition rows needs 27 entries, above the cap of 26")):
+        evaluate_symmetric_policy_exact(counterexample, 2, kernels, FiniteHorizon(3), cap=26)
+    at_cap = evaluate_symmetric_policy_exact(counterexample, 2, kernels, FiniteHorizon(3), cap=27)
+    assert np.array_equal(
+        at_cap, evaluate_symmetric_policy_exact(counterexample, 2, kernels, FiniteHorizon(3)))
+
+
 CAPPED_BUILDS = {
     "build_measure_mdp": lambda m, cap: build_measure_mdp(m, 2, cap=cap),
     "build_mkv_mdp": lambda m, cap: build_mkv_mdp(m, 2, 2, cap=cap),
@@ -1074,11 +1088,12 @@ CAPPED_BUILDS = {
     "epsilon_gap": lambda m, cap: epsilon_gap(m, [2], FiniteHorizon(2), 2, 2, cap=cap),
     "multinomial_count_distribution": lambda m, cap: multinomial_count_distribution(
         [([0.5, 0.5], 2)], cap=cap),
+    "discounted solve": lambda m, cap: solve(build_measure_mdp(m, 2), DiscountedHorizon(), cap),
 }
 
 
 @pytest.mark.parametrize("build", CAPPED_BUILDS)
-@pytest.mark.parametrize("cap", [True, 2.5, 1e6, "big"])
+@pytest.mark.parametrize("cap", [True, 2.5, 1e6, "big", None])
 def test_every_build_refuses_a_cap_that_is_not_an_integer(counterexample, build, cap):
     with pytest.raises(ValueError, match=f"^{re.escape(f'cap must be an integer, got {cap!r}')}$"):
         CAPPED_BUILDS[build](counterexample, cap)

@@ -281,6 +281,15 @@ def test_model_sizes_refuse_bools_floats_and_values_below_one(size):
         dataclasses.replace(base, num_states=size)
 
 
+@pytest.mark.parametrize("field", ["name", "description"])
+@pytest.mark.parametrize("value", [[1, 2], 5, None])
+def test_name_and_description_must_be_strings(field, value):
+    with pytest.raises(ModelValidationError, match=re.escape(
+            f"{field}: must be a string, got {value!r}")) as err:
+        model_from_config({**small_config(), field: value})
+    assert err.value.field_name == field
+
+
 # ---- serialization ----
 
 

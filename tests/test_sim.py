@@ -33,6 +33,7 @@ from mfteams import (
 from mfteams import lifted, solver
 from mfteams.measures import (
     DEFAULT_ENUMERATION_CAP,
+    EnumerationCapError,
     SimplexGrid,
     composition_array,
     enumerate_joint_actions,
@@ -481,6 +482,23 @@ def test_rollout_tabulates_only_a_table_within_the_cap(weakly_coupled, monkeypat
         per_cap.append(set(calls.values()))
     assert per_cap == [{30}, {1}]  # every step below the cap, once at it
     assert reports[0] == reports[1]
+
+
+def test_chaos_gap_tables_share_one_budget(weakly_coupled, monkeypatch):
+    # one kernel, 5 replications x 3 steps: N = 2 and 3 tabulate 3 and 4 measures of
+    # 2 states x 2 states + 1 entries, 15 and 20, each under a cap of 30 but not together
+    kernel = _random_policy(np.random.default_rng(4), weakly_coupled, "shared", None, None)
+    calls = _count_rollout_calls(monkeypatch)
+    per_cap, rows = [], []
+    for cap in (DEFAULT_ENUMERATION_CAP, 30):
+        monkeypatch.setattr("mfteams.sim.DEFAULT_ENUMERATION_CAP", cap)
+        calls.clear()
+        rows.append([(row.population, row.mean_max_gap, row.std_error,
+                      row.per_step_mean.tobytes(), row.per_step_se.tobytes())
+                     for row in chaos_gap(weakly_coupled, [2, 3], kernel, 3, 5, 11)])
+        per_cap.append(calls["kernel_tensor_at"])
+    assert per_cap == [2, 1 + 3]  # N = 3 is stepped per step once N = 2 holds its table
+    assert rows[0] == rows[1]
 
 
 # ---- simulate ----
@@ -1024,3 +1042,19 @@ def test_epsilon_gap_reports_capped_populations(counterexample):
     assert rows[0].status == "ok"
     assert rows[1].status.startswith("skipped")
     assert rows[1].gap is None
+
+
+def test_epsilon_gap_skips_a_population_whose_exact_evaluation_the_cap_refuses(
+        counterexample, monkeypatch):
+    evaluate = evaluate_symmetric_policy_exact
+
+    def capped(model, population, *args, **kwargs):
+        if population == 3:
+            raise EnumerationCapError("shared-kernel transition rows", 27, 26)
+        return evaluate(model, population, *args, **kwargs)
+
+    monkeypatch.setattr("mfteams.sim.evaluate_symmetric_policy_exact", capped)
+    rows = epsilon_gap(counterexample, [2, 3, 4], FiniteHorizon(2), mesh=2, policy_mesh=2)
+    assert [row.status for row in rows] == [
+        "ok", "skipped: shared-kernel transition rows needs 27 entries, above the cap of 26", "ok"]
+    assert (rows[1].optimal_value, rows[1].policy_value, rows[1].gap) == (None, None, None)
