@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .lifted import (
     MeasureMDP,
-    RestrictedMDP,
     bellman_backup,
     build_measure_mdp,
     eta_kernel,
@@ -33,7 +32,7 @@ from .measures import (
     round_to_counts,
     simplex_grid,
 )
-from .mkv import MkvMDP, build_mkv_mdp, flow_trajectory, mean_field_flow
+from .mkv import build_mkv_mdp, flow_trajectory, mean_field_flow
 from .model import (
     DiscountedHorizon,
     EnvironmentModel,
@@ -57,4 +56,4 @@ from .sim import (
     simulate_n_agents,
     verify_markov_mf,
 )
-from .solver import ConvergenceError, PolicyKernel, Solution, policy_kernels, solve
+from .solver import ConvergenceError, KernelMDP, PolicyKernel, Solution, policy_kernels, solve

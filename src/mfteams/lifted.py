@@ -36,9 +36,9 @@ as dictionaries and stay as the reference the tests compare against.
 
 Also provides the symmetric-kernel-restricted problem on the same state
 space, where agents share one per-state action kernel chosen per current
-measure, drawn independently, and the exact evaluation of fixed shared
-kernels.  Every problem is built straight into a solver.DenseMDP, which
-solver.solve solves.
+measure, drawn independently, as a solver.KernelMDP, and the exact
+evaluation of fixed shared kernels.  Every problem is built straight into
+a solver.DenseMDP, which solver.solve solves.
 """
 
 from __future__ import annotations
@@ -46,14 +46,12 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .measures import (
     DEFAULT_ENUMERATION_CAP,
-    SimplexGrid,
     _add_rank_terms,
     _check_cap,
     composition_array,
@@ -67,6 +65,7 @@ from .measures import (
 from .model import MarginalMismatchError
 from .solver import (
     DenseMDP,
+    KernelMDP,
     PolicyKernel,  # noqa: F401 -- still importable as lifted.PolicyKernel
     backup,
     greedy,
@@ -291,13 +290,19 @@ def multinomial_count_distribution(cells, cap=DEFAULT_ENUMERATION_CAP):
 
     Each cell is a (law, multiplicity) pair: `multiplicity` independent
     draws from `law`.  The result is the convolution of the per-cell
-    multinomial count distributions, as a dict over count tuples.
+    multinomial count distributions, as a dict over count tuples.  A
+    cell's table holds one entry per composition of its draws over the
+    law's positive categories, and the support only grows under
+    convolution, so that size is held to `cap` before the table is built.
     """
     if not cells:
         raise ValueError("need at least one cell")
     k = len(np.asarray(cells[0][0]))
     dist = {(0,) * k: 1.0}
     for law, mult in cells:
+        positive = int(np.count_nonzero(np.asarray(law, dtype=float) > 0.0))
+        size = num_compositions(mult, positive) if positive else int(mult == 0)
+        _check_cap("count distribution support", size, cap)
         table = multinomial_pmf_table(law, mult)
         new = {}
         for base, bp in dist.items():
@@ -581,34 +586,18 @@ def _kernel_stage_data(model, counts, kernels):
     return DenseMDP(cost.ravel(), np.arange(M) * K, rows.reshape(M * K, M))
 
 
-@dataclass(frozen=True)
-class RestrictedMDP:
-    """The symmetric-restricted problem: the shared kernels of `policy_set`
-    are the actions of every N-agent measure of `states`.  `state_grid` is
-    simplex_grid(N, X), whose points are exactly those measures in the same
-    order, so a chosen kernel is looked up at its own measure."""
-
-    model: object
-    states: tuple
-    state_grid: SimplexGrid
-    policy_set: object
-    operator: DenseMDP
-
-
 def solve_symmetric_restricted(model, population, horizon, policies,
                                cap=DEFAULT_ENUMERATION_CAP):
     """Optimize over shared per-state kernels chosen per current measure.
 
-    The kernels of `policies` are the actions of every measure.
+    The kernels of `policies` are the actions of every measure of a KernelMDP.
     """
-    states = enumerate_empirical(population, model.num_states, cap=cap)
-    resolve_horizon(model, horizon, len(states), cap)  # refuse a horizon too long before any row
-    _check_cap("shared-kernel transition rows", len(states) ** 2 * len(policies.kernels), cap)
-    counts = composition_array(population, model.num_states)
+    counts = empirical_counts(population, model.num_states, cap)
+    resolve_horizon(model, horizon, len(counts), cap)  # refuse a horizon too long before any row
+    _check_cap("shared-kernel transition rows", len(counts) ** 2 * len(policies.kernels), cap)
     kernels = np.broadcast_to(policies.kernels, (len(counts),) + policies.kernels.shape)
-    problem = RestrictedMDP(
-        model, tuple(states), simplex_grid(population, model.num_states, cap=cap), policies,
-        _kernel_stage_data(model, counts, kernels))
+    problem = KernelMDP(model, simplex_grid(population, model.num_states, cap=cap), policies,
+                        _kernel_stage_data(model, counts, kernels))
     return solve(problem, horizon, cap)
 
 

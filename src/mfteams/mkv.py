@@ -5,20 +5,17 @@ deterministically: under a joint measure theta the next measure is the
 push-forward mu'(x') = sum_{x,u} T(x'|x,u,mu) theta(x,u).  The limit
 control problem is quantized onto a simplex grid over measures and a
 finite grid of per-state action kernels; transitions project the exact
-flow back onto the grid.  `solver.solve` solves it, and
-`solver.policy_kernels` gives the kernels a solution chooses.
+flow back onto the grid.  It is built into a solver.KernelMDP with a
+SuccessorMDP, which `solver.solve` solves, and `solver.policy_kernels`
+gives the kernels a solution chooses.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .measures import (
     DEFAULT_ENUMERATION_CAP,
-    EmpiricalStateMeasure,
     _check_cap,
     check_positive,
     num_compositions,
@@ -26,7 +23,7 @@ from .measures import (
     simplex_grid,
 )
 from .model import MARGINAL_TOL, MarginalMismatchError
-from .solver import SuccessorMDP, check_steps, stages
+from .solver import KernelMDP, SuccessorMDP, check_steps, stages
 
 
 def mean_field_flow(model, mu, theta):
@@ -49,34 +46,9 @@ def _push_forward(model, mu, theta):
     return np.einsum("...xu,xuy->...y", theta, model.kernel_tensor_at(mu))
 
 
-@dataclass(frozen=True)
-class MkvMDP:
-    """Quantized limit MDP: per (grid point, kernel) a stage cost and a
-    deterministic successor ordinal."""
-
-    model: object
-    state_grid: object
-    policy_set: object
-    stage_cost: np.ndarray
-    successor: np.ndarray
-
-    @cached_property
-    def states(self):
-        """The grid points as measures of `mesh` agents, in ordinal order,
-        made once: states[i].as_distribution() is grid point i."""
-        grid = self.state_grid
-        return [EmpiricalStateMeasure(c, grid.mesh) for c in grid.counts]
-
-    @cached_property
-    def operator(self):
-        """The MDP as a SuccessorMDP, made once; the kernels are every point's actions."""
-        G, P = self.stage_cost.shape
-        return SuccessorMDP(self.stage_cost.ravel(), np.arange(G) * P, self.successor.ravel())
-
-
 def build_mkv_mdp(model, mesh, policy_mesh, cap=DEFAULT_ENUMERATION_CAP):
     """The quantized limit MDP on the mesh-`mesh` simplex grid with the
-    kernels of `policy_grid(policy_mesh, X, U)`.
+    kernels of `policy_grid(policy_mesh, X, U)`, as a KernelMDP.
 
     Grid point g under kernel p plays the joint measure theta = mu_g[:, None]
     * kernel_p: its stage cost is sum(c(mu_g) * theta) and its successor the
@@ -117,7 +89,8 @@ def build_mkv_mdp(model, mesh, policy_mesh, cap=DEFAULT_ENUMERATION_CAP):
             axis=(2, 3), out=cost[lo:lo + block])
     cost.setflags(write=False)
     succ.setflags(write=False)
-    return MkvMDP(model, state_grid, policies, cost, succ)
+    return KernelMDP(model, state_grid, policies,
+                     SuccessorMDP(cost.ravel(), np.arange(G) * P, succ.ravel()))
 
 
 def flow_trajectory(model, mu0, pi, steps):

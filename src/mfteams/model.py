@@ -72,7 +72,12 @@ def as_simplex(vec, tol=SIMPLEX_TOL, what="distribution"):
 
 def is_real(value):
     """Whether `value` is a real number of any type but bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return is_real_type(type(value))
+
+
+def is_real_type(cls):
+    """Whether `cls` is a type of real numbers other than bool."""
+    return cls in (float, int) or issubclass(cls, numbers.Real) and not issubclass(cls, bool)
 
 
 def _check_beta(beta):
@@ -113,11 +118,35 @@ class DiscountedHorizon:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
-def _as_tensor(name, value, shape):
-    arr = np.asarray(value, dtype=float)
+def _as_tensor(name, value, shape, simplex=False):
+    """The model array `name` as a read-only float array of `shape`, from
+    a numpy array of integers or floats or from real numbers (no bools) in
+    lists nested to one depth, the lists of each depth of one length: a
+    JSON object, string, bool, null or ragged list is refused, not coerced.
+    Its entries must be finite, or with `simplex` a distribution (as_simplex)."""
+    if not isinstance(value, np.ndarray):
+        value = np.array(value, dtype=object)  # a ragged list keeps lists as entries
+        if value.ndim > len(shape):  # before .flat, which takes at most 32 dimensions
+            raise ModelValidationError(name, f"expected shape {shape}, got {value.shape}")
+        if not all(map(is_real_type, set(map(type, value.flat)))):
+            bad = next(v for v in value.flat if not is_real(v))
+            if isinstance(bad, (list, tuple)):
+                raise ModelValidationError(name, "is a ragged list")
+            raise ModelValidationError(name, f"expected numbers, got {bad!r}")
+    elif value.dtype.kind not in "iuf":
+        raise ModelValidationError(name, f"expected numbers, got an array of {value.dtype}")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ModelValidationError(name, "contains non-finite entries") from None
     if arr.shape != shape:
         raise ModelValidationError(name, f"expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if simplex:
+        try:
+            arr = as_simplex(arr, what=name)
+        except ValueError as err:
+            raise ModelValidationError(name, str(err)) from err
+    elif not np.isfinite(arr).all():
         raise ModelValidationError(name, "contains non-finite entries")
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
@@ -175,16 +204,7 @@ class EnvironmentModel:
         if not is_real(d) or not 0.0 < d <= 1.0:
             raise ModelValidationError("discount", f"must be a number in (0, 1], got {d!r}")
         _set(self, "discount", float(d))
-        init = np.asarray(self.initial_dist, dtype=float)
-        try:
-            init = as_simplex(init, what="initial_dist")
-        except ValueError as err:
-            raise ModelValidationError("initial_dist", str(err)) from err
-        if init.shape != (X,):
-            raise ModelValidationError("initial_dist", f"expected shape ({X},), got {init.shape}")
-        init = np.ascontiguousarray(init)
-        init.setflags(write=False)
-        _set(self, "initial_dist", init)
+        _set(self, "initial_dist", _as_tensor("initial_dist", self.initial_dist, (X,), True))
         self._validate_kernel()
         self._validate_cost()
         for name in ("name", "description"):

@@ -1,8 +1,9 @@
 """The import layering of the package: the limit view does not depend on
 the N-agent module, no module imports the solver's private names,
-`solver.stages` is the one stage rule, the model's fields are the one
-list of its config keys, and every enumeration cap is an integer.  Every
-file parses as the oldest Python supported."""
+`solver.stages` is the one stage rule, `solver.KernelMDP` the one record of
+the kernel-choosing problems, the model's fields are the one list of its
+config keys, and every enumeration cap is an integer.  Every file parses
+as the oldest Python supported."""
 
 import ast
 from pathlib import Path
@@ -59,6 +60,34 @@ def test_no_module_defines_or_imports_a_second_stage_rule():
                 continue
             found += [(path.name, name) for name in names if name in retired]
     assert found == []
+
+
+def test_one_record_holds_both_kernel_choosing_problems():
+    # solver.KernelMDP is the restricted problem and the quantized limit alike,
+    # so policy_kernels tells it by type and solve sizes every problem by len
+    retired = {"RestrictedMDP", "MkvMDP"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [n for a in node.names for n in (a.name.rpartition(".")[2], a.asname)]
+            else:
+                continue
+            found += [(path.name, name) for name in names if name in retired]
+    assert found == []
+    solver = {node.name: node for node in ast.parse((PACKAGE / "solver.py").read_text()).body
+              if isinstance(node, ast.FunctionDef)}
+    calls = {getattr(node.func, "id", None) for node in ast.walk(solver["policy_kernels"])
+             if isinstance(node, ast.Call)}
+    assert "hasattr" not in calls and "isinstance" in calls
+    assert "states" not in {node.attr for node in ast.walk(solver["solve"])
+                            if isinstance(node, ast.Attribute)}
 
 
 def test_model_keys_are_listed_only_by_the_model_fields():

@@ -117,6 +117,21 @@ def test_convolution_needs_cells():
         multinomial_count_distribution([])
 
 
+def test_count_distribution_refuses_a_table_above_the_cap_before_building_it(monkeypatch):
+    # 150 draws over 4 positive categories make a 585,276-entry table
+    built = []
+    monkeypatch.setattr(lifted, "multinomial_pmf_table",
+                        lambda *args: built.append(args) or multinomial_pmf_table(*args))
+    with pytest.raises(EnumerationCapError, match="needs 585276 entries, above the cap of 10$"):
+        multinomial_count_distribution([([0.25] * 4, 150)], cap=10)
+    assert built == []
+    # zero-probability categories keep a table small: 3 draws over 2 of 4 categories
+    dist = multinomial_count_distribution([([0.5, 0.5, 0.0, 0.0], 3)], cap=10)
+    assert len(built) == 1 and len(dist) == 4
+    assert dist == pytest.approx({(3, 0, 0, 0): 0.125, (2, 1, 0, 0): 0.375,
+                                  (1, 2, 0, 0): 0.375, (0, 3, 0, 0): 0.125}, abs=1e-15)
+
+
 # ---- lifted transition law ----
 
 
@@ -1254,3 +1269,85 @@ def test_library_refusals_name_their_fault(counterexample, case):
     call, error, fragment = LIBRARY_REFUSALS[case]
     with pytest.raises(error, match=re.escape(fragment)):
         call(counterexample)
+
+
+# ---- row moments ----
+
+
+def _moment_targets(weights, laws, population):
+    """E[mu'] and Cov[mu'] of mu', the sum of independent multinomial counts
+    over N = population, when cell c of pair p holds weights[p, c] * N agents
+    drawing from laws[p, c]: sum_c w_c L_c and (1/N) sum_c w_c (diag L_c -
+    L_c L_c^T)."""
+    mean = np.einsum("pc,pcy->py", weights, laws)
+    outer = np.einsum("pc,pcy,pcz->pyz", weights, laws, laws)
+    return mean, (mean[:, :, None] * np.eye(laws.shape[-1]) - outer) / population
+
+
+def _assert_row_moments(rows, counts, weights, laws):
+    """The (pairs, measures) rows over the measures of `counts` have the
+    first and second moments of mu' that _moment_targets gives, within
+    1e-14."""
+    population = int(counts[0].sum())
+    mus = counts / population
+    mean, cov = _moment_targets(weights, laws, population)
+    np.testing.assert_allclose(rows @ mus, mean, rtol=0, atol=1e-14)
+    second = rows @ (mus[:, :, None] * mus[:, None, :]).reshape(len(mus), -1)
+    np.testing.assert_allclose(second.reshape(cov.shape), mean[:, :, None] * mean[:, None, :] + cov,
+                               rtol=0, atol=1e-14)
+
+
+def _assert_kernel_row_moments(model, counts, kernels, rows):
+    """Shared-kernel rows, kernels[i, k] at measure i: every occupied state
+    x is a cell of n_x agents drawing from the mixed law kernels[i, k, x]
+    @ T(x, ., mu_i)."""
+    M, K, X, _ = kernels.shape
+    mixed = np.einsum("ikxu,ixuy->ikxy", kernels, model.kernel_tensor_at(counts / counts[0].sum()))
+    weights = np.broadcast_to((counts / counts[0].sum())[:, None], (M, K, X))
+    _assert_row_moments(rows, counts, weights.reshape(M * K, X), mixed.reshape(M * K, X, X))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_states=st.sampled_from([2, 3]),
+       num_actions=st.sampled_from([2, 3]), population=st.integers(1, 8))
+@example(seed=1, num_states=3, num_actions=3, population=8)
+def test_lifted_rows_have_the_moments_of_independent_agents(seed, num_states, num_actions,
+                                                            population):
+    model = make_random_model(np.random.default_rng(seed), num_states, num_actions, coupled=True)
+    mdp = build_measure_mdp(model, population)
+    counts = composition_array(population, num_states)
+    measure = np.repeat(np.arange(len(counts)), np.diff(mdp.act_off, append=len(mdp.joint_actions)))
+    tens = model.kernel_tensor_at(counts / population)[measure]
+    cells = num_states * num_actions
+    _assert_row_moments(mdp.operator.rows, counts,
+                        mdp.joint_actions.reshape(-1, cells) / population,
+                        tens.reshape(-1, cells, num_states))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_states=st.sampled_from([2, 3]),
+       num_actions=st.sampled_from([2, 3]), population=st.integers(1, 8),
+       policy_mesh=st.integers(1, 2))
+@example(seed=2, num_states=3, num_actions=3, population=8, policy_mesh=2)
+def test_shared_kernel_rows_have_the_moments_of_independent_agents(seed, num_states, num_actions,
+                                                                   population, policy_mesh):
+    rng = np.random.default_rng(seed)
+    model = make_random_model(rng, num_states, num_actions, coupled=True)
+    counts = composition_array(population, num_states)
+    policies = policy_grid(policy_mesh, num_states, num_actions)
+    sol = solve_symmetric_restricted(model, population, FiniteHorizon(1), policies)
+    kernels = np.broadcast_to(policies.kernels, (len(counts),) + policies.kernels.shape)
+    _assert_kernel_row_moments(model, counts, kernels, sol.problem.operator.rows)
+    # exact evaluation builds one row per measure from each kernel at its nearest grid point
+    grid = simplex_grid(3, num_states)
+    pi = [PolicyKernel(grid, rng.dirichlet(np.ones(num_actions), size=(len(grid), num_states)))
+          for _ in range(2)]
+    built = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lifted, "_kernel_stage_data", lambda *args: built.append(
+            (args, _kernel_stage_data(*args))) or built[-1][1])
+        evaluate_symmetric_policy_exact(model, population, pi, FiniteHorizon(2))
+    assert len(built) == 2
+    for (_, got_counts, got_kernels), stage in built:
+        assert np.array_equal(got_counts, counts)
+        _assert_kernel_row_moments(model, counts, got_kernels, stage.rows)

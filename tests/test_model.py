@@ -290,6 +290,59 @@ def test_name_and_description_must_be_strings(field, value):
     assert err.value.field_name == field
 
 
+ARRAY_FIELDS = ["kernel_base", "kernel_coupling", "cost_const", "cost_linear", "cost_quad",
+                "initial_dist"]
+
+
+@pytest.mark.parametrize("field", ARRAY_FIELDS)
+@pytest.mark.parametrize("value, message", [
+    ({}, "expected numbers, got {}"),
+    ({"a": 1}, "expected numbers, got {'a': 1}"),
+    ("abc", "expected numbers, got 'abc'"),
+    (True, "expected numbers, got True"),
+    ([True, False], "expected numbers, got True"),
+    ([[1, 2], [3]], "is a ragged list"),
+    ([[1.0, 2.0], 3.0], "is a ragged list"),
+    (["1", "2"], "expected numbers, got '1'"),
+    ([0.5, None], "expected numbers, got None"),
+    ([10**400], "contains non-finite entries"),
+    (np.array([True, False]), "expected numbers, got an array of bool"),
+    (np.array(["0.5", "0.5"]), "expected numbers, got an array of <U3"),
+])
+def test_model_arrays_are_refused_unless_numbers(field, value, message):
+    with pytest.raises(ModelValidationError, match=f"^{re.escape(f'{field}: {message}')}$") as err:
+        EnvironmentModel(**{**small_config(), field: value})
+    assert err.value.field_name == field
+
+
+def test_model_arrays_nested_deeper_than_their_shape_are_refused():
+    with pytest.raises(ModelValidationError, match=re.escape(
+            "initial_dist: expected shape (2,), got (2, 2)")):
+        model_from_config({**small_config(), "initial_dist": [["1", "2"], ["3", "4"]]})
+    deep = 0.5
+    for _ in range(100):  # past numpy's 64 dimensions
+        deep = [deep]
+    with pytest.raises(ModelValidationError, match=r"^cost_const: expected shape \(2, 2\), got "):
+        model_from_config({**small_config(), "cost_const": deep})
+
+
+def test_required_model_arrays_refuse_null():
+    for field in ("kernel_base", "cost_const", "initial_dist"):
+        with pytest.raises(ModelValidationError, match=f"^{field}: expected numbers, got None$"):
+            model_from_config({**small_config(), field: None})
+
+
+def test_json_numbers_load_as_floats_as_they_did():
+    # integers, floats and numpy scalars load as np.asarray(value, dtype=float) does
+    cfg = {**small_config(), "kernel_base": [[[1, 0], [0.0, 1]], [[np.float64(1.0), 0], [0, 1]]],
+           "cost_const": [[2**64, 0.1], [np.int64(3), 1e300]], "initial_dist": (0, 1)}
+    model = model_from_config(cfg)
+    for field in ("kernel_base", "cost_const", "initial_dist"):
+        got = getattr(model, field)
+        assert got.dtype == float and not got.flags.writeable
+        assert got.tobytes() == np.asarray(cfg[field], dtype=float).tobytes()
+
+
 # ---- serialization ----
 
 
