@@ -77,16 +77,22 @@ def rank_compositions(counts):
     the compositions of its own total, by the combinatorial number system
     (Knuth, TAOCP 4A, 7.2.1.3).
 
-    `counts` holds one vector along its last axis; returns an int64 array
-    of the leading shape.  With t_i the sum of the entries after entry i
-    and k_i their number, the vectors before c are those that first exceed
-    it at some entry i, which number C(t_i + k_i - 1, k_i).
+    `counts` holds one vector along its last axis, in any layout; returns
+    a new int64 array of the leading shape.  With t_i the sum of the
+    entries after entry i and k_i their number, the vectors before c are
+    those that first exceed it at some entry i, which number
+    C(t_i + k_i - 1, k_i).  The tails are built back to front, each column
+    added onto the last coordinate, and the rank starts as a copy of the
+    last tail, C(t, 1) = t, so two parts cost one copy.
     """
     counts = np.asarray(counts, dtype=np.int64)
     parts = counts.shape[-1]
-    tails = np.cumsum(counts[..., :0:-1], axis=-1)[..., ::-1]
-    return _add_rank_terms(np.zeros(counts.shape[:-1], dtype=np.int64),
-                          (tails[..., i] for i in range(parts - 1)), parts)
+    if parts < 2:
+        return np.zeros(counts.shape[:-1], dtype=np.int64)
+    tails = [counts[..., -1]]
+    for i in range(parts - 2, 0, -1):
+        tails.append(tails[-1] + counts[..., i])
+    return _add_rank_terms(tails[0].copy(), reversed(tails[1:]), parts)
 
 
 def _add_rank_terms(rank, tails, parts):

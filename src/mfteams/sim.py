@@ -22,8 +22,10 @@ computes them.  One rollout advances several populations in lockstep, each
 on its own RNG stream: those that do not tabulate share one evaluation per
 step over their stacked measures.  `chaos_gap` runs all its populations
 in one such rollout and evaluates no stage cost, since it reports none.  A
-step then makes X - 1 binomial calls per population and a few other numpy
-calls, about 35-65 us on 2 cores.
+step then makes X - 1 binomial calls per population and a few small numpy
+calls (one rank, the gathers, one int64 matmul per category); the stage
+costs are discounted and summed once after the loop.  A step takes about
+25-55 us on 2 cores, most of it in the binomial calls.
 """
 
 from __future__ import annotations
@@ -222,23 +224,28 @@ def _rollout(model, groups, starts, steps, beta, rngs):
     """Advance populations with state counts starts[i] (R_i, X) together,
     population i drawing from rngs[i].
 
-    A step adds each replication's discounted population-average stage
-    cost, E[stage cost | state counts] under shared kernels, and draws its
-    next state counts as one _binomial_chain over its groups, summed, from
-    its population's stream in the order a rollout of that population alone
-    would.  Per population, the _step_laws of every measure, per distinct
-    stage table, are computed once and gathered by rank when the measures
-    number at most R_i * steps and their G * X + 1 entries each, added to
-    those of the tables already kept, fit under DEFAULT_ENUMERATION_CAP, so
-    a table never costs more evaluations than the steps would and all of
-    them share one budget.  The other populations are stacked: each step
-    computes its stage's laws once for all their replications' measures,
-    each row's counts divided by its own population.  With beta=None no
-    stage cost is evaluated or summed.  Every population's (R_i, steps + 1,
-    X) trajectory is held until the end.  On a 2-core VM a step takes
-    about 35 us for a lifted N = 16 policy (R = 50, G = 4) and 65 us for a
-    shared kernel at N = 128 (R = 100, G = 2), most of it in the X - 1
-    binomial calls on contiguous columns.
+    A step takes each replication's population-average stage cost,
+    E[stage cost | state counts] under shared kernels, and draws its next
+    state counts as one _binomial_chain over its groups from its
+    population's stream, in the order a rollout of that population alone
+    would; each category's draws are summed over the groups by one exact
+    int64 matmul straight into the trajectory.  Per population, the
+    _step_laws of every measure, per distinct stage table, are computed
+    once and gathered by rank (one rank_compositions per step) when the
+    measures number at most R_i * steps and their G * X + 1 entries each,
+    added to those of the tables already kept, fit under
+    DEFAULT_ENUMERATION_CAP, so a table never costs more evaluations than
+    the steps would and all of them share one budget.  The other
+    populations are stacked: each step computes its stage's laws once for
+    all their replications' measures, each row's counts divided by its own
+    population.  The stage costs are kept per step and discounted and
+    summed once after the loop, by the operations of a per-step
+    cost += disc * stage / N in the same order.  With beta=None no stage
+    cost is evaluated or kept.  Every population's (R_i, steps + 1, X)
+    trajectory is held until the end.  On a 2-core VM a step takes about
+    25 us for a lifted N = 16 policy (R = 50, G = 4) and 52 us for a shared
+    kernel at N = 128 (R = 100, G = 2), of which the X - 1 binomial calls on
+    contiguous columns take about 20 and 41 us.
 
     Returns, per population, (discounted population-average cost per
     replication, or None for beta=None, the (R_i, steps + 1, X)
@@ -263,39 +270,58 @@ def _rollout(model, groups, starts, steps, beta, rngs):
     divisor = np.repeat([populations[i] for i in stacked], reps)[:, None]
     bounds = np.cumsum([0] + reps).tolist()
 
-    def pick(stage, at):
-        return None if stage is None else stage[at]
-
-    cost, disc = [np.zeros(len(counts)) if costs else None for counts in starts], 1.0
+    # row t + 1 of a population's stage array holds its replications' stage costs at step t
+    staged = [np.zeros((steps + 1, len(counts))) if costs else None for counts in starts]
+    ones = np.ones(X * groups.per_state, dtype=np.int64)
     for t in range(steps):
         block = groups.block[t]
         if stacked:
             (sizes, stage, cols), = _step_laws(
                 model, groups, np.concatenate([trajs[i][:, t] for i in stacked]),
                 divisor, [block], costs)
-            shared = {i: (sizes[lo:hi], pick(stage, slice(lo, hi)), cols[:, lo:hi])
-                      for i, lo, hi in zip(stacked, bounds, bounds[1:])}
+            shared = {}
+            for i, lo, hi in zip(stacked, bounds, bounds[1:]):
+                shared[i] = sizes[lo:hi], cols[:, lo:hi]
+                if costs:
+                    staged[i][t + 1] = stage[lo:hi]
         for i, table in enumerate(tables):
             if table is None:
-                sizes, stage, cols = shared[i]
+                sizes, cols = shared[i]
             else:
                 rank = rank_compositions(trajs[i][:, t])
                 sizes, stage, cols = table[block]
-                sizes, stage, cols = sizes.take(rank, 0), pick(stage, rank), cols.take(rank, 1)
-            if costs:
-                cost[i] += disc * stage / populations[i]  # disc * (stage / N) is 1 ulp off
+                if costs:
+                    stage.take(rank, out=staged[i][t + 1])
+                sizes, cols = sizes.take(rank, 0), cols.take(rank, 1)
             for j, draw in enumerate(_binomial_chain(rngs[i], sizes, cols)):
-                draw.sum(axis=1, out=trajs[i][:, t + 1, j])
-        if costs:
-            disc *= beta
-    return list(zip(cost, trajs))
+                np.matmul(draw, ones, out=trajs[i][:, t + 1, j])
+    if not costs:
+        return [(None, traj) for traj in trajs]
+    # the loop's cost += disc * stage / N, with disc *= beta after each step, in one pass:
+    # disc * (stage / N) can differ in the last bit
+    disc = np.cumprod([1.0] + [beta] * (steps - 1))[:, None]
+    for stage, population in zip(staged, populations):
+        stage[1:] *= disc
+        stage[1:] /= population
+    return [(np.add.accumulate(stage)[-1], traj) for stage, traj in zip(staged, trajs)]
 
 
 def _std_error(samples):
-    """Standard error of the mean over axis 0; None for a single sample."""
+    """Standard error of the mean over axis 0; None for a single sample.
+
+    Where the squared deviations of finite samples overflow, it is taken on
+    the samples divided by their largest magnitude and scaled back, which
+    stays finite: on samples in [-1, 1] it is at most 1.
+    """
     if len(samples) < 2:
         return None
-    se = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
+    root = math.sqrt(len(samples))
+    with np.errstate(over="ignore"):
+        se = samples.std(axis=0, ddof=1) / root
+    over = np.isinf(se) & np.isfinite(samples).all(axis=0)
+    if over.any():
+        scale = np.where(over, np.abs(samples).max(axis=0), 1.0)
+        se = np.where(over, (samples / scale).std(axis=0, ddof=1) / root * scale, se)
     return float(se) if se.ndim == 0 else se
 
 

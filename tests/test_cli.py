@@ -579,6 +579,26 @@ def test_simulate_uniform_kernel(capsys, tmp_path):
     assert manifest["params"]["uniform_kernel"] is True
 
 
+def test_simulate_std_error_stays_finite_when_squared_deviations_overflow(capsys, tmp_path):
+    # costs near the float maximum: the mean is finite, the squares of the deviations are not
+    config = json.loads(Path(bundled_path("counterexample")).read_text())
+    config["cost_linear"][0][0][0] = 1e308
+    path, out = tmp_path / "huge.json", tmp_path / "sim"
+    path.write_text(json.dumps(config))
+    code, text, err = run(
+        capsys, "simulate", str(path), "-N", "3", "--horizon", "3", "--uniform-kernel",
+        "--replications", "3", "--seed", "1", "--out", str(out),
+    )
+    assert (code, err) == (0, "")
+
+    def refuse(constant):
+        raise ValueError(f"report.json holds {constant}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    assert 0 < report["std_error"] < 1e308 and 0 < report["mean_cost"] < 1e308
+    assert f"std_error {cli._fmt(report['std_error'])}\n" in text
+
+
 def test_simulate_lifted_round_trip(capsys, tmp_path):
     solve_out = tmp_path / "solve"
     run(capsys, "solve-n", "counterexample", "-N", "2", "--horizon", "2",

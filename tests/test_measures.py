@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -66,6 +67,51 @@ def test_rank_ignores_entry_0(data, parts, total):
     raised = counts.copy()
     raised[:, 0] += shift  # may leave the compositions; the rank reads only tail sums
     np.testing.assert_array_equal(rank_compositions(raised), rank_compositions(counts))
+
+
+def _rank_by_comb(counts):
+    """rank_compositions of one count vector, in Python integers by math.comb."""
+    parts = len(counts)
+    return sum(math.comb(sum(counts[i + 1:]) + parts - 2 - i, parts - 1 - i)
+               for i in range(parts - 1))
+
+
+def _laid_out(counts, layout):
+    """`counts` as rank_compositions may receive it: the array itself, a strided view into a
+    larger array (as traj[:, t] is), its columns read backwards, an int32 copy or, when it
+    holds any count, nested lists."""
+    if layout == "view":
+        traj = np.zeros(counts.shape[:-1] + (3,) + counts.shape[-1:], dtype=np.int64)
+        traj[..., 1, :] = counts
+        return traj[..., 1, :]
+    if layout == "reversed":
+        return np.ascontiguousarray(counts[..., ::-1])[..., ::-1]
+    if layout == "int32":
+        return counts.astype(np.int32)
+    return counts.tolist() if layout == "lists" and counts.size else counts
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data(), parts=st.integers(0, 6),
+       leading=st.lists(st.integers(0, 4), max_size=2).map(tuple),
+       layout=st.sampled_from(["array", "view", "reversed", "int32", "lists"]))
+def test_rank_matches_the_binomial_sum_in_any_layout(data, parts, leading, layout):
+    # totals up to 10^5 at three parts or fewer; ranks stay far inside int64 either way
+    high = 10**5 // max(parts, 1) if parts <= 3 else 300
+    size = math.prod(leading)
+    counts = np.array(data.draw(st.lists(st.integers(0, high), min_size=size * parts,
+                                         max_size=size * parts)), dtype=np.int64)
+    counts = counts.reshape(leading + (parts,))
+    given_counts = _laid_out(counts, layout)
+    kept = np.array(given_counts, copy=True)
+    rank = rank_compositions(given_counts)
+    assert isinstance(rank, np.ndarray) and rank.dtype == np.int64 and rank.shape == leading
+    expected = [_rank_by_comb(c) for c in counts.reshape(size, parts).tolist()]
+    assert rank.reshape(-1).tolist() == expected
+    if isinstance(given_counts, np.ndarray):
+        assert not np.shares_memory(rank, given_counts)
+    rank[...] = -1  # writing the ranks leaves the counts as they were
+    np.testing.assert_array_equal(given_counts, kept)
 
 
 def test_compositions_order_and_count():

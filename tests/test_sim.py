@@ -30,7 +30,7 @@ from mfteams import (
     solve_symmetric_restricted,
     verify_markov_mf,
 )
-from mfteams import lifted, solver
+from mfteams import lifted, sim, solver
 from mfteams.measures import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -377,6 +377,36 @@ def test_rollout_matches_the_per_step_loop(seed, num_states, num_actions, popula
                                                 steps, beta, old_rng)
     else:
         ref_cost, ref_traj = _reference_mixed_rollout(model, policy, start, steps, beta, old_rng)
+    assert cost.tobytes() == ref_cost.tobytes()
+    assert traj.dtype == ref_traj.dtype and np.array_equal(traj, ref_traj)
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+# 318 steps at beta = 0.95, the length of the benchmark's discounted rollouts: the stage costs
+# are discounted and summed after the loop, so only a long horizon shows that sum accumulate
+# as the per-step loop's does (N = 100, not a power of 2, so that dividing by N rounds); a
+# cap of 0 sends the same rollout down the stacked path
+@pytest.mark.parametrize("cap", [DEFAULT_ENUMERATION_CAP, 0], ids=["tabulated", "stacked"])
+@pytest.mark.parametrize("kind, population, replications",
+                         [("lifted", 16, 50), ("shared", 100, 100)])
+def test_long_discounted_rollout_matches_the_per_step_loop(weakly_coupled, monkeypatch, cap,
+                                                           kind, population, replications):
+    steps, beta, seed = 318, 0.95, 29
+    policy = _random_policy(np.random.default_rng(seed), weakly_coupled, kind, population, None)
+    start = _multinomial(np.random.default_rng(seed), np.full(replications, population),
+                         weakly_coupled.initial_dist)
+    calls = _count_rollout_calls(monkeypatch)
+    monkeypatch.setattr("mfteams.sim.DEFAULT_ENUMERATION_CAP", cap)
+    new_rng, old_rng = _stream(seed), _stream(seed)
+    (cost, traj), = sim._rollout(weakly_coupled, _cell_sampler(weakly_coupled, policy, steps),
+                                 [start], steps, beta, [new_rng])
+    assert calls["kernel_tensor_at"] == (1 if cap else steps)
+    if kind == "lifted":
+        ref_cost, ref_traj = _reference_rollout(weakly_coupled, _reference_sampler(policy, steps),
+                                                start, steps, beta, old_rng)
+    else:
+        ref_cost, ref_traj = _reference_mixed_rollout(weakly_coupled, policy, start, steps, beta,
+                                                      old_rng)
     assert cost.tobytes() == ref_cost.tobytes()
     assert traj.dtype == ref_traj.dtype and np.array_equal(traj, ref_traj)
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
