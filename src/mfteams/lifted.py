@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from functools import cached_property
 
@@ -81,20 +82,29 @@ _FLOAT_MAX = sys.float_info.max
 _CHUNK = 1 << 12  # entries per pass of _Convolver.multinomial
 
 
-def _multinomial_coefficients(n, parts):
+def _pascal_rows():
+    """Rows 0, 1, 2, ... of Pascal's triangle, C(n, j) for j = 0, ..., n,
+    as lists of Python integers, each made from the last by adding
+    neighbours."""
+    row = [1]
+    while True:
+        yield row
+        row = [1, *map(operator.add, row, row[1:]), 1]
+
+
+def _exact_coefficients(row, parts):
     """Exact multinomial coefficient of every composition of n into
-    `parts`, in the order of `compositions`: C(n, first) times those of
-    the rest, which sums to j = n - first."""
+    `parts`, in the order of `compositions`, from Pascal row n: C(n, first)
+    times those of the rest, which sums to j = n - first, so the block of
+    j holds row[j] times the coefficients of j into parts - 1, made from
+    Pascal row j."""
     if parts == 1:
         return [1]
-    heads = [1]  # C(n, j) for j = 0, ..., n
-    for j in range(n):
-        heads.append(heads[-1] * (n - j) // (j + 1))
     if parts == 2:
-        return heads
+        return row
     out = []
-    for j, head in enumerate(heads):
-        out += [head * rest for rest in _multinomial_coefficients(j, parts - 1)]
+    for head, inner in zip(row, _pascal_rows()):
+        out += [head * v for v in _exact_coefficients(inner, parts - 1)]
     return out
 
 
@@ -195,21 +205,29 @@ class _Convolver:
     def _add_coefficients(self, totals):
         """Add the coefficients of the sorted `totals` not made yet to the
         flat float array _coefs, total n's from _first[n] on: the exact
-        integers of _multinomial_coefficients rounded to the nearest float,
-        or 0.0 beyond the float range, where _logs[n] holds the entries'
-        indices and logarithms.  One total at a time, so that few Python
-        integers live at once."""
-        new, made = [n for n in totals if self._first[n] < 0], []
-        for n in new:
-            exact = np.array(_multinomial_coefficients(n, self.parts), dtype=object)
-            big = np.flatnonzero(exact > _FLOAT_MAX)
-            if big.size:
-                self._logs[n] = (big, np.array([math.log(v) for v in exact[big]]))
-            exact[big] = 0
-            made.append(exact.astype(float))
+        integers of _exact_coefficients rounded to the nearest float, or 0.0
+        beyond the float range, where _logs[n] holds the entries' indices
+        and logarithms.  The integers come from Pascal rows, advanced by
+        additions from one wanted total to the next, so one row and one
+        total's integers live at once; the floats are written into one
+        array made at its final size."""
+        new = [n for n in totals if self._first[n] < 0]
         sizes = self.sizes[new]
         self._first[new] = len(self._coefs) + np.cumsum(sizes) - sizes
-        self._coefs = np.concatenate([self._coefs, *made])
+        coefs = np.empty(len(self._coefs) + int(sizes.sum()))
+        coefs[: len(self._coefs)] = self._coefs
+        rows, at = _pascal_rows(), -1
+        for n, lo, size in zip(new, self._first[new].tolist(), sizes.tolist()):
+            row = next(itertools.islice(rows, n - at - 1, None))  # Pascal row n
+            at = n
+            exact = _exact_coefficients(row, self.parts)
+            if max(exact) > _FLOAT_MAX:
+                exact = np.array(exact, dtype=object)
+                big = np.flatnonzero(exact > _FLOAT_MAX)
+                self._logs[n] = (big, np.array([math.log(v) for v in exact[big]]))
+                exact[big] = 0
+            coefs[lo : lo + size] = exact
+        self._coefs = coefs
 
     def convolve(self, f, a, g, b):
         """Law of the sum of independent count vectors of totals a and b
@@ -554,19 +572,27 @@ def exact_action_distribution(states, theta, max_population=8):
 def _kernel_stage_data(model, counts, kernels):
     """(M * K, M) DenseMDP over the measures of `counts`, the (M, X) rows
     of composition_array(N, X), whose actions at measure i are the K shared
-    kernels kernels[i], an (M, K, X, U) array of action rows.
+    kernels kernels[i], an (M, ..., X, U) array of action rows, K the
+    product of its middle axes, numbered in C order.
 
     All agents draw actions independently from the kernel, so the expected
     stage cost mixes the kernel into the running cost, and each occupied
     state's factor is one multinomial of the mixed law k[x] @ T[x]; a
     kernel's row is the convolution of those factors.  The model is
-    evaluated once for all measures, the mixed laws are one stacked matmul,
-    one multinomial call covers every occupied (measure, state) pair, each
-    row with that pair's agent count as its total, and one _Convolver on
-    (X, N) folds them all.  The rows hold M * K * M entries, which the
-    caller holds to its cap with everything else it keeps.
+    evaluated once for all measures, and the mixed laws and the kernels'
+    expected costs k[x] @ c[x] are one stacked mixed_laws each, which
+    multiplies the rows of each index of the middle axes but the last as
+    one block: an (M, K, 1, X, U) stack gives every kernel the products a
+    build of that kernel alone makes.  The stage costs add the occupied
+    states' shares n / N of those costs left to right from 0.0.  One
+    multinomial call covers every occupied (measure, state) pair, each row
+    with that pair's agent count as its total, and one _Convolver on (X,
+    N) folds each measure's factors, all K kernels at once.  The rows hold
+    M * K * M entries, which the caller holds to its cap with everything
+    else it keeps.
     """
-    M, K, X = kernels.shape[:3]
+    M, X = counts.shape
+    K = math.prod(kernels.shape[1:-2])
     pop = int(counts[0].sum())
     mus = counts / pop
     conv = _Convolver(X, pop)
@@ -578,11 +604,14 @@ def _kernel_stage_data(model, counts, kernels):
     for pair, pmf in zip(held.tolist(),
                          np.split(pmfs, np.cumsum(K * conv.sizes[agents[held]])[:-1])):
         factors[pair] = pmf.reshape(K, -1)
-    cost, rows = np.empty((M, K)), np.empty((M, K, M))
-    for i, (c, cmat, ks) in enumerate(zip(counts, model.cost_matrix_at(mus), kernels)):
-        occupied = [(x, n) for x, n in enumerate(c.tolist()) if n]
-        cost[i] = sum((n / pop) * (ks[:, x] @ cmat[x]) for x, n in occupied)
-        rows[i] = conv.fold((factors[i * X + x], n) for x, n in occupied)
+    costs = mixed_laws(kernels, model.cost_matrix_at(mus)[..., None]).reshape(M, X, K)
+    cost = np.zeros((M, K))
+    for x in range(X):
+        at = counts[:, x] > 0
+        cost[at] += (counts[at, x] / pop)[:, None] * costs[at, x]
+    rows = np.empty((M, K, M))
+    for i, c in enumerate(counts):
+        rows[i] = conv.fold((factors[i * X + x], n) for x, n in enumerate(c.tolist()) if n)
     return DenseMDP(cost.ravel(), np.arange(M) * K, rows.reshape(M * K, M))
 
 
@@ -607,22 +636,28 @@ def evaluate_symmetric_policy_exact(model, population, pi, horizon,
 
     `pi` is a PolicyKernel, a sequence of them or a kernel-choosing
     Solution, mapped to stages by `stages`.  Each distinct kernel is looked
-    up at the grid point nearest every measure, one project_many, and built
-    into one MDP, which every stage of its block reads.  The backward
-    recursion holds every build at once, so their rows, distinct kernels
-    times measures times measures entries, are held to `cap` together
-    before any is made.  Returns values
-    over the empirical-measure enumeration; no Monte Carlo is involved (the
-    discounted case solves the policy's linear system directly).
+    up at the grid point nearest every measure, one project_many, and the
+    K kernels' action rows make one build for the population, stacked as K
+    one-action problems so that each kernel's costs and laws are those of a
+    build of that kernel alone, bit for bit.  Each stage reads its kernel's
+    costs and (M, M) block of the (M, K, M) rows as views.  The backward
+    recursion holds that build, distinct kernels times measures times
+    measures entries, which is held to `cap` before it is made.  Returns
+    values over the empirical-measure enumeration; no Monte Carlo is
+    involved (the discounted case solves the policy's linear system
+    directly).
     """
     counts = empirical_counts(population, model.num_states, cap)
     beta, steps = resolve_horizon(model, horizon, len(counts), cap)
     kernels, block = stages(model, pi, steps)
-    _check_cap("shared-kernel transition rows", len(kernels) * len(counts) ** 2, cap)
+    M, K = len(counts), len(kernels)
+    _check_cap("shared-kernel transition rows", K * M**2, cap)
     mus = counts / population
-    data = [_kernel_stage_data(model, counts, k.table[k.grid.project_many(mus)[:, None]])
-            for k in kernels]
+    actions = np.stack([k.table[k.grid.project_many(mus)] for k in kernels], axis=1)
+    data = _kernel_stage_data(model, counts, actions[:, :, None])
     if steps is None:
-        return data[0].policy_values(0, beta)  # each state's one action
-    values, _ = solve_finite([data[b] for b in block], beta)
+        return data.policy_values(0, beta)  # the one kernel, each state's one action
+    cost, rows, one = data.cost.reshape(M, K), data.rows.reshape(M, K, M), np.arange(M)
+    per_kernel = [DenseMDP(cost[:, b], one, rows[:, b]) for b in range(K)]
+    values, _ = solve_finite([per_kernel[b] for b in block], beta)
     return values[0]

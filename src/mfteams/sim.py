@@ -212,7 +212,8 @@ def _step_laws(model, groups, counts, population, blocks, costs=True):
     """Each listed block's group counts (S, G), stage costs sum_g size * cost (S,)
     and next-state _columns (X - 1, S, G) at the (S, X) counts, from one model evaluation.
     `population` divides the counts into measures: one int, or one per row as an (S, 1)
-    array.  With costs=False the model's costs are not evaluated and each stage cost is None."""
+    array.  With costs=False the model's costs are not evaluated and each stage cost is None.
+    A stage cost past the float range is inf or nan; _rollout refuses it."""
     mus = counts / population
     return [(sizes, None if cost is None else (sizes * cost).sum(axis=1), cols)
             for sizes, cost, cols in groups.laws(
@@ -220,6 +221,7 @@ def _step_laws(model, groups, counts, population, blocks, costs=True):
                 model.kernel_tensor_at(mus), blocks)]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _rollout(model, groups, starts, steps, beta, rngs):
     """Advance populations with state counts starts[i] (R_i, X) together,
     population i drawing from rngs[i].
@@ -241,8 +243,12 @@ def _rollout(model, groups, starts, steps, beta, rngs):
     population.  The stage costs are kept per step and discounted and
     summed once after the loop, by the operations of a per-step
     cost += disc * stage / N in the same order.  With beta=None no stage
-    cost is evaluated or kept.  Every population's (R_i, steps + 1, X)
-    trajectory is held until the end.  On a 2-core VM a step takes about
+    cost is evaluated or kept.  A stage cost sum_g size * cost, or a
+    replication's discounted sum of them, can pass the float range on
+    finite model costs: the rollout runs with overflow and invalid-value
+    warnings silenced, and a population whose costs are not all finite is
+    refused with a ValueError naming it.  Every population's (R_i,
+    steps + 1, X) trajectory is held until the end.  On a 2-core VM a step takes about
     25 us for a lifted N = 16 policy (R = 50, G = 4) and 52 us for a shared
     kernel at N = 128 (R = 100, G = 2), of which the X - 1 binomial calls on
     contiguous columns take about 20 and 41 us.
@@ -300,28 +306,41 @@ def _rollout(model, groups, starts, steps, beta, rngs):
     # the loop's cost += disc * stage / N, with disc *= beta after each step, in one pass:
     # disc * (stage / N) can differ in the last bit
     disc = np.cumprod([1.0] + [beta] * (steps - 1))[:, None]
-    for stage, population in zip(staged, populations):
+    out = []
+    for stage, population, traj in zip(staged, populations, trajs):
         stage[1:] *= disc
         stage[1:] /= population
-    return [(np.add.accumulate(stage)[-1], traj) for stage, traj in zip(staged, trajs)]
+        cost = np.add.accumulate(stage)[-1]
+        if not np.isfinite(cost).all():
+            raise ValueError(f"the costs of N={population} agents pass the float range: a stage "
+                             f"cost, the sum of the agents' costs, or its sum over the steps "
+                             f"overflows")
+        out.append((cost, traj))
+    return out
+
+
+def _scaled(stat, samples):
+    """stat(samples), a statistic over axis 0 that scales with the samples.
+
+    Where it overflows on finite samples, it is taken on the samples divided
+    by their largest magnitude and scaled back, which stays finite: on
+    samples in [-1, 1] the mean and the standard error are at most 1.
+    """
+    with np.errstate(over="ignore"):
+        out = stat(samples)
+    over = np.isinf(out) & np.isfinite(samples).all(axis=0)
+    if over.any():
+        scale = np.where(over, np.abs(samples).max(axis=0), 1.0)
+        out = np.where(over, stat(samples / scale) * scale, out)
+    return out
 
 
 def _std_error(samples):
-    """Standard error of the mean over axis 0; None for a single sample.
-
-    Where the squared deviations of finite samples overflow, it is taken on
-    the samples divided by their largest magnitude and scaled back, which
-    stays finite: on samples in [-1, 1] it is at most 1.
-    """
+    """Standard error of the mean over axis 0, _scaled; None for a single sample."""
     if len(samples) < 2:
         return None
     root = math.sqrt(len(samples))
-    with np.errstate(over="ignore"):
-        se = samples.std(axis=0, ddof=1) / root
-    over = np.isinf(se) & np.isfinite(samples).all(axis=0)
-    if over.any():
-        scale = np.where(over, np.abs(samples).max(axis=0), 1.0)
-        se = np.where(over, (samples / scale).std(axis=0, ddof=1) / root * scale, se)
+    se = _scaled(lambda s: s.std(axis=0, ddof=1) / root, samples)
     return float(se) if se.ndim == 0 else se
 
 
@@ -382,7 +401,7 @@ def simulate_n_agents(model, config):
         steps=steps,
         discount=beta,
         truncation_bound=trunc,
-        mean_cost=float(costs.mean()),
+        mean_cost=float(_scaled(lambda s: s.mean(axis=0), costs)),
         std_error=_std_error(costs),
         mean_measures=trajs.mean(axis=0),
         chaos_series=chaos,

@@ -417,12 +417,17 @@ def stage_tables(tables, stationary, steps, what="policy tables"):
 
 
 def mixed_laws(kernels, tens):
-    """The (S, X, K, X) next-state laws kernels[s, k, x] @ tens[s, x] of an
-    agent at state x under each of the K shared kernels of an (S, K, X, U)
-    stack, given the (S, X, U, X) kernel tensors at the same measures.
+    """The (S, X, ..., K, X') products kernels[s, ..., k, x] @ tens[s, x] of
+    an (S, ..., K, X, U) stack of shared kernels with the (S, X, U, X')
+    array `tens` at the same measures: with the kernel tensors there, the
+    next-state laws of an agent at state x under each kernel.
 
-    matmul runs its loop per (K, U) @ (U, X) block with the same strides,
-    so the laws are those products bit for bit, however many measures the
-    stack holds.
+    matmul runs its loop per (K, U) @ (U, X') block with the same strides,
+    so the laws are those products bit for bit, however many measures and
+    however many blocks the stack holds; the size K of a block picks the
+    BLAS routine, so a product can differ in the last bit between K = 1
+    and K > 1.
     """
-    return np.matmul(kernels.transpose(0, 2, 1, 3), tens)
+    lead = kernels.ndim - 4  # the middle axes before K
+    return np.matmul(np.moveaxis(kernels, -2, 1),
+                     tens.reshape(tens.shape[:2] + (1,) * lead + tens.shape[2:]))

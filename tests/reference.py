@@ -5,8 +5,10 @@
 that code verbatim: one composition table, tail-sum table and coefficient
 list per total, one rank table per convolve, one multinomial call per agent
 count.  `lifted_operator` is the body of `MeasureMDP.operator` at the time.
-`tests/test_reference.py` checks that the package builds the same floats,
-bit for bit.
+`evaluate_symmetric_policy_exact` is the exact evaluation as it was before
+one build held every distinct kernel: one `_kernel_stage_data` per distinct
+kernel, verbatim.  `tests/test_reference.py` checks that the package builds
+the same floats, bit for bit.
 
 Also the stage rule as it was before `solver.stages` returned each policy's
 distinct kernels: `per_stage`, `check_kernel_rows` and the flow's
@@ -26,6 +28,7 @@ from mfteams.measures import (
     _add_rank_terms,
     _check_cap,
     composition_array,
+    empirical_counts,
     num_compositions,
 )
 from mfteams.solver import (
@@ -34,7 +37,10 @@ from mfteams.solver import (
     Solution,
     mixed_laws,
     policy_kernels,
+    resolve_horizon,
+    solve_finite,
     stage_tables,
+    stages,
 )
 
 
@@ -272,6 +278,33 @@ def lifted_operator(mdp):
                                 factors):
         cost[a:b], rows[a:b] = _lifted_rows(conv, c, self.joint_actions[a:b], cmat, f)
     return DenseMDP(cost, self.act_off, rows)
+
+
+def evaluate_symmetric_policy_exact(model, population, pi, horizon,
+                                    cap=DEFAULT_ENUMERATION_CAP):
+    """Exact expected cost of fixed shared kernels on the measure chain.
+
+    `pi` is a PolicyKernel, a sequence of them or a kernel-choosing
+    Solution, mapped to stages by `stages`.  Each distinct kernel is looked
+    up at the grid point nearest every measure, one project_many, and built
+    into one MDP, which every stage of its block reads.  The backward
+    recursion holds every build at once, so their rows, distinct kernels
+    times measures times measures entries, are held to `cap` together
+    before any is made.  Returns values
+    over the empirical-measure enumeration; no Monte Carlo is involved (the
+    discounted case solves the policy's linear system directly).
+    """
+    counts = empirical_counts(population, model.num_states, cap)
+    beta, steps = resolve_horizon(model, horizon, len(counts), cap)
+    kernels, block = stages(model, pi, steps)
+    _check_cap("shared-kernel transition rows", len(kernels) * len(counts) ** 2, cap)
+    mus = counts / population
+    data = [_kernel_stage_data(model, counts, k.table[k.grid.project_many(mus)[:, None]])
+            for k in kernels]
+    if steps is None:
+        return data[0].policy_values(0, beta)  # each state's one action
+    values, _ = solve_finite([data[b] for b in block], beta)
+    return values[0]
 
 
 # ---- the stage rule ----

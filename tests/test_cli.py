@@ -599,6 +599,49 @@ def test_simulate_std_error_stays_finite_when_squared_deviations_overflow(capsys
     assert f"std_error {cli._fmt(report['std_error'])}\n" in text
 
 
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{path} holds {constant}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def _huge_cost_model(tmp_path):
+    """counterexample with one cost near the float maximum: finite, but a
+    few agents' costs summed pass the float range."""
+    config = json.loads(Path(bundled_path("counterexample")).read_text())
+    config["cost_linear"][0][0][0] = 1e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_simulate_mean_cost_stays_finite_when_the_sum_of_costs_overflows(capsys, tmp_path):
+    # each replication's cost is finite, their sum over ten replications is not
+    out = tmp_path / "sim"
+    code, text, err = run(
+        capsys, "simulate", _huge_cost_model(tmp_path), "-N", "3", "--horizon", "3",
+        "--uniform-kernel", "--replications", "10", "--seed", "1", "--out", str(out),
+    )
+    assert (code, err) == (0, "")
+    report = _strict_json(out / "report.json")
+    assert 1e307 < report["mean_cost"] < 1e308 and 0 < report["std_error"] < 1e308
+    assert text == (f"mean_cost {cli._fmt(report['mean_cost'])}\n"
+                    f"std_error {cli._fmt(report['std_error'])}\n")
+
+
+def test_simulate_refuses_a_population_whose_stage_cost_overflows(capsys, tmp_path):
+    # four agents' costs summed pass the float range: no report, one error line naming N
+    out = tmp_path / "sim"
+    code, text, err = run(
+        capsys, "simulate", _huge_cost_model(tmp_path), "-N", "4", "--horizon", "3",
+        "--uniform-kernel", "--replications", "3", "--seed", "1", "--out", str(out),
+    )
+    assert (code, text) == (2, "")
+    assert err.startswith("error: the costs of N=4 agents pass the float range")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def test_simulate_lifted_round_trip(capsys, tmp_path):
     solve_out = tmp_path / "solve"
     run(capsys, "solve-n", "counterexample", "-N", "2", "--horizon", "2",

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
@@ -327,9 +328,15 @@ def test_stages_with_equal_choices_share_one_kernel(weakly_coupled, monkeypatch)
     built = []
     stage_data = lifted._kernel_stage_data
     monkeypatch.setattr(lifted, "_kernel_stage_data",
-                        lambda *args: built.append(1) or stage_data(*args))
+                        lambda *args: built.append(args) or stage_data(*args))
     values = evaluate_symmetric_policy_exact(weakly_coupled, 16, sol, FiniteHorizon(200))
-    assert len(built) == len(distinct)
+    # one build, whose kernel axis holds every distinct kernel, in the order of first use
+    (_, counts, stacked), = built
+    first_use = list({id(k): k for k in kernels}.values())
+    assert len(first_use) == len(distinct)
+    mus = counts / 16
+    assert np.array_equal(stacked, np.stack([k.table[k.grid.project_many(mus)]
+                                             for k in first_use], axis=1)[:, :, None])
     monkeypatch.undo()
     # one kernel object per stage gives the same values
     unshared = [PolicyKernel(k.grid, k.table) for k in kernels]
@@ -440,6 +447,21 @@ def test_factor_beyond_the_float_range_keeps_zero_categories():
     expected = [binomial[c0, c1] for c0, c1, _ in comps[free].tolist()]
     np.testing.assert_allclose(pmf[free], expected, rtol=1e-12, atol=0.0)
     assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_two_part_coefficients_hold_one_pascal_row_and_one_float_array():
+    # totals 0..1000 at two parts: 501501 floats, 4.0 MB.  Building each total's
+    # floats and concatenating them peaked at 8.3 MB; Pascal rows written into one
+    # array of the final size peak at 4.4 MB on CPython 3.11
+    conv = lifted._Convolver(2, 1000)
+    tracemalloc.start()
+    try:
+        conv._add_coefficients(list(range(1001)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert conv._coefs.size == 501501
+    assert peak <= 8.3e6
 
 
 def test_eta_rejects_marginal_mismatch(counterexample):
@@ -1347,7 +1369,9 @@ def test_shared_kernel_rows_have_the_moments_of_independent_agents(seed, num_sta
         patch.setattr(lifted, "_kernel_stage_data", lambda *args: built.append(
             (args, _kernel_stage_data(*args))) or built[-1][1])
         evaluate_symmetric_policy_exact(model, population, pi, FiniteHorizon(2))
-    assert len(built) == 2
-    for (_, got_counts, got_kernels), stage in built:
-        assert np.array_equal(got_counts, counts)
-        _assert_kernel_row_moments(model, counts, got_kernels, stage.rows)
+    # one build, whose kernel axis holds both kernels, each with one action per measure
+    ((_, got_counts, got_kernels), stage), = built
+    assert np.array_equal(got_counts, counts)
+    at = grid.project_many(counts / population)
+    assert np.array_equal(got_kernels, np.stack([k.table[at] for k in pi], axis=1)[:, :, None])
+    _assert_kernel_row_moments(model, counts, got_kernels[:, :, 0], stage.rows)

@@ -3,6 +3,7 @@ builds in `reference.py`, float for float, and the stage rule against the
 reference stage rule, object for object."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,13 @@ from hypothesis import strategies as st
 
 import reference
 from mfteams import DiscountedHorizon, FiniteHorizon, PolicyKernel, lifted, solver
-from mfteams.lifted import _kernel_stage_data, build_measure_mdp, solve_symmetric_restricted
+from mfteams.lifted import (
+    _FLOAT_MAX,
+    _kernel_stage_data,
+    build_measure_mdp,
+    evaluate_symmetric_policy_exact,
+    solve_symmetric_restricted,
+)
 from mfteams.measures import composition_array, policy_grid, simplex_grid
 from mfteams.mkv import build_mkv_mdp
 from mfteams.models import load_bundled
@@ -63,6 +70,68 @@ def test_multinomials_beyond_the_float_range_match_the_reference(laws, totals):
                            for law, n in zip(rows, np.tile(totals, len(laws)).tolist())])
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
+
+
+@pytest.mark.parametrize("parts, calls", [
+    (1, [range(0, 40)]),
+    (2, [range(0, 1101)]),
+    # sparse totals, and a second call that keeps the first call's and adds the rest
+    (2, [[0, 3, 7, 1025], [1, 3, 8, 700, 1025, 1100]]),
+    (3, [range(0, 61), [64, 100]]),
+    (3, [[680]]),  # past the float range at three parts
+    (4, [range(0, 25)]),
+])
+def test_coefficients_are_the_exact_integers_rounded(parts, calls):
+    # each total's floats are its exact integers rounded to nearest, 0.0 past the
+    # float range, where _logs holds their indices and logarithms
+    conv = lifted._Convolver(parts, max(max(c) for c in calls))
+    for totals in calls:
+        conv._add_coefficients(sorted(totals))
+    for n in sorted({n for c in calls for n in c}):
+        exact = reference._multinomial_coefficients(n, parts)
+        want = np.array([float(v) if v <= _FLOAT_MAX else 0.0 for v in exact])
+        first = conv._first[n]
+        assert conv._coefs[first : first + len(exact)].tobytes() == want.tobytes()
+        big = [i for i, v in enumerate(exact) if v > _FLOAT_MAX]
+        if big:
+            index, logs = conv._logs[n]
+            assert index.tolist() == big
+            assert logs.tobytes() == np.array([math.log(exact[i]) for i in big]).tobytes()
+        else:
+            assert n not in conv._logs
+    assert conv._coefs.size == sum(conv.sizes[n] for n in {n for c in calls for n in c})
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_states=st.sampled_from([2, 3]),
+       num_actions=st.sampled_from([2, 3]), population=st.integers(1, 8),
+       steps=st.one_of(st.none(), st.integers(1, 4)), data=st.data())
+@example(seed=7, num_states=3, num_actions=3, population=8, steps=4, data=None)
+# at X = U = 4, a (K, U) @ (U, X) product of K > 1 kernels differs in the last bit from K
+# products of one: each kernel must be multiplied as one block of its own
+@example(seed=8, num_states=4, num_actions=4, population=4, steps=3, data=None)
+def test_exact_evaluation_matches_the_per_kernel_reference(seed, num_states, num_actions,
+                                                           population, steps, data):
+    # one build holding every distinct kernel gives the values of one build per kernel
+    rng = np.random.default_rng(seed)
+    model = _model_with_zeros(rng, num_states, num_actions)
+    pool = [PolicyKernel(grid, _rows_with_zeros(rng, (len(grid), num_states, num_actions)))
+            for grid in [simplex_grid(m, num_states) for m in (1, 2, 4, 4)]]
+    if steps is None:
+        horizon = DiscountedHorizon()
+        pi = pool[2] if data is None else data.draw(st.sampled_from(pool), label="kernel")
+    elif data is None:
+        horizon, pi = FiniteHorizon(steps), [pool[3], pool[0], pool[3], pool[2]][:steps]
+    else:
+        horizon = FiniteHorizon(steps, data.draw(st.sampled_from([None, 1.0]), label="beta"))
+        pi = data.draw(st.one_of(
+            st.sampled_from(pool),
+            st.lists(st.sampled_from(pool), min_size=steps, max_size=steps)), label="kernels")
+    event("discounted" if steps is None else
+          f"{len({id(k) for k in ([pi] if isinstance(pi, PolicyKernel) else pi)})} distinct")
+    got = evaluate_symmetric_policy_exact(model, population, pi, horizon)
+    want = reference.evaluate_symmetric_policy_exact(model, population, pi, horizon)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ---- the stage rule ----

@@ -267,6 +267,20 @@ def test_rollout_runs_at_a_billion_agents(counterexample):
     np.testing.assert_allclose(report.mean_measures.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("population, steps", [(1, 3), (4, 1)])
+def test_a_rollout_whose_costs_pass_the_float_range_is_refused(counterexample, population,
+                                                               steps):
+    # every cost 1e308: one agent's three undiscounted stage costs (tabulated), or four
+    # agents' costs summed in one stage (stacked), pass the float range; no warning, no inf
+    config = counterexample.to_config()
+    config["cost_const"] = np.full((2, 2), 1e308).tolist()
+    model = EnvironmentModel(**config)
+    sim_config = SimConfig(population=population, horizon=FiniteHorizon(steps, 1.0),
+                           policy=uniform_kernel(), replications=3, seed=5)
+    with pytest.raises(ValueError, match=f"the costs of N={population} agents pass the float"):
+        simulate_n_agents(model, sim_config)
+
+
 # ---- per-measure step laws against the per-step loop ----
 
 
