@@ -185,28 +185,30 @@ def _checked_stages(path, header, keys, points, tol=1e-12, choices=None):
             raise ValueError(f"{what} {_fmt(values[bad[0]])} in {path} is not one of "
                              f"0..{bounds[bad[0]] - 1}")
 
-    rows = [line.split(",") for line in Path(path).read_text().strip().splitlines()]
-    if rows[:1] != [header]:
+    width = len(header)
+    lines = Path(path).read_text().strip().splitlines()
+    if lines[:1] != [",".join(header)]:
         raise ValueError(f"{path} does not start with the header {','.join(header)}")
-    if len(rows) == 1:
+    if len(lines) == 1:
         raise ValueError(f"{path} holds its header and no rows")
-    if any(len(parts) != len(header) for parts in rows):
+    if set(map(str.count, lines, [","] * len(lines))) != {width - 1}:
         raise ValueError(f"{path} has a row whose columns do not match its header")
-    labels = {parts[0] for parts in rows[1:]}
+    cells = ",".join(lines[1:]).split(",")  # line k's cells start at (k - 2) * width
+    labels = set(cells[::width])
     stationary = labels == {"stationary"}
     if not stationary and labels != set(map(str, range(len(labels)))):
         raise ValueError(f"{path} does not number its stages from 0")
-    cells = [["0" if stationary else parts[0]] + parts[1:] for parts in rows[1:]]
+    if stationary:
+        cells[::width] = ["0"] * (len(lines) - 1)
     try:
-        table = np.array(cells, dtype=float).reshape(-1, len(header))
+        table = np.array(cells, dtype=float).reshape(-1, width)
     except ValueError:  # name the first cell that is not a number
-        for line, parts in enumerate(cells, 2):
-            for col, (name, cell) in enumerate(zip(header, parts), 1):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise ValueError(f"{path}, line {line}, column {col} ({name}) holds "
-                                     f"{cell!r}, not a number") from None
+        for k, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError:
+                raise ValueError(f"{path}, line {k // width + 2}, column {k % width + 1} "
+                                 f"({header[k % width]}) holds {cell!r}, not a number") from None
         raise
     keys = [(0, "stationary stage" if stationary else "stage", len(labels))] + keys
     for col, name, n in keys:
@@ -224,7 +226,7 @@ def _checked_stages(path, header, keys, points, tol=1e-12, choices=None):
         raise ValueError(f"line {off.argmax() + 2} of {path} does not hold its ordinal's cells")
     if choices is not None:
         check_range(header[-1], table[:, -1], np.asarray(choices)[key[1]])
-    return table[np.argsort(flat)].reshape(shape + (len(header),)), stationary
+    return table[np.argsort(flat)].reshape(shape + (width,)), stationary
 
 
 # ---- solve-n ----

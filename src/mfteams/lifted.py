@@ -82,14 +82,24 @@ _FLOAT_MAX = sys.float_info.max
 _CHUNK = 1 << 12  # entries per pass of _Convolver.multinomial
 
 
+def _pascal_row(n, last=None):
+    """Row n of Pascal's triangle, C(n, j) for j = 0, ..., n, as a list of
+    Python integers: from `last` by adding neighbours when it is row n - 1,
+    and otherwise straight from C(n, j + 1) = C(n, j) (n - j) // (j + 1)."""
+    if last is not None and len(last) == n:
+        return [1, *map(operator.add, last, last[1:]), 1]
+    row = [1]
+    for j in range(n):
+        row.append(row[-1] * (n - j) // (j + 1))
+    return row
+
+
 def _pascal_rows():
-    """Rows 0, 1, 2, ... of Pascal's triangle, C(n, j) for j = 0, ..., n,
-    as lists of Python integers, each made from the last by adding
-    neighbours."""
+    """Rows 0, 1, 2, ... of Pascal's triangle, each made from the last."""
     row = [1]
     while True:
         yield row
-        row = [1, *map(operator.add, row, row[1:]), 1]
+        row = _pascal_row(len(row), row)
 
 
 def _exact_coefficients(row, parts):
@@ -207,8 +217,9 @@ class _Convolver:
         flat float array _coefs, total n's from _first[n] on: the exact
         integers of _exact_coefficients rounded to the nearest float, or 0.0
         beyond the float range, where _logs[n] holds the entries' indices
-        and logarithms.  The integers come from Pascal rows, advanced by
-        additions from one wanted total to the next, so one row and one
+        and logarithms.  The integers come from each wanted total's Pascal
+        row, made by additions from the last one when the total follows it
+        and straight from exact integers otherwise, so one row and one
         total's integers live at once; the floats are written into one
         array made at its final size."""
         new = [n for n in totals if self._first[n] < 0]
@@ -216,10 +227,9 @@ class _Convolver:
         self._first[new] = len(self._coefs) + np.cumsum(sizes) - sizes
         coefs = np.empty(len(self._coefs) + int(sizes.sum()))
         coefs[: len(self._coefs)] = self._coefs
-        rows, at = _pascal_rows(), -1
+        row = None
         for n, lo, size in zip(new, self._first[new].tolist(), sizes.tolist()):
-            row = next(itertools.islice(rows, n - at - 1, None))  # Pascal row n
-            at = n
+            row = _pascal_row(n, row)
             exact = _exact_coefficients(row, self.parts)
             if max(exact) > _FLOAT_MAX:
                 exact = np.array(exact, dtype=object)

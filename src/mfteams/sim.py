@@ -19,8 +19,10 @@ replications times steps, and their laws fit under DEFAULT_ENUMERATION_CAP
 entries together with the rollout's other tables, a rollout computes them
 once per measure and a step gathers its rows by rank; otherwise each step
 computes them.  One rollout advances several populations in lockstep, each
-on its own RNG stream: those that do not tabulate share one evaluation per
-step over their stacked measures.  `chaos_gap` runs all its populations
+on its own RNG stream: those that tabulate share one evaluation per batch,
+taken in increasing population size, of at most as many measures as the
+largest of them has, and those that do not share one evaluation per step
+over their stacked measures.  `chaos_gap` runs all its populations
 in one such rollout and evaluates no stage cost, since it reports none.  A
 step then makes X - 1 binomial calls per population and a few small numpy
 calls (one rank, the gathers, one int64 matmul per category); the stage
@@ -221,6 +223,21 @@ def _step_laws(model, groups, counts, population, blocks, costs=True):
                 model.kernel_tensor_at(mus), blocks)]
 
 
+def _stacked_laws(model, groups, counts, populations, blocks, costs):
+    """The _step_laws of several populations' (R_i, X) counts[i] from one model
+    evaluation over their concatenated rows, each row's counts divided by its own
+    population: per population, each listed block's (sizes, stage cost, columns) as
+    row slices of the evaluation's.  The list `counts` is emptied, so that its
+    arrays can be freed before the evaluation."""
+    reps = [len(c) for c in counts]
+    rows = np.concatenate(counts)
+    counts.clear()  # the rows live once, in the stack
+    laws = _step_laws(model, groups, rows, np.repeat(populations, reps)[:, None], blocks, costs)
+    bounds = np.cumsum([0] + reps).tolist()
+    return [[(sizes[lo:hi], None if stage is None else stage[lo:hi], cols[:, lo:hi])
+             for sizes, stage, cols in laws] for lo, hi in zip(bounds, bounds[1:])]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _rollout(model, groups, starts, steps, beta, rngs):
     """Advance populations with state counts starts[i] (R_i, X) together,
@@ -237,11 +254,15 @@ def _rollout(model, groups, starts, steps, beta, rngs):
     measures number at most R_i * steps and their G * X + 1 entries each,
     added to those of the tables already kept, fit under
     DEFAULT_ENUMERATION_CAP, so a table never costs more evaluations than
-    the steps would and all of them share one budget.  The other
+    the steps would and all of them share one budget.  The tabulated
+    populations, taken in increasing N, share one evaluation per batch of
+    at most as many measures as the largest of them has, so no evaluation
+    holds more rows than that population's own table.  The other
     populations are stacked: each step computes its stage's laws once for
-    all their replications' measures, each row's counts divided by its own
-    population.  The stage costs are kept per step and discounted and
-    summed once after the loop, by the operations of a per-step
+    all their replications' measures.  Both go through _stacked_laws, which
+    divides each row's counts by its own population.  The stage costs are
+    kept per step and discounted and summed once after the loop, by the
+    operations of a per-step
     cost += disc * stage / N in the same order.  With beta=None no stage
     cost is evaluated or kept.  A stage cost sum_g size * cost, or a
     replication's discounted sum of them, can pass the float range on
@@ -259,22 +280,31 @@ def _rollout(model, groups, starts, steps, beta, rngs):
     """
     X, blocks, costs = model.num_states, range(len(set(groups.block))), beta is not None
     populations = [int(counts[0].sum()) for counts in starts]
-    trajs, tables, stacked, held = [], [], [], 0
+    trajs, measures, stacked, held = [], {}, [], 0
     for i, (counts, population) in enumerate(zip(starts, populations)):
         trajs.append(np.empty((len(counts), steps + 1, X), dtype=np.int64))
         trajs[i][:, 0] = counts
-        measures = num_compositions(population, X)
-        entries = measures * len(blocks) * (X * groups.per_state * X + 1)
-        if measures <= len(counts) * steps and held + entries <= DEFAULT_ENUMERATION_CAP:
+        size = num_compositions(population, X)
+        entries = size * len(blocks) * (X * groups.per_state * X + 1)
+        if size <= len(counts) * steps and held + entries <= DEFAULT_ENUMERATION_CAP:
             held += entries
-            tables.append(_step_laws(model, groups, composition_array(population, X),
-                                     population, blocks, costs))
+            measures[i] = size
         else:
-            tables.append(None)
             stacked.append(i)
-    reps = [len(starts[i]) for i in stacked]
-    divisor = np.repeat([populations[i] for i in stacked], reps)[:, None]
-    bounds = np.cumsum([0] + reps).tolist()
+    tables, batches, room = [None] * len(starts), [], 0
+    largest = max(measures.values(), default=0)
+    for i in sorted(measures, key=populations.__getitem__):
+        if measures[i] > room:
+            batches.append([])
+            room = largest
+        batches[-1].append(i)
+        room -= measures[i]
+    for batch in batches:
+        laws = _stacked_laws(model, groups,
+                             [composition_array(populations[i], X) for i in batch],
+                             [populations[i] for i in batch], blocks, costs)
+        for i, table in zip(batch, laws):
+            tables[i] = table
 
     # row t + 1 of a population's stage array holds its replications' stage costs at step t
     staged = [np.zeros((steps + 1, len(counts))) if costs else None for counts in starts]
@@ -282,17 +312,14 @@ def _rollout(model, groups, starts, steps, beta, rngs):
     for t in range(steps):
         block = groups.block[t]
         if stacked:
-            (sizes, stage, cols), = _step_laws(
-                model, groups, np.concatenate([trajs[i][:, t] for i in stacked]),
-                divisor, [block], costs)
-            shared = {}
-            for i, lo, hi in zip(stacked, bounds, bounds[1:]):
-                shared[i] = sizes[lo:hi], cols[:, lo:hi]
-                if costs:
-                    staged[i][t + 1] = stage[lo:hi]
+            shared = dict(zip(stacked, _stacked_laws(
+                model, groups, [trajs[i][:, t] for i in stacked],
+                [populations[i] for i in stacked], [block], costs)))
         for i, table in enumerate(tables):
             if table is None:
-                sizes, cols = shared[i]
+                (sizes, stage, cols), = shared[i]
+                if costs:
+                    staged[i][t + 1] = stage
             else:
                 rank = rank_compositions(trajs[i][:, t])
                 sizes, stage, cols = table[block]

@@ -14,14 +14,22 @@ Also the stage rule as it was before `solver.stages` returned each policy's
 distinct kernels: `per_stage`, `check_kernel_rows` and the flow's
 `_tail_start`, verbatim, which `tests/test_reference.py` checks `stages`
 against object for object.
+
+And `_checked_stages`, the reader of saved solve-n and solve-mf tables, as
+`mfteams.cli` had it before a table was parsed as one list of cells:
+verbatim, with one split list per row.  `tests/test_reference.py` checks
+that the package reads the same arrays, bit for bit, and refuses the same
+files with the same messages.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
+from mfteams.cli import _fmt
 from mfteams.lifted import _FLOAT_MAX
 from mfteams.measures import (
     DEFAULT_ENUMERATION_CAP,
@@ -347,3 +355,63 @@ def _tail_start(kernels):
         if kernel is not last:
             return len(kernels) - i
     return 0
+
+
+# ---- saved tables ----
+
+
+def _checked_stages(path, header, keys, points, tol=1e-12, choices=None):
+    """The rows of a file that _write_solution wrote, as numbers, one array
+    per stage indexed by key, and whether its one stage is stationary.  The
+    file has exactly `header`, rows of its length, and stages `stationary`
+    alone or 0..T-1.  Each key column (column, name, n), the ordinal of
+    column 1 first, holds an integer in [0, n), and each key has one row per
+    stage.  The cells after the ordinal equal points[ordinal] within `tol`,
+    and with `choices`, the last column is an integer in [0, choices[ordinal])."""
+
+    def check_range(what, values, bounds):  # refuse the first value not an integer in [0, bound)
+        bad = np.flatnonzero((values < 0) | (values >= bounds) | (np.floor(values) != values))[:1]
+        if bad.size:
+            raise ValueError(f"{what} {_fmt(values[bad[0]])} in {path} is not one of "
+                             f"0..{bounds[bad[0]] - 1}")
+
+    rows = [line.split(",") for line in Path(path).read_text().strip().splitlines()]
+    if rows[:1] != [header]:
+        raise ValueError(f"{path} does not start with the header {','.join(header)}")
+    if len(rows) == 1:
+        raise ValueError(f"{path} holds its header and no rows")
+    if any(len(parts) != len(header) for parts in rows):
+        raise ValueError(f"{path} has a row whose columns do not match its header")
+    labels = {parts[0] for parts in rows[1:]}
+    stationary = labels == {"stationary"}
+    if not stationary and labels != set(map(str, range(len(labels)))):
+        raise ValueError(f"{path} does not number its stages from 0")
+    cells = [["0" if stationary else parts[0]] + parts[1:] for parts in rows[1:]]
+    try:
+        table = np.array(cells, dtype=float).reshape(-1, len(header))
+    except ValueError:  # name the first cell that is not a number
+        for line, parts in enumerate(cells, 2):
+            for col, (name, cell) in enumerate(zip(header, parts), 1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(f"{path}, line {line}, column {col} ({name}) holds "
+                                     f"{cell!r}, not a number") from None
+        raise
+    keys = [(0, "stationary stage" if stationary else "stage", len(labels))] + keys
+    for col, name, n in keys:
+        check_range(name, table[:, col], np.full(len(table), n))
+    key = table[:, [col for col, _, _ in keys]].T.astype(np.int64)
+    shape = tuple(n for _, _, n in keys)
+    flat = np.ravel_multi_index(key, shape)
+    seen = np.bincount(flat, minlength=np.prod(shape))
+    if (seen != 1).any():
+        k = np.unravel_index((seen != 1).argmax(), shape)
+        named = " and ".join(f"{name} {v}" for (_, name, _), v in zip(keys, k))
+        raise ValueError(f"{path} has {seen[seen != 1][0]} rows, not one, for {named}")
+    off = ~(np.abs(table[:, 2 : 2 + points.shape[1]] - points[key[1]]) <= tol).all(1)
+    if off.any():
+        raise ValueError(f"line {off.argmax() + 2} of {path} does not hold its ordinal's cells")
+    if choices is not None:
+        check_range(header[-1], table[:, -1], np.asarray(choices)[key[1]])
+    return table[np.argsort(flat)].reshape(shape + (len(header),)), stationary

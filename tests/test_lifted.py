@@ -464,6 +464,24 @@ def test_two_part_coefficients_hold_one_pascal_row_and_one_float_array():
     assert peak <= 8.3e6
 
 
+@pytest.mark.parametrize("totals, made", [
+    ([1100], [(1100, False)]),  # no row below the one wanted
+    (list(range(1030, 1101)), [(1030, False)] + [(n, True) for n in range(1031, 1101)]),
+    ([3, 4, 10, 11, 700], [(3, False), (4, True), (10, False), (11, True), (700, False)]),
+])
+def test_coefficients_make_only_the_pascal_rows_of_their_totals(monkeypatch, totals, made):
+    # each wanted total's row is made once, by additions only from the row just before it
+    rows, pascal_row = [], lifted._pascal_row
+
+    def counted(n, last=None):
+        rows.append((n, last is not None and len(last) == n))
+        return pascal_row(n, last)
+
+    monkeypatch.setattr(lifted, "_pascal_row", counted)
+    lifted._Convolver(2, max(totals))._add_coefficients(totals)
+    assert rows == made
+
+
 def test_eta_rejects_marginal_mismatch(counterexample):
     state = EmpiricalStateMeasure((0, 2), 2)
     theta = EmpiricalJointMeasure(((1, 0), (1, 0)), 2)

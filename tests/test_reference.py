@@ -1,8 +1,11 @@
 """The lifted, restricted and exact-evaluation builds against the reference
-builds in `reference.py`, float for float, and the stage rule against the
-reference stage rule, object for object."""
+builds in `reference.py`, float for float, the stage rule against the
+reference stage rule, object for object, and the reader of saved tables
+against the reference reader, array for array and message for message."""
 
+import contextlib
 import functools
+import io
 import math
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from mfteams import DiscountedHorizon, FiniteHorizon, PolicyKernel, lifted, solver
+from mfteams import DiscountedHorizon, FiniteHorizon, PolicyKernel, cli, lifted, solver
 from mfteams.lifted import (
     _FLOAT_MAX,
     _kernel_stage_data,
@@ -221,3 +224,90 @@ def test_stages_match_the_reference_stage_rule(data, kind, discounted, wide, fit
         assert all(distinct[b] is k for b, k in zip(block, want))
     tail = min(t for t in range(len(block) + 1) if len(set(block[t:])) <= 1)
     assert tail == reference._tail_start(want)
+
+
+# ---- saved tables ----
+
+
+# solve-n and solve-mf runs of `decoupled` (2 states, 2 actions), stationary and staged
+_SAVED = {
+    "solve-n stationary": ["solve-n", "decoupled", "-N", "4", "--discount", "0.9"],
+    "solve-n staged": ["solve-n", "decoupled", "-N", "4", "--horizon", "3"],
+    "solve-mf stationary": ["solve-mf", "decoupled", "--discount", "0.9", "--mesh", "4",
+                            "--policy-mesh", "2"],
+    "solve-mf staged": ["solve-mf", "decoupled", "--horizon", "3", "--mesh", "4",
+                        "--policy-mesh", "2"],
+}
+
+
+@pytest.fixture(scope="module")
+def saved_tables(tmp_path_factory):
+    """A directory for mutated tables and, per saved run, the lines of the table
+    that its reader in `cli` checks and the arguments after the path it passes."""
+    model, root = load_bundled("decoupled"), tmp_path_factory.mktemp("saved")
+    mdp, grid = build_measure_mdp(model, 4), simplex_grid(4, 2)
+    args = {
+        "solve-n": ("values.csv", cli._headers("solve-n", model)[0], [(1, "ordinal", len(mdp))],
+                    np.array([state.counts for state in mdp.states]), 0,
+                    np.diff(mdp.act_off, append=len(mdp.joint_actions))),
+        "solve-mf": ("policy.csv", cli._headers("solve-mf", model)[1],
+                     [(1, "grid ordinal", len(grid)), (4, "state", 2)], grid.points),
+    }
+    tables = {}
+    for name, argv in _SAVED.items():
+        out = root / name.replace(" ", "_")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*argv, "--out", str(out)]) == 0
+        file, *rest = args[argv[0]]
+        tables[name] = (out / file).read_text().splitlines(), rest
+    return root, tables
+
+
+def _read_outcome(reader, path, args):
+    """The dtype, shape, bytes and stationary flag that `reader` returns, or the
+    message of the ValueError it raises."""
+    try:
+        table, stationary = reader(path, *args)
+    except ValueError as err:
+        return None, str(err)
+    return (table.dtype, table.shape, table.tobytes(), stationary), None
+
+
+_CELLS = ["x", "", "1_000", "0_1", "1__0", "_1", "nan", "-1", "1e400", " 1", "0.5", "0", "1",
+          "2", "3", "01", "1.0", "stationary"]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(_SAVED)),
+       mutation=st.sampled_from(["none", "cell", "stage label", "drop cell", "add cell",
+                                 "drop line", "repeat line", "no body", "empty", "crlf"]))
+@example(data=None, name="solve-mf staged", mutation="none")
+def test_saved_tables_read_as_the_reference_reads_them(saved_tables, data, name, mutation):
+    # one cell or one line changed: a ragged row, a wrong header, a cell that is not
+    # a number or is one only with underscores, a stage-label error, an empty body
+    root, tables = saved_tables
+    lines, args = tables[name]
+    rows = [line.split(",") for line in lines]
+    if data is not None:
+        i = data.draw(st.integers(0, len(rows) - 1), label="line")
+        j = 0 if mutation == "stage label" else data.draw(
+            st.integers(0, len(rows[i]) - 1), label="column")
+        cell = data.draw(st.sampled_from(_CELLS), label="cell")
+    if mutation in ("cell", "stage label"):
+        rows[i][j] = cell
+    elif mutation == "drop cell":
+        del rows[i][j]
+    elif mutation == "add cell":
+        rows[i].insert(j, cell)
+    elif mutation == "drop line":
+        del rows[i]
+    elif mutation == "repeat line":
+        rows.insert(i, rows[i])
+    elif mutation in ("no body", "empty"):
+        rows = rows[: mutation == "no body"]
+    path = root / "mutated.csv"
+    path.write_text(("\r\n" if mutation == "crlf" else "\n").join(map(",".join, rows)) + "\n")
+    got = _read_outcome(cli._checked_stages, path, args)
+    want = _read_outcome(reference._checked_stages, path, args)
+    assert got == want
+    event("read" if want[1] is None else want[1].replace(str(path), "<file>")[:32])

@@ -449,9 +449,10 @@ def test_chaos_gap_matches_the_per_step_loop_on_both_sides_of_the_table(weakly_c
         assert row.per_step_mean.tobytes() == gaps.mean(axis=0).tobytes()
 
 
-def _count_rollout_calls(monkeypatch):
+def _count_rollout_calls(monkeypatch, rows=None):
     """A Counter of the model evaluations and grid projections made inside
-    _rollout from now on."""
+    _rollout from now on; with a list `rows`, the rows of each kernel_tensor_at
+    call are appended to it."""
     calls = Counter()
     in_rollout = []
 
@@ -459,6 +460,8 @@ def _count_rollout_calls(monkeypatch):
         def wrapper(*args, **kwargs):
             if in_rollout:
                 calls[name] += 1
+                if rows is not None and name == "kernel_tensor_at":
+                    rows.append(len(args[1]))
             return method(*args, **kwargs)
         return wrapper
 
@@ -507,6 +510,47 @@ def test_chaos_gap_evaluates_no_cost_and_stacks_the_populations_it_does_not_tabu
     rows = chaos_gap(weakly_coupled, [2, 8, 2048, 4096], kernels, 5, 200, 3)
     assert [row.population for row in rows] == [2, 8, 2048, 4096]
     assert (calls["cost_matrix_at"], calls["kernel_tensor_at"]) == (0, 2 + 5)
+
+
+def test_chaos_gap_tables_share_their_evaluations_in_batches(weakly_coupled, monkeypatch):
+    # 200 replications x 5 steps: N = 2 ... 512 tabulate 3, 9, 33, 129 and 513 measures;
+    # taken in increasing N, a batch holds at most the 513 measures of N = 512, so the
+    # first four share one evaluation and N = 512 has its own
+    rows = []
+    calls = _count_rollout_calls(monkeypatch, rows)
+    kernels = _random_policy(np.random.default_rng(9), weakly_coupled, "stages", None, 5)
+    chaos_gap(weakly_coupled, [2, 8, 32, 128, 512], kernels, 5, 200, 3)
+    assert (calls["cost_matrix_at"], calls["kernel_tensor_at"]) == (0, 2)
+    assert rows == [3 + 9 + 33 + 129, 513]
+    # given out of order, the batches are the same
+    rows.clear()
+    chaos_gap(weakly_coupled, [512, 8, 128, 2, 32], kernels, 5, 200, 3)
+    assert rows == [3 + 9 + 33 + 129, 513]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_states=st.sampled_from([2, 3]),
+       populations=st.lists(st.sampled_from([1, 2, 3, 5, 8, 13, 40, 200, 5000]),
+                            min_size=2, max_size=5),
+       replications=st.sampled_from([2, 30, 200]), steps=st.integers(1, 4),
+       kind=st.sampled_from(["shared", "stages"]))
+def test_chaos_gap_rows_match_one_call_per_population(seed, num_states, populations,
+                                                      replications, steps, kind):
+    # streams are keyed by (seed, N), so the populations of one call, whether they
+    # tabulate in batches or are stacked, give the rows of one call each
+    rng = np.random.default_rng(seed)
+    model = make_random_model(rng, num_states, 2, coupled=True)
+    kernels = _random_policy(rng, model, kind, None, steps)
+    sizes = [num_compositions(n, num_states) for n in populations]
+    tabulated = sum(m <= replications * steps for m in sizes)
+    event(f"{tabulated} of {len(populations)} populations tabulated")
+    together = chaos_gap(model, populations, kernels, steps, replications, seed)
+    for population, row in zip(populations, together):
+        (alone,) = chaos_gap(model, [population], kernels, steps, replications, seed)
+        assert ((row.population, row.mean_max_gap, row.std_error)
+                == (alone.population, alone.mean_max_gap, alone.std_error))
+        assert row.per_step_mean.tobytes() == alone.per_step_mean.tobytes()
+        assert row.per_step_se.tobytes() == alone.per_step_se.tobytes()
 
 
 # the 17 measures of N=16 hold G * X + 1 entries each: 4 cells x 2 states + 1 for a
